@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from teleportsim.cli import _sweep_csv
+from teleportsim.cli import bounds_csv, sweep_csv
 from teleportsim.explorer import bounds_table, sweep_case1, sweep_case2, sweep_degenerate
 
 
@@ -37,14 +37,12 @@ def main():
         ("degenerate", sweep_degenerate(
             np.linspace(0.0, math.pi / 2, args.density), args.seed)),
     ):
-        (args.outdir / f"sweep_{name}.csv").write_text(_sweep_csv(result))
+        (args.outdir / f"sweep_{name}.csv").write_text(sweep_csv(result))
         _summary(f"sweep_{name}", result)
 
     grid = np.linspace(1.0 + 1e-9, math.log2(3.0), args.density)
     rows = bounds_table(grid)
-    lines = ["e,lower,upper"]
-    lines += [",".join(format(x, ".17g") for x in row) for row in rows]
-    (args.outdir / "bounds.csv").write_text("\n".join(lines) + "\n")
+    (args.outdir / "bounds.csv").write_text(bounds_csv(rows))
     print(f"bounds: {len(rows)} rows, curves meet at "
           f"E = {rows[-1][0]:.6f} (lower {rows[-1][1]:.6f}, upper {rows[-1][2]:.6f})")
 

@@ -39,6 +39,7 @@ from .teleport import (
     InputQubit,
     OutcomeBranch,
     TeleportReport,
+    random_input,
     run_teleport,
 )
 
@@ -66,6 +67,7 @@ __all__ = [
     "lower_bound_sum",
     "make_channel",
     "measurement_entanglement",
+    "random_input",
     "resource_report",
     "rotation_from_angles",
     "run_teleport",

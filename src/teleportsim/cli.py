@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: verify, sweep-case1, sweep-case2, sweep-degenerate, bounds,
-report. Exit codes: 0 success, 1 validation error, 2 infeasibility /
-incapable channel, 64 usage error (unknown flag or subcommand).
+report. Exit codes: 0 success, 1 validation error or unwritable --out (for
+example a missing directory), 2 infeasibility / incapable channel, 64 usage
+error (unknown flag or subcommand).
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ def _parse_channel(text: str):
     return make_channel(*a, norm_tol=_CLI_NORM_TOL)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TELEPORTSIM_SEED", "0"))
+def _seed(args) -> int:
+    """--seed, else the TELEPORTSIM_SEED environment variable, else 0."""
+    return args.seed if args.seed is not None else int(os.environ.get("TELEPORTSIM_SEED", "0"))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -77,11 +79,18 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _sweep_csv(result: SweepResult) -> str:
+def sweep_csv(result: SweepResult) -> str:
+    """A sweep as CSV: header, one line per record, then a `# skipped=N` footer."""
     lines = [",".join(record_fields())]
     for r in result.records:
         lines.append(",".join(_fmt(getattr(r, name)) for name in record_fields()))
     lines.append(f"# skipped={result.skipped}")
+    return "\n".join(lines) + "\n"
+
+
+def bounds_csv(rows) -> str:
+    """bounds_table rows as CSV under the header `e,lower,upper`."""
+    lines = ["e,lower,upper"] + [",".join(_fmt(x) for x in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -99,7 +108,7 @@ def _sweep_json(result: SweepResult) -> str:
 
 
 def _emit_sweep(result: SweepResult, fmt: str, out: str | None) -> None:
-    _emit(_sweep_csv(result) if fmt == "csv" else _sweep_json(result), out)
+    _emit(sweep_csv(result) if fmt == "csv" else _sweep_json(result), out)
 
 
 def _add_common(p: _Parser, *, density: bool = True) -> None:
@@ -114,17 +123,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="teleportsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the protocol on one channel and certify fidelity")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--theta3", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("report", help="resource report for one channel's solved scheme")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--theta3", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for name, text in (("verify", "run the protocol on one channel and certify fidelity"),
+                       ("report", "resource report for one channel's solved scheme")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--channel", required=True)
+        p.add_argument("--theta3", type=float, default=None)
+        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int, default=None)
 
     for name in ("sweep-case1", "sweep-case2", "sweep-degenerate"):
         _add_common(sub.add_parser(name, help=f"emit the {name} data set"))
@@ -133,36 +138,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_verify(args) -> int:
+def _cmd_channel(args) -> int:
+    """verify / report: solve one channel, then certify it or account its resources."""
     ch = _parse_channel(args.channel)
     canon, perm = canonicalize(ch)
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = np.random.default_rng(seed)
+    # the seed is read before solving, so a bad seed outranks an infeasible channel
+    seed = _seed(args) if args.command == "verify" else None
     params = find_scheme(canon, theta3=args.theta3)
-    rep = run_teleport(random_input(rng), canon, params)
     payload = {
         "channel": ch.to_json_dict(),
         "canonical_channel": canon.to_json_dict(),
         "permutation": list(perm.perm),
         "scheme": params.to_json_dict(),
-        "report": rep.to_json_dict(),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK
-
-
-def _cmd_report(args) -> int:
-    ch = _parse_channel(args.channel)
-    canon, perm = canonicalize(ch)
-    params = find_scheme(canon, theta3=args.theta3)
-    res = resource_report(canon, params)
-    payload = {
-        "channel": ch.to_json_dict(),
-        "canonical_channel": canon.to_json_dict(),
-        "permutation": list(perm.perm),
-        "scheme": params.to_json_dict(),
-        "resources": res.to_json_dict(),
-    }
+    if args.command == "verify":
+        inp = random_input(np.random.default_rng(seed))
+        payload["report"] = run_teleport(inp, canon, params).to_json_dict()
+    else:
+        payload["resources"] = resource_report(canon, params).to_json_dict()
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -173,9 +166,7 @@ def _cmd_bounds(args) -> int:
     grid = np.linspace(1.0 + 1e-9, LOG2_3, args.density)
     rows = bounds_table(grid)
     if args.format == "csv":
-        lines = ["e,lower,upper"]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(bounds_csv(rows), args.out)
     else:
         _emit(json.dumps(
             [{"e": r[0], "lower": r[1], "upper": r[2]} for r in rows], indent=2
@@ -193,13 +184,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        if args.command in ("verify", "report"):
+            return _cmd_channel(args)
         if args.command == "bounds":
             return _cmd_bounds(args)
-        seed = args.seed if args.seed is not None else _default_seed()
+        seed = _seed(args)
         if args.command == "sweep-case1":
             result = sweep_case1(args.density, seed)
         elif args.command == "sweep-case2":
@@ -214,7 +203,7 @@ def main(argv=None) -> int:
     except (InfeasibleError, CapabilityError, CorrectionError) as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel import SchmidtChannel, channel_entropy, make_channel
-from .qlinalg import LOG2_3, TOL
+from .qlinalg import LOG2_3, TOL, bisect
 from .resources import lower_bound_sum, resource_report, upper_bound_sum
 from .scheme import (
     InfeasibleError,
@@ -171,22 +171,11 @@ def sweep_degenerate(theta_grid, seed: int = 0) -> SweepResult:
 
 def _a1_from_entropy(e: float) -> float:
     """Invert channel entropy on the a2 = a1 slice (a1^2 in [1/3, 1/2])."""
-    lo, hi = 1.0 / 3.0, 0.5  # entropy decreases from log2(3) to 1 on this range
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        ch = make_channel(math.sqrt(max(1.0 - 2.0 * mid, 0.0)), math.sqrt(mid), math.sqrt(mid))
-        if channel_entropy(ch) > e:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(0.5 * (lo + hi))
+    def above(b):  # entropy decreases from log2(3) to 1 as b = a1^2 grows
+        ch = make_channel(math.sqrt(max(1.0 - 2.0 * b, 0.0)), math.sqrt(b), math.sqrt(b))
+        return channel_entropy(ch) > e
 
-
-def cli_main(argv=None) -> int:
-    """Console entry point (thin delegation; see the cli module)."""
-    from .cli import main
-
-    return main(argv)
+    return math.sqrt(bisect(above, 1.0 / 3.0, 0.5))
 
 
 def bounds_table(e_grid) -> list[tuple[float, float, float]]:

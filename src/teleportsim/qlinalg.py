@@ -82,6 +82,21 @@ def binary_entropy(x: float) -> float:
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
+def bisect(below, lo: float, hi: float) -> float:
+    """Bisect [lo, hi] on a monotone predicate until (lo, hi) stops changing.
+
+    below(x) is true left of the crossing. The loop ends once the midpoint
+    rounds to an end of the interval, so the crossing is as exact as floats
+    allow; returns that last midpoint.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        step = (mid, hi) if below(mid) else (lo, mid)
+        if step == (lo, hi):
+            return mid
+        lo, hi = step
+
+
 def qubit_qutrit_tangle(state) -> float:
     """Squared concurrence 4 det(rho_qubit) of a pure qubit-qutrit state."""
     rho = reduced_density(state, (2, 3), keep=0)

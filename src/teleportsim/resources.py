@@ -18,10 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import SchmidtChannel, channel_entropy
-from .qlinalg import LOG2_3, TOL, binary_entropy, entanglement_from_tangle
+from .qlinalg import LOG2_3, TOL, binary_entropy, bisect, entanglement_from_tangle
 from .scheme import SchemeParams, rotation_from_angles
 from .teleport import branch_probabilities
 
@@ -51,25 +49,6 @@ class ResourceReport:
             "probabilities": list(self.probabilities),
             "sum": self.sum,
         }
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """One piece of the trade-off bound with its domain and parameters."""
-
-    kind: str  # "lower_f1" | "lower_f2" | "upper"
-    domain: tuple[float, float]
-    parameters: dict
-
-
-def bound_curves() -> tuple[BoundCurve, ...]:
-    return (
-        BoundCurve(kind="lower_f1", domain=(1.0, 1.5), parameters={"q_range": (0.0, 0.5)}),
-        BoundCurve(kind="lower_f2", domain=(1.5, LOG2_3),
-                   parameters={"k": K_SLOPE, "b": B_INTERCEPT}),
-        BoundCurve(kind="upper", domain=(1.0, LOG2_3),
-                   parameters={"a1_sq_range": (1.0 / 3.0, 0.5)}),
-    )
 
 
 def measurement_entanglement(probabilities, tangles) -> float:
@@ -188,14 +167,7 @@ def _g_of_q(q: float) -> float:
 def _q_from_entropy(e: float) -> float:
     """Solve H(q) = 2(E - 1) for q in [0, 1/2] by bisection."""
     target = 2.0 * (e - 1.0)
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda q: binary_entropy(q) < target, 0.0, 0.5)
 
 
 def lower_bound_sum(e: float) -> float:

@@ -17,7 +17,7 @@ the third row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,14 +54,6 @@ class SchemeParams:
 
     def to_json_dict(self) -> dict:
         return {"theta": list(self.theta), "delta": list(self.delta), "zeta": self.zeta}
-
-
-@dataclass(frozen=True)
-class UnitaryPair:
-    """The real rotation U and the column-phased copy V = U * diag(1, e^{i d1}, e^{i d2})."""
-
-    u: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -129,10 +121,10 @@ def _window_from_halflines(lo: float, hi: float, cons) -> tuple[float, float] | 
     """Intersect [lo, hi] with linear constraints alpha*u <= beta."""
     for alpha, beta in cons:
         # coefficients are O(1) combinations of channel squares; magnitudes
-        # below 1e-13 are cancellation noise and make the constraint vacuous
-        if alpha > 1e-13:
+        # below _DEGENERATE_EPS are cancellation noise: the constraint is vacuous
+        if alpha > _DEGENERATE_EPS:
             hi = min(hi, beta / alpha)
-        elif alpha < -1e-13:
+        elif alpha < -_DEGENERATE_EPS:
             lo = max(lo, beta / alpha)
         elif beta < -TOL.entry:
             return None
@@ -218,7 +210,7 @@ def solve_constraints(
     lo, hi = admissible_theta3(ch)
     u = math.sin(theta3) ** 2
     ulo, uhi = math.sin(lo) ** 2, math.sin(hi) ** 2
-    if not (ulo - 1e-12 <= u <= uhi + 1e-12):
+    if not (ulo - TOL.entry <= u <= uhi + TOL.entry):
         raise InfeasibleError(
             f"theta3 = {theta3:.6g} outside the admissible interval "
             f"[{lo:.6g}, {hi:.6g}] for this channel",
@@ -271,18 +263,12 @@ def constraint_residuals(ch: SchmidtChannel, params: SchemeParams) -> tuple[floa
     return abs(r1), abs(r2), float(r3)
 
 
-def unitary_pair(params: SchemeParams) -> UnitaryPair:
-    u = rotation_from_angles(*params.theta)
-    d1, d2 = params.delta
-    v = u * np.array([1.0, np.exp(1j * d1), np.exp(1j * d2)])[None, :]
-    return UnitaryPair(u=u, v=v)
-
-
 def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:
     """Assemble the 6x6 measurement unitary; rows are the six basis kets.
 
     Row order is (1+, 2+, 3+, 1-, 2-, 3-) over the computational columns
-    (|00>, |01>, |02>, |10>, |11>, |12>).
+    (|00>, |01>, |02>, |10>, |11>, |12>). Unitarity is checked once, by
+    MeasurementBasis.
     """
     u = rotation_from_angles(*params.theta)
     d1, d2 = params.delta
@@ -298,44 +284,22 @@ def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:
         [-u[2, 0] * sz, u[2, 1] * e1 * cz, -u[2, 2] * sz,
          u[2, 0] * cz, -u[2, 1] * sz, u[2, 2] * e2 * cz],
     ], dtype=complex)
-    check_unitary(dmat)
     return dmat, MeasurementBasis(vectors=dmat)
 
 
 def special_case_basis(variant: str, theta: float) -> MeasurementBasis:
     """The two closed-form basis families of the degenerate (a0 = 0) channel.
 
-    Variant "A" keeps theta1 free; variant "B" keeps theta2 free. The two
-    families are not related by any local unitary. (In variant B the signs of
-    the 1- and 2- vectors are fixed by orthonormality.)
+    Variant "A" keeps theta1 free; variant "B" keeps theta2 free. Both are
+    assemble_D12 at theta3 = pi/4 and phases (0, pi). The two families are
+    not related by any local unitary.
     """
     if not (-TOL.entry <= theta <= math.pi / 2 + TOL.entry):
         raise ValueError(f"theta = {theta} outside [0, pi/2]")
-    r2 = 1.0 / math.sqrt(2.0)
-    c, s = math.cos(theta), math.sin(theta)
-    if variant == "A":
-        params = SchemeParams(theta=(theta, 0.0, math.pi / 4), delta=(0.0, math.pi))
-        return assemble_D12(params)[1]
-    if variant == "B":
-        u = np.array([
-            [c, s * r2, s * r2],
-            [0.0, r2, -r2],
-            [-s, c * r2, c * r2],
-        ])
-        d1, d2 = 0.0, math.pi
-        e1, e2 = np.exp(1j * d1), np.exp(1j * d2)
-        dmat = np.array([
-            [u[0, 0], 0, u[0, 2], 0, u[0, 1], 0],
-            [0, u[0, 1] * e1, 0, u[0, 0], 0, u[0, 2] * e2],
-            [u[2, 0] * r2, u[2, 1] * e1 * r2, u[2, 2] * r2,
-             u[2, 0] * r2, u[2, 1] * r2, u[2, 2] * e2 * r2],
-            [u[1, 0], 0, u[1, 2], 0, u[1, 1], 0],
-            [0, u[1, 1] * e1, 0, u[1, 0], 0, u[1, 2] * e2],
-            [-u[2, 0] * r2, u[2, 1] * e1 * r2, -u[2, 2] * r2,
-             u[2, 0] * r2, -u[2, 1] * r2, u[2, 2] * e2 * r2],
-        ], dtype=complex)
-        return MeasurementBasis(vectors=dmat)
-    raise ValueError(f"unknown variant {variant!r}; expected 'A' or 'B'")
+    angles = {"A": (theta, 0.0, math.pi / 4), "B": (0.0, theta, math.pi / 4)}
+    if variant not in angles:
+        raise ValueError(f"unknown variant {variant!r}; expected 'A' or 'B'")
+    return assemble_D12(SchemeParams(theta=angles[variant], delta=(0.0, math.pi)))[1]
 
 
 TWO_QUBIT_LABELS = ("1+", "2+", "1-", "2-")

@@ -84,9 +84,10 @@ def random_input(rng: np.random.Generator) -> InputQubit:
     return InputQubit(alpha=complex(z[0]), beta=complex(z[1]))
 
 
-def total_state(inp: InputQubit, ch: SchmidtChannel) -> np.ndarray:
-    """Joint ket of the input qubit and the shared channel, dim 2*3*3."""
-    psi = kron(inp.vector(), ch.state())
+def total_state(inp: InputQubit, coeffs) -> np.ndarray:
+    """Joint ket of the input qubit and the diagonal channel sum_j coeffs[j] |jj>."""
+    chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
+    psi = kron(inp.vector(), chan)
     check_normalized(psi)
     return psi
 
@@ -162,16 +163,7 @@ def correction_unitary(phi_alpha: np.ndarray, phi_beta: np.ndarray) -> np.ndarra
     if d == 2:
         w = np.array([r0, r1])
     elif d == 3:
-        # complete by Gram-Schmidt from the standard basis vector with the
-        # largest residual (deterministic; ties break to the lowest index)
-        eye = np.eye(3, dtype=complex)
-        resid = eye - np.outer(eye @ r0.conj(), r0) - np.outer(eye @ r1.conj(), r1)
-        norms = np.linalg.norm(resid, axis=1)
-        r2 = resid[int(np.argmax(np.round(norms, 12)))]
-        r2 = r2 / np.linalg.norm(r2)
-        k2 = int(np.argmax(np.abs(r2) > TOL.entry))
-        r2 = r2 * (abs(r2[k2]) / r2[k2])
-        w = np.array([r0, r1, r2])
+        w = np.array([r0, r1, np.cross(r0, r1).conj()])
     else:
         raise ValueError(f"unsupported dimension {d}")
     flat = w.reshape(-1)
@@ -207,14 +199,18 @@ def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> T
             f"channel {ch.a} is not teleport-capable (max a_j^2 > 1/2)"
         )
     _, basis = assemble_D12(params)
-    return run_with_basis(inp, ch, basis)
+    return run_with_basis(inp, ch.a, basis)
 
 
-def run_with_basis(inp: InputQubit, ch: SchmidtChannel, basis: MeasurementBasis) -> TeleportReport:
-    """As run_teleport, but with an explicitly supplied measurement basis."""
-    total = total_state(inp, ch)
-    bare = measure_branches(total, basis)
-    corrections = branch_corrections(ch.a, basis)
+def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> TeleportReport:
+    """As run_teleport, but on the diagonal channel sum_j coeffs[j] |jj> with an
+    explicitly supplied measurement basis (two-qubit or qubit-qutrit).
+
+    Branches without a perfect correction raise CorrectionError; for the
+    two-qubit basis that is every channel except the balanced a0 = a1.
+    """
+    bare = measure_branches(total_state(inp, coeffs), basis)
+    corrections = branch_corrections(coeffs, basis)
     branches = tuple(
         OutcomeBranch(
             label=b.label,
@@ -223,34 +219,6 @@ def run_with_basis(inp: InputQubit, ch: SchmidtChannel, basis: MeasurementBasis)
             collapsed=b.collapsed,
             correction=w,
         )
-        for b, w in zip(bare, corrections)
-    )
-    fids = tuple(branch_fidelity(inp, b) for b in branches)
-    return TeleportReport(
-        branches=branches,
-        fidelities=fids,
-        mean_fidelity=float(sum(b.probability * f for b, f in zip(branches, fids))),
-    )
-
-
-def run_two_qubit(inp: InputQubit, a0: float, a1: float, dmat: np.ndarray) -> TeleportReport:
-    """Run the two-qubit protocol with an explicit 4x4 measurement unitary.
-
-    Perfect corrections exist only for the balanced channel a0 = a1; other
-    channels raise CorrectionError for at least one branch.
-    """
-    from .scheme import TWO_QUBIT_LABELS
-
-    chan = np.zeros(4, dtype=complex)
-    chan[0], chan[3] = a0, a1
-    basis = MeasurementBasis(vectors=np.asarray(dmat, dtype=complex), labels=TWO_QUBIT_LABELS)
-    total = kron(inp.vector(), chan)
-    check_normalized(total)
-    bare = measure_branches(total, basis)
-    corrections = branch_corrections((a0, a1), basis)
-    branches = tuple(
-        OutcomeBranch(label=b.label, basis_vector=b.basis_vector,
-                      probability=b.probability, collapsed=b.collapsed, correction=w)
         for b, w in zip(bare, corrections)
     )
     fids = tuple(branch_fidelity(inp, b) for b in branches)

@@ -10,9 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import DEGENERATE, random_capable_channel, random_incapable_channel
+from helpers import (
+    DEGENERATE,
+    GOLDEN_COMMANDS,
+    GOLDEN_DIR,
+    random_capable_channel,
+    random_incapable_channel,
+    run_golden,
+)
 from teleportsim.channel import make_channel
-from teleportsim.cli import main as cli_main
 from teleportsim.explorer import sweep_case1, sweep_case2, sweep_degenerate
 from teleportsim.qlinalg import LOG2_3, binary_entropy, qubit_qutrit_tangle
 from teleportsim.resources import (
@@ -23,7 +29,9 @@ from teleportsim.resources import (
     upper_bound_sum,
 )
 from teleportsim.scheme import (
+    TWO_QUBIT_LABELS,
     InfeasibleError,
+    MeasurementBasis,
     admissible_theta3,
     admissible_u_window,
     assemble_D12,
@@ -41,7 +49,7 @@ from teleportsim.teleport import (
     measure_branches,
     random_input,
     run_teleport,
-    run_two_qubit,
+    run_with_basis,
     total_state,
 )
 
@@ -139,8 +147,8 @@ def test_3_two_qubit_necessity(capsys):
             for eta in angles:
                 for delta in np.linspace(0.0, 2 * math.pi, 12):
                     with pytest.raises(CorrectionError):
-                        run_two_qubit(random_input(rng), a0, a1,
-                                      two_qubit_D12(u, eta, delta))
+                        run_with_basis(random_input(rng), (a0, a1), MeasurementBasis(
+                            two_qubit_D12(u, eta, delta), TWO_QUBIT_LABELS))
 
 
 def test_4_published_scheme_numbers(capsys):
@@ -209,7 +217,7 @@ def test_7_oracle_equivalence(capsys):
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
         inp = random_input(rng)
-        branches = measure_branches(total_state(inp, ch), basis)
+        branches = measure_branches(total_state(inp, ch.a), basis)
         raw_collapsed = np.array([b.collapsed for b in branches])
         raw_probs = np.array([b.probability for b in branches])
         raw_tangles = np.array([qubit_qutrit_tangle(v) for v in basis.vectors])
@@ -235,25 +243,20 @@ def test_8_bell_equivalent_reduction(capsys):
         )
         assert np.allclose(tangles, [1.0] * 4, atol=1e-12)  # Bell multiset
         for _ in range(20):
-            rep = run_two_qubit(random_input(rng), R2, R2, dmat)
+            rep = run_with_basis(random_input(rng), (R2, R2),
+                                 MeasurementBasis(dmat, TWO_QUBIT_LABELS))
             assert min(rep.fidelities) >= 1.0 - 1e-10
 
 
 def test_9_cli_determinism(capsys, tmp_path):
-    """Repeated CLI runs with identical seeds emit byte-identical files."""
-    commands = (
-        ["sweep-case1", "--density", "25", "--format", "csv"],
-        ["sweep-case2", "--density", "25", "--format", "json"],
-        ["sweep-degenerate", "--density", "25", "--format", "csv"],
-        ["bounds", "--density", "25", "--format", "csv"],
-        ["verify", "--channel", "0.577,0.577,0.577"],
-        ["report", "--channel", "0.577,0.577,0.577"],
-    )
+    """Repeated CLI runs with identical seeds emit byte-identical files, equal
+    to the golden copies in tests/golden/ (see helpers.GOLDEN_COMMANDS)."""
     with _criterion(capsys, 9, "byte-identical seeded CLI output"):
-        for cmd in commands:
+        for name in GOLDEN_COMMANDS:
             contents = []
-            for name in ("first", "second"):
-                path = tmp_path / f"{name}.out"
-                assert cli_main(cmd + ["--seed", "9", "--out", str(path)]) == 0
+            for run in ("first", "second"):
+                path = tmp_path / f"{run}.out"
+                assert run_golden(name, path) == 0
                 contents.append(path.read_bytes())
             assert contents[0] == contents[1]
+            assert contents[0] == (GOLDEN_DIR / name).read_bytes(), name

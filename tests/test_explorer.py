@@ -179,3 +179,12 @@ class TestCli:
         monkeypatch.setenv("TELEPORTSIM_SEED", "42")
         assert main(["verify", "--channel", SYMMETRIC_ARG]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("cmd", [["sweep-degenerate", "--density", "5"],
+                                     ["verify", "--channel", SYMMETRIC_ARG]])
+    def test_out_into_missing_directory_exits_1(self, cmd, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        assert main(cmd + ["--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out.txt" in err
+        assert not path.parent.exists()

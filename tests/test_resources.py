@@ -29,6 +29,11 @@ H_TWO_THIRDS = 0.9182958340544896        # binary_entropy(2/3)
 SUM_UPPER_AT_HALF = 3.4056390622295667   # upper_bound_sum(1/sqrt 2)
 SUM_MAX = 3.584962500721156              # 1 + log2 6
 LOWER_NEAR_ONE = 3.000001724796099       # lower_bound_sum(1 + 1e-6)
+# lower_bound_sum near both ends of the bisected piece and at log2 3; the
+# frozen values pin where the bisection stops
+LOWER_AT_ONE_PLUS_1E12 = 3.00000000000185
+LOWER_BELOW_THREE_HALVES = 3.058814300845643  # E = 3/2 - 1e-12
+LOWER_AT_LOG2_3 = 3.584962500721157
 LOWER_AT_THREE_HALVES = 3.503258334775646  # affine piece at E = 3/2
 G_AT_HALF = 3.0588138903312014           # low-E piece limit as E -> 3/2 from below
 K_FROZEN = 0.9616497307872428
@@ -161,9 +166,11 @@ class TestLowerBound:
         val = lower_bound_sum(1.0 + 1e-6)
         assert val == pytest.approx(LOWER_NEAR_ONE, abs=1e-12)
         assert math.isclose(val, 3.0, rel_tol=1e-6)
+        assert lower_bound_sum(1.0 + 1e-12) == pytest.approx(LOWER_AT_ONE_PLUS_1E12, abs=1e-14)
 
     def test_maximally_entangled_point(self):
         assert lower_bound_sum(LOG2_3) == pytest.approx(SUM_MAX, abs=1e-9)
+        assert lower_bound_sum(LOG2_3) == pytest.approx(LOWER_AT_LOG2_3, abs=1e-14)
 
     def test_affine_constants(self):
         assert K_SLOPE == pytest.approx(K_FROZEN, abs=1e-12)
@@ -176,6 +183,7 @@ class TestLowerBound:
         below = lower_bound_sum(1.5 - 1e-9)
         assert below == pytest.approx(G_AT_HALF, abs=1e-3)
         assert lower_bound_sum(1.5) - below > 0.4
+        assert lower_bound_sum(1.5 - 1e-12) == pytest.approx(LOWER_BELOW_THREE_HALVES, abs=1e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):

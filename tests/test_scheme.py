@@ -25,7 +25,6 @@ from teleportsim.scheme import (
     special_case_basis,
     two_qubit_D12,
     two_qubit_feasible,
-    unitary_pair,
 )
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -197,12 +196,6 @@ class TestAssemble:
         with pytest.raises(ValueError):
             MeasurementBasis(vectors=np.ones((6, 6), dtype=complex))
 
-    def test_unitary_pair_columns(self):
-        params = SchemeParams(theta=(0.3, 0.4, 0.5), delta=(1.0, 2.0))
-        pair = unitary_pair(params)
-        assert np.allclose(pair.v[:, 0], pair.u[:, 0], atol=1e-15)
-        assert np.allclose(pair.v[:, 1], pair.u[:, 1] * np.exp(1j), atol=1e-14)
-
 
 class TestSpecialCaseBases:
     def test_variant_a_theta_zero_products(self):
@@ -235,6 +228,22 @@ class TestSpecialCaseBases:
         # the 3+/3- rows are maximally entangled
         assert qubit_qutrit_tangle(basis.vectors[2]) == pytest.approx(1.0, abs=1e-10)
         assert qubit_qutrit_tangle(basis.vectors[5]) == pytest.approx(1.0, abs=1e-10)
+
+    def test_variant_b_explicit_layout(self):
+        # variant B written out entry by entry from U = [[c, s r2, s r2],
+        # [0, r2, -r2], [-s, c r2, c r2]] and phases (0, pi), r2 = 1/sqrt(2)
+        theta = 0.7
+        c, s = math.cos(theta), math.sin(theta)
+        expected = np.array([
+            [c, 0, s * R2, 0, s * R2, 0],
+            [0, s * R2, 0, c, 0, -s * R2],
+            [-s * R2, c / 2, c / 2, -s * R2, c / 2, -c / 2],
+            [0, 0, -R2, 0, R2, 0],
+            [0, R2, 0, 0, 0, R2],
+            [s * R2, c / 2, -c / 2, -s * R2, -c / 2, -c / 2],
+        ], dtype=complex)
+        basis = special_case_basis("B", theta)
+        assert np.max(np.abs(basis.vectors - expected)) <= 1e-15
 
     @pytest.mark.parametrize("variant", ["A", "B"])
     def test_orthonormal(self, variant):

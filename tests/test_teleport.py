@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
 from teleportsim.channel import make_channel
 from teleportsim.scheme import (
+    TWO_QUBIT_LABELS,
+    MeasurementBasis,
     admissible_theta3,
     assemble_D12,
     solve_constraints,
@@ -25,7 +27,6 @@ from teleportsim.teleport import (
     measure_branches,
     random_input,
     run_teleport,
-    run_two_qubit,
     run_with_basis,
     total_state,
 )
@@ -52,21 +53,21 @@ class TestInputQubit:
 class TestTotalState:
     def test_basis_input(self):
         ch = make_channel(*SYMMETRIC)
-        psi = total_state(InputQubit(alpha=1.0, beta=0.0), ch)
+        psi = total_state(InputQubit(alpha=1.0, beta=0.0), ch.a)
         assert np.allclose(psi[:9], ch.state(), atol=1e-15)
         assert np.allclose(psi[9:], 0.0, atol=1e-15)
 
     def test_product_channel(self):
         ch = make_channel(1.0, 0.0, 0.0)
         q = InputQubit(alpha=0.6, beta=0.8)
-        psi = total_state(q, ch)
+        psi = total_state(q, ch.a)
         assert psi[0] == pytest.approx(0.6) and psi[9] == pytest.approx(0.8)
         assert np.count_nonzero(psi) == 2
 
     def test_generic_amplitudes(self):
         q = InputQubit(alpha=0.6, beta=0.8j)
         ch = make_channel(0.5, math.sqrt(0.5), 0.5)
-        psi = total_state(q, ch)
+        psi = total_state(q, ch.a)
         for j, a in enumerate(ch.a):
             assert psi[4 * j] == pytest.approx(q.alpha * a, abs=1e-15)
             assert psi[9 + 4 * j] == pytest.approx(q.beta * a, abs=1e-15)
@@ -76,21 +77,21 @@ class TestMeasureBranches:
     def test_degenerate_balanced_probabilities(self, rng):
         ch = make_channel(*DEGENERATE)
         basis = special_case_basis("A", math.pi / 4)
-        total = total_state(random_input(rng), ch)
+        total = total_state(random_input(rng), ch.a)
         probs = [b.probability for b in measure_branches(total, basis)]
         assert np.allclose(probs, [1 / 8, 1 / 8, 1 / 4, 1 / 8, 1 / 8, 1 / 4], atol=1e-12)
 
     def test_degenerate_two_qubit_reduction(self, rng):
         ch = make_channel(*DEGENERATE)
         basis = special_case_basis("A", 0.0)
-        total = total_state(random_input(rng), ch)
+        total = total_state(random_input(rng), ch.a)
         probs = [b.probability for b in measure_branches(total, basis)]
         assert np.allclose(probs, [0, 0, 1 / 4, 1 / 4, 1 / 4, 1 / 4], atol=1e-12)
 
     def test_probability_equals_collapsed_norm(self, rng):
         ch = random_capable_channel(rng)
         _, basis = assemble_D12(_solved(ch))
-        total = total_state(random_input(rng), ch)
+        total = total_state(random_input(rng), ch.a)
         for b in measure_branches(total, basis):
             assert b.probability == pytest.approx(
                 float(np.vdot(b.collapsed, b.collapsed).real), abs=1e-12
@@ -100,7 +101,7 @@ class TestMeasureBranches:
         for _ in range(10):
             ch = random_capable_channel(rng)
             _, basis = assemble_D12(_solved(ch))
-            total = total_state(random_input(rng), ch)
+            total = total_state(random_input(rng), ch.a)
             p = [b.probability for b in measure_branches(total, basis)]
             assert sum(p) == pytest.approx(1.0, abs=1e-12)
             assert p[0] == pytest.approx(p[1], abs=1e-12)  # 1+ = 2+
@@ -112,7 +113,7 @@ class TestMeasureBranches:
         _, basis = assemble_D12(_solved(ch))
         reference = None
         for _ in range(50):
-            total = total_state(random_input(rng), ch)
+            total = total_state(random_input(rng), ch.a)
             p = np.array([b.probability for b in measure_branches(total, basis)])
             if reference is None:
                 reference = p
@@ -191,7 +192,7 @@ class TestRunTeleport:
         ch = make_channel(*DEGENERATE)
         for t1 in np.linspace(0.0, math.pi / 2, 5):
             basis = special_case_basis("A", t1)
-            rep = run_with_basis(random_input(rng), ch, basis)
+            rep = run_with_basis(random_input(rng), ch.a, basis)
             assert min(rep.fidelities) >= 1.0 - 1e-10
 
     def test_report_serialization(self, rng):
@@ -211,7 +212,7 @@ class TestClosedFormOracles:
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
         q = random_input(rng)
-        total = total_state(q, ch)
+        total = total_state(q, ch.a)
         raw = np.array([b.collapsed for b in measure_branches(total, basis)])
         closed = collapsed_closed_form(q, ch, params)
         assert np.max(np.abs(raw - closed)) <= 1e-10
@@ -223,7 +224,7 @@ class TestClosedFormOracles:
         ch = random_capable_channel(rng)
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
-        total = total_state(random_input(rng), ch)
+        total = total_state(random_input(rng), ch.a)
         raw = [b.probability for b in measure_branches(total, basis)]
         closed = branch_probabilities(ch, params)
         assert np.max(np.abs(np.array(raw) - np.array(closed))) <= 1e-10
@@ -234,7 +235,8 @@ class TestTwoQubitPath:
         u = np.array([[R2, R2], [R2, -R2]])
         dmat = two_qubit_D12(u, math.pi / 4, math.pi)
         for _ in range(20):
-            rep = run_two_qubit(random_input(rng), R2, R2, dmat)
+            rep = run_with_basis(random_input(rng), (R2, R2),
+                                 MeasurementBasis(dmat, TWO_QUBIT_LABELS))
             assert min(rep.fidelities) >= 1.0 - 1e-10
             assert sum(b.probability for b in rep.branches) == pytest.approx(1.0, abs=1e-12)
 
@@ -249,4 +251,5 @@ class TestTwoQubitPath:
                 for delta in np.linspace(0.0, 2 * math.pi, 10):
                     dmat = two_qubit_D12(u, eta, delta)
                     with pytest.raises(CorrectionError):
-                        run_two_qubit(random_input(rng), a0, a1, dmat)
+                        run_with_basis(random_input(rng), (a0, a1),
+                                       MeasurementBasis(dmat, TWO_QUBIT_LABELS))
