@@ -111,12 +111,11 @@ def _emit_sweep(result: SweepResult, fmt: str, out: str | None) -> None:
     _emit(sweep_csv(result) if fmt == "csv" else _sweep_json(result), out)
 
 
-def _add_common(p: _Parser, *, density: bool = True) -> None:
+def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    if density:
-        p.add_argument("--density", type=int, default=200)
+    p.add_argument("--density", type=int, default=200)
 
 
 def build_parser() -> _Parser:
@@ -161,8 +160,6 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.density < 2:
-        raise ValueError("density must be at least 2")
     grid = np.linspace(1.0 + 1e-9, LOG2_3, args.density)
     rows = bounds_table(grid)
     if args.format == "csv":
@@ -186,6 +183,8 @@ def main(argv=None) -> int:
     try:
         if args.command in ("verify", "report"):
             return _cmd_channel(args)
+        if args.density < 2:
+            raise ValueError("density must be at least 2")
         if args.command == "bounds":
             return _cmd_bounds(args)
         seed = _seed(args)

@@ -31,16 +31,16 @@ def kron(a, b):
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def check_normalized(vec, tol: float = TOL.entry) -> None:
+def check_normalized(vec) -> None:
     n2 = float(np.vdot(vec, vec).real)
-    if not np.isfinite(n2) or abs(n2 - 1.0) > tol:
+    if not np.isfinite(n2) or abs(n2 - 1.0) > TOL.entry:
         raise ValueError(f"state not normalized: |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
 
 
-def check_unitary(mat, tol: float = TOL.unitary) -> None:
+def check_unitary(mat) -> None:
     m = np.asarray(mat)
     dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if dev > tol:
+    if dev > TOL.unitary:
         raise ValueError(f"matrix not unitary: max deviation {dev:.3e}")
 
 

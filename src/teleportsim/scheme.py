@@ -46,14 +46,13 @@ class PhaseInfeasibleError(InfeasibleError):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Angles defining Alice's measurement: rotation, phases, balance angle."""
+    """Angles defining Alice's measurement: rotation and phases (balance angle ZETA)."""
 
     theta: tuple[float, float, float]
     delta: tuple[float, float]
-    zeta: float = ZETA
 
     def to_json_dict(self) -> dict:
-        return {"theta": list(self.theta), "delta": list(self.delta), "zeta": self.zeta}
+        return {"theta": list(self.theta), "delta": list(self.delta), "zeta": ZETA}
 
 
 @dataclass(frozen=True)
@@ -205,8 +204,6 @@ def solve_constraints(
     when theta3 lies outside the feasible window.
     """
     A, B, C = ch.squares
-    if B + TOL.entry < max(A, C):
-        raise ValueError("channel must be canonicalized (maximal coefficient at index 1)")
     lo, hi = admissible_theta3(ch)
     u = math.sin(theta3) ** 2
     ulo, uhi = math.sin(lo) ** 2, math.sin(hi) ** 2
@@ -273,7 +270,7 @@ def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:
     u = rotation_from_angles(*params.theta)
     d1, d2 = params.delta
     e1, e2 = np.exp(1j * d1), np.exp(1j * d2)
-    cz, sz = math.cos(params.zeta), math.sin(params.zeta)
+    cz, sz = math.cos(ZETA), math.sin(ZETA)
     dmat = np.array([
         [u[0, 0], 0, u[0, 2], 0, u[0, 1], 0],
         [0, u[0, 1] * e1, 0, u[0, 0], 0, u[0, 2] * e2],
@@ -330,8 +327,7 @@ def two_qubit_feasible(a0: float, a1: float) -> bool:
     return abs(a0 * a0 - 0.5) <= TOL.entry
 
 
-def find_scheme(ch: SchmidtChannel, *, theta3: float | None = None,
-                theta2_hint: float = math.pi / 4) -> SchemeParams:
+def find_scheme(ch: SchmidtChannel, *, theta3: float | None = None) -> SchemeParams:
     """Convenience solver: pick a feasible theta3 (window midpoint) if not given."""
     if not is_teleport_capable(ch):
         raise InfeasibleError(
@@ -340,4 +336,4 @@ def find_scheme(ch: SchmidtChannel, *, theta3: float | None = None,
     if theta3 is None:
         lo, hi = admissible_theta3(ch)
         theta3 = 0.5 * (lo + hi)
-    return solve_constraints(ch, theta3, theta2_hint=theta2_hint)
+    return solve_constraints(ch, theta3)

@@ -7,7 +7,7 @@ floating-point 1 (to 1e-10), never as sampled statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class OutcomeBranch:
     """One measurement outcome with its collapsed (unnormalized) remote state."""
 
     label: str
-    basis_vector: np.ndarray
     probability: float
     collapsed: np.ndarray
     correction: np.ndarray | None = None
@@ -111,7 +110,6 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> list[Outcome
     return [
         OutcomeBranch(
             label=basis.labels[j],
-            basis_vector=basis.vectors[j].copy(),
             probability=float(probs[j]),
             collapsed=collapsed[j].copy(),
         )
@@ -119,65 +117,62 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> list[Outcome
     ]
 
 
-def branch_components(coeffs, basis: MeasurementBasis) -> list[tuple[np.ndarray, np.ndarray]]:
+def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
     """Input-independent split of each collapsed state: collapsed = alpha*va + beta*vb.
 
     coeffs are the diagonal channel coefficients (length = Bob's dimension).
-    va and vb depend only on the channel and the basis row, so Bob's correction
-    can be built once per branch and reused for every input.
+    Returns (n_branches, 2, d): entry j is branch j's pair (va, vb). va and vb
+    depend only on the channel and the basis row, so Bob's correction can be
+    built once per branch and reused for every input.
     """
     a = np.asarray(coeffs, dtype=float)
-    na = basis.vectors.shape[1]
+    n, na = basis.vectors.shape
     d = na // 2
     if a.shape != (d,):
         raise ValueError(f"expected {d} channel coefficients, got {a.shape}")
-    out = []
-    for row in basis.vectors:
-        va = a * row[:d].conj()
-        vb = a * row[d:].conj()
-        out.append((va, vb))
-    return out
+    return a * basis.vectors.conj().reshape(n, 2, d)
 
 
 def correction_unitary(phi_alpha: np.ndarray, phi_beta: np.ndarray) -> np.ndarray:
     """Unitary sending the alpha-component to |0> and the beta-component to |1>.
 
+    Works row by row on stacked components (..., d) and returns (..., d, d).
     Requires the equal-weight and orthogonality conditions; the completion row
     is the conjugated cross product, and the free global phase is fixed by
-    making the first nonzero entry (row-major) real positive. Zero branches
-    (both components null) get the identity by convention.
+    making the first nonzero entry (row-major, always in row 0) real positive.
+    Zero branches (both components null) get the identity by convention.
+    Errors name the values of the first offending row.
     """
-    d = len(phi_alpha)
-    na, nb = np.linalg.norm(phi_alpha), np.linalg.norm(phi_beta)
-    if na <= _ZERO_PROB and nb <= _ZERO_PROB:
-        return np.eye(d, dtype=complex)
-    if abs(na - nb) > TOL.correction:
-        raise CorrectionError(
-            f"unequal component weights: |phi_alpha| = {na:.6g}, |phi_beta| = {nb:.6g}"
-        )
-    overlap = abs(np.vdot(phi_alpha, phi_beta))
-    if overlap > TOL.correction:
-        raise CorrectionError(f"components not orthogonal: |overlap| = {overlap:.3e}")
-    r0 = (phi_alpha / na).conj()
-    r1 = (phi_beta / nb).conj()
-    if d == 2:
-        w = np.array([r0, r1])
-    elif d == 3:
-        w = np.array([r0, r1, np.cross(r0, r1).conj()])
-    else:
+    d = np.shape(phi_alpha)[-1]
+    if d not in (2, 3):
         raise ValueError(f"unsupported dimension {d}")
-    flat = w.reshape(-1)
-    k = int(np.argmax(np.abs(flat) > TOL.entry))
-    w = w * (abs(flat[k]) / flat[k])
-    dev = np.max(np.abs(w.conj().T @ w - np.eye(d)))
-    if dev > TOL.unitary:
-        raise CorrectionError(f"correction not unitary: deviation {dev:.3e}")
-    return w
+    v = np.stack([np.reshape(phi_alpha, (-1, d)), np.reshape(phi_beta, (-1, d))])
+    norms = np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-1))
+    zero = np.all(norms <= _ZERO_PROB, axis=0)
+    bad = np.flatnonzero(~zero & (np.abs(norms[0] - norms[1]) > TOL.correction))
+    if bad.size:
+        raise CorrectionError(f"unequal component weights: |phi_alpha| = {norms[0, bad[0]]:.6g}, "
+                              f"|phi_beta| = {norms[1, bad[0]]:.6g}")
+    overlap = np.abs(np.sum(v[0].conj() * v[1], axis=-1))
+    bad = np.flatnonzero(~zero & (overlap > TOL.correction))
+    if bad.size:
+        raise CorrectionError(f"components not orthogonal: |overlap| = {overlap[bad[0]]:.3e}")
+    r0, r1 = (v / np.where(zero, 1.0, norms)[..., None]).conj()
+    w = np.stack([r0, r1, np.cross(r0, r1).conj()] if d == 3 else [r0, r1], axis=1)
+    k = np.argmax(np.abs(r0) > TOL.entry, axis=-1)
+    first = np.where(zero, 1.0, r0[np.arange(len(r0)), k])
+    w = np.where(zero[:, None, None], np.eye(d), w * (np.abs(first) / first)[:, None, None])
+    dev = np.max(np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(d)), axis=(1, 2))
+    bad = np.flatnonzero(dev > TOL.unitary)
+    if bad.size:
+        raise CorrectionError(f"correction not unitary: deviation {dev[bad[0]]:.3e}")
+    return w.reshape(np.shape(phi_alpha)[:-1] + (d, d))
 
 
-def branch_corrections(coeffs, basis: MeasurementBasis) -> list[np.ndarray]:
-    """Bob's correction unitary for every branch of a valid scheme."""
-    return [correction_unitary(va, vb) for va, vb in branch_components(coeffs, basis)]
+def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
+    """Bob's correction unitary for every branch of a valid scheme, (n_branches, d, d)."""
+    comps = branch_components(coeffs, basis)
+    return correction_unitary(comps[:, 0], comps[:, 1])
 
 
 def branch_fidelity(inp: InputQubit, branch: OutcomeBranch) -> float:
@@ -211,16 +206,7 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
     """
     bare = measure_branches(total_state(inp, coeffs), basis)
     corrections = branch_corrections(coeffs, basis)
-    branches = tuple(
-        OutcomeBranch(
-            label=b.label,
-            basis_vector=b.basis_vector,
-            probability=b.probability,
-            collapsed=b.collapsed,
-            correction=w,
-        )
-        for b, w in zip(bare, corrections)
-    )
+    branches = tuple(replace(b, correction=w) for b, w in zip(bare, corrections))
     fids = tuple(branch_fidelity(inp, b) for b in branches)
     return TeleportReport(
         branches=branches,

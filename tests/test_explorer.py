@@ -149,6 +149,14 @@ class TestCli:
         assert set(payload) == {"records", "skipped"}
         assert set(payload["records"][0]) == set(record_fields())
 
+    @pytest.mark.parametrize("command",
+                             ["sweep-case1", "sweep-case2", "sweep-degenerate", "bounds"])
+    def test_density_below_2_exits_1(self, command, capsys):
+        assert main([command, "--density", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "density must be at least 2" in captured.err
+
     def test_bounds_csv(self, capsys):
         assert main(["bounds", "--density", "10"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")

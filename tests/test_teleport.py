@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from teleportsim.teleport import (
     CorrectionError,
     InputQubit,
     branch_components,
+    branch_corrections,
     branch_probabilities,
     collapsed_closed_form,
     correction_unitary,
@@ -166,6 +168,88 @@ class TestCorrectionUnitary:
                         continue
                     fid = abs(np.vdot(target, out)) ** 2 / norm**2
                     assert fid == pytest.approx(1.0, abs=1e-10)
+
+
+# Bob's corrections from the one-row-at-a-time kernel of commit 5ace619, for
+# a = sqrt(0.2, 0.45, 0.35) at the theta3 window midpoint; imaginary parts
+# below 1e-16 are written as 0
+_FROZEN_CORRECTIONS = np.array([
+    [[0.7536176847411316, 0.0, 0.6573130040136254],
+     [0.0, 1.0, 0.0],
+     [-0.6573130040136254, 0.0, 0.7536176847411316]],
+    [[0.0, 0.9999999999999999, 0.0],
+     [-0.4825424136894525-0.5788716902262027j, 0.0, 0.6525447289626377-0.07903013316763349j],
+     [0.6071137884877019-0.2519389471152207j, 0.0, 0.13567257616999714-0.7413046383437646j]],
+    [[0.6104345773536427, 0.3664956285157539-0.43965864537653637j, -0.5474950744943661],
+     [0.6104345773536426, -0.5723799176905917, 0.2974558916269979-0.4596420880772115j],
+     [0.40644451951960847-0.2992358703341469j, 0.5157872858888468+0.2805814237693584j,
+      0.573122097236141+0.268382839370301j]],
+    [[0.09352671604924408, 0.0, 0.9956167703414021],
+     [0.0, -1.0, 0.0],
+     [-0.9956167703414021, 0.0, 0.09352671604924408]],
+    [[0.0, 1.0000000000000002, 0.0],
+     [0.05988528164961084+0.071840097833332j, 0.0, -0.9883943746526271+0.11970511075174044j],
+     [-0.9195811822267393+0.38160608312698147j, 0.0, -0.016837463828200182+0.09199862187440627j]],
+    [[0.6104345773536426, -0.36649562851575396+0.4396586453765364j, -0.5474950744943661],
+     [-0.6104345773536427, -0.5723799176905916, -0.297455891626998+0.4596420880772116j],
+     [-0.40644451951960847+0.29923587033414695j, 0.5157872858888469+0.2805814237693584j,
+      -0.5731220972361409-0.2683828393703011j]],
+])
+
+
+class TestStackedCorrections:
+    """branch_corrections is one stacked call of correction_unitary; each of
+    its rows must equal the single-row call exactly."""
+
+    @staticmethod
+    def _assert_rows_match(coeffs, basis):
+        comps = branch_components(coeffs, basis)
+        ws = branch_corrections(coeffs, basis)
+        assert ws.shape == (len(basis.labels),) + 2 * (comps.shape[-1],)
+        for j, (va, vb) in enumerate(comps):
+            assert np.array_equal(correction_unitary(va, vb), ws[j])
+        return ws
+
+    def test_random_schemes(self, rng):
+        for _ in range(20):
+            ch = random_capable_channel(rng)
+            _, basis = assemble_D12(_solved(ch, frac=rng.uniform()))
+            self._assert_rows_match(ch.a, basis)
+
+    def test_zero_branches_inside_stack(self):
+        ch = make_channel(*DEGENERATE)
+        params = solve_constraints(ch, math.pi / 4, theta2_hint=0.0, theta1_hint=0.0)
+        _, basis = assemble_D12(params)
+        ws = self._assert_rows_match(ch.a, basis)
+        # rows 1+ and 2+ carry no weight at theta1 = 0
+        assert np.array_equal(ws[0], np.eye(3))
+        assert np.array_equal(ws[1], np.eye(3))
+
+    def test_two_qubit_balanced(self):
+        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
+        ws = self._assert_rows_match((R2, R2), MeasurementBasis(dmat, TWO_QUBIT_LABELS))
+        assert ws.shape == (4, 2, 2)
+
+    @pytest.mark.parametrize("row", [0, 2, 5])
+    def test_one_bad_row_rejected(self, row):
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        _, basis = assemble_D12(_solved(ch))
+        comps = branch_components(ch.a, basis)
+        short = comps.copy()
+        short[row, 1] *= 0.5
+        na = np.linalg.norm(comps[row, 0])
+        with pytest.raises(CorrectionError, match=re.escape(f"unequal component weights: "
+                                                            f"|phi_alpha| = {na:.6g}")):
+            correction_unitary(short[:, 0], short[:, 1])
+        comps[row, 1] = (comps[row, 0] + comps[row, 1]) / math.sqrt(2.0)
+        with pytest.raises(CorrectionError, match="orthogonal"):
+            correction_unitary(comps[:, 0], comps[:, 1])
+
+    def test_matches_frozen_per_row_corrections(self):
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        _, basis = assemble_D12(_solved(ch))
+        ws = branch_corrections(ch.a, basis)
+        assert np.max(np.abs(ws - _FROZEN_CORRECTIONS)) <= 1e-15
 
 
 class TestRunTeleport:
