@@ -37,7 +37,6 @@ from .teleport import (
     CapabilityError,
     CorrectionError,
     InputQubit,
-    OutcomeBranch,
     TeleportReport,
     random_input,
     run_teleport,
@@ -50,7 +49,6 @@ __all__ = [
     "InfeasibleError",
     "InputQubit",
     "MeasurementBasis",
-    "OutcomeBranch",
     "ResourceReport",
     "SchemeParams",
     "SchmidtChannel",

@@ -67,8 +67,21 @@ def _parse_channel(text: str):
 
 
 def _seed(args) -> int:
-    """--seed, else the TELEPORTSIM_SEED environment variable, else 0."""
-    return args.seed if args.seed is not None else int(os.environ.get("TELEPORTSIM_SEED", "0"))
+    """--seed, else the TELEPORTSIM_SEED environment variable, else 0.
+
+    Anything but a non-negative integer raises a ValueError naming its source.
+    """
+    if args.seed is not None:
+        name, value = "--seed", args.seed
+    else:
+        name, value = "TELEPORTSIM_SEED", os.environ.get("TELEPORTSIM_SEED", "0")
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _emit(text: str, out: str | None) -> None:

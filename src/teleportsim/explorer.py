@@ -68,8 +68,8 @@ def _bound_lower(e: float) -> float:
     return lower_bound_sum(min(e, LOG2_3))
 
 
-def _gated_record(ch: SchmidtChannel, params: SchemeParams,
-                  rng: np.random.Generator, bound_upper: float | None) -> SweepRecord:
+def _gated_record(ch: SchmidtChannel, params: SchemeParams, rng: np.random.Generator,
+                  bound_lower: float, bound_upper: float | None) -> SweepRecord:
     rep = run_teleport(random_input(rng), ch, params)
     if min(rep.fidelities) < 1.0 - TOL.unitary:
         raise InfeasibleError(f"fidelity gate failed: min fidelity {min(rep.fidelities)}")
@@ -78,7 +78,7 @@ def _gated_record(ch: SchmidtChannel, params: SchemeParams,
         a0=ch.a[0], a1=ch.a[1], a2=ch.a[2],
         theta1=params.theta[0], theta2=params.theta[1], theta3=params.theta[2],
         e_channel=res.e_channel, e12=res.e12, h12=res.h12, sum=res.sum,
-        bound_lower=_bound_lower(res.e_channel), bound_upper=bound_upper,
+        bound_lower=bound_lower, bound_upper=bound_upper,
     )
 
 
@@ -104,6 +104,7 @@ def sweep_case1(density: int, seed: int) -> SweepResult:
             wgrid = [min(max(0.5, wlo), whi)]
             wgrid += list(np.linspace(wlo, whi, _INNER_GRID))
             bu = upper_bound_sum(math.sqrt(a1sq)) if a1sq >= 1.0 / 3.0 - TOL.entry else None
+            bl = _bound_lower(channel_entropy(ch))
         except InfeasibleError:
             skipped += 1
             continue
@@ -116,7 +117,7 @@ def sweep_case1(density: int, seed: int) -> SweepResult:
             theta2 = math.asin(math.sqrt(w))
             try:
                 params = solve_constraints(ch, theta3, theta2_hint=theta2)
-                records.append(_gated_record(ch, params, rng, bu))
+                records.append(_gated_record(ch, params, rng, bl, bu))
             except InfeasibleError:
                 skipped += 1
     return SweepResult(records=tuple(records), skipped=skipped)
@@ -137,6 +138,7 @@ def sweep_case2(density: int, seed: int) -> SweepResult:
         except InfeasibleError:
             skipped += 1
             continue
+        bl = _bound_lower(channel_entropy(ch))
         seen = set()
         for u in np.linspace(ulo, uhi, _INNER_GRID):
             key = round(float(u), 15)
@@ -146,7 +148,7 @@ def sweep_case2(density: int, seed: int) -> SweepResult:
             theta3 = math.asin(math.sqrt(u))
             try:
                 params = solve_constraints(ch, theta3)
-                records.append(_gated_record(ch, params, rng, None))
+                records.append(_gated_record(ch, params, rng, bl, None))
             except InfeasibleError:
                 skipped += 1
     return SweepResult(records=tuple(records), skipped=skipped)
@@ -156,6 +158,7 @@ def sweep_degenerate(theta_grid, seed: int = 0) -> SweepResult:
     """The a0 = 0 channel swept over the free angle theta1 in [0, pi/2]."""
     rng = np.random.default_rng(seed)
     ch = make_channel(0.0, math.sqrt(0.5), math.sqrt(0.5))
+    bl = _bound_lower(channel_entropy(ch))
     records: list[SweepRecord] = []
     skipped = 0
     for t1 in theta_grid:
@@ -163,7 +166,7 @@ def sweep_degenerate(theta_grid, seed: int = 0) -> SweepResult:
             raise ValueError(f"theta1 = {t1} outside [0, pi/2]")
         try:
             params = solve_constraints(ch, math.pi / 4, theta2_hint=0.0, theta1_hint=float(t1))
-            records.append(_gated_record(ch, params, rng, None))
+            records.append(_gated_record(ch, params, rng, bl, None))
         except InfeasibleError:
             skipped += 1
     return SweepResult(records=tuple(records), skipped=skipped)

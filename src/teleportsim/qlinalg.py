@@ -19,6 +19,10 @@ class Tolerances:
     unitary: float = 1e-10     # ||M^dag M - I||_max for unitarity checks
     psd: float = 1e-10         # admissible negative eigenvalue magnitude
     correction: float = 1e-9   # perfect-correctability conditions
+    zero_branch: float = 1e-14  # branch probability / component norm taken as exactly 0
+    degenerate: float = 1e-13  # constraint coefficient below this is cancellation noise
+    window: float = 1e-14      # slack before an admissible u-window counts as empty
+    weight: float = 1e-15      # phasor / slice weight taken as exactly 0
 
 
 TOL = Tolerances()

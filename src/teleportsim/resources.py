@@ -118,8 +118,8 @@ def gour_e12_case2(a0: float, a2: float) -> float:
     # to the slice residual; evaluating them in that form avoids catastrophic
     # cancellation when p or r is tiny
     s = p + r
-    arg1 = 1.0 + (q - s) * (q + s) / (2.0 * p * q) if p > 1e-15 else 1.0
-    arg2 = -1.0 + (s - q) * (s + q) / (2.0 * p * r) if p > 1e-15 and r > 1e-15 else -1.0
+    arg1 = 1.0 + (q - s) * (q + s) / (2.0 * p * q) if p > TOL.weight else 1.0
+    arg2 = -1.0 + (s - q) * (s + q) / (2.0 * p * r) if p > TOL.weight and r > TOL.weight else -1.0
     # the already-validated slice residual can push the arguments past +-1
     # when p or r is tiny; that overshoot is not a domain violation
     xi1 = math.pi - math.acos(min(max(arg1, -1.0), 1.0))

@@ -28,9 +28,6 @@ BRANCH_LABELS = ("1+", "2+", "3+", "1-", "2-", "3-")
 
 ZETA = math.pi / 4
 
-# threshold below which a constraint direction is treated as exactly degenerate
-_DEGENERATE_EPS = 1e-13
-
 
 class InfeasibleError(Exception):
     """No scheme exists for the requested channel/angle combination."""
@@ -92,13 +89,12 @@ def phases_from_weights(p: float, q: float, r: float) -> tuple[float, float]:
                 f"phasor closure infeasible: weight {name}={val:.6g} exceeds "
                 f"the sum of the other two ({others:.6g})"
             )
-    eps = 1e-15
-    if q <= eps and r <= eps:
+    if q <= TOL.weight and r <= TOL.weight:
         return 0.0, 0.0
-    if p <= eps or q <= eps:
-        # remaining pair must cancel: e^{-i d2} = -1 (q<=eps also forces p ~ r)
+    if p <= TOL.weight or q <= TOL.weight:
+        # remaining pair must cancel: e^{-i d2} = -1 (a vanishing q also forces p ~ r)
         return 0.0, math.pi
-    if r <= eps:
+    if r <= TOL.weight:
         return math.pi, 0.0
     cos_d1 = (r * r - p * p - q * q) / (2.0 * p * q)
     d1 = math.acos(min(max(cos_d1, -1.0), 1.0))
@@ -120,14 +116,14 @@ def _window_from_halflines(lo: float, hi: float, cons) -> tuple[float, float] | 
     """Intersect [lo, hi] with linear constraints alpha*u <= beta."""
     for alpha, beta in cons:
         # coefficients are O(1) combinations of channel squares; magnitudes
-        # below _DEGENERATE_EPS are cancellation noise: the constraint is vacuous
-        if alpha > _DEGENERATE_EPS:
+        # below TOL.degenerate are cancellation noise: the constraint is vacuous
+        if alpha > TOL.degenerate:
             hi = min(hi, beta / alpha)
-        elif alpha < -_DEGENERATE_EPS:
+        elif alpha < -TOL.degenerate:
             lo = max(lo, beta / alpha)
         elif beta < -TOL.entry:
             return None
-    if lo > hi + 1e-14:
+    if lo > hi + TOL.window:
         return None
     lo = min(max(lo, 0.0), 1.0)
     hi = min(max(hi, lo), 1.0)
@@ -215,7 +211,7 @@ def solve_constraints(
         )
     d = B - C
     n = (B + C) * u - (B - A)
-    if abs(n) < _DEGENERATE_EPS and abs(n + d) < _DEGENERATE_EPS:
+    if abs(n) < TOL.degenerate and abs(n + d) < TOL.degenerate:
         # degenerate ridge: theta2 free up to the phasor triangle
         wlo, whi = free_theta2_window(ch, u)
         w = math.sin(theta2_hint) ** 2
@@ -229,7 +225,7 @@ def solve_constraints(
     k = A * c2 * c2 + C * s2 * s2 * c3sq - B * s2 * s2 * s3sq
     ell = C * s3sq - B * c3sq
     m = s2 * math.sqrt(s3sq * c3sq) * (B + C)
-    if abs(ell - k) < _DEGENERATE_EPS and abs(m) < _DEGENERATE_EPS:
+    if abs(ell - k) < TOL.degenerate and abs(m) < TOL.degenerate:
         theta1 = theta1_hint
     else:
         theta1 = 0.5 * math.atan2(ell - k, 2.0 * m)

@@ -7,7 +7,7 @@ floating-point 1 (to 1e-10), never as sampled statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .scheme import (
     assemble_D12,
     rotation_from_angles,
 )
-
-# probabilities below this are treated as exactly-zero branches
-_ZERO_PROB = 1e-14
 
 
 class CapabilityError(Exception):
@@ -49,28 +46,19 @@ class InputQubit:
 
 
 @dataclass(frozen=True)
-class OutcomeBranch:
-    """One measurement outcome with its collapsed (unnormalized) remote state."""
-
-    label: str
-    probability: float
-    collapsed: np.ndarray
-    correction: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class TeleportReport:
     """Per-branch outcome data plus the fidelity certificate."""
 
-    branches: tuple[OutcomeBranch, ...]
+    labels: tuple[str, ...]
+    probabilities: tuple[float, ...]
     fidelities: tuple[float, ...]
     mean_fidelity: float
 
     def to_json_dict(self) -> dict:
         return {
             "branches": [
-                {"label": b.label, "probability": b.probability, "fidelity": f}
-                for b, f in zip(self.branches, self.fidelities)
+                {"label": lab, "probability": p, "fidelity": f}
+                for lab, p, f in zip(self.labels, self.probabilities, self.fidelities)
             ],
             "mean_fidelity": self.mean_fidelity,
         }
@@ -91,30 +79,23 @@ def total_state(inp: InputQubit, coeffs) -> np.ndarray:
     return psi
 
 
-def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> list[OutcomeBranch]:
+def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
     """Project the joint state onto each basis ket of Alice's two subsystems.
 
     Works for any split: Alice's dimension is the basis-vector dimension, the
-    remainder is Bob's. Collapsed states are kept unnormalized so that
+    remainder is Bob's. Returns (probabilities (n,), collapsed (n, nb)), one
+    row per basis ket; collapsed states are kept unnormalized so that
     probability = <collapsed|collapsed>.
     """
     na = basis.vectors.shape[1]
     nb = total.size // na
     if na * nb != total.size:
         raise ValueError("basis dimension incompatible with total state")
-    m = total.reshape(na, nb)
-    collapsed = basis.vectors.conj() @ m
+    collapsed = basis.vectors.conj() @ total.reshape(na, nb)
     probs = np.sum(np.abs(collapsed) ** 2, axis=1)
     if abs(float(np.sum(probs)) - 1.0) > TOL.entry:
         raise ValueError("branch probabilities do not sum to 1")
-    return [
-        OutcomeBranch(
-            label=basis.labels[j],
-            probability=float(probs[j]),
-            collapsed=collapsed[j].copy(),
-        )
-        for j in range(len(basis.labels))
-    ]
+    return probs, collapsed
 
 
 def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
@@ -148,7 +129,7 @@ def correction_unitary(phi_alpha: np.ndarray, phi_beta: np.ndarray) -> np.ndarra
         raise ValueError(f"unsupported dimension {d}")
     v = np.stack([np.reshape(phi_alpha, (-1, d)), np.reshape(phi_beta, (-1, d))])
     norms = np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-1))
-    zero = np.all(norms <= _ZERO_PROB, axis=0)
+    zero = np.all(norms <= TOL.zero_branch, axis=0)
     bad = np.flatnonzero(~zero & (np.abs(norms[0] - norms[1]) > TOL.correction))
     if bad.size:
         raise CorrectionError(f"unequal component weights: |phi_alpha| = {norms[0, bad[0]]:.6g}, "
@@ -175,18 +156,6 @@ def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
     return correction_unitary(comps[:, 0], comps[:, 1])
 
 
-def branch_fidelity(inp: InputQubit, branch: OutcomeBranch) -> float:
-    """|<target|W|collapsed>|^2 / P for one branch; zero branches count as 1."""
-    if branch.probability <= _ZERO_PROB:
-        return 1.0
-    if branch.correction is None:
-        raise ValueError("branch has no correction attached")
-    out = branch.correction @ branch.collapsed
-    target = np.zeros(len(branch.collapsed), dtype=complex)
-    target[0], target[1] = inp.alpha, inp.beta
-    return float(abs(np.vdot(target, out)) ** 2 / branch.probability)
-
-
 def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> TeleportReport:
     """Execute the protocol exactly and certify unit fidelity on every branch."""
     if not is_teleport_capable(ch):
@@ -204,14 +173,19 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
     Branches without a perfect correction raise CorrectionError; for the
     two-qubit basis that is every channel except the balanced a0 = a1.
     """
-    bare = measure_branches(total_state(inp, coeffs), basis)
-    corrections = branch_corrections(coeffs, basis)
-    branches = tuple(replace(b, correction=w) for b, w in zip(bare, corrections))
-    fids = tuple(branch_fidelity(inp, b) for b in branches)
+    probs, collapsed = measure_branches(total_state(inp, coeffs), basis)
+    out = (branch_corrections(coeffs, basis) @ collapsed[..., None])[..., 0]
+    target = np.zeros(collapsed.shape[1], dtype=complex)
+    target[:2] = inp.vector()
+    # fidelity |<target|W collapsed>|^2 / P; zero branches count as 1
+    live = probs > TOL.zero_branch
+    fids = np.where(live, np.abs(np.vecdot(target, out)) ** 2 / np.where(live, probs, 1.0), 1.0)
+    probabilities, fidelities = tuple(probs.tolist()), tuple(fids.tolist())
     return TeleportReport(
-        branches=branches,
-        fidelities=fids,
-        mean_fidelity=float(sum(b.probability * f for b, f in zip(branches, fids))),
+        labels=tuple(basis.labels),
+        probabilities=probabilities,
+        fidelities=fidelities,
+        mean_fidelity=sum(p * f for p, f in zip(probabilities, fidelities)),
     )
 
 

@@ -190,6 +190,20 @@ class TestCli:
 
     @pytest.mark.parametrize("cmd", [["sweep-degenerate", "--density", "5"],
                                      ["verify", "--channel", SYMMETRIC_ARG]])
+    @pytest.mark.parametrize("env, flag, message", [
+        ("abc", [], "TELEPORTSIM_SEED must be a non-negative integer, got 'abc'"),
+        ("1.5", [], "TELEPORTSIM_SEED must be a non-negative integer, got '1.5'"),
+        ("-1", [], "TELEPORTSIM_SEED must be a non-negative integer, got '-1'"),
+        ("0", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    ])
+    def test_bad_seed_exits_1(self, cmd, env, flag, message, capsys, monkeypatch):
+        monkeypatch.setenv("TELEPORTSIM_SEED", env)
+        assert main(cmd + flag) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cmd", [["sweep-degenerate", "--density", "5"],
+                                     ["verify", "--channel", SYMMETRIC_ARG]])
     def test_out_into_missing_directory_exits_1(self, cmd, tmp_path, capsys):
         path = tmp_path / "missing" / "out.txt"
         assert main(cmd + ["--out", str(path)]) == 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
 from teleportsim.channel import make_channel
+from teleportsim.qlinalg import TOL
 from teleportsim.scheme import (
     TWO_QUBIT_LABELS,
     MeasurementBasis,
@@ -80,31 +81,29 @@ class TestMeasureBranches:
         ch = make_channel(*DEGENERATE)
         basis = special_case_basis("A", math.pi / 4)
         total = total_state(random_input(rng), ch.a)
-        probs = [b.probability for b in measure_branches(total, basis)]
+        probs, _ = measure_branches(total, basis)
         assert np.allclose(probs, [1 / 8, 1 / 8, 1 / 4, 1 / 8, 1 / 8, 1 / 4], atol=1e-12)
 
     def test_degenerate_two_qubit_reduction(self, rng):
         ch = make_channel(*DEGENERATE)
         basis = special_case_basis("A", 0.0)
         total = total_state(random_input(rng), ch.a)
-        probs = [b.probability for b in measure_branches(total, basis)]
+        probs, _ = measure_branches(total, basis)
         assert np.allclose(probs, [0, 0, 1 / 4, 1 / 4, 1 / 4, 1 / 4], atol=1e-12)
 
     def test_probability_equals_collapsed_norm(self, rng):
         ch = random_capable_channel(rng)
         _, basis = assemble_D12(_solved(ch))
         total = total_state(random_input(rng), ch.a)
-        for b in measure_branches(total, basis):
-            assert b.probability == pytest.approx(
-                float(np.vdot(b.collapsed, b.collapsed).real), abs=1e-12
-            )
+        for p, c in zip(*measure_branches(total, basis)):
+            assert p == pytest.approx(float(np.vdot(c, c).real), abs=1e-12)
 
     def test_pairing_and_normalization(self, rng):
         for _ in range(10):
             ch = random_capable_channel(rng)
             _, basis = assemble_D12(_solved(ch))
             total = total_state(random_input(rng), ch.a)
-            p = [b.probability for b in measure_branches(total, basis)]
+            p, _ = measure_branches(total, basis)
             assert sum(p) == pytest.approx(1.0, abs=1e-12)
             assert p[0] == pytest.approx(p[1], abs=1e-12)  # 1+ = 2+
             assert p[3] == pytest.approx(p[4], abs=1e-12)  # 1- = 2-
@@ -116,7 +115,7 @@ class TestMeasureBranches:
         reference = None
         for _ in range(50):
             total = total_state(random_input(rng), ch.a)
-            p = np.array([b.probability for b in measure_branches(total, basis)])
+            p, _ = measure_branches(total, basis)
             if reference is None:
                 reference = p
             assert np.max(np.abs(p - reference)) <= 1e-12
@@ -261,6 +260,7 @@ class TestRunTeleport:
 
     def test_symmetric_channel_many_inputs(self, rng):
         ch = make_channel(*SYMMETRIC)
+        assert admissible_theta3(ch) == (0.0, 0.0)  # the theta3 window shrinks to a point
         params = _solved(ch)
         for _ in range(100):
             rep = run_teleport(random_input(rng), ch, params)
@@ -287,6 +287,36 @@ class TestRunTeleport:
         assert set(d["branches"][0]) == {"label", "probability", "fidelity"}
 
 
+class TestArrayCertificate:
+    """run_with_basis certifies all branches in one array pass; each entry must
+    match the per-branch fidelity built from the closed-form oracle."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_fidelities_match_per_branch_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        ch = random_capable_channel(rng)
+        params = _solved(ch, frac=rng.uniform())
+        _, basis = assemble_D12(params)
+        q = random_input(rng)
+        rep = run_with_basis(q, ch.a, basis)
+        target = np.array([q.alpha, q.beta, 0.0])
+        ws = branch_corrections(ch.a, basis)
+        for j, c in enumerate(collapsed_closed_form(q, ch, params)):
+            p = float(np.vdot(c, c).real)
+            oracle = 1.0 if p <= TOL.zero_branch else abs(np.vdot(target, ws[j] @ c)) ** 2 / p
+            assert rep.fidelities[j] == pytest.approx(oracle, abs=1e-12)
+
+    def test_zero_branches_exactly_one(self, rng):
+        ch = make_channel(*DEGENERATE)
+        rep = run_with_basis(random_input(rng), ch.a, special_case_basis("A", 0.0))
+        assert rep.labels[:2] == ("1+", "2+")
+        for j in (0, 1):
+            assert rep.probabilities[j] <= TOL.zero_branch
+            assert rep.fidelities[j] == 1.0
+        assert min(rep.fidelities) >= 1.0 - 1e-10
+
+
 class TestClosedFormOracles:
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -297,7 +327,7 @@ class TestClosedFormOracles:
         _, basis = assemble_D12(params)
         q = random_input(rng)
         total = total_state(q, ch.a)
-        raw = np.array([b.collapsed for b in measure_branches(total, basis)])
+        _, raw = measure_branches(total, basis)
         closed = collapsed_closed_form(q, ch, params)
         assert np.max(np.abs(raw - closed)) <= 1e-10
 
@@ -309,9 +339,9 @@ class TestClosedFormOracles:
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
         total = total_state(random_input(rng), ch.a)
-        raw = [b.probability for b in measure_branches(total, basis)]
+        raw, _ = measure_branches(total, basis)
         closed = branch_probabilities(ch, params)
-        assert np.max(np.abs(np.array(raw) - np.array(closed))) <= 1e-10
+        assert np.max(np.abs(raw - np.array(closed))) <= 1e-10
 
 
 class TestTwoQubitPath:
@@ -322,7 +352,7 @@ class TestTwoQubitPath:
             rep = run_with_basis(random_input(rng), (R2, R2),
                                  MeasurementBasis(dmat, TWO_QUBIT_LABELS))
             assert min(rep.fidelities) >= 1.0 - 1e-10
-            assert sum(b.probability for b in rep.branches) == pytest.approx(1.0, abs=1e-12)
+            assert sum(rep.probabilities) == pytest.approx(1.0, abs=1e-12)
 
     def test_unbalanced_channel_never_correctable(self, rng):
         # over a parameter grid, every basis leaves at least one branch
