@@ -6,6 +6,7 @@ operators are 2-d complex arrays. All entropies are in bits (log base 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ class Tolerances:
 
 TOL = Tolerances()
 
-LOG2_3 = np.log2(3.0)
+LOG2_3 = math.log2(3.0)
 
 
 def kron(a, b):
@@ -43,7 +44,7 @@ def check_normalized(vec) -> None:
 
 def check_unitary(mat) -> None:
     m = np.asarray(mat)
-    dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+    dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
     if dev > TOL.unitary:
         raise ValueError(f"matrix not unitary: max deviation {dev:.3e}")
 

@@ -263,19 +263,17 @@ def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:
     (|00>, |01>, |02>, |10>, |11>, |12>). Unitarity is checked once, by
     MeasurementBasis.
     """
-    u = rotation_from_angles(*params.theta)
-    d1, d2 = params.delta
-    e1, e2 = np.exp(1j * d1), np.exp(1j * d2)
+    # plain Python scalars: the same products as numpy scalars, without their overhead
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = rotation_from_angles(*params.theta).tolist()
+    e1, e2 = np.exp(1j * np.asarray(params.delta)).tolist()
     cz, sz = math.cos(ZETA), math.sin(ZETA)
     dmat = np.array([
-        [u[0, 0], 0, u[0, 2], 0, u[0, 1], 0],
-        [0, u[0, 1] * e1, 0, u[0, 0], 0, u[0, 2] * e2],
-        [u[2, 0] * cz, u[2, 1] * e1 * sz, u[2, 2] * cz,
-         u[2, 0] * sz, u[2, 1] * cz, u[2, 2] * e2 * sz],
-        [u[1, 0], 0, u[1, 2], 0, u[1, 1], 0],
-        [0, u[1, 1] * e1, 0, u[1, 0], 0, u[1, 2] * e2],
-        [-u[2, 0] * sz, u[2, 1] * e1 * cz, -u[2, 2] * sz,
-         u[2, 0] * cz, -u[2, 1] * sz, u[2, 2] * e2 * cz],
+        [u00, 0, u02, 0, u01, 0],
+        [0, u01 * e1, 0, u00, 0, u02 * e2],
+        [u20 * cz, u21 * e1 * sz, u22 * cz, u20 * sz, u21 * cz, u22 * e2 * sz],
+        [u10, 0, u12, 0, u11, 0],
+        [0, u11 * e1, 0, u10, 0, u12 * e2],
+        [-u20 * sz, u21 * e1 * cz, -u22 * sz, u20 * cz, -u21 * sz, u22 * e2 * cz],
     ], dtype=complex)
     return dmat, MeasurementBasis(vectors=dmat)
 

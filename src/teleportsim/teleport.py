@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtChannel, is_teleport_capable
-from .qlinalg import TOL, check_normalized, kron
+from .qlinalg import TOL, check_normalized
 from .scheme import (
     MeasurementBasis,
     SchemeParams,
@@ -74,7 +74,7 @@ def random_input(rng: np.random.Generator) -> InputQubit:
 def total_state(inp: InputQubit, coeffs) -> np.ndarray:
     """Joint ket of the input qubit and the diagonal channel sum_j coeffs[j] |jj>."""
     chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
-    psi = kron(inp.vector(), chan)
+    psi = np.outer(inp.vector(), chan).reshape(-1)  # = kron(input, chan)
     check_normalized(psi)
     return psi
 
@@ -92,8 +92,8 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.nda
     if na * nb != total.size:
         raise ValueError("basis dimension incompatible with total state")
     collapsed = basis.vectors.conj() @ total.reshape(na, nb)
-    probs = np.sum(np.abs(collapsed) ** 2, axis=1)
-    if abs(float(np.sum(probs)) - 1.0) > TOL.entry:
+    probs = (np.abs(collapsed) ** 2).sum(axis=1)
+    if abs(float(probs.sum()) - 1.0) > TOL.entry:
         raise ValueError("branch probabilities do not sum to 1")
     return probs, collapsed
 
@@ -117,43 +117,65 @@ def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
 def correction_unitary(phi_alpha: np.ndarray, phi_beta: np.ndarray) -> np.ndarray:
     """Unitary sending the alpha-component to |0> and the beta-component to |1>.
 
-    Works row by row on stacked components (..., d) and returns (..., d, d).
-    Requires the equal-weight and orthogonality conditions; the completion row
+    Works row by row on stacked components (..., d) and returns (..., d, d);
+    the stacked pairs go through the same kernel as branch_corrections.
+    """
+    d = np.shape(phi_alpha)[-1]
+    comps = np.stack([np.reshape(phi_alpha, (-1, d)), np.reshape(phi_beta, (-1, d))], axis=1)
+    return _corrections(comps).reshape(np.shape(phi_alpha)[:-1] + (d, d))
+
+
+def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
+    """Bob's correction unitary for every branch of a valid scheme, (n_branches, d, d)."""
+    return _corrections(branch_components(coeffs, basis))
+
+
+# cyclic index shifts: (r0 x r1)_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], indices mod 3
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _corrections(comps: np.ndarray) -> np.ndarray:
+    """The correction kernel: pairs (va, vb) stacked as (n, 2, d) -> (n, d, d).
+
+    Requires the equal-weight and orthogonality conditions; rows 0 and 1 of
+    each unitary are the conjugated normalized components, the completion row
     is the conjugated cross product, and the free global phase is fixed by
     making the first nonzero entry (row-major, always in row 0) real positive.
     Zero branches (both components null) get the identity by convention.
     Errors name the values of the first offending row.
     """
-    d = np.shape(phi_alpha)[-1]
+    n, _, d = comps.shape
     if d not in (2, 3):
         raise ValueError(f"unsupported dimension {d}")
-    v = np.stack([np.reshape(phi_alpha, (-1, d)), np.reshape(phi_beta, (-1, d))])
-    norms = np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-1))
-    zero = np.all(norms <= TOL.zero_branch, axis=0)
-    bad = np.flatnonzero(~zero & (np.abs(norms[0] - norms[1]) > TOL.correction))
-    if bad.size:
-        raise CorrectionError(f"unequal component weights: |phi_alpha| = {norms[0, bad[0]]:.6g}, "
-                              f"|phi_beta| = {norms[1, bad[0]]:.6g}")
-    overlap = np.abs(np.sum(v[0].conj() * v[1], axis=-1))
-    bad = np.flatnonzero(~zero & (overlap > TOL.correction))
-    if bad.size:
+    norms = np.sqrt(np.sum(comps.real ** 2 + comps.imag ** 2, axis=-1))
+    na, nb = norms.T
+    zero = (na <= TOL.zero_branch) & (nb <= TOL.zero_branch)
+    unequal = np.abs(na - nb) > TOL.correction
+    overlap = np.abs(np.vecdot(comps[:, 0], comps[:, 1]))
+    if ((unequal | (overlap > TOL.correction)) & ~zero).any():
+        bad = np.flatnonzero(unequal & ~zero)
+        if bad.size:
+            raise CorrectionError(f"unequal component weights: |phi_alpha| = {na[bad[0]]:.6g}, "
+                                  f"|phi_beta| = {nb[bad[0]]:.6g}")
+        bad = np.flatnonzero((overlap > TOL.correction) & ~zero)
         raise CorrectionError(f"components not orthogonal: |overlap| = {overlap[bad[0]]:.3e}")
-    r0, r1 = (v / np.where(zero, 1.0, norms)[..., None]).conj()
-    w = np.stack([r0, r1, np.cross(r0, r1).conj()] if d == 3 else [r0, r1], axis=1)
-    k = np.argmax(np.abs(r0) > TOL.entry, axis=-1)
-    first = np.where(zero, 1.0, r0[np.arange(len(r0)), k])
-    w = np.where(zero[:, None, None], np.eye(d), w * (np.abs(first) / first)[:, None, None])
-    dev = np.max(np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(d)), axis=(1, 2))
-    bad = np.flatnonzero(dev > TOL.unitary)
-    if bad.size:
-        raise CorrectionError(f"correction not unitary: deviation {dev[bad[0]]:.3e}")
-    return w.reshape(np.shape(phi_alpha)[:-1] + (d, d))
-
-
-def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
-    """Bob's correction unitary for every branch of a valid scheme, (n_branches, d, d)."""
-    comps = branch_components(coeffs, basis)
-    return correction_unitary(comps[:, 0], comps[:, 1])
+    r = (comps / np.where(zero[:, None], 1.0, norms)[..., None]).conj()
+    w = np.empty((n, d, d), dtype=complex)
+    w[:, :2] = r
+    r0, r1 = r[:, 0], r[:, 1]
+    if d == 3:
+        np.conj(r0[:, _NEXT] * r1[:, _AFTER] - r0[:, _AFTER] * r1[:, _NEXT], out=w[:, 2])
+    k = (np.abs(r0) > TOL.entry).argmax(axis=-1)
+    first = np.where(zero, 1.0, r0[np.arange(n), k])
+    w *= (np.abs(first) / first)[:, None, None]
+    if zero.any():
+        w[zero] = np.eye(d)
+    dev = np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(d))
+    if dev.max() > TOL.unitary:
+        per_row = dev.max(axis=(1, 2))
+        raise CorrectionError(f"correction not unitary: deviation "
+                              f"{per_row[per_row > TOL.unitary][0]:.3e}")
+    return w
 
 
 def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> TeleportReport:
@@ -175,11 +197,11 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
     """
     probs, collapsed = measure_branches(total_state(inp, coeffs), basis)
     out = (branch_corrections(coeffs, basis) @ collapsed[..., None])[..., 0]
-    target = np.zeros(collapsed.shape[1], dtype=complex)
-    target[:2] = inp.vector()
-    # fidelity |<target|W collapsed>|^2 / P; zero branches count as 1
+    # fidelity |<input|W collapsed>|^2 / P, the input padded with zeros to Bob's
+    # dimension (so only his first two components count); zero branches count as 1
     live = probs > TOL.zero_branch
-    fids = np.where(live, np.abs(np.vecdot(target, out)) ** 2 / np.where(live, probs, 1.0), 1.0)
+    overlap = np.vecdot(inp.vector(), out[:, :2])
+    fids = np.where(live, np.abs(overlap) ** 2 / np.where(live, probs, 1.0), 1.0)
     probabilities, fidelities = tuple(probs.tolist()), tuple(fids.tolist())
     return TeleportReport(
         labels=tuple(basis.labels),

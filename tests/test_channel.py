@@ -57,6 +57,11 @@ class TestEntropy:
         ch = make_channel(*(1.0 / math.sqrt(3.0),) * 3)
         assert channel_entropy(ch) == pytest.approx(LOG2_3, abs=1e-12)
 
+    def test_plain_float(self):
+        # the clamp to LOG2_3 must not hand back a numpy scalar
+        assert type(LOG2_3) is float
+        assert type(channel_entropy(make_channel(*(1.0 / math.sqrt(3.0),) * 3))) is float
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariant(self, seed):

@@ -85,6 +85,10 @@ class TestBoundsTable:
         assert lo1 == pytest.approx(SUM_MAX, abs=1e-9)
         assert up1 == pytest.approx(SUM_MAX, abs=1e-9)
 
+    def test_fields_are_plain_floats(self):
+        for row in bounds_table([1.0 + 1e-9, 1.2, 1.5, 1.55, LOG2_3]):
+            assert [type(x) for x in row] == [float] * 3
+
     def test_upper_dominates_lower(self):
         for _, lo, up in bounds_table(np.linspace(1.0 + 1e-6, LOG2_3, 60)):
             assert up >= lo - 5e-6

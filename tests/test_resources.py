@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
-from teleportsim.channel import channel_entropy, make_channel
+from teleportsim.channel import canonicalize, channel_entropy, make_channel
 from teleportsim.qlinalg import LOG2_3, binary_entropy, qubit_qutrit_tangle
 from teleportsim.resources import (
     B_INTERCEPT,
@@ -20,7 +20,14 @@ from teleportsim.resources import (
     resource_report,
     upper_bound_sum,
 )
-from teleportsim.scheme import SchemeParams, admissible_theta3, assemble_D12, solve_constraints
+from teleportsim.scheme import (
+    SchemeParams,
+    admissible_theta3,
+    assemble_D12,
+    constraint_residuals,
+    solve_constraints,
+)
+from teleportsim.teleport import InputQubit, run_teleport
 
 # frozen fixtures, each computed once from the defining formulas
 H_THREE_QUARTERS = 0.8112781244591328
@@ -185,6 +192,11 @@ class TestLowerBound:
         assert lower_bound_sum(1.5) - below > 0.4
         assert lower_bound_sum(1.5 - 1e-12) == pytest.approx(LOWER_BELOW_THREE_HALVES, abs=1e-14)
 
+    def test_plain_float_on_both_pieces(self):
+        assert type(K_SLOPE) is float and type(B_INTERCEPT) is float
+        for e in (1.0 + 1e-6, 1.2, 1.5 - 1e-12, 1.5, 1.55, LOG2_3):
+            assert type(lower_bound_sum(e)) is float
+
     def test_domain(self):
         with pytest.raises(ValueError):
             lower_bound_sum(0.9)
@@ -203,6 +215,36 @@ class TestLowerBound:
             rep = resource_report(ch, _solved(ch, frac=0.5))
             worst = min(worst, rep.sum - lower_bound_sum(e))
         assert worst >= -5e-6
+
+
+# a near-symmetric channel whose solved scheme, at the top of its theta3
+# window, sits below lower_bound_sum: a counterexample to the stated bound
+COUNTEREXAMPLE_A = (0.5736098, 0.5843559, 0.5740208)
+COUNTEREXAMPLE_GAP = -2.656e-6  # e12 + h12 - lower_bound_sum(E), in bits
+
+
+def _counterexample():
+    a = np.array(COUNTEREXAMPLE_A)
+    ch, _ = canonicalize(make_channel(*(a / np.linalg.norm(a))))
+    params = _solved(ch, frac=1.0)
+    return ch, params, resource_report(ch, params)
+
+
+class TestBoundCounterexample:
+    def test_scheme_is_valid_and_gap_measured(self):
+        ch, params, rep = _counterexample()
+        assert max(constraint_residuals(ch, params)) <= 1e-15
+        tele = run_teleport(InputQubit(alpha=0.6, beta=0.8j), ch, params)
+        assert min(tele.fidelities) >= 1.0 - 1e-10
+        assert rep.sum - lower_bound_sum(rep.e_channel) == pytest.approx(COUNTEREXAMPLE_GAP,
+                                                                         abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="e12 + h12 - lower_bound_sum(E) = -2.656e-6 bits at "
+                                           "a = (0.5736098, 0.5843559, 0.5740208), E = 1.5847481, "
+                                           "theta3 at the top of its window, a valid scheme")
+    def test_lower_bound_holds(self):
+        _, _, rep = _counterexample()
+        assert rep.sum >= lower_bound_sum(rep.e_channel) - 1e-9
 
 
 class TestResourceReport:

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
-from teleportsim.channel import make_channel
+from teleportsim.channel import canonicalize, is_teleport_capable, make_channel
 from teleportsim.qlinalg import TOL
 from teleportsim.scheme import (
     TWO_QUBIT_LABELS,
+    InfeasibleError,
     MeasurementBasis,
     admissible_theta3,
     assemble_D12,
+    find_scheme,
     solve_constraints,
     special_case_basis,
     two_qubit_D12,
@@ -251,6 +253,116 @@ class TestStackedCorrections:
         assert np.max(np.abs(ws - _FROZEN_CORRECTIONS)) <= 1e-15
 
 
+def _reference_corrections(comps):
+    """Bob's corrections one row at a time, from the documented recipe."""
+    ws = []
+    for va, vb in comps:
+        na, nb = (np.sqrt(np.sum(v.real ** 2 + v.imag ** 2)) for v in (va, vb))
+        if max(na, nb) <= TOL.zero_branch:
+            ws.append(np.eye(len(va), dtype=complex))
+            continue
+        r0, r1 = (va / na).conj(), (vb / nb).conj()
+        rows = [r0, r1, np.cross(r0, r1).conj()] if len(va) == 3 else [r0, r1]
+        k = np.flatnonzero(np.abs(r0) > TOL.entry)[0]
+        # np.abs on an array, not the scalar abs(): numpy's complex array abs
+        # may differ from the scalar one in the last ulp
+        first = r0[k:k + 1]
+        ws.append(np.array(rows) * (np.abs(first) / first))
+    return np.array(ws)
+
+
+def _kernel_cases(kind, rng):
+    """(coeffs, basis) pairs for one family of channels."""
+    if kind == "random":
+        for _ in range(30):
+            ch = random_capable_channel(rng)
+            yield ch.a, assemble_D12(_solved(ch, frac=rng.uniform()))[1]
+    elif kind == "a0_zero":
+        for t1 in np.linspace(0.0, math.pi / 2, 7):
+            yield DEGENERATE, special_case_basis("A", float(t1))
+    elif kind == "face":
+        for c in (0.05, 0.2, 0.35, 0.45):
+            ch, _ = canonicalize(make_channel(math.sqrt(0.5 - c), math.sqrt(0.5), math.sqrt(c)))
+            for frac in (0.0, 0.5, 1.0):
+                yield ch.a, assemble_D12(_solved(ch, frac=frac))[1]
+    elif kind == "symmetric":
+        ch = make_channel(*SYMMETRIC)
+        yield ch.a, assemble_D12(_solved(ch))[1]
+    elif kind == "two_qubit":
+        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
+        yield (R2, R2), MeasurementBasis(dmat, TWO_QUBIT_LABELS)
+
+
+class TestKernelBitIdentity:
+    """The stacked correction kernel and total_state must match
+    their one-row and np.kron definitions exactly, not just to a tolerance."""
+
+    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric", "two_qubit"])
+    def test_matches_per_row_recipe_and_kron(self, kind, rng):
+        for coeffs, basis in _kernel_cases(kind, rng):
+            ws = branch_corrections(coeffs, basis)
+            assert np.array_equal(ws, _reference_corrections(branch_components(coeffs, basis)))
+            q = random_input(rng)
+            chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
+            assert np.array_equal(total_state(q, coeffs), np.kron(q.vector(), chan))
+
+
+def _edge_channel(top, split):
+    """Canonical channel with max a_j^2 = top; split shares the rest between a0 and a2
+    (keep split away from 0 and 1 when top < 1/2, so that neither share exceeds top)."""
+    rest = 1.0 - top
+    ch, _ = canonicalize(make_channel(math.sqrt(rest * split), math.sqrt(top),
+                                      math.sqrt(rest * (1.0 - split))))
+    return ch
+
+
+class TestEdgeChannels:
+    """Documented results at the edges of the capable simplex."""
+
+    @given(st.floats(0.01, 0.99), st.floats(0.0, 1.0), st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_just_below_half_certifies(self, split, frac, seed):
+        ch = _edge_channel(0.5 - 1e-12, split)
+        q = random_input(np.random.default_rng(seed))
+        # find_scheme's window midpoint always solves and certifies
+        assert min(run_teleport(q, ch, find_scheme(ch)).fidelities) >= 1.0 - 1e-10
+        # at the top of the window (theta3 -> pi/2) the solver or the correction
+        # check may refuse (see CHANGES.md); a scheme that gets through certifies
+        try:
+            rep = run_teleport(q, ch, _solved(ch, frac=frac))
+        except (InfeasibleError, CorrectionError):
+            return
+        assert min(rep.fidelities) >= 1.0 - 1e-10
+
+    @given(st.floats(0.0, 1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_just_above_half_has_no_scheme(self, split):
+        ch = _edge_channel(0.5 + 1e-12, split)
+        with pytest.raises(InfeasibleError):
+            find_scheme(ch)
+        # the capability gate allows max a_j^2 <= 1/2 + TOL.entry, so at exactly
+        # 1/2 + 1e-12 the last ulp of the rescaled coefficients decides whether
+        # run_teleport refuses the channel; when it does, it is a CapabilityError
+        if not is_teleport_capable(ch):
+            params = find_scheme(make_channel(*SYMMETRIC))
+            with pytest.raises(CapabilityError):
+                run_teleport(InputQubit(alpha=1.0, beta=0.0), ch, params)
+
+    def test_above_gate_slack_refused(self):
+        ch = _edge_channel(0.5 + 2e-12, 0.5)
+        with pytest.raises(InfeasibleError, match="not teleport-capable"):
+            find_scheme(ch)
+        with pytest.raises(CapabilityError):
+            run_teleport(InputQubit(alpha=1.0, beta=0.0), ch, find_scheme(make_channel(*SYMMETRIC)))
+
+    def test_inside_gate_slack_has_no_window(self):
+        # capable by the 1e-12 gate, yet no theta3 window exists
+        ch = _edge_channel(0.5 + 5e-13, 0.5)
+        assert is_teleport_capable(ch)
+        with pytest.raises(InfeasibleError, match="no admissible theta3"):
+            find_scheme(ch)
+
+
 class TestRunTeleport:
     def test_basis_state_input(self, rng):
         ch = random_capable_channel(rng)
@@ -276,8 +388,12 @@ class TestRunTeleport:
         ch = make_channel(*DEGENERATE)
         for t1 in np.linspace(0.0, math.pi / 2, 5):
             basis = special_case_basis("A", t1)
-            rep = run_with_basis(random_input(rng), ch.a, basis)
+            q = random_input(rng)
+            rep = run_with_basis(q, ch.a, basis)
             assert min(rep.fidelities) >= 1.0 - 1e-10
+            # the same ridge point through the hinted solver
+            params = solve_constraints(ch, math.pi / 4, theta2_hint=0.0, theta1_hint=float(t1))
+            assert min(run_teleport(q, ch, params).fidelities) >= 1.0 - 1e-10
 
     def test_report_serialization(self, rng):
         ch = make_channel(*SYMMETRIC)
