@@ -2,7 +2,6 @@
 partially entangled two-qutrit channels."""
 
 from .channel import (
-    ChannelPermutation,
     SchmidtChannel,
     canonicalize,
     channel_entropy,
@@ -44,7 +43,6 @@ from .teleport import (
 
 __all__ = [
     "CapabilityError",
-    "ChannelPermutation",
     "CorrectionError",
     "InfeasibleError",
     "InputQubit",

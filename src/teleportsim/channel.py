@@ -19,30 +19,8 @@ class SchmidtChannel:
     def squares(self) -> tuple[float, float, float]:
         return tuple(x * x for x in self.a)
 
-    def state(self) -> np.ndarray:
-        """The 9-dim ket a0|00> + a1|11> + a2|22> on C^3 (x) C^3."""
-        v = np.zeros(9, dtype=complex)
-        v[0], v[4], v[8] = self.a
-        return v
-
     def to_json_dict(self) -> dict:
         return {"a": list(self.a)}
-
-
-@dataclass(frozen=True)
-class ChannelPermutation:
-    """Relabeling of {0,1,2} placing the maximal Schmidt coefficient at index 1."""
-
-    perm: tuple[int, int, int]
-
-    def apply(self, triple):
-        return tuple(triple[self.perm[i]] for i in range(3))
-
-    def invert(self, triple):
-        out = [None, None, None]
-        for i in range(3):
-            out[self.perm[i]] = triple[i]
-        return tuple(out)
 
 
 def make_channel(a0: float, a1: float, a2: float, *, norm_tol: float = 1e-9) -> SchmidtChannel:
@@ -73,19 +51,24 @@ def channel_entropy(ch: SchmidtChannel) -> float:
 
 
 def is_teleport_capable(ch: SchmidtChannel) -> bool:
-    """Perfect qubit teleportation is possible iff max a_j^2 <= 1/2."""
+    """Perfect qubit teleportation is possible iff max a_j^2 <= 1/2.
+
+    The gate admits max a_j^2 up to 1/2 + TOL.entry (1e-12), but the theta3
+    window is already empty from about 1/2 + 1e-13, so a channel in that band
+    passes this gate and then has no scheme (InfeasibleError).
+    """
     return max(ch.squares) <= 0.5 + TOL.entry
 
 
-def canonicalize(ch: SchmidtChannel) -> tuple[SchmidtChannel, ChannelPermutation]:
+def canonicalize(ch: SchmidtChannel) -> tuple[SchmidtChannel, tuple[int, int, int]]:
     """Permute coefficients so the maximal one sits at index 1.
 
-    Ties break toward the permutation closest to identity (stable argmax),
-    so repeated runs produce identical output.
+    Returns the canonical channel and the permutation perm, with canonical
+    a[i] = ch.a[perm[i]]. perm swaps index 1 with the maximum, so it is its
+    own inverse. Ties break toward the permutation closest to identity
+    (stable argmax), so repeated runs produce identical output.
     """
-    sq = ch.squares
-    imax = int(np.argmax(sq))
+    imax = int(np.argmax(ch.squares))
     perm = [0, 1, 2]
     perm[1], perm[imax] = perm[imax], perm[1]
-    p = ChannelPermutation(perm=tuple(perm))
-    return SchmidtChannel(a=p.apply(ch.a)), p
+    return SchmidtChannel(a=tuple(ch.a[i] for i in perm)), tuple(perm)

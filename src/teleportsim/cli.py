@@ -150,17 +150,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_channel(args) -> int:
+def _cmd_channel(args, seed: int) -> int:
     """verify / report: solve one channel, then certify it or account its resources."""
     ch = _parse_channel(args.channel)
     canon, perm = canonicalize(ch)
-    # the seed is read before solving, so a bad seed outranks an infeasible channel
-    seed = _seed(args) if args.command == "verify" else None
     params = find_scheme(canon, theta3=args.theta3)
     payload = {
         "channel": ch.to_json_dict(),
         "canonical_channel": canon.to_json_dict(),
-        "permutation": list(perm.perm),
+        "permutation": list(perm),
         "scheme": params.to_json_dict(),
     }
     if args.command == "verify":
@@ -194,13 +192,14 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        # read first, so a bad seed outranks every other error
+        seed = _seed(args)
         if args.command in ("verify", "report"):
-            return _cmd_channel(args)
+            return _cmd_channel(args, seed)
         if args.density < 2:
             raise ValueError("density must be at least 2")
         if args.command == "bounds":
             return _cmd_bounds(args)
-        seed = _seed(args)
         if args.command == "sweep-case1":
             result = sweep_case1(args.density, seed)
         elif args.command == "sweep-case2":

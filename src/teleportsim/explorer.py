@@ -103,7 +103,7 @@ def sweep_case1(density: int, seed: int) -> SweepResult:
             wlo, whi = free_theta2_window(ch, ustar)
             wgrid = [min(max(0.5, wlo), whi)]
             wgrid += list(np.linspace(wlo, whi, _INNER_GRID))
-            bu = upper_bound_sum(math.sqrt(a1sq)) if a1sq >= 1.0 / 3.0 - TOL.entry else None
+            bu = upper_bound_sum(math.sqrt(a1sq))
             bl = _bound_lower(channel_entropy(ch))
         except InfeasibleError:
             skipped += 1

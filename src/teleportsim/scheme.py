@@ -48,6 +48,10 @@ class SchemeParams:
     theta: tuple[float, float, float]
     delta: tuple[float, float]
 
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in (*self.theta, *self.delta)):
+            raise ValueError(f"scheme angles must be finite: {self.theta}, {self.delta}")
+
     def to_json_dict(self) -> dict:
         return {"theta": list(self.theta), "delta": list(self.delta), "zeta": ZETA}
 

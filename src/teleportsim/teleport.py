@@ -6,7 +6,6 @@ floating-point 1 (to 1e-10), never as sampled statistics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +30,17 @@ class CorrectionError(Exception):
 
 @dataclass(frozen=True)
 class InputQubit:
-    """The unknown qubit alpha|0> + beta|1> to be transmitted."""
+    """The unknown qubit alpha|0> + beta|1> to be transmitted.
+
+    A NaN or infinite amplitude fails the norm check (ValueError).
+    """
 
     alpha: complex
     beta: complex
 
     def __post_init__(self):
         n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n2 - 1.0) > TOL.entry:
+        if not (abs(n2 - 1.0) <= TOL.entry):
             raise ValueError(f"input qubit not normalized: |alpha|^2+|beta|^2 = {n2}")
 
     def vector(self) -> np.ndarray:
@@ -74,7 +76,7 @@ def random_input(rng: np.random.Generator) -> InputQubit:
 def total_state(inp: InputQubit, coeffs) -> np.ndarray:
     """Joint ket of the input qubit and the diagonal channel sum_j coeffs[j] |jj>."""
     chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
-    psi = np.outer(inp.vector(), chan).reshape(-1)  # = kron(input, chan)
+    psi = np.outer(inp.vector(), chan).reshape(-1)  # the Kronecker product input (x) chan
     check_normalized(psi)
     return psi
 
@@ -93,7 +95,7 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.nda
         raise ValueError("basis dimension incompatible with total state")
     collapsed = basis.vectors.conj() @ total.reshape(na, nb)
     probs = (np.abs(collapsed) ** 2).sum(axis=1)
-    if abs(float(probs.sum()) - 1.0) > TOL.entry:
+    if not (abs(float(probs.sum()) - 1.0) <= TOL.entry):
         raise ValueError("branch probabilities do not sum to 1")
     return probs, collapsed
 
@@ -101,7 +103,8 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.nda
 def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
     """Input-independent split of each collapsed state: collapsed = alpha*va + beta*vb.
 
-    coeffs are the diagonal channel coefficients (length = Bob's dimension).
+    coeffs are the diagonal channel coefficients (length = Bob's dimension,
+    all finite).
     Returns (n_branches, 2, d): entry j is branch j's pair (va, vb). va and vb
     depend only on the channel and the basis row, so Bob's correction can be
     built once per branch and reused for every input.
@@ -111,18 +114,9 @@ def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
     d = na // 2
     if a.shape != (d,):
         raise ValueError(f"expected {d} channel coefficients, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"channel coefficients must be finite, got {a.tolist()}")
     return a * basis.vectors.conj().reshape(n, 2, d)
-
-
-def correction_unitary(phi_alpha: np.ndarray, phi_beta: np.ndarray) -> np.ndarray:
-    """Unitary sending the alpha-component to |0> and the beta-component to |1>.
-
-    Works row by row on stacked components (..., d) and returns (..., d, d);
-    the stacked pairs go through the same kernel as branch_corrections.
-    """
-    d = np.shape(phi_alpha)[-1]
-    comps = np.stack([np.reshape(phi_alpha, (-1, d)), np.reshape(phi_beta, (-1, d))], axis=1)
-    return _corrections(comps).reshape(np.shape(phi_alpha)[:-1] + (d, d))
 
 
 def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
@@ -171,10 +165,10 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
     if zero.any():
         w[zero] = np.eye(d)
     dev = np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(d))
-    if dev.max() > TOL.unitary:
+    if not (dev.max() <= TOL.unitary):
         per_row = dev.max(axis=(1, 2))
         raise CorrectionError(f"correction not unitary: deviation "
-                              f"{per_row[per_row > TOL.unitary][0]:.3e}")
+                              f"{per_row[~(per_row <= TOL.unitary)][0]:.3e}")
     return w
 
 
@@ -194,14 +188,18 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
 
     Branches without a perfect correction raise CorrectionError; for the
     two-qubit basis that is every channel except the balanced a0 = a1.
+    The corrections are built first, so non-finite coefficients raise
+    ValueError before any arithmetic on them.
     """
+    corrections = branch_corrections(coeffs, basis)
     probs, collapsed = measure_branches(total_state(inp, coeffs), basis)
-    out = (branch_corrections(coeffs, basis) @ collapsed[..., None])[..., 0]
+    out = (corrections @ collapsed[..., None])[..., 0]
     # fidelity |<input|W collapsed>|^2 / P, the input padded with zeros to Bob's
-    # dimension (so only his first two components count); zero branches count as 1
-    live = probs > TOL.zero_branch
+    # dimension (so only his first two components count); zero branches count
+    # as 1, and a NaN probability is not a zero branch
+    zero = probs <= TOL.zero_branch
     overlap = np.vecdot(inp.vector(), out[:, :2])
-    fids = np.where(live, np.abs(overlap) ** 2 / np.where(live, probs, 1.0), 1.0)
+    fids = np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
     probabilities, fidelities = tuple(probs.tolist()), tuple(fids.tolist())
     return TeleportReport(
         labels=tuple(basis.labels),
@@ -209,33 +207,6 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
         fidelities=fidelities,
         mean_fidelity=sum(p * f for p, f in zip(probabilities, fidelities)),
     )
-
-
-def collapsed_closed_form(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> np.ndarray:
-    """Closed-form collapsed states, one row per branch, from the angles alone.
-
-    Written directly in terms of the rotation entries and phases (no joint
-    state, no projection), as an independent oracle for the simulator.
-    """
-    a0, a1, a2 = ch.a
-    u = rotation_from_angles(*params.theta)
-    d1, d2 = params.delta
-    f1, f2 = np.exp(-1j * d1), np.exp(-1j * d2)  # conjugated column phases
-    al, be = inp.alpha, inp.beta
-    r2 = 1.0 / math.sqrt(2.0)
-    rows = np.array([
-        [al * a0 * u[0, 0], be * a1 * u[0, 1], al * a2 * u[0, 2]],
-        [be * a0 * u[0, 0], al * a1 * u[0, 1] * f1, be * a2 * u[0, 2] * f2],
-        [a0 * u[2, 0] * (al + be) * r2,
-         a1 * u[2, 1] * (al * f1 + be) * r2,
-         a2 * u[2, 2] * (al + be * f2) * r2],
-        [al * a0 * u[1, 0], be * a1 * u[1, 1], al * a2 * u[1, 2]],
-        [be * a0 * u[1, 0], al * a1 * u[1, 1] * f1, be * a2 * u[1, 2] * f2],
-        [a0 * u[2, 0] * (-al + be) * r2,
-         a1 * u[2, 1] * (al * f1 - be) * r2,
-         a2 * u[2, 2] * (-al + be * f2) * r2],
-    ], dtype=complex)
-    return rows
 
 
 def branch_probabilities(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, ...]:

@@ -1,0 +1,88 @@
+"""Reference oracles for the tests: independent, slow and plain.
+
+Each one recomputes something the library does in closed form (branch
+tangles, collapsed states, the channel ket) straight from its definition,
+so a test can compare the two. The library itself never calls them.
+"""
+
+from __future__ import annotations
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+
+from teleportsim.channel import SchmidtChannel
+from teleportsim.scheme import SchemeParams, rotation_from_angles
+from teleportsim.teleport import InputQubit
+
+TOL = SimpleNamespace(psd=1e-10)  # admissible negative eigenvalue magnitude
+
+
+def channel_ket(ch: SchmidtChannel) -> np.ndarray:
+    """The 9-dim ket a0|00> + a1|11> + a2|22> on C^3 (x) C^3."""
+    v = np.zeros(9, dtype=complex)
+    v[0], v[4], v[8] = ch.a
+    return v
+
+
+def reduced_density(state, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Reduced density matrix of a bipartite pure state.
+
+    state lives on C^{d1} (x) C^{d2}; keep=0 traces out the second factor,
+    keep=1 the first.
+    """
+    d1, d2 = dims
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape != (d1 * d2,):
+        raise ValueError(f"state dimension {psi.shape} incompatible with dims {dims}")
+    m = psi.reshape(d1, d2)
+    if keep == 0:
+        return m @ m.conj().T
+    if keep == 1:
+        return m.T @ m.conj()
+    raise ValueError("keep must be 0 or 1")
+
+
+def von_neumann_entropy(rho) -> float:
+    """-sum lambda_i log2 lambda_i of a Hermitian PSD unit-trace matrix."""
+    evals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    if evals.min() < -TOL.psd:
+        raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+    lam = np.clip(evals, 0.0, 1.0)
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log2(lam)))
+
+
+def qubit_qutrit_tangle(state) -> float:
+    """Squared concurrence 4 det(rho_qubit) of a pure qubit-qutrit state."""
+    rho = reduced_density(state, (2, 3), keep=0)
+    c = 4.0 * float(np.linalg.det(rho).real)
+    return min(max(c, 0.0), 1.0)
+
+
+def collapsed_closed_form(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> np.ndarray:
+    """Closed-form collapsed states, one row per branch, from the angles alone.
+
+    Written directly in terms of the rotation entries and phases (no joint
+    state, no projection), as an independent oracle for the simulator.
+    """
+    a0, a1, a2 = ch.a
+    u = rotation_from_angles(*params.theta)
+    d1, d2 = params.delta
+    f1, f2 = np.exp(-1j * d1), np.exp(-1j * d2)  # conjugated column phases
+    al, be = inp.alpha, inp.beta
+    r2 = 1.0 / math.sqrt(2.0)
+    rows = np.array([
+        [al * a0 * u[0, 0], be * a1 * u[0, 1], al * a2 * u[0, 2]],
+        [be * a0 * u[0, 0], al * a1 * u[0, 1] * f1, be * a2 * u[0, 2] * f2],
+        [a0 * u[2, 0] * (al + be) * r2,
+         a1 * u[2, 1] * (al * f1 + be) * r2,
+         a2 * u[2, 2] * (al + be * f2) * r2],
+        [al * a0 * u[1, 0], be * a1 * u[1, 1], al * a2 * u[1, 2]],
+        [be * a0 * u[1, 0], al * a1 * u[1, 1] * f1, be * a2 * u[1, 2] * f2],
+        [a0 * u[2, 0] * (-al + be) * r2,
+         a1 * u[2, 1] * (al * f1 - be) * r2,
+         a2 * u[2, 2] * (-al + be * f2) * r2],
+    ], dtype=complex)
+    return rows

@@ -18,9 +18,10 @@ from helpers import (
     random_incapable_channel,
     run_golden,
 )
+from oracles import collapsed_closed_form, qubit_qutrit_tangle
 from teleportsim.channel import make_channel
 from teleportsim.explorer import sweep_case1, sweep_case2, sweep_degenerate
-from teleportsim.qlinalg import LOG2_3, binary_entropy, qubit_qutrit_tangle
+from teleportsim.qlinalg import LOG2_3, binary_entropy
 from teleportsim.resources import (
     branch_tangles,
     gour_e12_case1,
@@ -45,7 +46,6 @@ from teleportsim.teleport import (
     branch_components,
     branch_corrections,
     branch_probabilities,
-    collapsed_closed_form,
     measure_branches,
     random_input,
     run_teleport,

@@ -193,7 +193,9 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize("cmd", [["sweep-degenerate", "--density", "5"],
-                                     ["verify", "--channel", SYMMETRIC_ARG]])
+                                     ["verify", "--channel", SYMMETRIC_ARG],
+                                     ["report", "--channel", SYMMETRIC_ARG],
+                                     ["bounds", "--density", "5"]])
     @pytest.mark.parametrize("env, flag, message", [
         ("abc", [], "TELEPORTSIM_SEED must be a non-negative integer, got 'abc'"),
         ("1.5", [], "TELEPORTSIM_SEED must be a non-negative integer, got '1.5'"),
@@ -205,6 +207,13 @@ class TestCli:
         assert main(cmd + flag) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cmd", [["sweep-case1", "--density", "1"],
+                                     ["verify", "--channel", "0.9,0.9,0.9"],
+                                     ["report", "--channel", "0.447,0.775,0.447"]])
+    def test_bad_seed_outranks_other_errors(self, cmd, capsys):
+        assert main(cmd + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
 
     @pytest.mark.parametrize("cmd", [["sweep-degenerate", "--density", "5"],
                                      ["verify", "--channel", SYMMETRIC_ARG]])

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
+from oracles import qubit_qutrit_tangle
 from teleportsim.channel import canonicalize, channel_entropy, make_channel
-from teleportsim.qlinalg import LOG2_3, binary_entropy, qubit_qutrit_tangle
+from teleportsim.qlinalg import LOG2_3, binary_entropy
 from teleportsim.resources import (
     B_INTERCEPT,
     K_SLOPE,

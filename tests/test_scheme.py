@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel, random_incapable_channel
+from oracles import qubit_qutrit_tangle, reduced_density
 from teleportsim.channel import make_channel
-from teleportsim.qlinalg import qubit_qutrit_tangle, reduced_density
 from teleportsim.resources import branch_tangles, resource_report, upper_bound_sum
 from teleportsim.scheme import (
     InfeasibleError,

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
+from oracles import channel_ket, collapsed_closed_form
+from teleportsim import teleport
 from teleportsim.channel import canonicalize, is_teleport_capable, make_channel
 from teleportsim.qlinalg import TOL
 from teleportsim.scheme import (
     TWO_QUBIT_LABELS,
     InfeasibleError,
     MeasurementBasis,
+    SchemeParams,
     admissible_theta3,
     assemble_D12,
     find_scheme,
@@ -24,11 +27,10 @@ from teleportsim.teleport import (
     CapabilityError,
     CorrectionError,
     InputQubit,
+    _corrections,
     branch_components,
     branch_corrections,
     branch_probabilities,
-    collapsed_closed_form,
-    correction_unitary,
     measure_branches,
     random_input,
     run_teleport,
@@ -37,6 +39,11 @@ from teleportsim.teleport import (
 )
 
 R2 = 1.0 / math.sqrt(2.0)
+
+
+def _kernel_row(va, vb):
+    """The correction kernel on one pair of components (an N=1 stack)."""
+    return _corrections(np.array([[va, vb]]))[0]
 
 
 def _solved(ch, rng=None, frac=0.5):
@@ -59,7 +66,7 @@ class TestTotalState:
     def test_basis_input(self):
         ch = make_channel(*SYMMETRIC)
         psi = total_state(InputQubit(alpha=1.0, beta=0.0), ch.a)
-        assert np.allclose(psi[:9], ch.state(), atol=1e-15)
+        assert np.allclose(psi[:9], channel_ket(ch), atol=1e-15)
         assert np.allclose(psi[9:], 0.0, atol=1e-15)
 
     def test_product_channel(self):
@@ -126,29 +133,29 @@ class TestMeasureBranches:
 class TestCorrectionUnitary:
     def test_swap_like_branch(self):
         # alpha-component along |2>, beta-component along -|1>
-        w = correction_unitary(np.array([0, 0, 0.5], dtype=complex),
-                               np.array([0, -0.5, 0], dtype=complex))
+        w = _kernel_row(np.array([0, 0, 0.5], dtype=complex),
+                        np.array([0, -0.5, 0], dtype=complex))
         expected = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
         assert np.max(np.abs(w - expected)) <= 1e-12
 
     def test_identity_branch(self):
-        w = correction_unitary(np.array([0.3, 0, 0], dtype=complex),
-                               np.array([0, 0.3, 0], dtype=complex))
+        w = _kernel_row(np.array([0.3, 0, 0], dtype=complex),
+                        np.array([0, 0.3, 0], dtype=complex))
         assert np.allclose(w, np.eye(3), atol=1e-12)
 
     def test_zero_branch_convention(self):
-        w = correction_unitary(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex))
+        w = _kernel_row(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex))
         assert np.allclose(w, np.eye(3), atol=1e-15)
 
     def test_unequal_weights_rejected(self):
         with pytest.raises(CorrectionError, match="unequal"):
-            correction_unitary(np.array([0.5, 0, 0], dtype=complex),
-                               np.array([0, 0.3, 0], dtype=complex))
+            _kernel_row(np.array([0.5, 0, 0], dtype=complex),
+                        np.array([0, 0.3, 0], dtype=complex))
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(CorrectionError, match="orthogonal"):
-            correction_unitary(np.array([0.5, 0, 0], dtype=complex),
-                               0.5 * np.array([math.sin(0.01), math.cos(0.01), 0], dtype=complex))
+            _kernel_row(np.array([0.5, 0, 0], dtype=complex),
+                        0.5 * np.array([math.sin(0.01), math.cos(0.01), 0], dtype=complex))
 
     def test_random_branches_unitary_and_correct(self, rng):
         for _ in range(20):
@@ -157,7 +164,7 @@ class TestCorrectionUnitary:
             _, basis = assemble_D12(params)
             comps = branch_components(ch.a, basis)
             for va, vb in comps:
-                w = correction_unitary(va, vb)
+                w = _kernel_row(va, vb)
                 assert np.max(np.abs(w.conj().T @ w - np.eye(3))) <= 1e-10
                 for _ in range(5):
                     q = random_input(rng)
@@ -199,8 +206,8 @@ _FROZEN_CORRECTIONS = np.array([
 
 
 class TestStackedCorrections:
-    """branch_corrections is one stacked call of correction_unitary; each of
-    its rows must equal the single-row call exactly."""
+    """branch_corrections is one stacked call of the correction kernel; each
+    of its rows must equal the kernel's one-row call exactly."""
 
     @staticmethod
     def _assert_rows_match(coeffs, basis):
@@ -208,7 +215,7 @@ class TestStackedCorrections:
         ws = branch_corrections(coeffs, basis)
         assert ws.shape == (len(basis.labels),) + 2 * (comps.shape[-1],)
         for j, (va, vb) in enumerate(comps):
-            assert np.array_equal(correction_unitary(va, vb), ws[j])
+            assert np.array_equal(_kernel_row(va, vb), ws[j])
         return ws
 
     def test_random_schemes(self, rng):
@@ -241,10 +248,10 @@ class TestStackedCorrections:
         na = np.linalg.norm(comps[row, 0])
         with pytest.raises(CorrectionError, match=re.escape(f"unequal component weights: "
                                                             f"|phi_alpha| = {na:.6g}")):
-            correction_unitary(short[:, 0], short[:, 1])
+            _corrections(short)
         comps[row, 1] = (comps[row, 0] + comps[row, 1]) / math.sqrt(2.0)
         with pytest.raises(CorrectionError, match="orthogonal"):
-            correction_unitary(comps[:, 0], comps[:, 1])
+            _corrections(comps)
 
     def test_matches_frozen_per_row_corrections(self):
         ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
@@ -483,3 +490,71 @@ class TestTwoQubitPath:
                     with pytest.raises(CorrectionError):
                         run_with_basis(random_input(rng), (a0, a1),
                                        MeasurementBasis(dmat, TWO_QUBIT_LABELS))
+
+
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestFailClosed:
+    """NaN and inf raise ValueError where they enter, and no certificate
+    guard lets a NaN through as a pass."""
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("slot", range(5))
+    def test_scheme_angles(self, slot, bad):
+        angles = [0.0, 0.0, 0.0, 0.0, math.pi]
+        angles[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SchemeParams(theta=tuple(angles[:3]), delta=tuple(angles[3:]))
+
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.0), (complex(0.0, math.nan), 1.0),
+                                             (math.inf, 0.0), (1.0, complex(math.inf, 0.0))])
+    def test_input(self, alpha, beta):
+        with pytest.raises(ValueError, match="not normalized"):
+            InputQubit(alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_hand_built_basis(self, bad):
+        vectors = special_case_basis("A", math.pi / 4).vectors.copy()
+        vectors[2, 3] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            MeasurementBasis(vectors)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_coefficients(self, bad, rng):
+        basis = special_case_basis("A", math.pi / 4)
+        coeffs = (bad, R2, R2)
+        with pytest.raises(ValueError, match="finite"):
+            run_with_basis(random_input(rng), coeffs, basis)
+        with pytest.raises(ValueError, match="finite"):
+            branch_corrections(coeffs, basis)
+
+    def test_nan_joint_state_fails_sum_check(self):
+        total = np.zeros(18, dtype=complex)
+        total[0] = math.nan
+        with pytest.raises(ValueError, match="sum to 1"):
+            measure_branches(total, special_case_basis("A", math.pi / 4))
+
+    def test_nan_components_fail_unitarity(self):
+        comps = np.zeros((2, 2, 3), dtype=complex)
+        comps[:, 0, 0] = comps[:, 1, 1] = 0.5
+        comps[1, 0, 2] = math.nan
+        # the kernel's division by a NaN norm warns on the way; silence that to
+        # reach the unitarity check (branch_components stops NaN before this)
+        with np.errstate(invalid="ignore"), pytest.raises(CorrectionError, match="not unitary"):
+            _corrections(comps)
+
+    def test_nan_probability_is_not_a_zero_branch(self, monkeypatch, rng):
+        # the upstream checks stop every NaN; fake one past them to test the mask
+        measure = teleport.measure_branches
+
+        def nan_first(total, basis):
+            probs, collapsed = measure(total, basis)
+            probs[0] = math.nan
+            return probs, collapsed
+
+        monkeypatch.setattr(teleport, "measure_branches", nan_first)
+        ch = make_channel(*SYMMETRIC)
+        rep = run_teleport(random_input(rng), ch, find_scheme(ch))
+        assert math.isnan(rep.fidelities[0])
+        assert min(rep.fidelities[1:]) >= 1.0 - 1e-10
