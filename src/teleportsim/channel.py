@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,10 +14,10 @@ class SchmidtChannel:
     """Real Schmidt coefficients (a0, a1, a2) of the shared two-qutrit state."""
 
     a: tuple[float, float, float]
+    squares: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
-    @property
-    def squares(self) -> tuple[float, float, float]:
-        return tuple(x * x for x in self.a)
+    def __post_init__(self):
+        object.__setattr__(self, "squares", tuple(x * x for x in self.a))
 
     def to_json_dict(self) -> dict:
         return {"a": list(self.a)}

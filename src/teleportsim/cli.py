@@ -84,21 +84,28 @@ def _seed(args) -> int:
     return seed
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write the text pieces to `out`, or to stdout when it is None."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def sweep_csv_lines(result: SweepResult):
+    """A sweep as CSV lines, each ending in a newline: header, one line per
+    record, then a `# skipped=N` footer."""
+    names = record_fields()
+    yield ",".join(names) + "\n"
+    for r in result.records:
+        yield ",".join(_fmt(getattr(r, name)) for name in names) + "\n"
+    yield f"# skipped={result.skipped}\n"
 
 
 def sweep_csv(result: SweepResult) -> str:
-    """A sweep as CSV: header, one line per record, then a `# skipped=N` footer."""
-    lines = [",".join(record_fields())]
-    for r in result.records:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in record_fields()))
-    lines.append(f"# skipped={result.skipped}")
-    return "\n".join(lines) + "\n"
+    """sweep_csv_lines as one string."""
+    return "".join(sweep_csv_lines(result))
 
 
 def bounds_csv(rows) -> str:
@@ -121,7 +128,8 @@ def _sweep_json(result: SweepResult) -> str:
 
 
 def _emit_sweep(result: SweepResult, fmt: str, out: str | None) -> None:
-    _emit(sweep_csv(result) if fmt == "csv" else _sweep_json(result), out)
+    # CSV goes out line by line, never held whole in memory
+    _emit(sweep_csv_lines(result) if fmt == "csv" else (_sweep_json(result),), out)
 
 
 def _add_common(p: _Parser) -> None:
@@ -166,7 +174,7 @@ def _cmd_channel(args, seed: int) -> int:
         payload["report"] = run_teleport(inp, canon, params).to_json_dict()
     else:
         payload["resources"] = resource_report(canon, params).to_json_dict()
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit((json.dumps(payload, indent=2) + "\n",), args.out)
     return EXIT_OK
 
 
@@ -174,11 +182,11 @@ def _cmd_bounds(args) -> int:
     grid = np.linspace(1.0 + 1e-9, LOG2_3, args.density)
     rows = bounds_table(grid)
     if args.format == "csv":
-        _emit(bounds_csv(rows), args.out)
+        _emit((bounds_csv(rows),), args.out)
     else:
-        _emit(json.dumps(
+        _emit((json.dumps(
             [{"e": r[0], "lower": r[1], "upper": r[2]} for r in rows], indent=2
-        ) + "\n", args.out)
+        ) + "\n",), args.out)
     return EXIT_OK
 
 

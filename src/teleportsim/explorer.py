@@ -8,7 +8,10 @@ Three sweeps cover the documented channel families:
 * degenerate — a0 = 0, sweeping the free angle theta1.
 
 Every emitted record passes an exact fidelity check; infeasible grid points
-are counted and reported, never fatal.
+are counted and reported, never fatal. A sweep solves a channel's grid points
+one by one and certifies them in stacks of at most _BLOCK schemes; each record
+that passes the gate is then accounted by resource_report, one call per
+record.
 """
 
 from __future__ import annotations
@@ -28,13 +31,18 @@ from .scheme import (
     free_theta2_window,
     solve_constraints,
 )
-from .teleport import random_input, run_teleport
+from .teleport import certify_schemes, random_input
 
 # number of scheme-angle samples per swept channel
 _INNER_GRID = 5
 
+# most schemes certified in one stack. A stack's first record waits for all
+# of the stack's solves and its certificate, so the stack size trades the
+# latency of that record against the number of certificate calls.
+_BLOCK = 3
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     """One emitted data point: channel, scheme angles, resources, bounds."""
 
@@ -68,18 +76,28 @@ def _bound_lower(e: float) -> float:
     return lower_bound_sum(min(e, LOG2_3))
 
 
-def _gated_record(ch: SchmidtChannel, params: SchemeParams, rng: np.random.Generator,
-                  bound_lower: float, bound_upper: float | None) -> SweepRecord:
-    rep = run_teleport(random_input(rng), ch, params)
-    if min(rep.fidelities) < 1.0 - TOL.unitary:
-        raise InfeasibleError(f"fidelity gate failed: min fidelity {min(rep.fidelities)}")
-    res = resource_report(ch, params)
-    return SweepRecord(
-        a0=ch.a[0], a1=ch.a[1], a2=ch.a[2],
-        theta1=params.theta[0], theta2=params.theta[1], theta3=params.theta[2],
-        e_channel=res.e_channel, e12=res.e12, h12=res.h12, sum=res.sum,
-        bound_lower=bound_lower, bound_upper=bound_upper,
-    )
+def _certified(ch: SchmidtChannel, schemes: list[SchemeParams], rng: np.random.Generator,
+               bound_lower: float, bound_upper: float | None,
+               records: list[SweepRecord]) -> int:
+    """Certify solved schemes of one channel as one stack, each on its own
+    Haar-random input; append a record for each scheme that passes the
+    fidelity gate and return how many did not."""
+    if not schemes:
+        return 0
+    fids = certify_schemes([random_input(rng) for _ in schemes], ch, schemes)
+    failed = 0
+    for params, fid in zip(schemes, fids.min(axis=-1).tolist()):
+        if not (fid >= 1.0 - TOL.unitary):  # fail closed: NaN does not pass
+            failed += 1
+            continue
+        res = resource_report(ch, params)
+        records.append(SweepRecord(
+            a0=ch.a[0], a1=ch.a[1], a2=ch.a[2],
+            theta1=params.theta[0], theta2=params.theta[1], theta3=params.theta[2],
+            e_channel=res.e_channel, e12=res.e12, h12=res.h12, sum=res.sum,
+            bound_lower=bound_lower, bound_upper=bound_upper,
+        ))
+    return failed
 
 
 def sweep_case1(density: int, seed: int) -> SweepResult:
@@ -108,7 +126,7 @@ def sweep_case1(density: int, seed: int) -> SweepResult:
         except InfeasibleError:
             skipped += 1
             continue
-        seen = set()
+        seen, schemes = set(), []
         for w in wgrid:
             key = round(w, 15)
             if key in seen:
@@ -116,10 +134,13 @@ def sweep_case1(density: int, seed: int) -> SweepResult:
             seen.add(key)
             theta2 = math.asin(math.sqrt(w))
             try:
-                params = solve_constraints(ch, theta3, theta2_hint=theta2)
-                records.append(_gated_record(ch, params, rng, bl, bu))
+                schemes.append(solve_constraints(ch, theta3, theta2_hint=theta2))
             except InfeasibleError:
                 skipped += 1
+            if len(schemes) == _BLOCK:
+                skipped += _certified(ch, schemes, rng, bl, bu, records)
+                schemes = []
+        skipped += _certified(ch, schemes, rng, bl, bu, records)
     return SweepResult(records=tuple(records), skipped=skipped)
 
 
@@ -139,7 +160,7 @@ def sweep_case2(density: int, seed: int) -> SweepResult:
             skipped += 1
             continue
         bl = _bound_lower(channel_entropy(ch))
-        seen = set()
+        seen, schemes = set(), []
         for u in np.linspace(ulo, uhi, _INNER_GRID):
             key = round(float(u), 15)
             if key in seen:
@@ -147,10 +168,13 @@ def sweep_case2(density: int, seed: int) -> SweepResult:
             seen.add(key)
             theta3 = math.asin(math.sqrt(u))
             try:
-                params = solve_constraints(ch, theta3)
-                records.append(_gated_record(ch, params, rng, bl, None))
+                schemes.append(solve_constraints(ch, theta3))
             except InfeasibleError:
                 skipped += 1
+            if len(schemes) == _BLOCK:
+                skipped += _certified(ch, schemes, rng, bl, None, records)
+                schemes = []
+        skipped += _certified(ch, schemes, rng, bl, None, records)
     return SweepResult(records=tuple(records), skipped=skipped)
 
 
@@ -160,15 +184,20 @@ def sweep_degenerate(theta_grid, seed: int = 0) -> SweepResult:
     ch = make_channel(0.0, math.sqrt(0.5), math.sqrt(0.5))
     bl = _bound_lower(channel_entropy(ch))
     records: list[SweepRecord] = []
+    schemes: list[SchemeParams] = []
     skipped = 0
     for t1 in theta_grid:
         if not (-TOL.entry <= t1 <= math.pi / 2 + TOL.entry):
             raise ValueError(f"theta1 = {t1} outside [0, pi/2]")
         try:
-            params = solve_constraints(ch, math.pi / 4, theta2_hint=0.0, theta1_hint=float(t1))
-            records.append(_gated_record(ch, params, rng, bl, None))
+            schemes.append(solve_constraints(ch, math.pi / 4, theta2_hint=0.0,
+                                             theta1_hint=float(t1)))
         except InfeasibleError:
             skipped += 1
+        if len(schemes) == _BLOCK:
+            skipped += _certified(ch, schemes, rng, bl, None, records)
+            schemes = []
+    skipped += _certified(ch, schemes, rng, bl, None, records)
     return SweepResult(records=tuple(records), skipped=skipped)
 
 

@@ -1,13 +1,15 @@
 """Shared tolerances, state and unitarity checks, and entropy functionals.
 
-Everything operates on plain numpy arrays: kets are 1-d complex arrays,
-operators are 2-d complex arrays. All entropies are in bits (log base 2).
+Everything operates on plain numpy arrays: kets are complex arrays over the
+last axis, operators over the last two; the checks take stacks of either.
+All entropies are in bits (log base 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,18 +33,31 @@ LOG2_3 = math.log2(3.0)
 
 
 def check_normalized(vec) -> None:
-    n2 = float(np.vdot(vec, vec).real)
-    if not (abs(n2 - 1.0) <= TOL.entry):
-        raise ValueError(f"state not normalized: |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
+    """Check that each ket, the last axis of a (..., m) array, has unit norm."""
+    dev = np.abs(np.vecdot(vec, vec).real - 1.0)
+    if not (dev.max() <= TOL.entry):
+        raise ValueError(f"state not normalized: |norm^2 - 1| = "
+                         f"{dev[~(dev <= TOL.entry)].flat[0]:.3e}")
+
+
+@lru_cache(maxsize=None)
+def identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def check_unitary(mat) -> None:
+    """Check each matrix of a (..., n, n) stack for unitarity; errors name the first bad one."""
     m = np.asarray(mat)
     # an inf entry makes the deviation NaN (inf * 0), which the check rejects
     with np.errstate(invalid="ignore", over="ignore"):
-        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    if not (dev <= TOL.unitary):
-        raise ValueError(f"matrix not unitary: max deviation {dev:.3e}")
+        dev = np.abs(m.conj().swapaxes(-1, -2) @ m - identity(m.shape[-1]))
+    if not (dev.max() <= TOL.unitary):
+        per = dev.max(axis=(-2, -1))
+        raise ValueError(f"matrix not unitary: max deviation "
+                         f"{per[~(per <= TOL.unitary)].flat[0]:.3e}")
 
 
 def binary_entropy(x: float) -> float:
@@ -73,4 +88,4 @@ def bisect(below, lo: float, hi: float) -> float:
 def entanglement_from_tangle(c: float) -> float:
     """Entropy of entanglement H((1 + sqrt(1-C))/2) for tangle C in [0,1]."""
     c = min(max(c, 0.0), 1.0)
-    return binary_entropy((1.0 + np.sqrt(1.0 - c)) / 2.0)
+    return binary_entropy((1.0 + math.sqrt(1.0 - c)) / 2.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .channel import SchmidtChannel, channel_entropy
 from .qlinalg import LOG2_3, TOL, binary_entropy, bisect, entanglement_from_tangle
-from .scheme import SchemeParams, rotation_from_angles
+from .scheme import SchemeParams, rotation_rows
 from .teleport import branch_probabilities
 
 # affine piece of the lower bound: f2(E) = K_SLOPE * E + B_INTERCEPT,
@@ -69,14 +69,14 @@ def classical_cost(probabilities) -> float:
 
 def branch_tangles(params: SchemeParams) -> tuple[float, ...]:
     """Closed-form tangles of the six basis rows, in label order."""
-    u = rotation_from_angles(*params.theta)
+    u = rotation_rows(*params.theta)
     d1, d2 = params.delta
-    c12 = 4.0 * u[0, 1] ** 2 * (u[0, 0] ** 2 + u[0, 2] ** 2)
-    c12m = 4.0 * u[1, 1] ** 2 * (u[1, 0] ** 2 + u[1, 2] ** 2)
+    c12 = 4.0 * u[0][1] ** 2 * (u[0][0] ** 2 + u[0][2] ** 2)
+    c12m = 4.0 * u[1][1] ** 2 * (u[1][0] ** 2 + u[1][2] ** 2)
     c3 = (
-        2.0 * u[2, 0] ** 2 * u[2, 1] ** 2 * (1.0 - math.cos(d1))
-        + 2.0 * u[2, 0] ** 2 * u[2, 2] ** 2 * (1.0 - math.cos(d2))
-        + 2.0 * u[2, 1] ** 2 * u[2, 2] ** 2 * (1.0 - math.cos(d1 + d2))
+        2.0 * u[2][0] ** 2 * u[2][1] ** 2 * (1.0 - math.cos(d1))
+        + 2.0 * u[2][0] ** 2 * u[2][2] ** 2 * (1.0 - math.cos(d2))
+        + 2.0 * u[2][1] ** 2 * u[2][2] ** 2 * (1.0 - math.cos(d1 + d2))
     )
     clip = lambda c: min(max(c, 0.0), 1.0)
     return (clip(c12), clip(c12), clip(c3), clip(c12m), clip(c12m), clip(c3))
@@ -167,7 +167,19 @@ def _g_of_q(q: float) -> float:
 def _q_from_entropy(e: float) -> float:
     """Solve H(q) = 2(E - 1) for q in [0, 1/2] by bisection."""
     target = 2.0 * (e - 1.0)
-    return bisect(lambda q: binary_entropy(q) < target, 0.0, 0.5)
+
+    def below(q: float) -> bool:
+        # math.log2 and numpy's log2 differ by a few ulps at most, so the
+        # math.log2 entropy settles every step more than 1e-12 from the
+        # target; the steps nearer the crossing use binary_entropy itself.
+        # The bisection takes the same steps as with binary_entropy alone.
+        if q > 0.0:
+            h = -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+            if abs(h - target) > 1e-12:
+                return h < target
+        return binary_entropy(q) < target
+
+    return bisect(below, 0.0, 0.5)
 
 
 def lower_bound_sum(e: float) -> float:
@@ -184,12 +196,16 @@ def lower_bound_sum(e: float) -> float:
     return K_SLOPE * e + B_INTERCEPT
 
 
-def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
-    """Assemble all resource quantifiers for a solved scheme."""
+def scheme_resources(ch: SchmidtChannel, params: SchemeParams):
+    """(e12, h12, tangles, probabilities) of a solved scheme: its resources but E."""
     probs = branch_probabilities(ch, params)
     tangles = branch_tangles(params)
-    e12 = measurement_entanglement(probs, tangles)
-    h12 = classical_cost(probs)
+    return measurement_entanglement(probs, tangles), classical_cost(probs), tangles, probs
+
+
+def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
+    """Assemble all resource quantifiers for a solved scheme."""
+    e12, h12, tangles, probs = scheme_resources(ch, params)
     return ResourceReport(
         e_channel=channel_entropy(ch),
         e12=e12,

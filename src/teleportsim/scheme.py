@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .qlinalg import TOL, check_unitary
 BRANCH_LABELS = ("1+", "2+", "3+", "1-", "2-", "3-")
 
 ZETA = math.pi / 4
+_COS_ZETA, _SIN_ZETA = math.cos(ZETA), math.sin(ZETA)
 
 
 class InfeasibleError(Exception):
@@ -60,7 +62,7 @@ class SchemeParams:
 class MeasurementBasis:
     """Six orthonormal qubit-qutrit kets, one per measurement outcome."""
 
-    vectors: np.ndarray  # (6, 6), row j is the ket for BRANCH_LABELS[j]
+    vectors: np.ndarray  # (6, 6), row j is the ket for BRANCH_LABELS[j]; (k, 6, 6) holds k bases
     labels: tuple[str, ...] = BRANCH_LABELS
 
     def __post_init__(self):
@@ -69,14 +71,23 @@ class MeasurementBasis:
 
 def rotation_from_angles(theta1: float, theta2: float, theta3: float) -> np.ndarray:
     """SO(3) rotation as a product of plane rotations G01(t1) G02(-t2) G12(t3)."""
+    return np.array(rotation_rows(theta1, theta2, theta3))
+
+
+def rotation_rows(theta1: float, theta2: float, theta3: float) -> list[list[float]]:
+    """The entries of rotation_from_angles as nested lists of Python floats.
+
+    Closed-form code indexes them as u[i][j]: the same numbers as the array's,
+    without numpy scalar overhead on every product.
+    """
     c1, s1 = math.cos(theta1), math.sin(theta1)
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
-    return np.array([
+    return [
         [c1 * c2, c1 * s2 * s3 - s1 * c3, c1 * s2 * c3 + s1 * s3],
         [s1 * c2, s1 * s2 * s3 + c1 * c3, s1 * s2 * c3 - c1 * s3],
         [-s2, c2 * s3, c2 * c3],
-    ])
+    ]
 
 
 def phases_from_weights(p: float, q: float, r: float) -> tuple[float, float]:
@@ -85,9 +96,9 @@ def phases_from_weights(p: float, q: float, r: float) -> tuple[float, float]:
     p, q, r are the nonnegative squared weights of the third-row phasors.
     The d1 branch with sin(d1) >= 0 is returned.
     """
-    sides = {"p": p, "q": q, "r": r}
-    for name, val in sides.items():
-        others = sum(sides.values()) - val
+    total = p + q + r
+    for name, val in (("p", p), ("q", q), ("r", r)):
+        others = total - val
         if val > others + TOL.entry:
             raise PhaseInfeasibleError(
                 f"phasor closure infeasible: weight {name}={val:.6g} exceeds "
@@ -134,6 +145,9 @@ def _window_from_halflines(lo: float, hi: float, cons) -> tuple[float, float] | 
     return lo, hi
 
 
+# every solve re-derives its channel's window, and a sweep solves several
+# points of one channel in a row
+@lru_cache(maxsize=16)
 def admissible_u_window(ch: SchmidtChannel) -> tuple[float, float]:
     """Admissible interval of u = sin^2(theta3) for a canonical channel.
 
@@ -201,8 +215,11 @@ def solve_constraints(
     only when the corresponding angle is left free by the constraints
     (degenerate channels); otherwise both angles are pinned in closed form.
     Raises InfeasibleError (with the admissible theta3 interval attached)
-    when theta3 lies outside the feasible window.
+    when theta3 lies outside the feasible window, ValueError when it is not
+    finite.
     """
+    if not math.isfinite(theta3):
+        raise ValueError(f"theta3 must be finite, got {theta3}")
     A, B, C = ch.squares
     lo, hi = admissible_theta3(ch)
     u = math.sin(theta3) ** 2
@@ -248,14 +265,14 @@ def solve_constraints(
 def constraint_residuals(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, float, float]:
     """Absolute residuals of the two weight-balance equations and the phasor sum."""
     A, B, C = ch.squares
-    u = rotation_from_angles(*params.theta)
+    u = rotation_rows(*params.theta)
     d1, d2 = params.delta
-    r1 = A * u[0, 0] ** 2 + C * u[0, 2] ** 2 - B * u[0, 1] ** 2
-    r2 = A * u[1, 0] ** 2 + C * u[1, 2] ** 2 - B * u[1, 1] ** 2
+    r1 = A * u[0][0] ** 2 + C * u[0][2] ** 2 - B * u[0][1] ** 2
+    r2 = A * u[1][0] ** 2 + C * u[1][2] ** 2 - B * u[1][1] ** 2
     r3 = abs(
-        A * u[2, 0] ** 2
-        + B * u[2, 1] ** 2 * np.exp(1j * d1)
-        + C * u[2, 2] ** 2 * np.exp(-1j * d2)
+        A * u[2][0] ** 2
+        + B * u[2][1] ** 2 * np.exp(1j * d1)
+        + C * u[2][2] ** 2 * np.exp(-1j * d2)
     )
     return abs(r1), abs(r2), float(r3)
 
@@ -265,21 +282,30 @@ def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:
 
     Row order is (1+, 2+, 3+, 1-, 2-, 3-) over the computational columns
     (|00>, |01>, |02>, |10>, |11>, |12>). Unitarity is checked once, by
-    MeasurementBasis.
+    MeasurementBasis. measurement_bases fills the same layout for k schemes.
     """
-    # plain Python scalars: the same products as numpy scalars, without their overhead
-    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = rotation_from_angles(*params.theta).tolist()
+    dmat = np.array(_d12_rows(params), dtype=complex)
+    return dmat, MeasurementBasis(vectors=dmat)
+
+
+def measurement_bases(schemes) -> MeasurementBasis:
+    """The bases of k schemes as one (k, 6, 6) stack, checked for unitarity in one call."""
+    return MeasurementBasis(vectors=np.array([_d12_rows(p) for p in schemes], dtype=complex))
+
+
+def _d12_rows(params: SchemeParams) -> list:
+    """The assemble_D12 layout for one scheme, as nested lists."""
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = rotation_rows(*params.theta)
     e1, e2 = np.exp(1j * np.asarray(params.delta)).tolist()
-    cz, sz = math.cos(ZETA), math.sin(ZETA)
-    dmat = np.array([
+    cz, sz = _COS_ZETA, _SIN_ZETA
+    return [
         [u00, 0, u02, 0, u01, 0],
         [0, u01 * e1, 0, u00, 0, u02 * e2],
         [u20 * cz, u21 * e1 * sz, u22 * cz, u20 * sz, u21 * cz, u22 * e2 * sz],
         [u10, 0, u12, 0, u11, 0],
         [0, u11 * e1, 0, u10, 0, u12 * e2],
         [-u20 * sz, u21 * e1 * cz, -u22 * sz, u20 * cz, -u21 * sz, u22 * e2 * cz],
-    ], dtype=complex)
-    return dmat, MeasurementBasis(vectors=dmat)
+    ]
 
 
 def special_case_basis(variant: str, theta: float) -> MeasurementBasis:

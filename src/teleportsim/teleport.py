@@ -11,12 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtChannel, is_teleport_capable
-from .qlinalg import TOL, check_normalized
+from .qlinalg import TOL, check_normalized, identity
 from .scheme import (
     MeasurementBasis,
     SchemeParams,
     assemble_D12,
-    rotation_from_angles,
+    measurement_bases,
+    rotation_rows,
 )
 
 
@@ -39,7 +40,9 @@ class InputQubit:
     beta: complex
 
     def __post_init__(self):
-        n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        # re*re, not abs()**2: an overflow gives inf, which fails the check
+        a, b = self.alpha, self.beta
+        n2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
         if not (abs(n2 - 1.0) <= TOL.entry):
             raise ValueError(f"input qubit not normalized: |alpha|^2+|beta|^2 = {n2}")
 
@@ -69,14 +72,20 @@ class TeleportReport:
 def random_input(rng: np.random.Generator) -> InputQubit:
     """Haar-random qubit: two complex normal deviates, normalized."""
     z = rng.normal(size=2) + 1j * rng.normal(size=2)
-    z = z / np.linalg.norm(z)
-    return InputQubit(alpha=complex(z[0]), beta=complex(z[1]))
+    # np.linalg.norm's arithmetic for a complex vector, without its dispatch
+    alpha, beta = (z / np.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))).tolist()
+    return InputQubit(alpha=alpha, beta=beta)
 
 
-def total_state(inp: InputQubit, coeffs) -> np.ndarray:
-    """Joint ket of the input qubit and the diagonal channel sum_j coeffs[j] |jj>."""
+def total_state(vectors, coeffs) -> np.ndarray:
+    """Joint kets of input qubits (..., 2) and the diagonal channel sum_j coeffs[j] |jj>.
+
+    Returns (..., 2 * d^2): each row is the Kronecker product input (x) chan,
+    checked for unit norm.
+    """
     chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
-    psi = np.outer(inp.vector(), chan).reshape(-1)  # the Kronecker product input (x) chan
+    vectors = np.asarray(vectors)
+    psi = (vectors[..., None] * chan).reshape(vectors.shape[:-1] + (-1,))
     check_normalized(psi)
     return psi
 
@@ -87,15 +96,17 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.nda
     Works for any split: Alice's dimension is the basis-vector dimension, the
     remainder is Bob's. Returns (probabilities (n,), collapsed (n, nb)), one
     row per basis ket; collapsed states are kept unnormalized so that
-    probability = <collapsed|collapsed>.
+    probability = <collapsed|collapsed>. A stack of bases (..., n, na)
+    measures a matching stack of states (..., na * nb), each record with its
+    own sum-to-1 check, and adds the same leading axes to both results.
     """
-    na = basis.vectors.shape[1]
-    nb = total.size // na
-    if na * nb != total.size:
+    na = basis.vectors.shape[-1]
+    nb = total.shape[-1] // na
+    if na * nb != total.shape[-1]:
         raise ValueError("basis dimension incompatible with total state")
-    collapsed = basis.vectors.conj() @ total.reshape(na, nb)
-    probs = (np.abs(collapsed) ** 2).sum(axis=1)
-    if not (abs(float(probs.sum()) - 1.0) <= TOL.entry):
+    collapsed = basis.vectors.conj() @ total.reshape(total.shape[:-1] + (na, nb))
+    probs = (np.abs(collapsed) ** 2).sum(axis=-1)
+    if not (np.abs(probs.sum(axis=-1) - 1.0) <= TOL.entry).all():
         raise ValueError("branch probabilities do not sum to 1")
     return probs, collapsed
 
@@ -107,21 +118,28 @@ def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
     all finite).
     Returns (n_branches, 2, d): entry j is branch j's pair (va, vb). va and vb
     depend only on the channel and the basis row, so Bob's correction can be
-    built once per branch and reused for every input.
+    built once per branch and reused for every input. A stack of bases
+    (..., n, na) gives (..., n, 2, d).
     """
     a = np.asarray(coeffs, dtype=float)
-    n, na = basis.vectors.shape
+    *lead, n, na = basis.vectors.shape
     d = na // 2
     if a.shape != (d,):
         raise ValueError(f"expected {d} channel coefficients, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"channel coefficients must be finite, got {a.tolist()}")
-    return a * basis.vectors.conj().reshape(n, 2, d)
+    return a * basis.vectors.conj().reshape(*lead, n, 2, d)
 
 
 def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
-    """Bob's correction unitary for every branch of a valid scheme, (n_branches, d, d)."""
-    return _corrections(branch_components(coeffs, basis))
+    """Bob's correction unitary for every branch of a valid scheme, (n_branches, d, d).
+
+    A stack of bases (..., n, na) gives (..., n, d, d), from one kernel call
+    over all its rows.
+    """
+    comps = branch_components(coeffs, basis)
+    d = comps.shape[-1]
+    return _corrections(comps.reshape(-1, 2, d)).reshape(comps.shape[:-2] + (d, d))
 
 
 # cyclic index shifts: (r0 x r1)_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], indices mod 3
@@ -141,7 +159,7 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
     n, _, d = comps.shape
     if d not in (2, 3):
         raise ValueError(f"unsupported dimension {d}")
-    norms = np.sqrt(np.sum(comps.real ** 2 + comps.imag ** 2, axis=-1))
+    norms = np.sqrt(np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=-1))
     na, nb = norms.T
     zero = (na <= TOL.zero_branch) & (nb <= TOL.zero_branch)
     unequal = np.abs(na - nb) > TOL.correction
@@ -163,8 +181,8 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
     first = np.where(zero, 1.0, r0[np.arange(n), k])
     w *= (np.abs(first) / first)[:, None, None]
     if zero.any():
-        w[zero] = np.eye(d)
-    dev = np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(d))
+        w[zero] = identity(d)
+    dev = np.abs(w.conj().transpose(0, 2, 1) @ w - identity(d))
     if not (dev.max() <= TOL.unitary):
         per_row = dev.max(axis=(1, 2))
         raise CorrectionError(f"correction not unitary: deviation "
@@ -172,34 +190,62 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
     return w
 
 
-def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> TeleportReport:
-    """Execute the protocol exactly and certify unit fidelity on every branch."""
+def _require_capable(ch: SchmidtChannel) -> None:
     if not is_teleport_capable(ch):
         raise CapabilityError(
             f"channel {ch.a} is not teleport-capable (max a_j^2 > 1/2)"
         )
+
+
+def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> TeleportReport:
+    """Execute the protocol exactly and certify unit fidelity on every branch."""
+    _require_capable(ch)
     _, basis = assemble_D12(params)
     return run_with_basis(inp, ch.a, basis)
 
 
-def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> TeleportReport:
-    """As run_teleport, but on the diagonal channel sum_j coeffs[j] |jj> with an
-    explicitly supplied measurement basis (two-qubit or qubit-qutrit).
+def certify_schemes(inputs, ch: SchmidtChannel, schemes) -> np.ndarray:
+    """run_teleport for k schemes on one channel as one stack: input j is sent
+    with scheme j. Returns the branch fidelities, (k, 6)."""
+    _require_capable(ch)
+    vectors = np.array([(inp.alpha, inp.beta) for inp in inputs], dtype=complex)
+    return certify(vectors, ch.a, measurement_bases(schemes))[1]
 
-    Branches without a perfect correction raise CorrectionError; for the
-    two-qubit basis that is every channel except the balanced a0 = a1.
-    The corrections are built first, so non-finite coefficients raise
-    ValueError before any arithmetic on them.
+
+def certify(vectors, coeffs, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The fidelity certificate: each input qubit sent through the diagonal
+    channel sum_j coeffs[j] |jj> with its measurement basis.
+
+    vectors (..., 2) holds the inputs and basis.vectors (..., n, na) their
+    bases, one per input: a single (2,) input with one (n, na) basis, or k
+    inputs with a stack of k bases. Returns (probabilities, fidelities),
+    each (..., n). Branches without a perfect correction raise
+    CorrectionError; the corrections are built first, so non-finite
+    coefficients raise ValueError before any arithmetic on them.
     """
+    vectors = np.asarray(vectors, dtype=complex)
+    if vectors.shape[:-1] != basis.vectors.shape[:-2]:
+        raise ValueError(f"{vectors.shape[:-1]} inputs for {basis.vectors.shape[:-2]} bases")
     corrections = branch_corrections(coeffs, basis)
-    probs, collapsed = measure_branches(total_state(inp, coeffs), basis)
+    probs, collapsed = measure_branches(total_state(vectors, coeffs), basis)
     out = (corrections @ collapsed[..., None])[..., 0]
     # fidelity |<input|W collapsed>|^2 / P, the input padded with zeros to Bob's
     # dimension (so only his first two components count); zero branches count
     # as 1, and a NaN probability is not a zero branch
     zero = probs <= TOL.zero_branch
-    overlap = np.vecdot(inp.vector(), out[:, :2])
-    fids = np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
+    overlap = np.vecdot(vectors[..., None, :], out[..., :2])
+    return probs, np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
+
+
+def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> TeleportReport:
+    """As run_teleport, but on the diagonal channel sum_j coeffs[j] |jj> with an
+    explicitly supplied measurement basis (two-qubit or qubit-qutrit): the
+    one-input view of certify.
+
+    Branches without a perfect correction raise CorrectionError; for the
+    two-qubit basis that is every channel except the balanced a0 = a1.
+    """
+    probs, fids = certify(inp.vector(), coeffs, basis)
     probabilities, fidelities = tuple(probs.tolist()), tuple(fids.tolist())
     return TeleportReport(
         labels=tuple(basis.labels),
@@ -212,8 +258,8 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
 def branch_probabilities(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, ...]:
     """Closed-form outcome probabilities, input-independent for valid schemes."""
     A, B, C = ch.squares
-    u = rotation_from_angles(*params.theta)
-    p1 = A * u[0, 0] ** 2 + C * u[0, 2] ** 2
-    p2 = A * u[1, 0] ** 2 + C * u[1, 2] ** 2
-    p3 = 0.5 * (A * u[2, 0] ** 2 + B * u[2, 1] ** 2 + C * u[2, 2] ** 2)
+    u = rotation_rows(*params.theta)
+    p1 = A * u[0][0] ** 2 + C * u[0][2] ** 2
+    p2 = A * u[1][0] ** 2 + C * u[1][2] ** 2
+    p3 = 0.5 * (A * u[2][0] ** 2 + B * u[2][1] ** 2 + C * u[2][2] ** 2)
     return (p1, p1, p3, p2, p2, p3)

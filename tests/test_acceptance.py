@@ -217,7 +217,7 @@ def test_7_oracle_equivalence(capsys):
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
         inp = random_input(rng)
-        raw_probs, raw_collapsed = measure_branches(total_state(inp, ch.a), basis)
+        raw_probs, raw_collapsed = measure_branches(total_state(inp.vector(), ch.a), basis)
         raw_tangles = np.array([qubit_qutrit_tangle(v) for v in basis.vectors])
         worst = max(
             worst,

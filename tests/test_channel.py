@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim.channel import (
+    SchmidtChannel,
     canonicalize,
     channel_entropy,
     is_teleport_capable,
@@ -22,6 +23,13 @@ class TestMakeChannel:
     def test_symmetric_valid(self):
         ch = make_channel(*(1.0 / math.sqrt(3.0),) * 3)
         assert sum(ch.squares) == pytest.approx(1.0, abs=1e-12)
+
+    def test_squares_fixed_at_construction(self):
+        ch = make_channel(0.6, 0.8, 0.0)
+        assert ch.squares == tuple(x * x for x in ch.a)
+        same = SchmidtChannel(a=ch.a)
+        assert same == ch and hash(same) == hash(ch)
+        assert "squares" not in repr(ch)
 
     def test_not_normalized(self):
         with pytest.raises(ValueError):

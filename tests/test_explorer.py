@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from teleportsim.cli import main
+from teleportsim import explorer, teleport
+from teleportsim.cli import main, sweep_csv, sweep_csv_lines
 from teleportsim.explorer import (
     bounds_table,
     record_fields,
@@ -13,6 +14,7 @@ from teleportsim.explorer import (
     sweep_degenerate,
 )
 from teleportsim.qlinalg import LOG2_3
+from teleportsim.teleport import random_input
 
 E12_BALANCED = 0.9056390622295664
 SUM_UPPER_AT_HALF = 3.4056390622295667
@@ -74,6 +76,110 @@ class TestSweeps:
             sweep_case2(density=0, seed=0)
 
 
+def _sweeps(n_degenerate=9):
+    """Each sweep on a small grid, as (name, thunk)."""
+    grid = np.linspace(0.0, math.pi / 2, n_degenerate)
+    return [("case1", lambda: sweep_case1(density=6, seed=4)),
+            ("case2", lambda: sweep_case2(density=6, seed=4)),
+            ("degenerate", lambda: sweep_degenerate(grid, seed=4))]
+
+
+class TestSweepStacks:
+    """Each sweep certifies a channel's solved schemes in stacks of at most
+    _BLOCK: one correction-kernel call per stack, every stack full but a
+    channel's last, the gate applied record by record, inputs drawn as
+    successive random_input calls, one resource_report call per record."""
+
+    def test_one_kernel_call_per_channel_or_block(self, monkeypatch):
+        calls, stacks = [], []
+        kernel, certify = teleport._corrections, explorer.certify_schemes
+
+        def spy(comps):
+            calls.append(len(comps))
+            return kernel(comps)
+
+        def spy_stacks(inputs, ch, schemes):
+            stacks.append((ch.a, len(schemes)))
+            return certify(inputs, ch, schemes)
+
+        monkeypatch.setattr(teleport, "_corrections", spy)
+        monkeypatch.setattr(explorer, "certify_schemes", spy_stacks)
+        block = explorer._BLOCK
+        for name, run in _sweeps(n_degenerate=2 * block + 3):
+            calls.clear()
+            stacks.clear()
+            result = run()
+            assert result.skipped == 0
+            assert calls == [6 * k for _, k in stacks]
+            if name == "degenerate":
+                assert calls == [6 * block] * 2 + [6 * 3]
+                continue
+            per_channel = {}
+            for a, k in stacks:
+                per_channel.setdefault(a, []).append(k)
+            assert len(per_channel) == 6
+            for a, sizes in per_channel.items():
+                n = sum(1 for r in result.records if (r.a0, r.a1, r.a2) == a)
+                assert sizes == [block] * (n // block) + ([n % block] if n % block else [])
+            assert sum(calls) == 6 * len(result.records)
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
+    def test_one_resource_report_per_record(self, name, monkeypatch):
+        run = dict(_sweeps())[name]
+        want = run()
+        reported = []
+        report = explorer.resource_report
+
+        def spy(ch, params):
+            reported.append(params.theta)
+            return report(ch, params)
+
+        monkeypatch.setattr(explorer, "resource_report", spy)
+        got = run()
+        assert got == want
+        assert reported == [(r.theta1, r.theta2, r.theta3) for r in got.records]
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
+    def test_gate_skips_only_the_failing_record(self, name, monkeypatch):
+        run = dict(_sweeps())[name]
+        want = run()
+        certify = explorer.certify_schemes
+        before, forced = [], []
+
+        def below_gate(inputs, ch, schemes):
+            fids = certify(inputs, ch, schemes)
+            if not forced and len(schemes) >= 3:
+                # the first stack of three or more: its second record just
+                # below the gate, its third with a NaN fidelity
+                fids[1, 3] = 1.0 - 2e-10
+                fids[2, 0] = math.nan
+                forced.append(sum(before))
+            before.append(len(schemes))
+            return fids
+
+        monkeypatch.setattr(explorer, "certify_schemes", below_gate)
+        got = run()
+        assert forced and want.skipped == 0
+        i = forced[0]
+        assert got.skipped == 2
+        assert got.records == want.records[:i + 1] + want.records[i + 3:]
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
+    def test_inputs_are_successive_draws(self, name, monkeypatch):
+        seen = []
+        certify = explorer.certify_schemes
+
+        def record_inputs(inputs, ch, schemes):
+            seen.extend(inputs)
+            return certify(inputs, ch, schemes)
+
+        monkeypatch.setattr(explorer, "certify_schemes", record_inputs)
+        result = dict(_sweeps())[name]()
+        rng = np.random.default_rng(4)
+        assert len(seen) == len(result.records) + result.skipped
+        assert seen == [random_input(rng) for _ in seen]
+
+
 class TestBoundsTable:
     def test_endpoints(self):
         rows = bounds_table([1.0 + 1e-9, LOG2_3])
@@ -123,6 +229,14 @@ class TestCli:
         assert main(["verify", "--channel", "0.5,0.5"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_theta3_exits_1(self, command, value, capsys):
+        assert main([command, "--channel", "0.5,0.7071,0.5", f"--theta3={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: theta3 must be finite, got {float(value)}\n"
+
     def test_unknown_flag_exits_64(self, capsys):
         assert main(["verify", "--channel", SYMMETRIC_ARG, "--bogus"]) == 64
         assert main(["no-such-command"]) == 64
@@ -145,6 +259,17 @@ class TestCli:
         first = lines[1].split(",")
         assert len(first) == len(record_fields())
         float(first[0])  # parseable payload
+
+    def test_sweep_csv_streamed_line_by_line(self, tmp_path, capsys):
+        result = sweep_case2(density=6, seed=5)
+        lines = list(sweep_csv_lines(result))
+        assert len(lines) == len(result.records) + 2
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        assert "".join(lines) == sweep_csv(result)
+        path = tmp_path / "case2.csv"
+        assert main(["sweep-case2", "--density", "6", "--seed", "5", "--out", str(path)]) == 0
+        assert main(["sweep-case2", "--density", "6", "--seed", "5"]) == 0
+        assert path.read_text() == capsys.readouterr().out == sweep_csv(result)
 
     def test_sweep_json_structure(self, capsys):
         assert main(["sweep-case2", "--density", "6", "--seed", "5",

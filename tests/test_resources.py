@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
 from oracles import qubit_qutrit_tangle
 from teleportsim.channel import canonicalize, channel_entropy, make_channel
-from teleportsim.qlinalg import LOG2_3, binary_entropy
+from teleportsim.qlinalg import LOG2_3, binary_entropy, bisect
 from teleportsim.resources import (
     B_INTERCEPT,
     K_SLOPE,
+    _q_from_entropy,
     branch_tangles,
     classical_cost,
     gour_e12_case1,
@@ -197,6 +198,19 @@ class TestLowerBound:
         assert type(K_SLOPE) is float and type(B_INTERCEPT) is float
         for e in (1.0 + 1e-6, 1.2, 1.5 - 1e-12, 1.5, 1.55, LOG2_3):
             assert type(lower_bound_sum(e)) is float
+
+    def test_bisection_takes_the_binary_entropy_steps(self, rng):
+        # math.log2 settles only the steps far from the crossing, so q is bit
+        # for bit the bisection on binary_entropy alone, down to E = 1
+        es = [1.0 - 1e-13, 1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.5 - 1e-12]
+        # entropies at which a bisection on the math.log2 entropy alone ends
+        # on a different q: the binary_entropy steps near the crossing matter
+        es += [1.0356168503062684, 1.4553265057264508, 1.2384246619250296,
+               1.3944560280983205, 1.2062600409704516]
+        es += np.linspace(1.0 + 1e-6, 1.5 - 1e-6, 100).tolist() + rng.uniform(1.0, 1.5, 100).tolist()
+        for e in es:
+            target = 2.0 * (e - 1.0)
+            assert _q_from_entropy(e) == bisect(lambda q: binary_entropy(q) < target, 0.0, 0.5)
 
     def test_domain(self):
         with pytest.raises(ValueError):

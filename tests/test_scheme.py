@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel, random_incapable_channel
 from oracles import qubit_qutrit_tangle, reduced_density
-from teleportsim.channel import make_channel
+from teleportsim.channel import SchmidtChannel, make_channel
 from teleportsim.resources import branch_tangles, resource_report, upper_bound_sum
 from teleportsim.scheme import (
     InfeasibleError,
@@ -20,6 +20,7 @@ from teleportsim.scheme import (
     constraint_residuals,
     phases_from_weights,
     rotation_from_angles,
+    rotation_rows,
     solve_constraints,
     solve_phases,
     special_case_basis,
@@ -40,6 +41,13 @@ class TestRotation:
         u = rotation_from_angles(t1, t2, t3)
         assert np.max(np.abs(u.T @ u - np.eye(3))) <= 1e-12
         assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_array_entries(self, t1, t2, t3):
+        rows = rotation_rows(t1, t2, t3)
+        assert rows == rotation_from_angles(t1, t2, t3).tolist()
+        assert all(type(x) is float for row in rows for x in row)
 
     def test_degenerate_family_anchor(self):
         # the theta1-parameterized family of the a0=0 channel must appear at
@@ -168,6 +176,17 @@ class TestSolveConstraints:
         ch = random_incapable_channel(rng)
         with pytest.raises(InfeasibleError):
             admissible_u_window(ch)
+
+    def test_window_memo_is_per_channel_value(self, rng):
+        # admissible_u_window is memoized: equal channels share a window and
+        # a refused channel is refused again
+        ch = random_capable_channel(rng)
+        again = SchmidtChannel(a=ch.a)
+        assert again is not ch and admissible_u_window(again) == admissible_u_window(ch)
+        bad = random_incapable_channel(rng)
+        for _ in range(2):
+            with pytest.raises(InfeasibleError):
+                admissible_u_window(bad)
 
 
 class TestAssemble:

@@ -19,6 +19,7 @@ from teleportsim.scheme import (
     admissible_theta3,
     assemble_D12,
     find_scheme,
+    measurement_bases,
     solve_constraints,
     special_case_basis,
     two_qubit_D12,
@@ -31,6 +32,8 @@ from teleportsim.teleport import (
     branch_components,
     branch_corrections,
     branch_probabilities,
+    certify,
+    certify_schemes,
     measure_branches,
     random_input,
     run_teleport,
@@ -61,25 +64,35 @@ class TestInputQubit:
             q = random_input(rng)
             assert abs(q.alpha) ** 2 + abs(q.beta) ** 2 == pytest.approx(1.0, abs=1e-12)
 
+    def test_normalized_as_by_linalg_norm(self):
+        # bit for bit the draw divided by np.linalg.norm, as seeded output depends on it
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(500):
+            q = random_input(rng)
+            z = twin.normal(size=2) + 1j * twin.normal(size=2)
+            z = z / np.linalg.norm(z)
+            assert (q.alpha, q.beta) == (complex(z[0]), complex(z[1]))
+            assert type(q.alpha) is complex and type(q.beta) is complex
+
 
 class TestTotalState:
     def test_basis_input(self):
         ch = make_channel(*SYMMETRIC)
-        psi = total_state(InputQubit(alpha=1.0, beta=0.0), ch.a)
+        psi = total_state(InputQubit(alpha=1.0, beta=0.0).vector(), ch.a)
         assert np.allclose(psi[:9], channel_ket(ch), atol=1e-15)
         assert np.allclose(psi[9:], 0.0, atol=1e-15)
 
     def test_product_channel(self):
         ch = make_channel(1.0, 0.0, 0.0)
         q = InputQubit(alpha=0.6, beta=0.8)
-        psi = total_state(q, ch.a)
+        psi = total_state(q.vector(), ch.a)
         assert psi[0] == pytest.approx(0.6) and psi[9] == pytest.approx(0.8)
         assert np.count_nonzero(psi) == 2
 
     def test_generic_amplitudes(self):
         q = InputQubit(alpha=0.6, beta=0.8j)
         ch = make_channel(0.5, math.sqrt(0.5), 0.5)
-        psi = total_state(q, ch.a)
+        psi = total_state(q.vector(), ch.a)
         for j, a in enumerate(ch.a):
             assert psi[4 * j] == pytest.approx(q.alpha * a, abs=1e-15)
             assert psi[9 + 4 * j] == pytest.approx(q.beta * a, abs=1e-15)
@@ -89,21 +102,21 @@ class TestMeasureBranches:
     def test_degenerate_balanced_probabilities(self, rng):
         ch = make_channel(*DEGENERATE)
         basis = special_case_basis("A", math.pi / 4)
-        total = total_state(random_input(rng), ch.a)
+        total = total_state(random_input(rng).vector(), ch.a)
         probs, _ = measure_branches(total, basis)
         assert np.allclose(probs, [1 / 8, 1 / 8, 1 / 4, 1 / 8, 1 / 8, 1 / 4], atol=1e-12)
 
     def test_degenerate_two_qubit_reduction(self, rng):
         ch = make_channel(*DEGENERATE)
         basis = special_case_basis("A", 0.0)
-        total = total_state(random_input(rng), ch.a)
+        total = total_state(random_input(rng).vector(), ch.a)
         probs, _ = measure_branches(total, basis)
         assert np.allclose(probs, [0, 0, 1 / 4, 1 / 4, 1 / 4, 1 / 4], atol=1e-12)
 
     def test_probability_equals_collapsed_norm(self, rng):
         ch = random_capable_channel(rng)
         _, basis = assemble_D12(_solved(ch))
-        total = total_state(random_input(rng), ch.a)
+        total = total_state(random_input(rng).vector(), ch.a)
         for p, c in zip(*measure_branches(total, basis)):
             assert p == pytest.approx(float(np.vdot(c, c).real), abs=1e-12)
 
@@ -111,7 +124,7 @@ class TestMeasureBranches:
         for _ in range(10):
             ch = random_capable_channel(rng)
             _, basis = assemble_D12(_solved(ch))
-            total = total_state(random_input(rng), ch.a)
+            total = total_state(random_input(rng).vector(), ch.a)
             p, _ = measure_branches(total, basis)
             assert sum(p) == pytest.approx(1.0, abs=1e-12)
             assert p[0] == pytest.approx(p[1], abs=1e-12)  # 1+ = 2+
@@ -123,7 +136,7 @@ class TestMeasureBranches:
         _, basis = assemble_D12(_solved(ch))
         reference = None
         for _ in range(50):
-            total = total_state(random_input(rng), ch.a)
+            total = total_state(random_input(rng).vector(), ch.a)
             p, _ = measure_branches(total, basis)
             if reference is None:
                 reference = p
@@ -311,7 +324,7 @@ class TestKernelBitIdentity:
             assert np.array_equal(ws, _reference_corrections(branch_components(coeffs, basis)))
             q = random_input(rng)
             chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
-            assert np.array_equal(total_state(q, coeffs), np.kron(q.vector(), chan))
+            assert np.array_equal(total_state(q.vector(), coeffs), np.kron(q.vector(), chan))
 
 
 def _edge_channel(top, split):
@@ -440,6 +453,106 @@ class TestArrayCertificate:
         assert min(rep.fidelities) >= 1.0 - 1e-10
 
 
+def _stack_cases(kind, rng):
+    """(coeffs, bases) groups for one family of channels; each group shares
+    its channel, as the bases of one swept channel do."""
+    if kind == "random":
+        for _ in range(10):
+            ch = random_capable_channel(rng)
+            yield ch.a, [assemble_D12(_solved(ch, frac=f))[1] for f in rng.uniform(size=7)]
+    elif kind == "a0_zero":
+        yield DEGENERATE, [special_case_basis("A", float(t)) for t in np.linspace(0, math.pi / 2, 9)]
+    elif kind == "face":
+        for c in (0.05, 0.2, 0.35, 0.45):
+            ch, _ = canonicalize(make_channel(math.sqrt(0.5 - c), math.sqrt(0.5), math.sqrt(c)))
+            yield ch.a, [assemble_D12(_solved(ch, frac=f))[1] for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    elif kind == "symmetric":
+        ch = make_channel(*SYMMETRIC)
+        yield ch.a, [assemble_D12(_solved(ch))[1]] * 6
+    elif kind == "two_qubit":
+        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
+        yield (R2, R2), [MeasurementBasis(dmat, TWO_QUBIT_LABELS)] * 6
+
+
+def _stacked(bases):
+    return MeasurementBasis(np.stack([b.vectors for b in bases]), bases[0].labels)
+
+
+def _error(call):
+    """(type, message) of the exception call() raises."""
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+class TestStackedCertificate:
+    """certify over k stacked bases and inputs must give, bit for bit, what
+    run_with_basis (its one-input view) gives record by record, and fail on a
+    bad record exactly as that record's own call does."""
+
+    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric", "two_qubit"])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_per_record_runs(self, kind, k, rng):
+        for coeffs, bases in _stack_cases(kind, rng):
+            inputs = [random_input(rng) for _ in bases]
+            for i in range(0, len(bases), k):
+                chunk = slice(i, i + k)
+                probs, fids = certify(np.array([q.vector() for q in inputs[chunk]]), coeffs,
+                                      _stacked(bases[chunk]))
+                for j, (q, basis) in enumerate(zip(inputs[chunk], bases[chunk])):
+                    rep = run_with_basis(q, coeffs, basis)
+                    assert np.array(rep.probabilities).tobytes() == probs[j].tobytes()
+                    assert np.array(rep.fidelities).tobytes() == fids[j].tobytes()
+
+    def test_schemes_match_run_teleport(self, rng):
+        for _ in range(5):
+            ch = random_capable_channel(rng)
+            schemes = [_solved(ch, frac=f) for f in rng.uniform(size=5)]
+            inputs = [random_input(rng) for _ in schemes]
+            fids = certify_schemes(inputs, ch, schemes)
+            for j, (q, params) in enumerate(zip(inputs, schemes)):
+                assert np.array(run_teleport(q, ch, params).fidelities).tobytes() == fids[j].tobytes()
+            stacked = measurement_bases(schemes).vectors
+            assert all(np.array_equal(stacked[j], assemble_D12(p)[0]) for j, p in enumerate(schemes))
+
+    def test_zero_branches_exactly_one_inside_stack(self, rng):
+        bases = [special_case_basis("A", t) for t in (math.pi / 4, 0.0, math.pi / 3)]
+        q = np.array([random_input(rng).vector() for _ in bases])
+        probs, fids = certify(q, DEGENERATE, _stacked(bases))
+        assert probs[1, 0] <= TOL.zero_branch and probs[1, 1] <= TOL.zero_branch
+        assert fids[1, 0] == 1.0 and fids[1, 1] == 1.0
+        assert fids.min() >= 1.0 - 1e-10
+
+    def test_non_unitary_basis_in_stack(self):
+        vectors = np.stack([special_case_basis("A", t).vectors for t in (0.1, 0.7, 1.2)])
+        vectors[1, 2, 3] += 1e-6
+        assert _error(lambda: MeasurementBasis(vectors)) == _error(lambda: MeasurementBasis(vectors[1]))
+
+    def test_non_correctable_row_in_stack(self, rng):
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        bases = [assemble_D12(_solved(ch, frac=f))[1] for f in (0.2, 0.5, 0.8)]
+        # a unitary basis that solves no constraint of this channel
+        bases[1] = assemble_D12(SchemeParams(theta=(0.3, 0.4, 0.5), delta=(0.1, 0.2)))[1]
+        inputs = [random_input(rng) for _ in bases]
+        stacked = _error(lambda: certify(np.array([q.vector() for q in inputs]), ch.a,
+                                         _stacked(bases)))
+        assert stacked[0] is CorrectionError
+        assert stacked == _error(lambda: run_with_basis(inputs[1], ch.a, bases[1]))
+
+    def test_unnormalized_input_in_stack(self, rng):
+        bases = [special_case_basis("A", t) for t in (0.1, 0.7, 1.2)]
+        q = np.array([random_input(rng).vector() for _ in bases])
+        q[1] *= 1.001
+        stacked = _error(lambda: certify(q, DEGENERATE, _stacked(bases)))
+        assert stacked[0] is ValueError
+        assert stacked == _error(lambda: certify(q[1], DEGENERATE, bases[1]))
+
+    def test_inputs_must_match_bases(self, rng):
+        bases = [special_case_basis("A", t) for t in (0.1, 0.7)]
+        with pytest.raises(ValueError, match="inputs for"):
+            certify(random_input(rng).vector(), DEGENERATE, _stacked(bases))
+
+
 class TestClosedFormOracles:
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -449,7 +562,7 @@ class TestClosedFormOracles:
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
         q = random_input(rng)
-        total = total_state(q, ch.a)
+        total = total_state(q.vector(), ch.a)
         _, raw = measure_branches(total, basis)
         closed = collapsed_closed_form(q, ch, params)
         assert np.max(np.abs(raw - closed)) <= 1e-10
@@ -461,7 +574,7 @@ class TestClosedFormOracles:
         ch = random_capable_channel(rng)
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
-        total = total_state(random_input(rng), ch.a)
+        total = total_state(random_input(rng).vector(), ch.a)
         raw, _ = measure_branches(total, basis)
         closed = branch_probabilities(ch, params)
         assert np.max(np.abs(raw - np.array(closed))) <= 1e-10
@@ -508,7 +621,8 @@ class TestFailClosed:
             SchemeParams(theta=tuple(angles[:3]), delta=tuple(angles[3:]))
 
     @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.0), (complex(0.0, math.nan), 1.0),
-                                             (math.inf, 0.0), (1.0, complex(math.inf, 0.0))])
+                                             (math.inf, 0.0), (1.0, complex(math.inf, 0.0)),
+                                             (1e200, 0.0), (complex(1e308, 1e308), 0.0)])
     def test_input(self, alpha, beta):
         with pytest.raises(ValueError, match="not normalized"):
             InputQubit(alpha=alpha, beta=beta)
