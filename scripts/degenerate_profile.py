@@ -10,8 +10,6 @@ to its maximum at theta1 = pi/4.
 import argparse
 import math
 
-import numpy as np
-
 from teleportsim.explorer import sweep_degenerate
 
 
@@ -20,9 +18,10 @@ def main():
     ap.add_argument("--points", type=int, default=33)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.points < 2:
+        ap.error("--points must be at least 2")
 
-    grid = np.linspace(0.0, math.pi / 2, args.points)
-    result = sweep_degenerate(grid, args.seed)
+    result = sweep_degenerate(args.points, args.seed)
     print(f"{'theta1':>10} {'E12':>12} {'H12':>12} {'sum':>12}")
     for r in result.records:
         print(f"{r.theta1:10.6f} {r.e12:12.8f} {r.h12:12.8f} {r.sum:12.8f}")

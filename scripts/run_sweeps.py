@@ -29,13 +29,14 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("data"))
     args = ap.parse_args()
+    if args.density < 2:
+        ap.error("--density must be at least 2")
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     for name, result in (
         ("case1", sweep_case1(args.density, args.seed)),
         ("case2", sweep_case2(args.density, args.seed)),
-        ("degenerate", sweep_degenerate(
-            np.linspace(0.0, math.pi / 2, args.density), args.seed)),
+        ("degenerate", sweep_degenerate(args.density, args.seed)),
     ):
         (args.outdir / f"sweep_{name}.csv").write_text(sweep_csv(result))
         _summary(f"sweep_{name}", result)

@@ -7,11 +7,13 @@ Three sweeps cover the documented channel families:
   have theta2 = 0);
 * degenerate — a0 = 0, sweeping the free angle theta1.
 
-Every emitted record passes an exact fidelity check; infeasible grid points
-are counted and reported, never fatal. A sweep solves a channel's grid points
-one by one and certifies them in stacks of at most _BLOCK schemes; each record
-that passes the gate is then accounted by resource_report, one call per
-record.
+Each sweep takes (density, seed) and rejects a density below 2. A family
+only lists its channels and each channel's solve_constraints points; one
+driver, _sweep, does the rest for all three. It solves a channel's points one
+by one, certifies them in stacks of at most _BLOCK schemes, each on its own
+Haar-random input, and accounts each record that passes the fidelity gate
+with one resource_report call. Every emitted record passes an exact fidelity
+check; infeasible points are counted and reported, never fatal.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import SchmidtChannel, channel_entropy, make_channel
+from .channel import channel_entropy, make_channel
 from .qlinalg import LOG2_3, TOL, bisect
 from .resources import lower_bound_sum, resource_report, upper_bound_sum
 from .scheme import (
@@ -76,28 +78,63 @@ def _bound_lower(e: float) -> float:
     return lower_bound_sum(min(e, LOG2_3))
 
 
-def _certified(ch: SchmidtChannel, schemes: list[SchemeParams], rng: np.random.Generator,
-               bound_lower: float, bound_upper: float | None,
-               records: list[SweepRecord]) -> int:
-    """Certify solved schemes of one channel as one stack, each on its own
-    Haar-random input; append a record for each scheme that passes the
-    fidelity gate and return how many did not."""
-    if not schemes:
-        return 0
-    fids = certify_schemes([random_input(rng) for _ in schemes], ch, schemes)
-    failed = 0
-    for params, fid in zip(schemes, fids.min(axis=-1).tolist()):
-        if not (fid >= 1.0 - TOL.unitary):  # fail closed: NaN does not pass
-            failed += 1
+def _grid(lo: float, hi: float, density: int) -> np.ndarray:
+    if density < 2:
+        raise ValueError("density must be at least 2")
+    return np.linspace(lo, hi, density)
+
+
+def _distinct(values):
+    """The values in order, each dropped when one before it rounds to the
+    same number at 15 decimals."""
+    seen = set()
+    for v in values:
+        key = round(v, 15)
+        if key not in seen:
+            seen.add(key)
+            yield v
+
+
+def _sweep(seed: int, channels) -> SweepResult:
+    """The sweep driver: `channels` yields (ch, bound_upper, points), each
+    point a (theta3, hints) pair for solve_constraints(ch, theta3, **hints);
+    a channel with no points (an empty window) counts as one skipped point.
+
+    Each point is solved in turn, infeasible ones skipped. The solved schemes
+    are certified in stacks of at most _BLOCK, a stack never spanning two
+    channels, each scheme on its own Haar-random input. A record is emitted
+    for each scheme that passes the fidelity gate; the rest are skipped.
+    """
+    rng = np.random.default_rng(seed)
+    records: list[SweepRecord] = []
+    skipped = 0
+    for ch, bound_upper, points in channels:
+        if not points:
+            skipped += 1
             continue
-        res = resource_report(ch, params)
-        records.append(SweepRecord(
-            a0=ch.a[0], a1=ch.a[1], a2=ch.a[2],
-            theta1=params.theta[0], theta2=params.theta[1], theta3=params.theta[2],
-            e_channel=res.e_channel, e12=res.e12, h12=res.h12, sum=res.sum,
-            bound_lower=bound_lower, bound_upper=bound_upper,
-        ))
-    return failed
+        bound_lower = _bound_lower(channel_entropy(ch))
+        schemes: list[SchemeParams] = []
+        for n, (theta3, hints) in enumerate(points, 1):
+            try:
+                schemes.append(solve_constraints(ch, theta3, **hints))
+            except InfeasibleError:
+                skipped += 1
+            if not schemes or (len(schemes) < _BLOCK and n < len(points)):
+                continue  # certify once the stack is full or the channel ends
+            fids = certify_schemes([random_input(rng) for _ in schemes], ch, schemes)
+            for params, fid in zip(schemes, fids.min(axis=-1).tolist()):
+                if not (fid >= 1.0 - TOL.unitary):  # fail closed: NaN does not pass
+                    skipped += 1
+                    continue
+                res = resource_report(ch, params)
+                records.append(SweepRecord(
+                    a0=ch.a[0], a1=ch.a[1], a2=ch.a[2],
+                    theta1=params.theta[0], theta2=params.theta[1], theta3=params.theta[2],
+                    e_channel=res.e_channel, e12=res.e12, h12=res.h12, sum=res.sum,
+                    bound_lower=bound_lower, bound_upper=bound_upper,
+                ))
+            schemes = []
+    return SweepResult(records=tuple(records), skipped=skipped)
 
 
 def sweep_case1(density: int, seed: int) -> SweepResult:
@@ -106,12 +143,11 @@ def sweep_case1(density: int, seed: int) -> SweepResult:
     theta3 is pinned by the channel; theta2 is swept across its feasible
     window, always including theta2 = pi/4 (the optimal-curve rows).
     """
-    if density < 2:
-        raise ValueError("density must be at least 2")
-    rng = np.random.default_rng(seed)
-    records: list[SweepRecord] = []
-    skipped = 0
-    for a1sq in np.linspace(1.0 / 3.0, 0.5, density):
+    return _sweep(seed, _case1_channels(density))
+
+
+def _case1_channels(density: int):
+    for a1sq in _grid(1.0 / 3.0, 0.5, density):
         a0sq = max(1.0 - 2.0 * a1sq, 0.0)
         ch = make_channel(math.sqrt(a0sq), math.sqrt(a1sq), math.sqrt(a1sq))
         try:
@@ -119,86 +155,38 @@ def sweep_case1(density: int, seed: int) -> SweepResult:
             ustar = 0.5 * (ulo + uhi)
             theta3 = math.asin(math.sqrt(ustar))
             wlo, whi = free_theta2_window(ch, ustar)
-            wgrid = [min(max(0.5, wlo), whi)]
-            wgrid += list(np.linspace(wlo, whi, _INNER_GRID))
-            bu = upper_bound_sum(math.sqrt(a1sq))
-            bl = _bound_lower(channel_entropy(ch))
         except InfeasibleError:
-            skipped += 1
+            yield ch, None, ()
             continue
-        seen, schemes = set(), []
-        for w in wgrid:
-            key = round(w, 15)
-            if key in seen:
-                continue
-            seen.add(key)
-            theta2 = math.asin(math.sqrt(w))
-            try:
-                schemes.append(solve_constraints(ch, theta3, theta2_hint=theta2))
-            except InfeasibleError:
-                skipped += 1
-            if len(schemes) == _BLOCK:
-                skipped += _certified(ch, schemes, rng, bl, bu, records)
-                schemes = []
-        skipped += _certified(ch, schemes, rng, bl, bu, records)
-    return SweepResult(records=tuple(records), skipped=skipped)
+        wgrid = [min(max(0.5, wlo), whi), *np.linspace(wlo, whi, _INNER_GRID)]
+        points = [(theta3, {"theta2_hint": math.asin(math.sqrt(w))}) for w in _distinct(wgrid)]
+        yield ch, upper_bound_sum(math.sqrt(a1sq)), points
 
 
 def sweep_case2(density: int, seed: int) -> SweepResult:
     """Channels with a1 = 1/sqrt(2), sweeping a2^2 in [0, 1/2] and theta3."""
-    if density < 2:
-        raise ValueError("density must be at least 2")
-    rng = np.random.default_rng(seed)
-    records: list[SweepRecord] = []
-    skipped = 0
-    for a2sq in np.linspace(0.0, 0.5, density):
+    return _sweep(seed, _case2_channels(density))
+
+
+def _case2_channels(density: int):
+    for a2sq in _grid(0.0, 0.5, density):
         a0sq = max(0.5 - a2sq, 0.0)
         ch = make_channel(math.sqrt(a0sq), math.sqrt(0.5), math.sqrt(a2sq))
         try:
             ulo, uhi = admissible_u_window(ch)
         except InfeasibleError:
-            skipped += 1
+            yield ch, None, ()
             continue
-        bl = _bound_lower(channel_entropy(ch))
-        seen, schemes = set(), []
-        for u in np.linspace(ulo, uhi, _INNER_GRID):
-            key = round(float(u), 15)
-            if key in seen:
-                continue
-            seen.add(key)
-            theta3 = math.asin(math.sqrt(u))
-            try:
-                schemes.append(solve_constraints(ch, theta3))
-            except InfeasibleError:
-                skipped += 1
-            if len(schemes) == _BLOCK:
-                skipped += _certified(ch, schemes, rng, bl, None, records)
-                schemes = []
-        skipped += _certified(ch, schemes, rng, bl, None, records)
-    return SweepResult(records=tuple(records), skipped=skipped)
+        us = np.linspace(ulo, uhi, _INNER_GRID).tolist()
+        yield ch, None, [(math.asin(math.sqrt(u)), {}) for u in _distinct(us)]
 
 
-def sweep_degenerate(theta_grid, seed: int = 0) -> SweepResult:
+def sweep_degenerate(density: int, seed: int) -> SweepResult:
     """The a0 = 0 channel swept over the free angle theta1 in [0, pi/2]."""
-    rng = np.random.default_rng(seed)
+    grid = _grid(0.0, math.pi / 2, density).tolist()
     ch = make_channel(0.0, math.sqrt(0.5), math.sqrt(0.5))
-    bl = _bound_lower(channel_entropy(ch))
-    records: list[SweepRecord] = []
-    schemes: list[SchemeParams] = []
-    skipped = 0
-    for t1 in theta_grid:
-        if not (-TOL.entry <= t1 <= math.pi / 2 + TOL.entry):
-            raise ValueError(f"theta1 = {t1} outside [0, pi/2]")
-        try:
-            schemes.append(solve_constraints(ch, math.pi / 4, theta2_hint=0.0,
-                                             theta1_hint=float(t1)))
-        except InfeasibleError:
-            skipped += 1
-        if len(schemes) == _BLOCK:
-            skipped += _certified(ch, schemes, rng, bl, None, records)
-            schemes = []
-    skipped += _certified(ch, schemes, rng, bl, None, records)
-    return SweepResult(records=tuple(records), skipped=skipped)
+    points = [(math.pi / 4, {"theta2_hint": 0.0, "theta1_hint": t1}) for t1 in grid]
+    return _sweep(seed, [(ch, None, points)])
 
 
 def _a1_from_entropy(e: float) -> float:

@@ -196,16 +196,12 @@ def lower_bound_sum(e: float) -> float:
     return K_SLOPE * e + B_INTERCEPT
 
 
-def scheme_resources(ch: SchmidtChannel, params: SchemeParams):
-    """(e12, h12, tangles, probabilities) of a solved scheme: its resources but E."""
-    probs = branch_probabilities(ch, params)
-    tangles = branch_tangles(params)
-    return measurement_entanglement(probs, tangles), classical_cost(probs), tangles, probs
-
-
 def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
     """Assemble all resource quantifiers for a solved scheme."""
-    e12, h12, tangles, probs = scheme_resources(ch, params)
+    probs = branch_probabilities(ch, params)
+    tangles = branch_tangles(params)
+    e12 = measurement_entanglement(probs, tangles)
+    h12 = classical_cost(probs)
     return ResourceReport(
         e_channel=channel_entropy(ch),
         e12=e12,

@@ -199,7 +199,7 @@ def test_6_bound_consistency(capsys):
         assert math.isclose(lower_bound_sum(1.0 + 1e-6), 3.0, rel_tol=1e-6)
         assert lower_bound_sum(LOG2_3) == pytest.approx(1.0 + math.log2(6), abs=1e-9)
         for result in (sweep_case1(50, seed=6), sweep_case2(50, seed=6),
-                       sweep_degenerate(np.linspace(0, math.pi / 2, 50), seed=6)):
+                       sweep_degenerate(50, seed=6)):
             assert result.records
             for r in result.records:
                 assert r.sum >= r.bound_lower - 1e-9

@@ -14,6 +14,7 @@ from teleportsim.explorer import (
     sweep_degenerate,
 )
 from teleportsim.qlinalg import LOG2_3
+from teleportsim.scheme import InfeasibleError
 from teleportsim.teleport import random_input
 
 E12_BALANCED = 0.9056390622295664
@@ -53,8 +54,7 @@ class TestSweeps:
         assert all(abs(r.a1**2 - 0.5) <= 1e-12 for r in result.records)
 
     def test_degenerate_profile(self):
-        grid = np.linspace(0.0, math.pi / 2, 41)
-        result = sweep_degenerate(grid, seed=3)
+        result = sweep_degenerate(41, seed=3)
         assert result.skipped == 0
         sums = [r.sum for r in result.records]
         # endpoints reach the two-qubit floor, the midpoint the maximum
@@ -65,23 +65,21 @@ class TestSweeps:
         # symmetric in theta1 about pi/4
         assert np.allclose(sums, sums[::-1], atol=1e-9)
 
-    def test_degenerate_range_checked(self):
-        with pytest.raises(ValueError):
-            sweep_degenerate([math.pi], seed=0)
-
     def test_density_validated(self):
         with pytest.raises(ValueError):
             sweep_case1(density=1, seed=0)
         with pytest.raises(ValueError):
             sweep_case2(density=0, seed=0)
+        for density in (1, 0):
+            with pytest.raises(ValueError, match="density must be at least 2"):
+                sweep_degenerate(density, seed=0)
 
 
 def _sweeps(n_degenerate=9):
     """Each sweep on a small grid, as (name, thunk)."""
-    grid = np.linspace(0.0, math.pi / 2, n_degenerate)
     return [("case1", lambda: sweep_case1(density=6, seed=4)),
             ("case2", lambda: sweep_case2(density=6, seed=4)),
-            ("degenerate", lambda: sweep_degenerate(grid, seed=4))]
+            ("degenerate", lambda: sweep_degenerate(n_degenerate, seed=4))]
 
 
 class TestSweepStacks:
@@ -164,6 +162,23 @@ class TestSweepStacks:
         assert got.skipped == 2
         assert got.records == want.records[:i + 1] + want.records[i + 3:]
 
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_empty_window_is_one_skip(self, name, monkeypatch):
+        run = dict(_sweeps())[name]
+        want = run()
+        window, refused = explorer.admissible_u_window, []
+
+        def no_window_once(ch):
+            if not refused:
+                refused.append(ch.a)
+                raise InfeasibleError("empty window")
+            return window(ch)
+
+        monkeypatch.setattr(explorer, "admissible_u_window", no_window_once)
+        got = run()
+        assert got.skipped == want.skipped + 1
+        assert got.records == tuple(r for r in want.records if (r.a0, r.a1, r.a2) != refused[0])
+
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
     def test_inputs_are_successive_draws(self, name, monkeypatch):
         seen = []
@@ -228,6 +243,16 @@ class TestCli:
         assert main(["verify", "--channel", "0.9,0.9,0.9"]) == 1
         assert main(["verify", "--channel", "0.5,0.5"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("triple, message", [
+        ("0.9,0.9,0.9", "Schmidt coefficients not normalized: sum of squares = 2.43"),
+        ("inf,0.7,0.7", "Schmidt coefficients must be finite"),
+    ])
+    def test_channel_checked_by_make_channel(self, triple, message, capsys):
+        assert main(["verify", "--channel", triple]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -325,7 +350,9 @@ class TestCli:
         ("abc", [], "TELEPORTSIM_SEED must be a non-negative integer, got 'abc'"),
         ("1.5", [], "TELEPORTSIM_SEED must be a non-negative integer, got '1.5'"),
         ("-1", [], "TELEPORTSIM_SEED must be a non-negative integer, got '-1'"),
-        ("0", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        ("0", ["--seed", "-1"], "--seed must be a non-negative integer, got '-1'"),
+        ("0", ["--seed", "abc"], "--seed must be a non-negative integer, got 'abc'"),
+        ("0", ["--seed", "1.5"], "--seed must be a non-negative integer, got '1.5'"),
     ])
     def test_bad_seed_exits_1(self, cmd, env, flag, message, capsys, monkeypatch):
         monkeypatch.setenv("TELEPORTSIM_SEED", env)
@@ -338,7 +365,7 @@ class TestCli:
                                      ["report", "--channel", "0.447,0.775,0.447"]])
     def test_bad_seed_outranks_other_errors(self, cmd, capsys):
         assert main(cmd + ["--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got '-1'\n"
 
     @pytest.mark.parametrize("cmd", [["sweep-degenerate", "--density", "5"],
                                      ["verify", "--channel", SYMMETRIC_ARG]])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from teleportsim.cli import bounds_csv, sweep_csv
 from teleportsim.explorer import (
@@ -21,23 +22,23 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 POINTS = 5
 
 
-def _run(script, *args, cwd):
+def _run(script, *args, cwd, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 def test_run_sweeps(tmp_path):
     out = tmp_path / "data"
-    stdout = _run("run_sweeps.py", "--density", str(POINTS), "--outdir", str(out), cwd=tmp_path)
-    grid = np.linspace(0.0, math.pi / 2, POINTS)
+    stdout = _run("run_sweeps.py", "--density", str(POINTS), "--outdir", str(out),
+                  cwd=tmp_path).stdout
     sweeps = {
         "sweep_case1.csv": sweep_case1(POINTS, 0),
         "sweep_case2.csv": sweep_case2(POINTS, 0),
-        "sweep_degenerate.csv": sweep_degenerate(grid, 0),
+        "sweep_degenerate.csv": sweep_degenerate(POINTS, 0),
     }
     assert sorted(p.name for p in out.iterdir()) == sorted([*sweeps, "bounds.csv"])
     for name, result in sweeps.items():
@@ -55,9 +56,9 @@ def test_run_sweeps(tmp_path):
 
 
 def test_degenerate_profile(tmp_path):
-    lines = _run("degenerate_profile.py", "--points", str(POINTS), cwd=tmp_path).splitlines()
+    lines = _run("degenerate_profile.py", "--points", str(POINTS), cwd=tmp_path).stdout.splitlines()
     assert lines[0].split() == ["theta1", "E12", "H12", "sum"]
-    records = sweep_degenerate(np.linspace(0.0, math.pi / 2, POINTS), 0).records
+    records = sweep_degenerate(POINTS, 0).records
     assert len(records) == POINTS
     rows = [[float(x) for x in line.split()] for line in lines[1:1 + POINTS]]
     for row, r in zip(rows, records):
@@ -66,3 +67,14 @@ def test_degenerate_profile(tmp_path):
     assert lines[1 + POINTS] == ""
     assert lines[2 + POINTS].startswith("max sum ")
     assert len(lines) == POINTS + 3
+
+
+@pytest.mark.parametrize("script, flag, value", [("run_sweeps.py", "--density", "1"),
+                                                 ("degenerate_profile.py", "--points", "1"),
+                                                 ("degenerate_profile.py", "--points", "0")])
+def test_grid_below_2_is_a_usage_error(script, flag, value, tmp_path):
+    proc = _run(script, flag, value, cwd=tmp_path, returncode=2)
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(f"error: {flag} must be at least 2")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "data").exists()  # run_sweeps' default --outdir
