@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,14 @@ class SchmidtChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "squares", tuple(x * x for x in self.a))
+
+    @cached_property
+    def entropy(self) -> float:
+        """channel_entropy of this channel, computed on first read and kept.
+
+        Not a field, so equality, hashing and repr ignore it.
+        """
+        return channel_entropy(self)
 
     def to_json_dict(self) -> dict:
         return {"a": list(self.a)}

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: verify, sweep-case1, sweep-case2, sweep-degenerate, bounds,
-report. Exit codes: 0 success, 1 validation error or unwritable --out (for
-example a missing directory), 2 infeasibility / incapable channel, 64 usage
-error (unknown flag or subcommand).
+report. Exit codes: 0 success, 1 validation error (including a flag value
+that does not parse) or unwritable --out (for example a missing directory),
+2 infeasibility / incapable channel, 64 usage error (unknown flag or
+subcommand).
 """
 
 from __future__ import annotations
@@ -80,6 +81,22 @@ def _seed(args) -> int:
     return seed
 
 
+def _parse_numbers(args) -> None:
+    """Convert --density to an int and --theta3 to a float, in place.
+
+    A value that does not parse raises a ValueError naming the flag; range
+    checks (density at least 2, finite theta3) come later, from their users.
+    """
+    for flag, convert, kind in (("density", int, "an integer"), ("theta3", float, "a number")):
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        try:
+            setattr(args, flag, convert(value))
+        except ValueError:
+            raise ValueError(f"--{flag} must be {kind}, got {value!r}") from None
+
+
 def _emit(chunks, out: str | None) -> None:
     """Write the text pieces to `out`, or to stdout when it is None."""
     if out is None:
@@ -132,7 +149,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", default=None)
-    p.add_argument("--density", type=int, default=200)
+    p.add_argument("--density", default=200)
 
 
 def build_parser() -> _Parser:
@@ -143,7 +160,7 @@ def build_parser() -> _Parser:
                        ("report", "resource report for one channel's solved scheme")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--channel", required=True)
-        p.add_argument("--theta3", type=float, default=None)
+        p.add_argument("--theta3", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", default=None)
 
@@ -200,6 +217,7 @@ def main(argv=None) -> int:
     try:
         # read first, so a bad seed outranks every other error
         seed = _seed(args)
+        _parse_numbers(args)
         if args.command in ("verify", "report"):
             return _cmd_channel(args, seed)
         if args.command == "bounds":

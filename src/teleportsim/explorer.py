@@ -112,7 +112,7 @@ def _sweep(seed: int, channels) -> SweepResult:
         if not points:
             skipped += 1
             continue
-        bound_lower = _bound_lower(channel_entropy(ch))
+        bound_lower = _bound_lower(ch.entropy)
         schemes: list[SchemeParams] = []
         for n, (theta3, hints) in enumerate(points, 1):
             try:

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import SchmidtChannel, channel_entropy
+from .channel import SchmidtChannel
 from .qlinalg import LOG2_3, TOL, binary_entropy, bisect, entanglement_from_tangle
 from .scheme import SchemeParams, rotation_rows
-from .teleport import branch_probabilities
+from .teleport import _probabilities
 
 # affine piece of the lower bound: f2(E) = K_SLOPE * E + B_INTERCEPT,
 # pinned by f2(log2 3) = 1 + log2 6 and the stated slope
@@ -52,8 +52,16 @@ class ResourceReport:
 
 
 def measurement_entanglement(probabilities, tangles) -> float:
-    """e12 = sum of P_j * H((1 + sqrt(1 - C_j)) / 2) over branches."""
-    return float(sum(p * entanglement_from_tangle(c) for p, c in zip(probabilities, tangles)))
+    """e12 = sum of P_j * H((1 + sqrt(1 - C_j)) / 2) over branches.
+
+    H is evaluated once per distinct tangle (a scheme's six branches share
+    three), and the terms are summed in branch order.
+    """
+    h = {}
+    for c in tangles:
+        if c not in h:
+            h[c] = entanglement_from_tangle(c)
+    return float(sum([p * h[c] for p, c in zip(probabilities, tangles)]))
 
 
 def classical_cost(probabilities) -> float:
@@ -69,8 +77,12 @@ def classical_cost(probabilities) -> float:
 
 def branch_tangles(params: SchemeParams) -> tuple[float, ...]:
     """Closed-form tangles of the six basis rows, in label order."""
-    u = rotation_rows(*params.theta)
-    d1, d2 = params.delta
+    return _tangles(rotation_rows(*params.theta), params.delta)
+
+
+def _tangles(u, delta) -> tuple[float, ...]:
+    """branch_tangles from the rotation_rows u and the phases delta."""
+    d1, d2 = delta
     c12 = 4.0 * u[0][1] ** 2 * (u[0][0] ** 2 + u[0][2] ** 2)
     c12m = 4.0 * u[1][1] ** 2 * (u[1][0] ** 2 + u[1][2] ** 2)
     c3 = (
@@ -78,8 +90,10 @@ def branch_tangles(params: SchemeParams) -> tuple[float, ...]:
         + 2.0 * u[2][0] ** 2 * u[2][2] ** 2 * (1.0 - math.cos(d2))
         + 2.0 * u[2][1] ** 2 * u[2][2] ** 2 * (1.0 - math.cos(d1 + d2))
     )
-    clip = lambda c: min(max(c, 0.0), 1.0)
-    return (clip(c12), clip(c12), clip(c3), clip(c12m), clip(c12m), clip(c3))
+    c12 = min(max(c12, 0.0), 1.0)
+    c12m = min(max(c12m, 0.0), 1.0)
+    c3 = min(max(c3, 0.0), 1.0)
+    return (c12, c12, c3, c12m, c12m, c3)
 
 
 def _triangle_entanglement(xi1: float, xi2: float) -> float:
@@ -197,13 +211,18 @@ def lower_bound_sum(e: float) -> float:
 
 
 def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
-    """Assemble all resource quantifiers for a solved scheme."""
-    probs = branch_probabilities(ch, params)
-    tangles = branch_tangles(params)
+    """Assemble all resource quantifiers for a solved scheme.
+
+    The rotation is built once for both the probabilities and the tangles,
+    and the channel entropy is the channel's cached ch.entropy.
+    """
+    u = rotation_rows(*params.theta)
+    probs = _probabilities(ch.squares, u)
+    tangles = _tangles(u, params.delta)
     e12 = measurement_entanglement(probs, tangles)
     h12 = classical_cost(probs)
     return ResourceReport(
-        e_channel=channel_entropy(ch),
+        e_channel=ch.entropy,
         e12=e12,
         h12=h12,
         tangles=tangles,

@@ -257,8 +257,12 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
 
 def branch_probabilities(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, ...]:
     """Closed-form outcome probabilities, input-independent for valid schemes."""
-    A, B, C = ch.squares
-    u = rotation_rows(*params.theta)
+    return _probabilities(ch.squares, rotation_rows(*params.theta))
+
+
+def _probabilities(squares, u) -> tuple[float, ...]:
+    """branch_probabilities from the channel's squares and the rotation_rows u."""
+    A, B, C = squares
     p1 = A * u[0][0] ** 2 + C * u[0][2] ** 2
     p2 = A * u[1][0] ** 2 + C * u[1][2] ** 2
     p3 = 0.5 * (A * u[2][0] ** 2 + B * u[2][1] ** 2 + C * u[2][2] ** 2)

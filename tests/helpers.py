@@ -1,12 +1,14 @@
 """Shared test utilities: random channel factories and the golden CLI runs.
 
 Run as a script (`PYTHONPATH=src python tests/helpers.py`) to rewrite the
-golden files under tests/golden/.
+golden files under tests/golden/, the density-200 digests included.
 """
 
+import hashlib
 import math
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
@@ -57,8 +59,33 @@ def run_golden(name, path):
     return cli_main(GOLDEN_COMMANDS[name] + ["--seed", "9", "--out", str(path)])
 
 
+# the same kind of runs at the benchmark's density, pinned by SHA-256 digest
+# only, one `<hex>  <name>` line each (the sha256sum format)
+DIGEST_FILE = GOLDEN_DIR / "density200.sha256"
+DIGEST_COMMANDS = {
+    "sweep-case1.csv": ["sweep-case1", "--density", "200", "--format", "csv"],
+    "sweep-case2.csv": ["sweep-case2", "--density", "200", "--format", "csv"],
+    "sweep-degenerate.csv": ["sweep-degenerate", "--density", "200", "--format", "csv"],
+    "bounds.csv": ["bounds", "--density", "200"],
+}
+
+
+def digest_lines(workdir) -> str:
+    """Run each DIGEST_COMMANDS entry at --seed 9 into `workdir`; return the
+    digest file's text."""
+    lines = []
+    for name, argv in DIGEST_COMMANDS.items():
+        path = pathlib.Path(workdir) / name
+        assert cli_main(argv + ["--seed", "9", "--out", str(path)]) == 0
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n")
+    return "".join(lines)
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in GOLDEN_COMMANDS:
         assert run_golden(name, GOLDEN_DIR / name) == 0
         print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as workdir:
+        DIGEST_FILE.write_text(digest_lines(workdir))
+    print(f"wrote {DIGEST_FILE}", file=sys.stderr)

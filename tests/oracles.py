@@ -1,8 +1,9 @@
 """Reference oracles for the tests: independent, slow and plain.
 
 Each one recomputes something the library does in closed form (branch
-tangles, collapsed states, the channel ket) straight from its definition,
-so a test can compare the two. The library itself never calls them.
+tangles, collapsed states, the channel ket, the resource report) straight
+from its definition or its first plain recipe, so a test can compare the
+two. The library itself never calls them.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from teleportsim.channel import SchmidtChannel
-from teleportsim.scheme import SchemeParams, rotation_from_angles
+from teleportsim.channel import SchmidtChannel, channel_entropy
+from teleportsim.qlinalg import entanglement_from_tangle
+from teleportsim.resources import ResourceReport, classical_cost
+from teleportsim.scheme import SchemeParams, rotation_from_angles, rotation_rows
 from teleportsim.teleport import InputQubit
 
 TOL = SimpleNamespace(psd=1e-10)  # admissible negative eigenvalue magnitude
@@ -86,3 +89,42 @@ def collapsed_closed_form(inp: InputQubit, ch: SchmidtChannel, params: SchemePar
          a2 * u[2, 2] * (-al + be * f2) * r2],
     ], dtype=complex)
     return rows
+
+
+def resource_report_per_branch(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
+    """resource_report by its plain per-branch recipe.
+
+    Each formula block builds its own rotation, the branch entropy is
+    evaluated once per branch (six calls), and the channel entropy is
+    recomputed from the channel. The library's report must equal this one
+    bit for bit.
+    """
+    A, B, C = ch.squares
+    u = rotation_rows(*params.theta)
+    p1 = A * u[0][0] ** 2 + C * u[0][2] ** 2
+    p2 = A * u[1][0] ** 2 + C * u[1][2] ** 2
+    p3 = 0.5 * (A * u[2][0] ** 2 + B * u[2][1] ** 2 + C * u[2][2] ** 2)
+    probs = (p1, p1, p3, p2, p2, p3)
+
+    u = rotation_rows(*params.theta)
+    d1, d2 = params.delta
+    c12 = 4.0 * u[0][1] ** 2 * (u[0][0] ** 2 + u[0][2] ** 2)
+    c12m = 4.0 * u[1][1] ** 2 * (u[1][0] ** 2 + u[1][2] ** 2)
+    c3 = (
+        2.0 * u[2][0] ** 2 * u[2][1] ** 2 * (1.0 - math.cos(d1))
+        + 2.0 * u[2][0] ** 2 * u[2][2] ** 2 * (1.0 - math.cos(d2))
+        + 2.0 * u[2][1] ** 2 * u[2][2] ** 2 * (1.0 - math.cos(d1 + d2))
+    )
+    clip = lambda c: min(max(c, 0.0), 1.0)
+    tangles = (clip(c12), clip(c12), clip(c3), clip(c12m), clip(c12m), clip(c3))
+
+    e12 = float(sum(p * entanglement_from_tangle(c) for p, c in zip(probs, tangles)))
+    h12 = classical_cost(probs)
+    return ResourceReport(
+        e_channel=channel_entropy(ch),
+        e12=e12,
+        h12=h12,
+        tangles=tangles,
+        probabilities=probs,
+        sum=e12 + h12,
+    )

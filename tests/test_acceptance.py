@@ -12,9 +12,11 @@ import pytest
 
 from helpers import (
     DEGENERATE,
+    DIGEST_FILE,
     GOLDEN_COMMANDS,
     GOLDEN_DIR,
     random_capable_channel,
+    digest_lines,
     random_incapable_channel,
     run_golden,
 )
@@ -258,3 +260,9 @@ def test_9_cli_determinism(capsys, tmp_path):
                 contents.append(path.read_bytes())
             assert contents[0] == contents[1]
             assert contents[0] == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_9_density200_digests(tmp_path):
+    """The seeded sweeps and bounds at density 200 match their pinned digests
+    in tests/golden/density200.sha256 (see helpers.DIGEST_COMMANDS)."""
+    assert digest_lines(tmp_path) == DIGEST_FILE.read_text()

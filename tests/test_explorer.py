@@ -262,6 +262,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: theta3 must be finite, got {float(value)}\n"
 
+    @pytest.mark.parametrize("cmd, message", [
+        (["sweep-case1", "--density", "abc"], "--density must be an integer, got 'abc'"),
+        (["sweep-case1", "--density", "2.5"], "--density must be an integer, got '2.5'"),
+        (["verify", "--channel", "0.577,0.577,0.577", "--theta3", "abc"],
+         "--theta3 must be a number, got 'abc'"),
+        (["report", "--channel", "0.577,0.577,0.577", "--theta3", "1e"],
+         "--theta3 must be a number, got '1e'"),
+    ])
+    def test_unparsable_number_exits_1(self, cmd, message, capsys):
+        assert main(cmd) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unknown_flag_exits_64(self, capsys):
         assert main(["verify", "--channel", SYMMETRIC_ARG, "--bogus"]) == 64
         assert main(["no-such-command"]) == 64
@@ -361,6 +375,7 @@ class TestCli:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("cmd", [["sweep-case1", "--density", "1"],
+                                     ["sweep-case1", "--density", "abc"],
                                      ["verify", "--channel", "0.9,0.9,0.9"],
                                      ["report", "--channel", "0.447,0.775,0.447"]])
     def test_bad_seed_outranks_other_errors(self, cmd, capsys):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
-from oracles import qubit_qutrit_tangle
+from oracles import qubit_qutrit_tangle, resource_report_per_branch
+from teleportsim import channel, explorer, resources
 from teleportsim.channel import canonicalize, channel_entropy, make_channel
 from teleportsim.qlinalg import LOG2_3, binary_entropy, bisect
 from teleportsim.resources import (
@@ -27,6 +28,7 @@ from teleportsim.scheme import (
     admissible_theta3,
     assemble_D12,
     constraint_residuals,
+    find_scheme,
     solve_constraints,
 )
 from teleportsim.teleport import InputQubit, run_teleport
@@ -292,3 +294,57 @@ class TestResourceReport:
             assert all(0.0 <= c <= 1.0 for c in rep.tangles)
             assert sum(rep.probabilities) == pytest.approx(1.0, abs=1e-12)
             assert rep.sum == pytest.approx(rep.e12 + rep.h12, abs=1e-15)
+
+
+def _accounting_cases():
+    """(channel, scheme) pairs: 2,000 seeded random capable channels at
+    random theta3, the a0 = 0 ridge at 25 theta1 hints, the face a1^2 = 1/2
+    at 25 splits, and the symmetric point."""
+    rng = np.random.default_rng(909)
+    for _ in range(2000):
+        ch = random_capable_channel(rng)
+        yield ch, _solved(ch, frac=rng.uniform())
+    ridge = make_channel(*DEGENERATE)
+    for t1 in np.linspace(0.0, math.pi / 2, 25).tolist():
+        yield ridge, solve_constraints(ridge, math.pi / 4, theta2_hint=0.0, theta1_hint=t1)
+    for a2sq in np.linspace(0.0, 0.5, 25).tolist():
+        ch = make_channel(math.sqrt(0.5 - a2sq), math.sqrt(0.5), math.sqrt(a2sq))
+        yield ch, find_scheme(ch)
+    ch = make_channel(*SYMMETRIC)
+    yield ch, find_scheme(ch)
+
+
+class TestAccounting:
+    def test_report_equals_per_branch_recipe(self):
+        n = 0
+        for ch, params in _accounting_cases():
+            got = resource_report(ch, params)
+            want = resource_report_per_branch(ch, params)
+            for name in ("e_channel", "e12", "h12", "tangles", "probabilities", "sum"):
+                assert getattr(got, name) == getattr(want, name), (name, ch.a, params)
+            assert repr(got) == repr(want)
+            n += 1
+        assert n == 2051
+
+    def test_each_entropy_computed_once(self, monkeypatch):
+        tangles, channels = [], []
+
+        def counted(calls, fn):
+            def wrapper(arg):
+                calls.append(arg)
+                return fn(arg)
+            return wrapper
+
+        monkeypatch.setattr(resources, "entanglement_from_tangle",
+                            counted(tangles, resources.entanglement_from_tangle))
+        monkeypatch.setattr(channel, "channel_entropy",
+                            counted(channels, channel.channel_entropy))
+        ch = make_channel(*SYMMETRIC)
+        resource_report(ch, _solved(ch, frac=0.3))
+        assert 1 <= len(tangles) <= 3
+
+        channels.clear()
+        result = explorer.sweep_case1(density=6, seed=4)
+        swept = list(dict.fromkeys((r.a0, r.a1, r.a2) for r in result.records))
+        assert len(swept) == 6
+        assert [c.a for c in channels] == swept
