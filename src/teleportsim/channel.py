@@ -43,7 +43,10 @@ def make_channel(a0: float, a1: float, a2: float, *, norm_tol: float = 1e-9) -> 
         raise ValueError("Schmidt coefficients must be finite")
     if np.any(a < 0.0):
         raise ValueError(f"negative Schmidt coefficient in {a.tolist()}")
-    s = float(np.sum(a * a))
+    if a0 <= 1e150 and a1 <= 1e150 and a2 <= 1e150:
+        s = float(np.sum(a * a))
+    else:  # a * a could overflow with a numpy warning; Python floats go to inf
+        s = sum(x * x for x in a.tolist())  # numpy's order for three terms
     if abs(s - 1.0) > norm_tol:
         raise ValueError(f"Schmidt coefficients not normalized: sum of squares = {s}")
     a = a / np.sqrt(s)

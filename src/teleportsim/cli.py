@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -49,6 +50,30 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+# a value argparse would read as a flag of its own: a minus sign, then a
+# digit, a point and a digit, or inf / nan in any case
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """argv with `--flag -X` written `--flag=-X` when -X looks like a negative
+    number, or a triple that starts with one.
+
+    argparse reads only -N and -N.N as negative numbers, so `--theta3 -1e-3`
+    or `--channel -0.1,0.7,0.7` would be a flag missing its value. Every long
+    option but --help takes one value; an abbreviated flag is glued too.
+    """
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+                and _NEGATIVE_VALUE.match(arg)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _fmt(x) -> str:
@@ -206,7 +231,7 @@ def _cmd_bounds(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _glue_negative_values(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel import channel_entropy, make_channel
-from .qlinalg import LOG2_3, TOL, bisect
+from .qlinalg import LOG2_3, TOL, _FAR_MARGIN, bisect
 from .resources import lower_bound_sum, resource_report, upper_bound_sum
 from .scheme import (
     InfeasibleError,
@@ -190,9 +190,18 @@ def sweep_degenerate(density: int, seed: int) -> SweepResult:
 
 
 def _a1_from_entropy(e: float) -> float:
-    """Invert channel entropy on the a2 = a1 slice (a1^2 in [1/3, 1/2])."""
+    """Invert channel entropy on the a2 = a1 slice (a1^2 in [1/3, 1/2]).
+
+    Each bisection step first takes the slice entropy in plain floats and is
+    settled by it when that lies more than _FAR_MARGIN from e; only the steps
+    nearer the crossing build the channel and read channel_entropy.
+    """
     def above(b):  # entropy decreases from log2(3) to 1 as b = a1^2 grows
-        ch = make_channel(math.sqrt(max(1.0 - 2.0 * b, 0.0)), math.sqrt(b), math.sqrt(b))
+        c = 1.0 - 2.0 * b  # a0^2, whose term is 0 at c = 0
+        h = -2.0 * b * math.log2(b) - (c * math.log2(c) if c > 0.0 else 0.0)
+        if abs(h - e) > _FAR_MARGIN:
+            return h > e
+        ch = make_channel(math.sqrt(c), math.sqrt(b), math.sqrt(b))
         return channel_entropy(ch) > e
 
     return math.sqrt(bisect(above, 1.0 / 3.0, 0.5))

