@@ -43,10 +43,11 @@ def make_channel(a0: float, a1: float, a2: float, *, norm_tol: float = 1e-9) -> 
         raise ValueError("Schmidt coefficients must be finite")
     if np.any(a < 0.0):
         raise ValueError(f"negative Schmidt coefficient in {a.tolist()}")
-    if a0 <= 1e150 and a1 <= 1e150 and a2 <= 1e150:
-        s = float(np.sum(a * a))
-    else:  # a * a could overflow with a numpy warning; Python floats go to inf
-        s = sum(x * x for x in a.tolist())  # numpy's order for three terms
+    # Python floats, so a square that overflows is inf without a numpy warning;
+    # added left to right, numpy's order for three terms (sum() would not be
+    # on Python 3.12+, which compensates float sums)
+    x, y, z = a.tolist()
+    s = x * x + y * y + z * z
     if abs(s - 1.0) > norm_tol:
         raise ValueError(f"Schmidt coefficients not normalized: sum of squares = {s}")
     a = a / np.sqrt(s)

@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         # is the one that runs
         sweep = {"sweep-case1": sweep_case1, "sweep-case2": sweep_case2,
                  "sweep-degenerate": sweep_degenerate}[args.command]
-        _emit_sweep(sweep(args.density, seed), args.format, args.out)
+        _emit_sweep(sweep(args.density), args.format, args.out)
         return EXIT_OK
     except (InfeasibleError, CapabilityError, CorrectionError) as exc:
         sys.stderr.write(f"infeasible: {exc}\n")

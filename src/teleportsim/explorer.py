@@ -7,13 +7,15 @@ Three sweeps cover the documented channel families:
   have theta2 = 0);
 * degenerate — a0 = 0, sweeping the free angle theta1.
 
-Each sweep takes (density, seed) and rejects a density below 2. A family
-only lists its channels and each channel's solve_constraints points; one
-driver, _sweep, does the rest for all three. It solves a channel's points one
-by one, certifies them in stacks of at most _BLOCK schemes, each on its own
-Haar-random input, and accounts each record that passes the fidelity gate
-with one resource_report call. Every emitted record passes an exact fidelity
-check; infeasible points are counted and reported, never fatal.
+Each sweep takes a density and rejects one below 2; it draws no random
+numbers, so its output depends on the density alone. A family only lists its
+channels and each channel's solve_constraints points; one driver, _sweep,
+does the rest for all three. It solves a channel's points one by one,
+certifies them in stacks of at most _BLOCK schemes with the input-free
+certify_stack, which covers every input qubit at once, and accounts each
+record that passes the gate with one resource_report call. Every emitted
+record teleports every input with fidelity at least 1 - TOL.unitary;
+infeasible points are counted and reported, never fatal.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .scheme import (
     free_theta2_window,
     solve_constraints,
 )
-from .teleport import certify_schemes, random_input
+from .teleport import STACK_BOUND, certify_stack
 
 # number of scheme-angle samples per swept channel
 _INNER_GRID = 5
@@ -95,17 +97,16 @@ def _distinct(values):
             yield v
 
 
-def _sweep(seed: int, channels) -> SweepResult:
+def _sweep(channels) -> SweepResult:
     """The sweep driver: `channels` yields (ch, bound_upper, points), each
     point a (theta3, hints) pair for solve_constraints(ch, theta3, **hints);
     a channel with no points (an empty window) counts as one skipped point.
 
     Each point is solved in turn, infeasible ones skipped. The solved schemes
     are certified in stacks of at most _BLOCK, a stack never spanning two
-    channels, each scheme on its own Haar-random input. A record is emitted
-    for each scheme that passes the fidelity gate; the rest are skipped.
+    channels, by certify_stack. A record is emitted for each scheme whose
+    deviation is at most STACK_BOUND; the rest are skipped.
     """
-    rng = np.random.default_rng(seed)
     records: list[SweepRecord] = []
     skipped = 0
     for ch, bound_upper, points in channels:
@@ -121,9 +122,8 @@ def _sweep(seed: int, channels) -> SweepResult:
                 skipped += 1
             if not schemes or (len(schemes) < _BLOCK and n < len(points)):
                 continue  # certify once the stack is full or the channel ends
-            fids = certify_schemes([random_input(rng) for _ in schemes], ch, schemes)
-            for params, fid in zip(schemes, fids.min(axis=-1).tolist()):
-                if not (fid >= 1.0 - TOL.unitary):  # fail closed: NaN does not pass
+            for params, dev in zip(schemes, certify_stack(ch, schemes).tolist()):
+                if not (dev <= STACK_BOUND):  # fail closed: NaN does not pass
                     skipped += 1
                     continue
                 res = resource_report(ch, params)
@@ -137,13 +137,13 @@ def _sweep(seed: int, channels) -> SweepResult:
     return SweepResult(records=tuple(records), skipped=skipped)
 
 
-def sweep_case1(density: int, seed: int) -> SweepResult:
+def sweep_case1(density: int) -> SweepResult:
     """Channels with a2 = a1 over the canonical range a1^2 in [1/3, 1/2].
 
     theta3 is pinned by the channel; theta2 is swept across its feasible
     window, always including theta2 = pi/4 (the optimal-curve rows).
     """
-    return _sweep(seed, _case1_channels(density))
+    return _sweep(_case1_channels(density))
 
 
 def _case1_channels(density: int):
@@ -163,9 +163,9 @@ def _case1_channels(density: int):
         yield ch, upper_bound_sum(math.sqrt(a1sq)), points
 
 
-def sweep_case2(density: int, seed: int) -> SweepResult:
+def sweep_case2(density: int) -> SweepResult:
     """Channels with a1 = 1/sqrt(2), sweeping a2^2 in [0, 1/2] and theta3."""
-    return _sweep(seed, _case2_channels(density))
+    return _sweep(_case2_channels(density))
 
 
 def _case2_channels(density: int):
@@ -181,12 +181,12 @@ def _case2_channels(density: int):
         yield ch, None, [(math.asin(math.sqrt(u)), {}) for u in _distinct(us)]
 
 
-def sweep_degenerate(density: int, seed: int) -> SweepResult:
+def sweep_degenerate(density: int) -> SweepResult:
     """The a0 = 0 channel swept over the free angle theta1 in [0, pi/2]."""
     grid = _grid(0.0, math.pi / 2, density).tolist()
     ch = make_channel(0.0, math.sqrt(0.5), math.sqrt(0.5))
     points = [(math.pi / 4, {"theta2_hint": 0.0, "theta1_hint": t1}) for t1 in grid]
-    return _sweep(seed, [(ch, None, points)])
+    return _sweep([(ch, None, points)])
 
 
 def _a1_from_entropy(e: float) -> float:

@@ -6,6 +6,7 @@ floating-point 1 (to 1e-10), never as sampled statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,12 +205,52 @@ def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> T
     return run_with_basis(inp, ch.a, basis)
 
 
-def certify_schemes(inputs, ch: SchmidtChannel, schemes) -> np.ndarray:
-    """run_teleport for k schemes on one channel as one stack: input j is sent
-    with scheme j. Returns the branch fidelities, (k, 6)."""
+# certify_stack's gate: a record whose worst deviation is at most this has
+# fidelity at least 1 - TOL.unitary for every input (see certify_stack)
+STACK_BOUND = TOL.unitary / (4.0 * math.sqrt(6.0))
+
+
+def certify_stack(ch: SchmidtChannel, schemes) -> np.ndarray:
+    """The input-free certificate for k schemes on one channel: each record's
+    worst deviation from perfect teleportation, (k,).
+
+    Branch j collapses the input q = (alpha, beta) to alpha*va + beta*vb
+    (branch_components), so Bob's output is W.[va vb].q. With the branch
+    probability p = (|va|^2 + |vb|^2) / 2 (every input's, once the kernel
+    has checked |va| = |vb| and va orthogonal to vb), take the 3x2 matrix
+    M = W.[va vb] / sqrt(p). A branch's deviation is the largest entry of
+    |M - c'.[I; 0]|, with c' = M[0, 0] / |M[0, 0]| (1 if that is 0); zero
+    branches (p <= TOL.zero_branch) count as 0, as certify counts their
+    fidelity as 1. A NaN anywhere gives a NaN deviation.
+
+    Why STACK_BOUND suffices: write M = c'.[I; 0] + E with every |E_ik| <=
+    eps. For a unit input q with target t = (q, 0), Mq = c't + Eq and
+    |Eq| <= ||E||_F <= sqrt(6) eps = x, so |<t, Mq>| >= 1 - x and |Mq| <= 1 + x.
+    The output's fidelity |<t, Mq>|^2 / |Mq|^2 (|Mq|^2 is that input's branch
+    probability over p, W being unitary) is then at least
+    (1 - x)^2 / (1 + x)^2 >= 1 - 4x, and eps <= TOL.unitary / (4 sqrt 6)
+    gives 1 - TOL.unitary, for every input at once.
+
+    Keeps run_teleport's checks: the bases' unitarity (measurement_bases),
+    the kernel's equal-weight, orthogonality and unitarity checks, and each
+    record's probabilities summing to 1 (else ValueError).
+    """
     _require_capable(ch)
-    vectors = np.array([(inp.alpha, inp.beta) for inp in inputs], dtype=complex)
-    return certify(vectors, ch.a, measurement_bases(schemes))[1]
+    comps = branch_components(ch.a, measurement_bases(schemes))
+    w = _corrections(comps.reshape(-1, 2, 3)).reshape(*comps.shape[:2], 3, 3)
+    p = 0.5 * np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=(-2, -1))
+    if not (np.abs(p.sum(axis=-1) - 1.0) <= TOL.entry).all():
+        raise ValueError("branch probabilities do not sum to 1")
+    # the entries of |W.[va vb] - c'.sqrt(p).[I; 0]|, scaled by 1/sqrt(p) last
+    out = w @ comps.swapaxes(-1, -2)
+    dev = np.abs(out)
+    r, sp = dev[..., 0, 0], np.sqrt(p)
+    target = np.divide(sp * out[..., 0, 0], r, out=sp.astype(complex), where=r > 0.0)
+    dev[..., 1, 1] = np.abs(out[..., 1, 1] - target)
+    dev[..., 0, 0] = np.abs(r - sp)
+    zero = p <= TOL.zero_branch
+    dev = dev.max(axis=(-2, -1)) / np.where(zero, 1.0, sp)
+    return np.where(zero, 0.0, dev).max(axis=-1)
 
 
 def certify(vectors, coeffs, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:

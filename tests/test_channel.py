@@ -56,11 +56,18 @@ class TestMakeChannel:
             make_channel(*a)
 
     def test_large_square_sum_reported(self):
-        # past the 1e150 overflow guard the sum of squares is still numpy's,
+        # near overflow the sum of squares is still numpy's,
         # 1.1300000000000002e+304 (another order of the three terms gives 1.13e+304)
         a = np.array([1e152, 3e151, 2e151])
         with pytest.raises(ValueError, match=re.escape(f"sum of squares = {float(np.sum(a * a))}")):
             make_channel(*a.tolist())
+
+    def test_rescale_matches_numpy(self, rng):
+        # the plain-float sum of squares rescales exactly as numpy's would
+        for _ in range(2000):
+            a = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0])) * (1.0 + rng.uniform(-1e-10, 1e-10))
+            want = tuple((a / np.sqrt(np.sum(a * a))).tolist())
+            assert make_channel(*a.tolist()).a == want
 
 
 class TestEntropy:

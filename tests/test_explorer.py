@@ -1,5 +1,7 @@
 import json
 import math
+import pickle
+import random
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from teleportsim.explorer import (
 from teleportsim.qlinalg import LOG2_3
 from teleportsim.resources import gour_e12_case1, gour_e12_case2
 from teleportsim.scheme import InfeasibleError
-from teleportsim.teleport import random_input
 
 E12_BALANCED = 0.9056390622295664
 SUM_UPPER_AT_HALF = 3.4056390622295667
@@ -35,13 +36,13 @@ def _check_records(result):
 
 class TestSweeps:
     def test_case1_records_respect_bounds(self):
-        result = sweep_case1(density=40, seed=1)
+        result = sweep_case1(density=40)
         _check_records(result)
         assert result.skipped == 0
 
     def test_case1_optimal_rows_meet_upper_bound(self):
         # the theta2 = pi/4 rows of each channel sit exactly on the upper curve
-        result = sweep_case1(density=25, seed=1)
+        result = sweep_case1(density=25)
         on_curve = [r for r in result.records
                     if abs(math.sin(r.theta2) ** 2 - 0.5) <= 1e-12]
         assert len(on_curve) >= 25
@@ -49,14 +50,14 @@ class TestSweeps:
             assert r.sum == pytest.approx(r.bound_upper, abs=1e-9)
 
     def test_case2_records_respect_bounds(self):
-        result = sweep_case2(density=40, seed=2)
+        result = sweep_case2(density=40)
         _check_records(result)
         assert result.skipped == 0
         assert all(r.bound_upper is None for r in result.records)
         assert all(abs(r.a1**2 - 0.5) <= 1e-12 for r in result.records)
 
     def test_degenerate_profile(self):
-        result = sweep_degenerate(41, seed=3)
+        result = sweep_degenerate(41)
         assert result.skipped == 0
         sums = [r.sum for r in result.records]
         # endpoints reach the two-qubit floor, the midpoint the maximum
@@ -69,41 +70,41 @@ class TestSweeps:
 
     def test_density_validated(self):
         with pytest.raises(ValueError):
-            sweep_case1(density=1, seed=0)
+            sweep_case1(density=1)
         with pytest.raises(ValueError):
-            sweep_case2(density=0, seed=0)
+            sweep_case2(density=0)
         for density in (1, 0):
             with pytest.raises(ValueError, match="density must be at least 2"):
-                sweep_degenerate(density, seed=0)
+                sweep_degenerate(density)
 
 
 def _sweeps(n_degenerate=9):
     """Each sweep on a small grid, as (name, thunk)."""
-    return [("case1", lambda: sweep_case1(density=6, seed=4)),
-            ("case2", lambda: sweep_case2(density=6, seed=4)),
-            ("degenerate", lambda: sweep_degenerate(n_degenerate, seed=4))]
+    return [("case1", lambda: sweep_case1(density=6)),
+            ("case2", lambda: sweep_case2(density=6)),
+            ("degenerate", lambda: sweep_degenerate(n_degenerate))]
 
 
 class TestSweepStacks:
     """Each sweep certifies a channel's solved schemes in stacks of at most
     _BLOCK: one correction-kernel call per stack, every stack full but a
-    channel's last, the gate applied record by record, inputs drawn as
-    successive random_input calls, one resource_report call per record."""
+    channel's last, the gate applied record by record, no random numbers
+    drawn, one resource_report call per record."""
 
     def test_one_kernel_call_per_channel_or_block(self, monkeypatch):
         calls, stacks = [], []
-        kernel, certify = teleport._corrections, explorer.certify_schemes
+        kernel, certify = teleport._corrections, explorer.certify_stack
 
         def spy(comps):
             calls.append(len(comps))
             return kernel(comps)
 
-        def spy_stacks(inputs, ch, schemes):
+        def spy_stacks(ch, schemes):
             stacks.append((ch.a, len(schemes)))
-            return certify(inputs, ch, schemes)
+            return certify(ch, schemes)
 
         monkeypatch.setattr(teleport, "_corrections", spy)
-        monkeypatch.setattr(explorer, "certify_schemes", spy_stacks)
+        monkeypatch.setattr(explorer, "certify_stack", spy_stacks)
         block = explorer._BLOCK
         for name, run in _sweeps(n_degenerate=2 * block + 3):
             calls.clear()
@@ -143,21 +144,22 @@ class TestSweepStacks:
     def test_gate_skips_only_the_failing_record(self, name, monkeypatch):
         run = dict(_sweeps())[name]
         want = run()
-        certify = explorer.certify_schemes
+        certify = explorer.certify_stack
         before, forced = [], []
 
-        def below_gate(inputs, ch, schemes):
-            fids = certify(inputs, ch, schemes)
+        def past_gate(ch, schemes):
+            devs = certify(ch, schemes)
             if not forced and len(schemes) >= 3:
-                # the first stack of three or more: its second record just
-                # below the gate, its third with a NaN fidelity
-                fids[1, 3] = 1.0 - 2e-10
-                fids[2, 0] = math.nan
+                # the first stack of three or more: its first record exactly
+                # on the bound, its second just past it, its third NaN
+                devs[0] = explorer.STACK_BOUND
+                devs[1] = np.nextafter(explorer.STACK_BOUND, np.inf)
+                devs[2] = math.nan
                 forced.append(sum(before))
             before.append(len(schemes))
-            return fids
+            return devs
 
-        monkeypatch.setattr(explorer, "certify_schemes", below_gate)
+        monkeypatch.setattr(explorer, "certify_stack", past_gate)
         got = run()
         assert forced and want.skipped == 0
         i = forced[0]
@@ -182,19 +184,18 @@ class TestSweepStacks:
         assert got.records == tuple(r for r in want.records if (r.a0, r.a1, r.a2) != refused[0])
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
-    def test_inputs_are_successive_draws(self, name, monkeypatch):
-        seen = []
-        certify = explorer.certify_schemes
+    def test_no_random_numbers_drawn(self, name, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a sweep drew random numbers")
 
-        def record_inputs(inputs, ch, schemes):
-            seen.extend(inputs)
-            return certify(inputs, ch, schemes)
-
-        monkeypatch.setattr(explorer, "certify_schemes", record_inputs)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(teleport, "random_input", no_draws)
+        # and neither global generator moves
+        legacy, stdlib = pickle.dumps(np.random.get_state()), random.getstate()
         result = dict(_sweeps())[name]()
-        rng = np.random.default_rng(4)
-        assert len(seen) == len(result.records) + result.skipped
-        assert seen == [random_input(rng) for _ in seen]
+        assert result.records
+        assert pickle.dumps(np.random.get_state()) == legacy
+        assert random.getstate() == stdlib
 
 
 class TestBoundsTable:
@@ -279,17 +280,21 @@ class TestGourComparison:
         return least
 
     def test_case1(self):
-        least = self._min_e12(sweep_case1(50, seed=0))
+        least = self._min_e12(sweep_case1(50))
         assert len(least) == 50
-        # the a0 = 0 channel is left out: its only record (theta2 = pi/2) has
-        # E12 = 1, above Gour's H(2/3) = 0.918, while acceptance 5 finds 0.906
-        # at a0 = 1e-4
-        del least[0.0, math.sqrt(0.5), math.sqrt(0.5)]
+        # case 1 sweeps the a0 = 0 channel at one point (theta2 = pi/2, E12 =
+        # 1); the degenerate sweep covers its free angle theta1, down to
+        # 0.90572 against Gour's H(2/3) = 0.91830
+        degenerate = self._min_e12(sweep_degenerate(50))
+        a = (0.0, math.sqrt(0.5), math.sqrt(0.5))
+        assert list(degenerate) == [a]
+        least[a] = min(least[a], degenerate[a])
+        assert least[a] == pytest.approx(0.90572, abs=1e-5)
         for (a0, a1, a2), e12 in least.items():
             assert e12 <= gour_e12_case1(a1) + 1e-12, (a0, a1, a2)
 
     def test_case2(self):
-        least = self._min_e12(sweep_case2(50, seed=0))
+        least = self._min_e12(sweep_case2(50))
         assert len(least) == 50
         for (a0, a1, a2), e12 in least.items():
             assert e12 <= gour_e12_case2(a0, a2) + 1e-12, (a0, a1, a2)
@@ -408,7 +413,7 @@ class TestCli:
         float(first[0])  # parseable payload
 
     def test_sweep_csv_streamed_line_by_line(self, tmp_path, capsys):
-        result = sweep_case2(density=6, seed=5)
+        result = sweep_case2(density=6)
         lines = list(sweep_csv_lines(result))
         assert len(lines) == len(result.records) + 2
         assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
@@ -458,6 +463,15 @@ class TestCli:
                 assert main(cmd + ["--seed", "11", "--out", str(p)]) == 0
                 contents.append(p.read_bytes())
             assert contents[0] == contents[1]
+
+    @pytest.mark.parametrize("command", ["sweep-case1", "sweep-case2", "sweep-degenerate"])
+    def test_sweep_output_ignores_seed(self, command, tmp_path):
+        contents = []
+        for seed in ("0", "12345"):
+            p = tmp_path / f"{seed}.csv"
+            assert main([command, "--density", "12", "--seed", seed, "--out", str(p)]) == 0
+            contents.append(p.read_bytes())
+        assert contents[0] == contents[1]
 
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("TELEPORTSIM_SEED", "42")

@@ -344,7 +344,7 @@ class TestAccounting:
         assert 1 <= len(tangles) <= 3
 
         channels.clear()
-        result = explorer.sweep_case1(density=6, seed=4)
+        result = explorer.sweep_case1(density=6)
         swept = list(dict.fromkeys((r.a0, r.a1, r.a2) for r in result.records))
         assert len(swept) == 6
         assert [c.a for c in channels] == swept

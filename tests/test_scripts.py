@@ -36,9 +36,9 @@ def test_run_sweeps(tmp_path):
     stdout = _run("run_sweeps.py", "--density", str(POINTS), "--outdir", str(out),
                   cwd=tmp_path).stdout
     sweeps = {
-        "sweep_case1.csv": sweep_case1(POINTS, 0),
-        "sweep_case2.csv": sweep_case2(POINTS, 0),
-        "sweep_degenerate.csv": sweep_degenerate(POINTS, 0),
+        "sweep_case1.csv": sweep_case1(POINTS),
+        "sweep_case2.csv": sweep_case2(POINTS),
+        "sweep_degenerate.csv": sweep_degenerate(POINTS),
     }
     assert sorted(p.name for p in out.iterdir()) == sorted([*sweeps, "bounds.csv"])
     for name, result in sweeps.items():
@@ -58,7 +58,7 @@ def test_run_sweeps(tmp_path):
 def test_degenerate_profile(tmp_path):
     lines = _run("degenerate_profile.py", "--points", str(POINTS), cwd=tmp_path).stdout.splitlines()
     assert lines[0].split() == ["theta1", "E12", "H12", "sum"]
-    records = sweep_degenerate(POINTS, 0).records
+    records = sweep_degenerate(POINTS).records
     assert len(records) == POINTS
     rows = [[float(x) for x in line.split()] for line in lines[1:1 + POINTS]]
     for row, r in zip(rows, records):
@@ -78,3 +78,11 @@ def test_grid_below_2_is_a_usage_error(script, flag, value, tmp_path):
     assert proc.stderr.splitlines()[-1].endswith(f"error: {flag} must be at least 2")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "data").exists()  # run_sweeps' default --outdir
+
+
+@pytest.mark.parametrize("script", ["run_sweeps.py", "degenerate_profile.py"])
+def test_no_seed_flag(script, tmp_path):
+    # the sweeps draw no random numbers, so neither script takes a seed
+    proc = _run(script, "--seed", "0", cwd=tmp_path, returncode=2)
+    assert "unrecognized arguments: --seed 0" in proc.stderr
+    assert not (tmp_path / "data").exists()

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
 from oracles import channel_ket, collapsed_closed_form
 from teleportsim import teleport
-from teleportsim.channel import canonicalize, is_teleport_capable, make_channel
+from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
+from teleportsim.explorer import sweep_case2
 from teleportsim.qlinalg import TOL
 from teleportsim.scheme import (
     TWO_QUBIT_LABELS,
@@ -32,8 +34,9 @@ from teleportsim.teleport import (
     branch_components,
     branch_corrections,
     branch_probabilities,
+    STACK_BOUND,
     certify,
-    certify_schemes,
+    certify_stack,
     measure_branches,
     random_input,
     run_teleport,
@@ -509,7 +512,8 @@ class TestStackedCertificate:
             ch = random_capable_channel(rng)
             schemes = [_solved(ch, frac=f) for f in rng.uniform(size=5)]
             inputs = [random_input(rng) for _ in schemes]
-            fids = certify_schemes(inputs, ch, schemes)
+            fids = certify(np.array([q.vector() for q in inputs]), ch.a,
+                           measurement_bases(schemes))[1]
             for j, (q, params) in enumerate(zip(inputs, schemes)):
                 assert np.array(run_teleport(q, ch, params).fidelities).tobytes() == fids[j].tobytes()
             stacked = measurement_bases(schemes).vectors
@@ -551,6 +555,159 @@ class TestStackedCertificate:
         bases = [special_case_basis("A", t) for t in (0.1, 0.7)]
         with pytest.raises(ValueError, match="inputs for"):
             certify(random_input(rng).vector(), DEGENERATE, _stacked(bases))
+
+
+def _stack_deviations_loop(ch, schemes):
+    """certify_stack's deviations, one branch at a time: the reference."""
+    out = []
+    for params in schemes:
+        _, basis = assemble_D12(params)
+        comps, ws = branch_components(ch.a, basis), branch_corrections(ch.a, basis)
+        worst = 0.0
+        for (va, vb), w in zip(comps, ws):
+            p = 0.5 * (np.vdot(va, va).real + np.vdot(vb, vb).real)
+            if p <= TOL.zero_branch:
+                continue
+            m = w @ np.array([va, vb]).T / math.sqrt(p)
+            c = m[0, 0] / abs(m[0, 0]) if m[0, 0] != 0 else 1.0
+            worst = max(worst, float(np.abs(m - c * np.eye(3, 2)).max()))
+        out.append(worst)
+    return out
+
+
+def _close_to_loop(devs, ch, schemes):
+    # the stack sums and multiplies in another order: a few ulps of 1 apart
+    ref = _stack_deviations_loop(ch, schemes)
+    np.testing.assert_allclose(devs, ref, rtol=0.0, atol=8 * np.finfo(float).eps)
+
+
+def _faulty_kernel(monkeypatch, rows, fault):
+    """Let `fault(w, va)` edit the correction of each branch row in `rows` of
+    the kernel's first call, after the kernel's own checks have passed."""
+    calls = []
+
+    def faulty(comps):
+        w = _corrections(comps)
+        if not calls:
+            for row in rows:
+                fault(w[row], comps[row, 0])
+        calls.append(len(comps))
+        return w
+
+    monkeypatch.setattr(teleport, "_corrections", faulty)
+
+
+def _entry_error(w, va):
+    # 1e-9 on the row-0 entry that meets va's largest component
+    w[0, np.abs(va).argmax()] += 1e-9
+
+
+def _relative_phase(w, va):
+    # a phase on row 1 turns alpha|0> + beta|1> into alpha|0> + e^(i phi) beta|1>;
+    # W stays unitary and every fidelity stays 1 to within 1e-18
+    w[1] *= cmath.exp(1e-9j)
+
+
+class TestStackCertificate:
+    """certify_stack certifies k schemes on one channel for every input at
+    once; a record within STACK_BOUND teleports every input with fidelity at
+    least 1 - TOL.unitary."""
+
+    @pytest.mark.parametrize("kind", ["random", "face", "symmetric"])
+    def test_valid_stacks_pass_and_match_loop(self, kind, rng):
+        if kind == "random":
+            channels = [random_capable_channel(rng) for _ in range(5)]
+        elif kind == "face":
+            channels = [canonicalize(make_channel(math.sqrt(0.3), math.sqrt(0.5),
+                                                  math.sqrt(0.2)))[0]]
+        else:
+            channels = [make_channel(*SYMMETRIC)]
+        for ch in channels:
+            schemes = [_solved(ch, frac=f) for f in (0.0, *rng.uniform(size=3), 1.0)]
+            devs = certify_stack(ch, schemes)
+            assert devs.shape == (5,)
+            assert devs.max() <= STACK_BOUND
+            _close_to_loop(devs, ch, schemes)
+
+    def test_zero_branches_count_as_zero(self):
+        ch = make_channel(*DEGENERATE)
+        t1s = np.linspace(0.0, math.pi / 2, 7).tolist()
+        schemes = [solve_constraints(ch, math.pi / 4, theta2_hint=0.0, theta1_hint=t) for t in t1s]
+        devs = certify_stack(ch, schemes)
+        assert devs.max() <= STACK_BOUND
+        _close_to_loop(devs, ch, schemes)
+
+    def test_bound_holds_every_input(self, monkeypatch, rng):
+        # a unitary error of size eps on one correction: certify's fidelity for
+        # every input stays within the docstring's 4 sqrt(6) x deviation
+        ch = random_capable_channel(rng)
+        schemes = [_solved(ch, frac=f) for f in (0.2, 0.5, 0.8)]
+        for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+            h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            vals, vecs = np.linalg.eigh(h + h.conj().T)
+            u = (vecs * np.exp(1j * eps * vals / np.abs(vals).max())) @ vecs.conj().T
+
+            def rotate(w, va):
+                w[:] = u @ w
+
+            _faulty_kernel(monkeypatch, [6 + 4], rotate)
+            dev = certify_stack(ch, schemes)[1]
+            # 200 inputs, each through scheme 1 with the same faulty branch 4
+            _faulty_kernel(monkeypatch, range(4, 6 * 200, 6), rotate)
+            inputs = np.array([random_input(rng).vector() for _ in range(200)])
+            bases = _stacked([assemble_D12(schemes[1])[1]] * 200)
+            worst = certify(inputs, ch.a, bases)[1].min()
+            assert 1.0 - worst <= 4.0 * math.sqrt(6.0) * dev + 1e-15
+            if eps >= 1e-9:
+                assert dev > STACK_BOUND
+
+    @pytest.mark.parametrize("fault", [_entry_error, _relative_phase])
+    def test_fault_after_kernel_checks_fails(self, fault, monkeypatch, rng):
+        ch = random_capable_channel(rng)
+        schemes = [_solved(ch, frac=f) for f in (0.2, 0.5, 0.8)]
+        want = certify_stack(ch, schemes)
+        _faulty_kernel(monkeypatch, [6 + 4], fault)  # record 1, branch 4
+        devs = certify_stack(ch, schemes)
+        assert devs[1] > STACK_BOUND
+        assert devs[[0, 2]].tolist() == want[[0, 2]].tolist()
+
+    def test_relative_phase_invisible_to_fidelity(self, monkeypatch, rng):
+        # the phase fault moves no fidelity, so only the certificate sees it
+        ch = random_capable_channel(rng)
+        params = _solved(ch)
+        _faulty_kernel(monkeypatch, [4], _relative_phase)
+        rep = run_teleport(InputQubit(alpha=R2, beta=R2), ch, params)
+        assert min(rep.fidelities) >= 1.0 - 1e-15
+
+    @pytest.mark.parametrize("fault", [_entry_error, _relative_phase])
+    def test_fault_skips_its_sweep_record(self, fault, monkeypatch):
+        want = sweep_case2(6)
+        _faulty_kernel(monkeypatch, [6 + 4], fault)  # the first stack's record 1
+        got = sweep_case2(6)
+        assert want.skipped == 0 and got.skipped == 1
+        assert got.records == want.records[:1] + want.records[2:]
+
+    def test_checks_kept(self, rng):
+        ch = random_capable_channel(rng)
+        with pytest.raises(CapabilityError):
+            certify_stack(make_channel(math.sqrt(0.2), math.sqrt(0.6), math.sqrt(0.2)),
+                          [_solved(ch)])
+        with pytest.raises(CorrectionError):  # a unitary basis solving no constraint
+            certify_stack(ch, [_solved(ch), SchemeParams(theta=(0.3, 0.4, 0.5), delta=(0.1, 0.2))])
+        # a channel off the unit sphere (SchmidtChannel skips make_channel's check)
+        scaled = SchmidtChannel(a=tuple(1.04 * x for x in SYMMETRIC))
+        with pytest.raises(ValueError, match="sum to 1"):
+            certify_stack(scaled, [_solved(make_channel(*SYMMETRIC))])
+
+    def test_nan_fails_closed(self, monkeypatch, rng):
+        def nan_entry(w, va):
+            w[2, 0] = math.nan
+
+        ch = random_capable_channel(rng)
+        schemes = [_solved(ch, frac=f) for f in (0.2, 0.5)]
+        _faulty_kernel(monkeypatch, [6 + 1], nan_entry)
+        devs = certify_stack(ch, schemes)
+        assert devs[0] <= STACK_BOUND and math.isnan(devs[1])
 
 
 class TestClosedFormOracles:
