@@ -79,9 +79,11 @@ def canonicalize(ch: SchmidtChannel) -> tuple[SchmidtChannel, tuple[int, int, in
     Returns the canonical channel and the permutation perm, with canonical
     a[i] = ch.a[perm[i]]. perm swaps index 1 with the maximum, so it is its
     own inverse. Ties break toward the permutation closest to identity
-    (stable argmax), so repeated runs produce identical output.
+    (the first maximum, as np.argmax), so repeated runs produce identical
+    output.
     """
-    imax = int(np.argmax(ch.squares))
+    a, b, c = ch.squares
+    imax = 0 if a >= b and a >= c else 1 if b >= c else 2
     perm = [0, 1, 2]
     perm[1], perm[imax] = perm[imax], perm[1]
     return SchmidtChannel(a=tuple(ch.a[i] for i in perm)), tuple(perm)

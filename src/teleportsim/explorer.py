@@ -86,6 +86,13 @@ def _grid(lo: float, hi: float, density: int) -> np.ndarray:
     return np.linspace(lo, hi, density)
 
 
+def _inner_grid(lo: float, hi: float) -> list[float]:
+    """np.linspace(lo, hi, _INNER_GRID) in plain floats, bit for bit: point i
+    is i * step + lo, and the last is hi."""
+    step = (hi - lo) / (_INNER_GRID - 1)
+    return [i * step + lo for i in range(_INNER_GRID - 1)] + [hi]
+
+
 def _distinct(values):
     """The values in order, each dropped when one before it rounds to the
     same number at 15 decimals."""
@@ -158,7 +165,7 @@ def _case1_channels(density: int):
         except InfeasibleError:
             yield ch, None, ()
             continue
-        wgrid = [min(max(0.5, wlo), whi), *np.linspace(wlo, whi, _INNER_GRID)]
+        wgrid = [min(max(0.5, wlo), whi), *_inner_grid(wlo, whi)]
         points = [(theta3, {"theta2_hint": math.asin(math.sqrt(w))}) for w in _distinct(wgrid)]
         yield ch, upper_bound_sum(math.sqrt(a1sq)), points
 
@@ -177,7 +184,7 @@ def _case2_channels(density: int):
         except InfeasibleError:
             yield ch, None, ()
             continue
-        us = np.linspace(ulo, uhi, _INNER_GRID).tolist()
+        us = _inner_grid(ulo, uhi)
         yield ch, None, [(math.asin(math.sqrt(u)), {}) for u in _distinct(us)]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .channel import SchmidtChannel
 from .qlinalg import LOG2_3, TOL, _FAR_MARGIN, binary_entropy, bisect, entanglement_from_tangle
-from .scheme import SchemeParams, rotation_rows
+from .scheme import SchemeParams
 from .teleport import _probabilities
 
 # affine piece of the lower bound: f2(E) = K_SLOPE * E + B_INTERCEPT,
@@ -77,11 +77,11 @@ def classical_cost(probabilities) -> float:
 
 def branch_tangles(params: SchemeParams) -> tuple[float, ...]:
     """Closed-form tangles of the six basis rows, in label order."""
-    return _tangles(rotation_rows(*params.theta), params.delta)
+    return _tangles(params.rotation, params.delta)
 
 
 def _tangles(u, delta) -> tuple[float, ...]:
-    """branch_tangles from the rotation_rows u and the phases delta."""
+    """branch_tangles from a scheme's rotation u and phases delta."""
     d1, d2 = delta
     c12 = 4.0 * u[0][1] ** 2 * (u[0][0] ** 2 + u[0][2] ** 2)
     c12m = 4.0 * u[1][1] ** 2 * (u[1][0] ** 2 + u[1][2] ** 2)
@@ -210,10 +210,10 @@ def lower_bound_sum(e: float) -> float:
 def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
     """Assemble all resource quantifiers for a solved scheme.
 
-    The rotation is built once for both the probabilities and the tangles,
-    and the channel entropy is the channel's cached ch.entropy.
+    The probabilities and the tangles read the scheme's cached rotation, and
+    the channel entropy is the channel's cached ch.entropy.
     """
-    u = rotation_rows(*params.theta)
+    u = params.rotation
     probs = _probabilities(ch.squares, u)
     tangles = _tangles(u, params.delta)
     e12 = measurement_entanglement(probs, tangles)

@@ -16,8 +16,9 @@ the third row.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -45,14 +46,22 @@ class PhaseInfeasibleError(InfeasibleError):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Angles defining Alice's measurement: rotation and phases (balance angle ZETA)."""
+    """Angles defining Alice's measurement: rotation and phases (balance angle ZETA).
+
+    rotation is rotation_rows(*theta), built once here and read by every
+    per-scheme formula (residuals, basis, probabilities, tangles). It is not an
+    init argument, and equality, hashing, repr and to_json_dict ignore it, so a
+    scheme is still its angles alone.
+    """
 
     theta: tuple[float, float, float]
     delta: tuple[float, float]
+    rotation: list[list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (*self.theta, *self.delta)):
             raise ValueError(f"scheme angles must be finite: {self.theta}, {self.delta}")
+        object.__setattr__(self, "rotation", rotation_rows(*self.theta))
 
     def to_json_dict(self) -> dict:
         return {"theta": list(self.theta), "delta": list(self.delta), "zeta": ZETA}
@@ -94,7 +103,9 @@ def phases_from_weights(p: float, q: float, r: float) -> tuple[float, float]:
     """Solve p + q e^{i d1} + r e^{-i d2} = 0 for (d1, d2).
 
     p, q, r are the nonnegative squared weights of the third-row phasors.
-    The d1 branch with sin(d1) >= 0 is returned.
+    The d1 branch with sin(d1) >= 0 is returned. Plain floats and numpy
+    scalars give the same bits: the complex quotient is taken as numpy takes
+    it.
     """
     total = p + q + r
     for name, val in (("p", p), ("q", q), ("r", r)):
@@ -113,8 +124,12 @@ def phases_from_weights(p: float, q: float, r: float) -> tuple[float, float]:
         return math.pi, 0.0
     cos_d1 = (r * r - p * p - q * q) / (2.0 * p * q)
     d1 = math.acos(min(max(cos_d1, -1.0), 1.0))
-    z = -(p + q * complex(math.cos(d1), math.sin(d1))) / r  # = e^{-i d2}
-    d2 = -math.atan2(z.imag, z.real)
+    # e^{-i d2} = (x + iy) / r with x + iy = -(p + q e^{i d1}), divided as numpy
+    # divides a complex by a real: times 1/r, the imaginary part less x * 0,
+    # which makes y = -0 a +0 when x < 0 (d1 = 0), so that d2 is -pi, not pi
+    x, y = -(p + q * math.cos(d1)), -(q * math.sin(d1))
+    inv = 1.0 / r
+    d2 = -math.atan2((y - x * 0.0) * inv, x * inv)
     return d1, d2
 
 
@@ -222,7 +237,8 @@ def solve_constraints(
         raise ValueError(f"theta3 must be finite, got {theta3}")
     A, B, C = ch.squares
     lo, hi = admissible_theta3(ch)
-    u = math.sin(theta3) ** 2
+    s3 = math.sin(theta3)
+    u = s3 ** 2
     ulo, uhi = math.sin(lo) ** 2, math.sin(hi) ** 2
     if not (ulo - TOL.entry <= u <= uhi + TOL.entry):
         raise InfeasibleError(
@@ -250,8 +266,9 @@ def solve_constraints(
         theta1 = theta1_hint
     else:
         theta1 = 0.5 * math.atan2(ell - k, 2.0 * m)
-    umat = rotation_from_angles(theta1, theta2, theta3)
-    d1, d2 = solve_phases(ch, umat)
+    # the phasor weights from rotation_rows' third row (-s2, c2 s3, c2 c3)
+    c3 = math.cos(theta3)
+    d1, d2 = phases_from_weights(A * (-s2) ** 2, B * (c2 * s3) ** 2, C * (c2 * c3) ** 2)
     params = SchemeParams(theta=(theta1, theta2, theta3), delta=(d1, d2))
     res = constraint_residuals(ch, params)
     if max(res) > TOL.unitary:
@@ -265,16 +282,16 @@ def solve_constraints(
 def constraint_residuals(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, float, float]:
     """Absolute residuals of the two weight-balance equations and the phasor sum."""
     A, B, C = ch.squares
-    u = rotation_rows(*params.theta)
+    u = params.rotation
     d1, d2 = params.delta
     r1 = A * u[0][0] ** 2 + C * u[0][2] ** 2 - B * u[0][1] ** 2
     r2 = A * u[1][0] ** 2 + C * u[1][2] ** 2 - B * u[1][1] ** 2
     r3 = abs(
         A * u[2][0] ** 2
-        + B * u[2][1] ** 2 * np.exp(1j * d1)
-        + C * u[2][2] ** 2 * np.exp(-1j * d2)
+        + B * u[2][1] ** 2 * cmath.exp(1j * d1)
+        + C * u[2][2] ** 2 * cmath.exp(-1j * d2)
     )
-    return abs(r1), abs(r2), float(r3)
+    return abs(r1), abs(r2), r3
 
 
 def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:
@@ -284,27 +301,31 @@ def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:
     (|00>, |01>, |02>, |10>, |11>, |12>). Unitarity is checked once, by
     MeasurementBasis. measurement_bases fills the same layout for k schemes.
     """
-    dmat = np.array(_d12_rows(params), dtype=complex)
+    dmat = np.array(_d12_entries(params), dtype=complex).reshape(6, 6)
     return dmat, MeasurementBasis(vectors=dmat)
 
 
 def measurement_bases(schemes) -> MeasurementBasis:
     """The bases of k schemes as one (k, 6, 6) stack, checked for unitarity in one call."""
-    return MeasurementBasis(vectors=np.array([_d12_rows(p) for p in schemes], dtype=complex))
+    entries = []
+    for params in schemes:
+        entries += _d12_entries(params)
+    return MeasurementBasis(vectors=np.array(entries, dtype=complex).reshape(-1, 6, 6))
 
 
-def _d12_rows(params: SchemeParams) -> list:
-    """The assemble_D12 layout for one scheme, as nested lists."""
-    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = rotation_rows(*params.theta)
-    e1, e2 = np.exp(1j * np.asarray(params.delta)).tolist()
+def _d12_entries(params: SchemeParams) -> list:
+    """The assemble_D12 layout for one scheme: its 36 entries, row by row."""
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = params.rotation
+    d1, d2 = params.delta
+    e1, e2 = cmath.exp(1j * d1), cmath.exp(1j * d2)
     cz, sz = _COS_ZETA, _SIN_ZETA
     return [
-        [u00, 0, u02, 0, u01, 0],
-        [0, u01 * e1, 0, u00, 0, u02 * e2],
-        [u20 * cz, u21 * e1 * sz, u22 * cz, u20 * sz, u21 * cz, u22 * e2 * sz],
-        [u10, 0, u12, 0, u11, 0],
-        [0, u11 * e1, 0, u10, 0, u12 * e2],
-        [-u20 * sz, u21 * e1 * cz, -u22 * sz, u20 * cz, -u21 * sz, u22 * e2 * cz],
+        u00, 0, u02, 0, u01, 0,
+        0, u01 * e1, 0, u00, 0, u02 * e2,
+        u20 * cz, u21 * e1 * sz, u22 * cz, u20 * sz, u21 * cz, u22 * e2 * sz,
+        u10, 0, u12, 0, u11, 0,
+        0, u11 * e1, 0, u10, 0, u12 * e2,
+        -u20 * sz, u21 * e1 * cz, -u22 * sz, u20 * cz, -u21 * sz, u22 * e2 * cz,
     ]
 
 

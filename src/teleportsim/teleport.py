@@ -18,7 +18,6 @@ from .scheme import (
     SchemeParams,
     assemble_D12,
     measurement_bases,
-    rotation_rows,
 )
 
 
@@ -143,11 +142,7 @@ def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
     return _corrections(comps.reshape(-1, 2, d)).reshape(comps.shape[:-2] + (d, d))
 
 
-# cyclic index shifts: (r0 x r1)_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], indices mod 3
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def _corrections(comps: np.ndarray) -> np.ndarray:
+def _corrections(comps: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """The correction kernel: pairs (va, vb) stacked as (n, 2, d) -> (n, d, d).
 
     Requires the equal-weight and orthogonality conditions; rows 0 and 1 of
@@ -155,12 +150,16 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
     is the conjugated cross product, and the free global phase is fixed by
     making the first nonzero entry (row-major, always in row 0) real positive.
     Zero branches (both components null) get the identity by convention.
-    Errors name the values of the first offending row.
+    Errors name the values of the first offending row. squares, when given,
+    must be comps.real ** 2 + comps.imag ** 2, which a caller that also needs
+    the branch weights computes once for both.
     """
     n, _, d = comps.shape
     if d not in (2, 3):
         raise ValueError(f"unsupported dimension {d}")
-    norms = np.sqrt(np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=-1))
+    if squares is None:
+        squares = comps.real ** 2 + comps.imag ** 2
+    norms = np.sqrt(np.add.reduce(squares, axis=-1))
     na, nb = norms.T
     zero = (na <= TOL.zero_branch) & (nb <= TOL.zero_branch)
     unequal = np.abs(na - nb) > TOL.correction
@@ -172,16 +171,24 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
                                   f"|phi_beta| = {nb[bad[0]]:.6g}")
         bad = np.flatnonzero((overlap > TOL.correction) & ~zero)
         raise CorrectionError(f"components not orthogonal: |overlap| = {overlap[bad[0]]:.3e}")
-    r = (comps / np.where(zero[:, None], 1.0, norms)[..., None]).conj()
+    any_zero = zero.any()
+    if any_zero:
+        norms = np.where(zero[:, None], 1.0, norms)
+    r = (comps / norms[..., None]).conj()
     w = np.empty((n, d, d), dtype=complex)
     w[:, :2] = r
-    r0, r1 = r[:, 0], r[:, 1]
     if d == 3:
-        np.conj(r0[:, _NEXT] * r1[:, _AFTER] - r0[:, _AFTER] * r1[:, _NEXT], out=w[:, 2])
-    k = (np.abs(r0) > TOL.entry).argmax(axis=-1)
-    first = np.where(zero, 1.0, r0[np.arange(n), k])
+        # (r0 x r1)_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], indices mod 3, from one
+        # gather: g[..., :3] is r[..., i+1] and g[..., 1:] is r[..., i+2]
+        g = r[..., [1, 2, 0, 1]]
+        g0, g1 = g[:, 0], g[:, 1]
+        np.conj(g0[:, :3] * g1[:, 1:] - g0[:, 1:] * g1[:, :3], out=w[:, 2])
+    r0 = r[:, 0]
+    first = r0[np.arange(n), (np.abs(r0) > TOL.entry).argmax(axis=-1)]
+    if any_zero:
+        first = np.where(zero, 1.0, first)
     w *= (np.abs(first) / first)[:, None, None]
-    if zero.any():
+    if any_zero:
         w[zero] = identity(d)
     dev = np.abs(w.conj().transpose(0, 2, 1) @ w - identity(d))
     if not (dev.max() <= TOL.unitary):
@@ -237,8 +244,11 @@ def certify_stack(ch: SchmidtChannel, schemes) -> np.ndarray:
     """
     _require_capable(ch)
     comps = branch_components(ch.a, measurement_bases(schemes))
-    w = _corrections(comps.reshape(-1, 2, 3)).reshape(*comps.shape[:2], 3, 3)
-    p = 0.5 * np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=(-2, -1))
+    k = comps.shape[0]
+    squares = comps.real ** 2 + comps.imag ** 2
+    w = _corrections(comps.reshape(-1, 2, 3), squares.reshape(-1, 2, 3)).reshape(k, 6, 3, 3)
+    # a branch's six squares, summed in the order numpy sums its (2, 3) block
+    p = 0.5 * np.add.reduce(squares.reshape(k, 6, 6), axis=-1)
     if not (np.abs(p.sum(axis=-1) - 1.0) <= TOL.entry).all():
         raise ValueError("branch probabilities do not sum to 1")
     # the entries of |W.[va vb] - c'.sqrt(p).[I; 0]|, scaled by 1/sqrt(p) last
@@ -298,11 +308,11 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
 
 def branch_probabilities(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, ...]:
     """Closed-form outcome probabilities, input-independent for valid schemes."""
-    return _probabilities(ch.squares, rotation_rows(*params.theta))
+    return _probabilities(ch.squares, params.rotation)
 
 
 def _probabilities(squares, u) -> tuple[float, ...]:
-    """branch_probabilities from the channel's squares and the rotation_rows u."""
+    """branch_probabilities from the channel's squares and a scheme's rotation u."""
     A, B, C = squares
     p1 = A * u[0][0] ** 2 + C * u[0][2] ** 2
     p2 = A * u[1][0] ** 2 + C * u[1][2] ** 2

@@ -144,6 +144,16 @@ class TestCanonicalize:
         # the swap is its own inverse: the same relabeling maps back
         assert tuple(canon.a[i] for i in perm) == ch.a
 
+    def test_first_maximum_as_argmax(self):
+        # every order of three values with ties, and seeded random triples:
+        # the index moved to 1 is np.argmax's, the first maximum
+        triples = [(x, y, z) for x in (0.0, 0.25, 0.5) for y in (0.0, 0.25, 0.5)
+                   for z in (0.0, 0.25, 0.5)]
+        triples += [tuple(v) for v in np.random.default_rng(3).dirichlet([1, 1, 1], 500).tolist()]
+        for sq in triples:
+            ch = SchmidtChannel(a=tuple(math.sqrt(x) for x in sq))
+            assert canonicalize(ch)[1][1] == np.argmax(ch.squares)
+
     def test_json(self):
         ch = make_channel(0.0, math.sqrt(0.5), math.sqrt(0.5))
         assert ch.to_json_dict() == {"a": [0.0, math.sqrt(0.5), math.sqrt(0.5)]}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import a1_from_entropy_exact
 
-from teleportsim import explorer, teleport
+from teleportsim import explorer, resources, scheme, teleport
 from teleportsim.cli import main, sweep_csv, sweep_csv_lines
 from teleportsim.explorer import (
     bounds_table,
@@ -95,9 +95,9 @@ class TestSweepStacks:
         calls, stacks = [], []
         kernel, certify = teleport._corrections, explorer.certify_stack
 
-        def spy(comps):
+        def spy(comps, *rest):
             calls.append(len(comps))
-            return kernel(comps)
+            return kernel(comps, *rest)
 
         def spy_stacks(ch, schemes):
             stacks.append((ch.a, len(schemes)))
@@ -196,6 +196,45 @@ class TestSweepStacks:
         assert result.records
         assert pickle.dumps(np.random.get_state()) == legacy
         assert random.getstate() == stdlib
+
+
+class TestOneRotationPerScheme:
+    def test_sweep_case1(self, monkeypatch):
+        # every per-scheme formula reads SchemeParams.rotation, so a sweep
+        # builds one rotation per solved scheme (no longer one per layer) and
+        # takes its phases from cmath.exp
+        rotations, solved = [], []
+        rows, solve = scheme.rotation_rows, explorer.solve_constraints
+
+        def spy_rows(*theta):
+            rotations.append(theta)
+            return rows(*theta)
+
+        def spy_solve(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        def no_exp(*args, **kwargs):
+            raise AssertionError("np.exp called")
+
+        for module in (scheme, teleport, resources):
+            monkeypatch.setattr(module, "rotation_rows", spy_rows, raising=False)
+        monkeypatch.setattr(explorer, "solve_constraints", spy_solve)
+        monkeypatch.setattr(np, "exp", no_exp)
+        result = sweep_case1(20)
+        assert len(result.records) == len(solved) > 20
+        assert rotations == [params.theta for params in solved]
+
+
+class TestInnerGrid:
+    def test_matches_linspace(self):
+        rng = np.random.default_rng(17)
+        ends = np.sort(rng.uniform(size=(20_000, 2)), axis=1).tolist()
+        ends += [[x, x] for x in rng.uniform(size=100).tolist()] + [[0.0, 1e-300], [0.5, 0.5]]
+        ends += [[x, x + 1e-15 * k] for k, x in enumerate(rng.uniform(size=100).tolist())]
+        for lo, hi in ends:
+            want = np.linspace(lo, hi, explorer._INNER_GRID)
+            assert np.array(explorer._inner_grid(lo, hi)).tobytes() == want.tobytes()
 
 
 class TestBoundsTable:

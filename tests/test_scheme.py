@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel, random_incapable_channel
 from oracles import qubit_qutrit_tangle, reduced_density
-from teleportsim.channel import SchmidtChannel, make_channel
+from teleportsim.channel import SchmidtChannel, canonicalize, make_channel
+from teleportsim.qlinalg import TOL
 from teleportsim.resources import branch_tangles, resource_report, upper_bound_sum
 from teleportsim.scheme import (
     InfeasibleError,
@@ -18,6 +20,7 @@ from teleportsim.scheme import (
     admissible_u_window,
     assemble_D12,
     constraint_residuals,
+    free_theta2_window,
     phases_from_weights,
     rotation_from_angles,
     rotation_rows,
@@ -122,6 +125,130 @@ class TestPhases:
         d1, d2 = solve_phases(ch, u)
         assert d1 == pytest.approx(2.0 * math.pi / 3.0, abs=1e-10)
         assert abs(d2) == pytest.approx(2.0 * math.pi / 3.0, abs=1e-10)
+
+
+class TestSchemeRotation:
+    """SchemeParams carries rotation_rows(*theta), built once per scheme, and
+    is otherwise still its angles alone."""
+
+    def test_equals_rotation_rows(self, rng):
+        params = SchemeParams(theta=(0.1, -0.2, 0.3), delta=(0.4, 0.5))
+        assert params.rotation == rotation_rows(0.1, -0.2, 0.3)
+        for _ in range(20):
+            ch = random_capable_channel(rng)
+            solved = solve_constraints(ch, sum(admissible_theta3(ch)) / 2.0)
+            assert solved.rotation == rotation_rows(*solved.theta)
+
+    def test_rebuilt_by_replace(self):
+        params = SchemeParams(theta=(0.1, 0.2, 0.3), delta=(0.4, 0.5))
+        moved = dataclasses.replace(params, theta=(0.7, 0.2, 0.3))
+        assert moved.rotation == rotation_rows(0.7, 0.2, 0.3) != params.rotation
+        assert dataclasses.replace(params, delta=(0.0, 0.0)).rotation == params.rotation
+        with pytest.raises(ValueError):
+            dataclasses.replace(params, rotation=rotation_rows(0.0, 0.0, 0.0))
+        with pytest.raises(TypeError):
+            SchemeParams(theta=(0.1, 0.2, 0.3), delta=(0.4, 0.5), rotation=params.rotation)
+
+    def test_invisible(self):
+        params = SchemeParams(theta=(0.1, 0.2, 0.3), delta=(0.4, 0.5))
+        twin = SchemeParams(theta=(0.1, 0.2, 0.3), delta=(0.4, 0.5))
+        object.__setattr__(twin, "rotation", [[0.0] * 3] * 3)
+        assert twin == params and hash(twin) == hash(params)
+        assert repr(params) == "SchemeParams(theta=(0.1, 0.2, 0.3), delta=(0.4, 0.5))"
+        assert params.to_json_dict() == {"theta": [0.1, 0.2, 0.3], "delta": [0.4, 0.5],
+                                         "zeta": math.pi / 4}
+        assert params != SchemeParams(theta=(0.1, 0.2, 0.3), delta=(0.4, 0.6))
+
+
+def _numpy_scalar_solve(ch, theta3, theta2_hint=math.pi / 4, theta1_hint=0.0):
+    """solve_constraints' angles as first written, frozen: theta in plain
+    floats, then the phasor closure in numpy scalars read from a rotation
+    array, as the old solve_phases did. Numpy divides a complex by a real as
+    a product with 1/r (Python's quotient differs in 44% of cases), and its
+    x ** 2 is Python's (x * x is not, in about 1 case in 1,100)."""
+    A, B, C = ch.squares
+    u = math.sin(theta3) ** 2
+    d = B - C
+    n = (B + C) * u - (B - A)
+    if abs(n) < TOL.degenerate and abs(n + d) < TOL.degenerate:
+        wlo, whi = free_theta2_window(ch, u)
+        theta2 = math.asin(math.sqrt(min(max(math.sin(theta2_hint) ** 2, wlo), whi)))
+    else:
+        theta2 = math.asin(math.sqrt(min(max(n / (n + d), 0.0), 1.0)))
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c3sq, s3sq = 1.0 - u, u
+    k = A * c2 * c2 + C * s2 * s2 * c3sq - B * s2 * s2 * s3sq
+    ell = C * s3sq - B * c3sq
+    m = s2 * math.sqrt(s3sq * c3sq) * (B + C)
+    if abs(ell - k) < TOL.degenerate and abs(m) < TOL.degenerate:
+        theta1 = theta1_hint
+    else:
+        theta1 = 0.5 * math.atan2(ell - k, 2.0 * m)
+    umat = np.array(rotation_rows(theta1, theta2, theta3))
+    p, q, r = A * umat[2, 0] ** 2, B * umat[2, 1] ** 2, C * umat[2, 2] ** 2
+    assert all(type(x) is np.float64 for x in (p, q, r))
+    if q <= TOL.weight and r <= TOL.weight:
+        delta = (0.0, 0.0)
+    elif p <= TOL.weight or q <= TOL.weight:
+        delta = (0.0, math.pi)
+    elif r <= TOL.weight:
+        delta = (math.pi, 0.0)
+    else:
+        d1 = math.acos(min(max((r * r - p * p - q * q) / (2.0 * p * q), -1.0), 1.0))
+        z = -(p + q * complex(math.cos(d1), math.sin(d1))) / r
+        delta = (d1, -math.atan2(z.imag, z.real))
+    return np.array([theta1, theta2, theta3, *delta])
+
+
+def _bit_identity_points(rng):
+    """(channel, theta3, hints) solves: 2,000 random capable channels at three
+    window fractions, and the a0 = 0 ridge, the face max a_j^2 = 1/2, the
+    case-1 ridge a2 = a1 and channels 1e-2 to 1e-4 from the symmetric point."""
+    for _ in range(2000):
+        ch = random_capable_channel(rng)
+        lo, hi = admissible_theta3(ch)
+        for frac in (0.0, rng.uniform(), 1.0):
+            yield ch, lo + frac * (hi - lo), {}
+    ridge = make_channel(*DEGENERATE)
+    for t2 in np.linspace(0.0, math.pi / 2, 9).tolist():
+        for t1 in np.linspace(0.0, math.pi / 2, 9).tolist():
+            yield ridge, math.pi / 4, {"theta2_hint": t2, "theta1_hint": t1}
+    for c in np.linspace(0.0, 0.5, 41).tolist():
+        ch, _ = canonicalize(make_channel(math.sqrt(0.5 - c), R2, math.sqrt(c)))
+        lo, hi = admissible_theta3(ch)
+        for frac in np.linspace(0.0, 1.0, 5).tolist():
+            yield ch, lo + frac * (hi - lo), {}
+    for b in np.linspace(1.0 / 3.0, 0.5, 41).tolist():
+        ch = make_channel(math.sqrt(max(1.0 - 2.0 * b, 0.0)), math.sqrt(b), math.sqrt(b))
+        lo, hi = admissible_theta3(ch)
+        for t2 in np.linspace(0.0, math.pi / 2, 5).tolist():
+            yield ch, 0.5 * (lo + hi), {"theta2_hint": t2}
+    for eps in (1e-2, 1e-3, 1e-4):
+        for _ in range(100):
+            v = rng.normal(size=3)
+            v -= v.mean()
+            ch, _ = canonicalize(make_channel(*np.sqrt(1.0 / 3.0 + eps * v / np.abs(v).max())))
+            lo, hi = admissible_theta3(ch)
+            for frac in (0.0, 0.5, 1.0):
+                yield ch, lo + frac * (hi - lo), {}
+
+
+class TestSolveBitIdentity:
+    def test_matches_numpy_scalar_solve(self):
+        solved = refused = flat = 0
+        for ch, theta3, hints in _bit_identity_points(np.random.default_rng(1207)):
+            try:
+                params = solve_constraints(ch, theta3, **hints)
+            except InfeasibleError:
+                refused += 1
+                continue
+            got = np.array([*params.theta, *params.delta])
+            assert got.tobytes() == _numpy_scalar_solve(ch, theta3, **hints).tobytes()
+            solved += 1
+            flat += params.delta == (0.0, -math.pi)
+        # the set reaches the flat triangle d1 = 0, where numpy's quotient
+        # gives the imaginary part +0 and so d2 = -pi, not pi
+        assert solved > 7000 and refused < 100 and flat > 1000
 
 
 class TestSolveConstraints:

@@ -22,6 +22,7 @@ from teleportsim.scheme import (
     assemble_D12,
     find_scheme,
     measurement_bases,
+    rotation_rows,
     solve_constraints,
     special_case_basis,
     two_qubit_D12,
@@ -329,6 +330,56 @@ class TestKernelBitIdentity:
             chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
             assert np.array_equal(total_state(q.vector(), coeffs), np.kron(q.vector(), chan))
 
+    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric", "angles"])
+    def test_bases_match_nested_numpy_layout(self, kind, rng):
+        schemes = list(_scheme_cases(kind, rng))
+        frozen = [_nested_d12(params) for params in schemes]
+        for params, want in zip(schemes, frozen):
+            assert assemble_D12(params)[0].tobytes() == want.tobytes()
+        for k in {1, min(3, len(schemes)), len(schemes)}:
+            got = measurement_bases(schemes[:k]).vectors
+            assert got.shape == (k, 6, 6) and got.tobytes() == np.array(frozen[:k]).tobytes()
+
+
+def _nested_d12(params):
+    """assemble_D12's layout as first written, frozen: nested rows, a fresh
+    rotation, and phases from np.exp on an array (cmath.exp gives the same
+    bits, on 200,000 values tried)."""
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = rotation_rows(*params.theta)
+    e1, e2 = np.exp(1j * np.asarray(params.delta)).tolist()
+    cz, sz = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    return np.array([
+        [u00, 0, u02, 0, u01, 0],
+        [0, u01 * e1, 0, u00, 0, u02 * e2],
+        [u20 * cz, u21 * e1 * sz, u22 * cz, u20 * sz, u21 * cz, u22 * e2 * sz],
+        [u10, 0, u12, 0, u11, 0],
+        [0, u11 * e1, 0, u10, 0, u12 * e2],
+        [-u20 * sz, u21 * e1 * cz, -u22 * sz, u20 * cz, -u21 * sz, u22 * e2 * cz],
+    ], dtype=complex)
+
+
+def _scheme_cases(kind, rng):
+    """Solved schemes for one family of channels, or ("angles") arbitrary
+    angles of either sign."""
+    if kind == "random":
+        for _ in range(30):
+            yield _solved(random_capable_channel(rng), frac=rng.uniform())
+    elif kind == "a0_zero":
+        for t in np.linspace(0.0, math.pi / 2, 7).tolist():
+            yield SchemeParams(theta=(t, 0.0, math.pi / 4), delta=(0.0, math.pi))
+            yield SchemeParams(theta=(0.0, t, math.pi / 4), delta=(0.0, math.pi))
+    elif kind == "face":
+        for c in (0.0, 0.05, 0.2, 0.35, 0.45, 0.5):
+            ch, _ = canonicalize(make_channel(math.sqrt(0.5 - c), math.sqrt(0.5), math.sqrt(c)))
+            for frac in (0.0, 0.5, 1.0):
+                yield _solved(ch, frac=frac)
+    elif kind == "symmetric":
+        yield _solved(make_channel(*SYMMETRIC))
+    elif kind == "angles":
+        for _ in range(30):
+            angles = rng.uniform(-math.pi, math.pi, size=5).tolist()
+            yield SchemeParams(theta=tuple(angles[:3]), delta=tuple(angles[3:]))
+
 
 def _edge_channel(top, split):
     """Canonical channel with max a_j^2 = top; split shares the rest between a0 and a2
@@ -586,8 +637,8 @@ def _faulty_kernel(monkeypatch, rows, fault):
     the kernel's first call, after the kernel's own checks have passed."""
     calls = []
 
-    def faulty(comps):
-        w = _corrections(comps)
+    def faulty(comps, *rest):
+        w = _corrections(comps, *rest)
         if not calls:
             for row in rows:
                 fault(w[row], comps[row, 0])
@@ -606,6 +657,32 @@ def _relative_phase(w, va):
     # a phase on row 1 turns alpha|0> + beta|1> into alpha|0> + e^(i phi) beta|1>;
     # W stays unitary and every fidelity stays 1 to within 1e-18
     w[1] *= cmath.exp(1e-9j)
+
+
+def _stack_channel(kind, rng):
+    if kind == "random":
+        return random_capable_channel(rng)
+    if kind == "face":
+        c = rng.uniform(0.0, 0.5)
+        return canonicalize(make_channel(math.sqrt(0.5 - c), math.sqrt(0.5), math.sqrt(c)))[0]
+    return make_channel(*SYMMETRIC)
+
+
+def _separate_sum_certificate(coeffs, schemes):
+    """certify_stack as first written, frozen: p is its own sum over each
+    branch's (2, 3) block of squares, apart from the kernel's."""
+    comps = branch_components(coeffs, measurement_bases(schemes))
+    w = _corrections(comps.reshape(-1, 2, 3)).reshape(*comps.shape[:2], 3, 3)
+    p = 0.5 * np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=(-2, -1))
+    out = w @ comps.swapaxes(-1, -2)
+    dev = np.abs(out)
+    r, sp = dev[..., 0, 0], np.sqrt(p)
+    target = np.divide(sp * out[..., 0, 0], r, out=sp.astype(complex), where=r > 0.0)
+    dev[..., 1, 1] = np.abs(out[..., 1, 1] - target)
+    dev[..., 0, 0] = np.abs(r - sp)
+    zero = p <= TOL.zero_branch
+    dev = dev.max(axis=(-2, -1)) / np.where(zero, 1.0, sp)
+    return np.where(zero, 0.0, dev).max(axis=-1)
 
 
 class TestStackCertificate:
@@ -628,6 +705,19 @@ class TestStackCertificate:
             assert devs.shape == (5,)
             assert devs.max() <= STACK_BOUND
             _close_to_loop(devs, ch, schemes)
+
+    @pytest.mark.parametrize("kind", ["random", "face", "symmetric"])
+    def test_matches_separate_weight_sum(self, kind, rng):
+        # certify_stack reuses the kernel's squared components for p; the
+        # deviations equal, byte for byte, those with p summed on its own
+        cases = [(ch, [_solved(ch, frac=f) for f in (0.0, rng.uniform(), 1.0)])
+                 for ch in (_stack_channel(kind, rng) for _ in range(20))]
+        ridge = make_channel(*DEGENERATE)
+        cases.append((ridge, [solve_constraints(ridge, math.pi / 4, theta2_hint=0.0, theta1_hint=t)
+                              for t in (0.0, 0.4, math.pi / 2)]))
+        for ch, schemes in cases:
+            got = certify_stack(ch, schemes)
+            assert got.tobytes() == _separate_sum_certificate(ch.a, schemes).tobytes()
 
     def test_zero_branches_count_as_zero(self):
         ch = make_channel(*DEGENERATE)
