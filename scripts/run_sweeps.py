@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from teleportsim.cli import bounds_csv, sweep_csv
+from teleportsim.cli import bounds_csv, sweep_csv_lines
 from teleportsim.explorer import bounds_table, sweep_case1, sweep_case2, sweep_degenerate
 
 
@@ -37,7 +37,9 @@ def main():
         ("case2", sweep_case2(args.density)),
         ("degenerate", sweep_degenerate(args.density)),
     ):
-        (args.outdir / f"sweep_{name}.csv").write_text(sweep_csv(result))
+        # streamed line by line, as the CLI writes a sweep
+        with open(args.outdir / f"sweep_{name}.csv", "w", encoding="utf-8") as fh:
+            fh.writelines(sweep_csv_lines(result))
         _summary(f"sweep_{name}", result)
 
     grid = np.linspace(1.0 + 1e-9, math.log2(3.0), args.density)

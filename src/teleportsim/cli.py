@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import re
 import sys
@@ -133,17 +134,21 @@ def _emit(chunks, out: str | None) -> None:
 
 def sweep_csv_lines(result: SweepResult):
     """A sweep as CSV lines, each ending in a newline: header, one line per
-    record, then a `# skipped=N` footer."""
+    record, then a `# skipped=N` footer.
+
+    A record's line is one %-template over its fields, the same text as
+    joining their _fmt: every field but the last is a float, and the last,
+    bound_upper, is an empty field when it is None.
+    """
     names = record_fields()
+    row = operator.attrgetter(*names)
+    head = "%.17g," * (len(names) - 1)
+    full, open_upper = head + "%.17g\n", head + "\n"
     yield ",".join(names) + "\n"
     for r in result.records:
-        yield ",".join(_fmt(getattr(r, name)) for name in names) + "\n"
+        values = row(r)
+        yield open_upper % values[:-1] if values[-1] is None else full % values
     yield f"# skipped={result.skipped}\n"
-
-
-def sweep_csv(result: SweepResult) -> str:
-    """sweep_csv_lines as one string."""
-    return "".join(sweep_csv_lines(result))
 
 
 def bounds_csv(rows) -> str:

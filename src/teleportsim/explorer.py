@@ -10,12 +10,13 @@ Three sweeps cover the documented channel families:
 Each sweep takes a density and rejects one below 2; it draws no random
 numbers, so its output depends on the density alone. A family only lists its
 channels and each channel's solve_constraints points; one driver, _sweep,
-does the rest for all three. It solves a channel's points one by one,
-certifies them in stacks of at most _BLOCK schemes with the input-free
-certify_stack, which covers every input qubit at once, and accounts each
-record that passes the gate with one resource_report call. Every emitted
-record teleports every input with fidelity at least 1 - TOL.unitary;
-infeasible points are counted and reported, never fatal.
+does the rest for all three. It solves all of a channel's points, then
+certifies the solved schemes with the input-free certify_stack, which covers
+every input qubit at once: one stack per channel, split only when it would
+hold more than _BLOCK = 256 schemes, a bound on the stack's memory. Each
+record that passes the gate is accounted with one resource_report call.
+Every emitted record teleports every input with fidelity at least
+1 - TOL.unitary; infeasible points are counted and reported, never fatal.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from .teleport import STACK_BOUND, certify_stack
 # number of scheme-angle samples per swept channel
 _INNER_GRID = 5
 
-# most schemes certified in one stack. A stack's first record waits for all
-# of the stack's solves and its certificate, so the stack size trades the
-# latency of that record against the number of certificate calls.
-_BLOCK = 3
+# most schemes certified in one stack, a bound on memory: a stack holds about
+# 5.7 KB of transient arrays per scheme, so 1.5 MB at most. Only a channel
+# with more points (the degenerate sweep's one channel at a density above
+# 256) is split.
+_BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,10 +111,11 @@ def _sweep(channels) -> SweepResult:
     point a (theta3, hints) pair for solve_constraints(ch, theta3, **hints);
     a channel with no points (an empty window) counts as one skipped point.
 
-    Each point is solved in turn, infeasible ones skipped. The solved schemes
-    are certified in stacks of at most _BLOCK, a stack never spanning two
-    channels, by certify_stack. A record is emitted for each scheme whose
-    deviation is at most STACK_BOUND; the rest are skipped.
+    All of a channel's points are solved first, infeasible ones skipped.
+    The solved schemes are then certified by certify_stack, one stack per
+    channel, split into stacks of at most _BLOCK only to bound memory; a
+    stack never spans two channels. A record is emitted for each scheme
+    whose deviation is at most STACK_BOUND; the rest are skipped.
     """
     records: list[SweepRecord] = []
     skipped = 0
@@ -122,14 +125,14 @@ def _sweep(channels) -> SweepResult:
             continue
         bound_lower = _bound_lower(ch.entropy)
         schemes: list[SchemeParams] = []
-        for n, (theta3, hints) in enumerate(points, 1):
+        for theta3, hints in points:
             try:
                 schemes.append(solve_constraints(ch, theta3, **hints))
             except InfeasibleError:
                 skipped += 1
-            if not schemes or (len(schemes) < _BLOCK and n < len(points)):
-                continue  # certify once the stack is full or the channel ends
-            for params, dev in zip(schemes, certify_stack(ch, schemes).tolist()):
+        for start in range(0, len(schemes), _BLOCK):
+            stack = schemes[start:start + _BLOCK]
+            for params, dev in zip(stack, certify_stack(ch, stack).tolist()):
                 if not (dev <= STACK_BOUND):  # fail closed: NaN does not pass
                     skipped += 1
                     continue
@@ -140,7 +143,6 @@ def _sweep(channels) -> SweepResult:
                     e_channel=res.e_channel, e12=res.e12, h12=res.h12, sum=res.sum,
                     bound_lower=bound_lower, bound_upper=bound_upper,
                 ))
-            schemes = []
     return SweepResult(records=tuple(records), skipped=skipped)
 
 

@@ -240,9 +240,13 @@ def certify_stack(ch: SchmidtChannel, schemes) -> np.ndarray:
 
     Keeps run_teleport's checks: the bases' unitarity (measurement_bases),
     the kernel's equal-weight, orthogonality and unitarity checks, and each
-    record's probabilities summing to 1 (else ValueError).
+    record's probabilities summing to 1 (else ValueError). An empty sequence
+    of schemes on a capable channel gives an empty (0,) array; an incapable
+    channel raises CapabilityError either way.
     """
     _require_capable(ch)
+    if not schemes:
+        return np.zeros(0)
     comps = branch_components(ch.a, measurement_bases(schemes))
     k = comps.shape[0]
     squares = comps.real ** 2 + comps.imag ** 2

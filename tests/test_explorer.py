@@ -8,8 +8,10 @@ import pytest
 from oracles import a1_from_entropy_exact
 
 from teleportsim import explorer, resources, scheme, teleport
-from teleportsim.cli import main, sweep_csv, sweep_csv_lines
+from teleportsim.cli import _fmt, main, sweep_csv_lines
 from teleportsim.explorer import (
+    SweepRecord,
+    SweepResult,
     bounds_table,
     record_fields,
     sweep_case1,
@@ -85,39 +87,122 @@ def _sweeps(n_degenerate=9):
             ("degenerate", lambda: sweep_degenerate(n_degenerate))]
 
 
+def _spy_stacks(monkeypatch):
+    """Record each certify_stack call as (channel, the stack's scheme angles)."""
+    stacks, certify = [], explorer.certify_stack
+
+    def spy(ch, schemes):
+        stacks.append((ch.a, [params.theta for params in schemes]))
+        return certify(ch, schemes)
+
+    monkeypatch.setattr(explorer, "certify_stack", spy)
+    return stacks
+
+
+def _by_channel(records):
+    """The records' scheme angles grouped by channel, as (channel, angles)."""
+    groups = {}
+    for r in records:
+        groups.setdefault((r.a0, r.a1, r.a2), []).append((r.theta1, r.theta2, r.theta3))
+    return list(groups.items())
+
+
 class TestSweepStacks:
-    """Each sweep certifies a channel's solved schemes in stacks of at most
-    _BLOCK: one correction-kernel call per stack, every stack full but a
-    channel's last, the gate applied record by record, no random numbers
-    drawn, one resource_report call per record."""
+    """Each sweep certifies all of a channel's solved schemes in one stack,
+    split only past _BLOCK: one correction-kernel call per stack, the gate
+    applied record by record, no random numbers drawn, one resource_report
+    call per record."""
+
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_one_stack_per_channel(self, name, monkeypatch):
+        stacks = _spy_stacks(monkeypatch)
+        result = dict(_sweeps())[name]()
+        assert result.skipped == 0
+        assert len(stacks) == 6
+        assert stacks == _by_channel(result.records)
+
+    def test_degenerate_density200_is_one_stack(self, monkeypatch):
+        stacks = _spy_stacks(monkeypatch)
+        result = sweep_degenerate(200)
+        assert result.skipped == 0
+        assert stacks == _by_channel(result.records)
+        assert [len(thetas) for _, thetas in stacks] == [200]
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
+    def test_infeasible_point_leaves_one_stack_of_the_rest(self, name, monkeypatch):
+        run = dict(_sweeps())[name]
+        want = run()
+        # the first channel with two points or more loses its second one
+        a, thetas = next((a, t) for a, t in _by_channel(want.records) if len(t) > 1)
+        i = [(r.a0, r.a1, r.a2) for r in want.records].index(a) + 1
+        solve, tried = explorer.solve_constraints, []
+
+        def refuse_second(ch, theta3, **hints):
+            if ch.a == a:
+                tried.append(theta3)
+                if len(tried) == 2:
+                    raise InfeasibleError("forced")
+            return solve(ch, theta3, **hints)
+
+        monkeypatch.setattr(explorer, "solve_constraints", refuse_second)
+        stacks = _spy_stacks(monkeypatch)
+        got = run()
+        assert want.skipped == 0 and got.skipped == 1
+        assert got.records == want.records[:i] + want.records[i + 1:]
+        assert stacks == _by_channel(got.records)
+        assert dict(stacks)[a] == thetas[:1] + thetas[2:]
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
+    def test_all_infeasible_channel_counts_every_skip(self, name, monkeypatch):
+        run = dict(_sweeps())[name]
+        want = run()
+        first, thetas = _by_channel(want.records)[0]
+        solve = explorer.solve_constraints
+
+        def refuse_first_channel(ch, theta3, **hints):
+            if ch.a == first:
+                raise InfeasibleError("forced")
+            return solve(ch, theta3, **hints)
+
+        monkeypatch.setattr(explorer, "solve_constraints", refuse_first_channel)
+        stacks = _spy_stacks(monkeypatch)
+        got = run()
+        assert want.skipped == 0 and got.skipped == len(thetas)
+        assert got.records == want.records[len(thetas):]
+        assert stacks == _by_channel(got.records)
+
+    @pytest.mark.parametrize("sweep", [sweep_case1, sweep_case2, sweep_degenerate])
+    def test_same_result_as_stacks_of_three(self, sweep, monkeypatch):
+        want = [sweep(density) for density in range(2, 41)]
+        monkeypatch.setattr(explorer, "_BLOCK", 3)
+        assert [sweep(density) for density in range(2, 41)] == want
 
     def test_one_kernel_call_per_channel_or_block(self, monkeypatch):
-        calls, stacks = [], []
-        kernel, certify = teleport._corrections, explorer.certify_stack
+        """One kernel call per stack, and a channel split only past _BLOCK:
+        with 2 * _BLOCK + 3 degenerate points, stacks of _BLOCK, _BLOCK and
+        3 (256, 256 and 3)."""
+        calls, kernel = [], teleport._corrections
 
         def spy(comps, *rest):
             calls.append(len(comps))
             return kernel(comps, *rest)
 
-        def spy_stacks(ch, schemes):
-            stacks.append((ch.a, len(schemes)))
-            return certify(ch, schemes)
-
         monkeypatch.setattr(teleport, "_corrections", spy)
-        monkeypatch.setattr(explorer, "certify_stack", spy_stacks)
+        stacks = _spy_stacks(monkeypatch)
         block = explorer._BLOCK
         for name, run in _sweeps(n_degenerate=2 * block + 3):
             calls.clear()
             stacks.clear()
             result = run()
             assert result.skipped == 0
-            assert calls == [6 * k for _, k in stacks]
+            assert calls == [6 * len(thetas) for _, thetas in stacks]
             if name == "degenerate":
                 assert calls == [6 * block] * 2 + [6 * 3]
+                assert [len(thetas) for _, thetas in stacks] == [256, 256, 3]
                 continue
             per_channel = {}
-            for a, k in stacks:
-                per_channel.setdefault(a, []).append(k)
+            for a, thetas in stacks:
+                per_channel.setdefault(a, []).append(len(thetas))
             assert len(per_channel) == 6
             for a, sizes in per_channel.items():
                 n = sum(1 for r in result.records if (r.a0, r.a1, r.a2) == a)
@@ -456,11 +541,22 @@ class TestCli:
         lines = list(sweep_csv_lines(result))
         assert len(lines) == len(result.records) + 2
         assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
-        assert "".join(lines) == sweep_csv(result)
         path = tmp_path / "case2.csv"
         assert main(["sweep-case2", "--density", "6", "--seed", "5", "--out", str(path)]) == 0
         assert main(["sweep-case2", "--density", "6", "--seed", "5"]) == 0
-        assert path.read_text() == capsys.readouterr().out == sweep_csv(result)
+        assert path.read_text() == capsys.readouterr().out == "".join(lines)
+
+    def test_sweep_csv_template_matches_fmt(self):
+        values = [0.25, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                  1.0 / 3.0, math.pi, 3.0, 1e-17, -2.5e-310]
+        records = [SweepRecord(*values, bound_upper=upper)
+                   for upper in (None, 3.5, -0.0, 5e-324, 1e300)]
+        records += sweep_case1(density=4).records + sweep_case2(density=4).records
+        lines = list(sweep_csv_lines(SweepResult(records=tuple(records), skipped=0)))
+        assert lines[1:-1] == [
+            ",".join(_fmt(getattr(r, name)) for name in record_fields()) + "\n"
+            for r in records]
+        assert lines[1].endswith(",\n") and lines[3].endswith(",-0\n")
 
     def test_sweep_json_structure(self, capsys):
         assert main(["sweep-case2", "--density", "6", "--seed", "5",

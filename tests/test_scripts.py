@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from teleportsim.cli import bounds_csv, sweep_csv
+from teleportsim.cli import bounds_csv, sweep_csv_lines
 from teleportsim.explorer import (
     bounds_table,
     record_fields,
@@ -46,7 +46,7 @@ def test_run_sweeps(tmp_path):
         assert lines[0] == ",".join(record_fields())
         assert len(lines) == len(result.records) + 2  # header, records, skipped footer
         assert lines[-1] == f"# skipped={result.skipped}"
-        assert (out / name).read_text() == sweep_csv(result)
+        assert (out / name).read_text() == "".join(sweep_csv_lines(result))
     bounds = (out / "bounds.csv").read_text()
     assert bounds.splitlines()[0] == "e,lower,upper"
     assert len(bounds.splitlines()) == POINTS + 1

@@ -789,6 +789,12 @@ class TestStackCertificate:
         with pytest.raises(ValueError, match="sum to 1"):
             certify_stack(scaled, [_solved(make_channel(*SYMMETRIC))])
 
+    def test_empty_stack(self, rng):
+        devs = certify_stack(random_capable_channel(rng), [])
+        assert devs.shape == (0,) and devs.dtype == np.float64
+        with pytest.raises(CapabilityError):
+            certify_stack(make_channel(math.sqrt(0.2), math.sqrt(0.6), math.sqrt(0.2)), [])
+
     def test_nan_fails_closed(self, monkeypatch, rng):
         def nan_entry(w, va):
             w[2, 0] = math.nan
