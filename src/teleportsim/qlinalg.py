@@ -34,6 +34,12 @@ LOG2_3 = math.log2(3.0)
 
 def check_normalized(vec) -> None:
     """Check that each ket, the last axis of a (..., m) array, has unit norm."""
+    if vec.ndim == 1:
+        # one ket: plain floats, without a stack's reductions
+        dev = abs(float(np.vdot(vec, vec).real) - 1.0)
+        if not (dev <= TOL.entry):
+            raise ValueError(f"state not normalized: |norm^2 - 1| = {dev:.3e}")
+        return
     dev = np.abs(np.vecdot(vec, vec).real - 1.0)
     if not (dev.max() <= TOL.entry):
         raise ValueError(f"state not normalized: |norm^2 - 1| = "
@@ -62,7 +68,7 @@ def check_unitary(mat) -> None:
 
 def binary_entropy(x: float) -> float:
     """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
-    if x < -TOL.entry or x > 1.0 + TOL.entry:
+    if not (-TOL.entry <= x <= 1.0 + TOL.entry):  # NaN fails too
         raise ValueError(f"binary entropy argument {x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     if x == 0.0 or x == 1.0:
@@ -95,6 +101,10 @@ def bisect(below, lo: float, hi: float) -> float:
 
 
 def entanglement_from_tangle(c: float) -> float:
-    """Entropy of entanglement H((1 + sqrt(1-C))/2) for tangle C in [0,1]."""
+    """Entropy of entanglement H((1 + sqrt(1-C))/2) for tangle C in [0,1].
+
+    C is clipped to [0, 1]; a NaN tangle stays NaN and binary_entropy
+    raises ValueError on it.
+    """
     c = min(max(c, 0.0), 1.0)
     return binary_entropy((1.0 + math.sqrt(1.0 - c)) / 2.0)

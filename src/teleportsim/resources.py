@@ -68,8 +68,8 @@ def classical_cost(probabilities) -> float:
     """Shannon entropy (bits) of the outcome distribution, with 0 log 0 = 0."""
     h = 0.0
     for p in probabilities:
-        if p < -TOL.entry:
-            raise ValueError(f"negative probability {p}")
+        if not (-TOL.entry <= p):  # NaN fails too
+            raise ValueError(f"negative or NaN probability {p}")
         if p > 0.0:
             h -= p * math.log2(p)
     return h
@@ -102,7 +102,7 @@ def _triangle_entanglement(xi1: float, xi2: float) -> float:
 
 
 def _checked_acos(x: float) -> float:
-    if abs(x) > 1.0 + TOL.entry:
+    if not (abs(x) <= 1.0 + TOL.entry):  # NaN fails too
         raise ValueError(f"arccos argument {x} outside [-1, 1]")
     return math.acos(min(max(x, -1.0), 1.0))
 
@@ -116,7 +116,7 @@ def gour_e12_case1(a1: float) -> float:
     """
     b = a1 * a1
     a = 1.0 - 2.0 * b
-    if a < -TOL.entry or a > 2.0 * b + TOL.entry:
+    if not (-TOL.entry <= a <= 2.0 * b + TOL.entry):  # NaN fails too
         raise ValueError(f"a1 = {a1} outside the capable slice (1/4 <= a1^2 <= 1/2)")
     xi1 = math.pi - _checked_acos((2.0 * b * b - a * a) / (2.0 * b * b))
     xi2 = math.pi + _checked_acos(a / (2.0 * b))
@@ -126,7 +126,7 @@ def gour_e12_case1(a1: float) -> float:
 def gour_e12_case2(a0: float, a2: float) -> float:
     """Reference-protocol average entanglement on the slice a1^2 = 1/2."""
     p, q, r = a0 * a0, 0.5, a2 * a2
-    if abs(p + r - 0.5) > 1e-9:
+    if not (abs(p + r - 0.5) <= 1e-9):  # NaN fails too
         raise ValueError(f"case-2 slice needs a0^2 + a2^2 = 1/2, got {p + r}")
     # on the slice q = p + r, so the law-of-cosines arguments are 1 and -1 up
     # to the slice residual; evaluating them in that form avoids catastrophic
@@ -150,7 +150,7 @@ def upper_bound_sum(a1: float) -> float:
     """
     b = a1 * a1
     arg = (1.0 - 2.0 * b) / b
-    if abs(arg) > 1.0 + TOL.entry:
+    if not (abs(arg) <= 1.0 + TOL.entry):  # NaN fails too
         raise ValueError(f"a1 = {a1} outside domain (1/3 <= a1^2 <= 1/2)")
     t3 = 0.5 * _checked_acos(min(max(arg, -1.0), 1.0))
     tan23 = math.tan(2.0 * t3)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,19 +63,60 @@ class SchemeParams:
             raise ValueError(f"scheme angles must be finite: {self.theta}, {self.delta}")
         object.__setattr__(self, "rotation", rotation_rows(*self.theta))
 
+    @cached_property
+    def basis(self) -> MeasurementBasis:
+        """This scheme's measurement basis (assemble_D12's), built and checked
+        on first read and kept.
+
+        Not a field, so equality, hashing, repr, to_json_dict and
+        dataclasses.replace ignore it; a scheme that is never measured never
+        builds it.
+        """
+        return MeasurementBasis(vectors=_d12_array(_d12_entries(self)).reshape(6, 6))
+
     def to_json_dict(self) -> dict:
         return {"theta": list(self.theta), "delta": list(self.delta), "zeta": ZETA}
 
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Six orthonormal qubit-qutrit kets, one per measurement outcome."""
+    """Six orthonormal qubit-qutrit kets, one per measurement outcome.
+
+    vectors is kept read-only: a writable array is copied first, so no later
+    write to the caller's array reaches the checked basis. labels names the
+    rows, one label per ket (ValueError otherwise). The basis keeps one memo
+    slot for teleport.branch_corrections: the corrections of the last channel
+    it was asked for, keyed by the exact bits of that channel's coefficients.
+    """
 
     vectors: np.ndarray  # (6, 6), row j is the ket for BRANCH_LABELS[j]; (k, 6, 6) holds k bases
     labels: tuple[str, ...] = BRANCH_LABELS
+    # (key, corrections) for teleport.branch_corrections; None until its first call
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_unitary(self.vectors)
+        vectors = _read_only(self.vectors)
+        object.__setattr__(self, "vectors", vectors)
+        if len(self.labels) != vectors.shape[-2]:
+            raise ValueError(f"{len(self.labels)} labels for {vectors.shape[-2]} basis kets")
+        check_unitary(vectors)
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__: read-only kets, checked
+        # again, and an empty memo
+        return MeasurementBasis, (self.vectors, self.labels)
+
+
+def _read_only(a) -> np.ndarray:
+    """a itself if no array can write its data, else a read-only copy of it."""
+    base = a
+    while base is not None:
+        if not isinstance(base, np.ndarray) or base.flags.writeable:
+            a = np.array(a)
+            a.setflags(write=False)
+            return a
+        base = base.base
+    return a
 
 
 def rotation_from_angles(theta1: float, theta2: float, theta3: float) -> np.ndarray:
@@ -295,14 +336,16 @@ def constraint_residuals(ch: SchmidtChannel, params: SchemeParams) -> tuple[floa
 
 
 def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:
-    """Assemble the 6x6 measurement unitary; rows are the six basis kets.
+    """The 6x6 measurement unitary, rows the six basis kets, and its basis.
 
     Row order is (1+, 2+, 3+, 1-, 2-, 3-) over the computational columns
-    (|00>, |01>, |02>, |10>, |11>, |12>). Unitarity is checked once, by
-    MeasurementBasis. measurement_bases fills the same layout for k schemes.
+    (|00>, |01>, |02>, |10>, |11>, |12>). The basis is params.basis, built and
+    checked for unitarity once per scheme: every call returns that one basis
+    object and its read-only array. measurement_bases fills the same layout
+    for k schemes.
     """
-    dmat = np.array(_d12_entries(params), dtype=complex).reshape(6, 6)
-    return dmat, MeasurementBasis(vectors=dmat)
+    basis = params.basis
+    return basis.vectors, basis
 
 
 def measurement_bases(schemes) -> MeasurementBasis:
@@ -310,7 +353,14 @@ def measurement_bases(schemes) -> MeasurementBasis:
     entries = []
     for params in schemes:
         entries += _d12_entries(params)
-    return MeasurementBasis(vectors=np.array(entries, dtype=complex).reshape(-1, 6, 6))
+    return MeasurementBasis(vectors=_d12_array(entries).reshape(-1, 6, 6))
+
+
+def _d12_array(entries) -> np.ndarray:
+    """The entries as a complex array that nothing can write, so MeasurementBasis keeps it uncopied."""
+    a = np.array(entries, dtype=complex)
+    a.setflags(write=False)
+    return a
 
 
 def _d12_entries(params: SchemeParams) -> list:

@@ -26,11 +26,19 @@ class TestEntropies:
         with pytest.raises(ValueError):
             binary_entropy(1.5)
 
+    def test_binary_entropy_nan(self):
+        with pytest.raises(ValueError, match="outside"):
+            binary_entropy(math.nan)
+
 
 class TestTangle:
     def test_entanglement_from_tangle_endpoints(self):
         assert entanglement_from_tangle(0.0) == 0.0
         assert entanglement_from_tangle(1.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_nan_tangle(self):
+        with pytest.raises(ValueError):
+            entanglement_from_tangle(math.nan)
 
 
 class TestIdentity:

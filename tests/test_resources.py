@@ -71,6 +71,10 @@ class TestClassicalCost:
         with pytest.raises(ValueError):
             classical_cost([-0.1, 1.1, 0, 0, 0, 0])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            classical_cost([math.nan, 0.5])
+
 
 class TestMeasurementEntanglement:
     def test_all_maximal(self):
@@ -136,6 +140,10 @@ class TestGourComparison:
         with pytest.raises(ValueError):
             gour_e12_case1(0.49)
 
+    def test_case1_nan(self):
+        with pytest.raises(ValueError, match="capable slice"):
+            gour_e12_case1(math.nan)
+
     def test_case2_small_a2_limit(self):
         assert gour_e12_case2(math.sqrt(0.5 - 1e-10), 1e-5) == pytest.approx(H_TWO_THIRDS, abs=1e-6)
 
@@ -147,6 +155,10 @@ class TestGourComparison:
     def test_case2_off_slice_rejected(self):
         with pytest.raises(ValueError):
             gour_e12_case2(0.5, 0.6)
+
+    def test_case2_nan(self):
+        with pytest.raises(ValueError, match="slice"):
+            gour_e12_case2(math.nan, 0.5)
 
 
 class TestUpperBound:
@@ -161,6 +173,10 @@ class TestUpperBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             upper_bound_sum(0.5)  # a1^2 = 1/4 < 1/3
+
+    def test_nan(self):
+        with pytest.raises(ValueError, match="outside domain"):
+            upper_bound_sum(math.nan)
 
     def test_dominates_scheme_sums_on_curve(self):
         for b in np.linspace(1 / 3 + 1e-6, 0.5, 12):

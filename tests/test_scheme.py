@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from teleportsim.channel import SchmidtChannel, canonicalize, make_channel
 from teleportsim.qlinalg import TOL
 from teleportsim.resources import branch_tangles, resource_report, upper_bound_sum
 from teleportsim.scheme import (
+    BRANCH_LABELS,
     InfeasibleError,
     MeasurementBasis,
     PhaseInfeasibleError,
@@ -21,6 +24,7 @@ from teleportsim.scheme import (
     assemble_D12,
     constraint_residuals,
     free_theta2_window,
+    measurement_bases,
     phases_from_weights,
     rotation_from_angles,
     rotation_rows,
@@ -341,6 +345,83 @@ class TestAssemble:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError):
             MeasurementBasis(vectors=np.ones((6, 6), dtype=complex))
+
+
+# any scheme's angles: a unitary basis, whatever the channel
+ANGLES = dict(theta=(0.1, 0.2, 0.3), delta=(0.4, 0.5))
+
+
+class TestOneBasisPerScheme:
+    """A scheme builds its basis once, on first read, and every assemble_D12
+    call returns that basis and its read-only array."""
+
+    def test_same_basis_object_read_only(self):
+        params = SchemeParams(**ANGLES)
+        dmat, basis = assemble_D12(params)
+        again, basis_again = assemble_D12(params)
+        assert basis_again is basis and again is dmat and basis.vectors is dmat
+        assert dmat.shape == (6, 6) and not dmat.flags.writeable
+        with pytest.raises(ValueError):
+            dmat[0, 0] = 2.0
+
+    def test_not_a_field(self):
+        params = SchemeParams(**ANGLES)
+        want = (repr(params), hash(params), params.to_json_dict())
+        basis = params.basis
+        assert (repr(params), hash(params), params.to_json_dict()) == want
+        assert "basis" not in {f.name for f in dataclasses.fields(params)}
+        copy = dataclasses.replace(params)
+        assert copy == params and copy.basis is not basis
+        assert copy.basis.vectors.tobytes() == basis.vectors.tobytes()
+
+    def test_stacked_bases_read_only(self):
+        stack = measurement_bases([SchemeParams(**ANGLES)] * 2).vectors
+        assert stack.shape == (2, 6, 6) and not stack.flags.writeable
+
+    def test_writable_array_copied(self):
+        vectors = assemble_D12(SchemeParams(**ANGLES))[0].copy()
+        want = vectors.tobytes()
+        basis = MeasurementBasis(vectors)
+        vectors[[0, 1]] = vectors[[1, 0]]
+        assert basis.vectors is not vectors and basis.vectors.tobytes() == want
+        assert not basis.vectors.flags.writeable
+
+    def test_read_only_view_of_writable_array_copied(self):
+        vectors = assemble_D12(SchemeParams(**ANGLES))[0].copy()
+        view = vectors[:]
+        view.setflags(write=False)
+        basis = MeasurementBasis(view)
+        vectors[0] *= -1.0
+        assert basis.vectors is not view and basis.vectors.tobytes() != vectors.tobytes()
+
+    def test_copies_rebuild_the_basis(self):
+        basis = SchemeParams(**ANGLES).basis
+        object.__setattr__(basis, "_memo", ("key", "corrections"))
+        for copied in (copy.copy(basis), copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+            assert copied.vectors.tobytes() == basis.vectors.tobytes()
+            assert not copied.vectors.flags.writeable and copied._memo is None
+
+    def test_read_only_array_kept(self):
+        vectors = np.eye(6, dtype=complex)
+        vectors.setflags(write=False)
+        assert MeasurementBasis(vectors).vectors is vectors
+
+
+class TestBasisLabels:
+    """A basis has one label per ket; any other count is refused, so no report
+    lists fewer (or more) branches than it sums."""
+
+    def test_two_qubit_default_labels_rejected(self):
+        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
+        with pytest.raises(ValueError, match="6 labels for 4 basis kets"):
+            MeasurementBasis(dmat)
+
+    def test_too_few_labels_rejected(self):
+        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
+        with pytest.raises(ValueError, match="1 labels for 4 basis kets"):
+            MeasurementBasis(dmat, ("x",))
+        with pytest.raises(ValueError, match="5 labels for 6 basis kets"):
+            MeasurementBasis(assemble_D12(SchemeParams(**ANGLES))[0], BRANCH_LABELS[:5])
 
 
 class TestSpecialCaseBases:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
 from oracles import channel_ket, collapsed_closed_form
-from teleportsim import teleport
+from teleportsim import scheme, teleport
 from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
 from teleportsim.explorer import sweep_case2
 from teleportsim.qlinalg import TOL
@@ -606,6 +606,123 @@ class TestStackedCertificate:
         bases = [special_case_basis("A", t) for t in (0.1, 0.7)]
         with pytest.raises(ValueError, match="inputs for"):
             certify(random_input(rng).vector(), DEGENERATE, _stacked(bases))
+
+
+def _frozen_certify(vectors, coeffs, basis):
+    """certify as written for stacks, before its one-input path, frozen: the
+    reference for the probabilities and fidelities, bit for bit."""
+    vectors = np.asarray(vectors, dtype=complex)
+    comps = branch_components(coeffs, basis)
+    d = comps.shape[-1]
+    corrections = _corrections(comps.reshape(-1, 2, d)).reshape(comps.shape[:-2] + (d, d))
+    chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
+    total = (vectors[..., None] * chan).reshape(vectors.shape[:-1] + (-1,))
+    assert (np.abs(np.vecdot(total, total).real - 1.0).max() <= TOL.entry)
+    na = basis.vectors.shape[-1]
+    collapsed = basis.vectors.conj() @ total.reshape(total.shape[:-1] + (na, -1))
+    probs = (np.abs(collapsed) ** 2).sum(axis=-1)
+    assert (np.abs(probs.sum(axis=-1) - 1.0) <= TOL.entry).all()
+    out = (corrections @ collapsed[..., None])[..., 0]
+    zero = probs <= TOL.zero_branch
+    overlap = np.vecdot(vectors[..., None, :], out[..., :2])
+    return probs, np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
+
+
+class TestOneInputPath:
+    """The one-input certificate skips the stack reductions; every output
+    byte stays that of the stack-generic code."""
+
+    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric", "two_qubit"])
+    def test_matches_frozen_certify(self, kind, rng):
+        for coeffs, bases in _stack_cases(kind, rng):
+            inputs = np.array([random_input(rng).vector() for _ in bases])
+            stacked = _stacked(bases)
+            for got, want in zip(certify(inputs, coeffs, stacked),
+                                 _frozen_certify(inputs, coeffs, stacked)):
+                assert got.tobytes() == want.tobytes()
+            for q, basis in zip(inputs, bases):
+                for got, want in zip(certify(q, coeffs, basis), _frozen_certify(q, coeffs, basis)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_nan_fails_each_single_check(self):
+        basis = special_case_basis("A", math.pi / 4)
+        with pytest.raises(ValueError, match="not normalized"):
+            total_state(np.array([math.nan, 0.0]), DEGENERATE)
+        total = total_state(np.array([1.0, 0.0]), DEGENERATE).copy()
+        total[1] = math.nan
+        with pytest.raises(ValueError, match="sum to 1"):
+            measure_branches(total, basis)
+
+
+def _spy(monkeypatch, module, name):
+    """Count the calls of module.name; returns the growing list of calls."""
+    calls, fn = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestCorrectionMemo:
+    """A basis keeps the corrections of its last channel: the kernel runs once
+    per basis and channel, and any other coefficients build afresh."""
+
+    def test_one_build_for_many_runs(self, monkeypatch, rng):
+        ch = random_capable_channel(rng)
+        params = _solved(ch)
+        kernel = _spy(monkeypatch, teleport, "_corrections")
+        unitary = _spy(monkeypatch, scheme, "check_unitary")
+        branch_corrections(ch.a, assemble_D12(params)[1])
+        reps = [run_teleport(random_input(rng), ch, params) for _ in range(2)]
+        assert len(kernel) == 1 and len(unitary) == 1
+        assert min(min(rep.fidelities) for rep in reps) >= 1.0 - 1e-10
+
+    def test_hit_returns_the_same_read_only_array(self, monkeypatch, rng):
+        ch = random_capable_channel(rng)
+        basis = assemble_D12(_solved(ch))[1]
+        ws = branch_corrections(ch.a, basis)
+        comps = _spy(monkeypatch, teleport, "branch_components")
+        assert branch_corrections(np.array(ch.a), basis) is ws  # same bits, another container
+        assert comps == []
+        assert not ws.flags.writeable
+        with pytest.raises(ValueError):
+            ws[0, 0, 0] = 0.0
+
+    def test_other_channel_never_gets_the_stored_answer(self, monkeypatch, rng):
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        basis = assemble_D12(_solved(ch))[1]
+        branch_corrections(ch.a, basis)
+        kernel = _spy(monkeypatch, teleport, "_corrections")
+        with pytest.raises(CorrectionError):
+            branch_corrections(make_channel(*SYMMETRIC).a, basis)
+        assert len(kernel) == 1
+        fresh = _corrections(branch_components(ch.a, basis))
+        assert branch_corrections(ch.a, basis).tobytes() == fresh.tobytes()
+
+    def test_key_is_the_exact_bits(self, monkeypatch):
+        basis = special_case_basis("A", math.pi / 4)
+        branch_corrections(DEGENERATE, basis)
+        kernel = _spy(monkeypatch, teleport, "_corrections")
+        branch_corrections((-0.0, R2, R2), basis)  # -0.0 == 0.0, but not bit for bit
+        branch_corrections((-0.0, R2, R2), basis)
+        assert len(kernel) == 1
+        with pytest.raises(ValueError, match="expected 3"):  # same bytes, another shape
+            branch_corrections(np.array([(-0.0, R2, R2)]), basis)
+
+    def test_caller_writes_reach_neither_basis_nor_certificate(self, rng):
+        ch = random_capable_channel(rng)
+        vectors = assemble_D12(_solved(ch))[0].copy()
+        basis = MeasurementBasis(vectors)
+        q = random_input(rng).vector()
+        want = [a.tobytes() for a in certify(q, ch.a, basis)]
+        vectors[:] = np.eye(6)  # still unitary, but corrects no branch of this channel
+        assert not np.array_equal(basis.vectors, vectors)
+        assert [a.tobytes() for a in certify(q, ch.a, basis)] == want
+        with pytest.raises(CorrectionError):
+            certify(q, ch.a, MeasurementBasis(vectors))
 
 
 def _stack_deviations_loop(ch, schemes):
