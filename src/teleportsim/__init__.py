@@ -11,8 +11,7 @@ from .channel import (
 from .resources import (
     ResourceReport,
     classical_cost,
-    gour_e12_case1,
-    gour_e12_case2,
+    gour_e12,
     lower_bound_sum,
     measurement_entanglement,
     resource_report,
@@ -25,9 +24,7 @@ from .scheme import (
     admissible_theta3,
     assemble_D12,
     find_scheme,
-    rotation_from_angles,
     solve_constraints,
-    solve_phases,
     special_case_basis,
     two_qubit_D12,
     two_qubit_feasible,
@@ -57,18 +54,15 @@ __all__ = [
     "channel_entropy",
     "classical_cost",
     "find_scheme",
-    "gour_e12_case1",
-    "gour_e12_case2",
+    "gour_e12",
     "is_teleport_capable",
     "lower_bound_sum",
     "make_channel",
     "measurement_entanglement",
     "random_input",
     "resource_report",
-    "rotation_from_angles",
     "run_teleport",
     "solve_constraints",
-    "solve_phases",
     "special_case_basis",
     "two_qubit_D12",
     "two_qubit_feasible",

@@ -4,7 +4,8 @@ trade-off bounds on their sum.
 Quantities per scheme:
 * e_channel — entanglement entropy of the shared channel;
 * e12 — probability-weighted average entanglement of the measurement basis;
-* h12 — Shannon entropy of the outcome distribution (classical cost).
+* h12 — Shannon entropy of the outcome distribution (classical cost);
+* gour_e12 — the e12 of Gour's protocol on the same channel, for comparison.
 
 Bounds as functions of channel entanglement E:
 * upper_bound_sum — the optimal-curve value of e12 + h12 for the one-parameter
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 from .channel import SchmidtChannel
 from .qlinalg import LOG2_3, TOL, _FAR_MARGIN, binary_entropy, bisect, entanglement_from_tangle
-from .scheme import SchemeParams
-from .teleport import _probabilities
+from .scheme import PhaseInfeasibleError, SchemeParams, phases_from_weights
+from .teleport import branch_probabilities
 
 # affine piece of the lower bound: f2(E) = K_SLOPE * E + B_INTERCEPT,
 # pinned by f2(log2 3) = 1 + log2 6 and the stated slope
@@ -76,13 +77,10 @@ def classical_cost(probabilities) -> float:
 
 
 def branch_tangles(params: SchemeParams) -> tuple[float, ...]:
-    """Closed-form tangles of the six basis rows, in label order."""
-    return _tangles(params.rotation, params.delta)
-
-
-def _tangles(u, delta) -> tuple[float, ...]:
-    """branch_tangles from a scheme's rotation u and phases delta."""
-    d1, d2 = delta
+    """Closed-form tangles of the six basis rows, in label order, from the
+    scheme's cached rotation."""
+    u = params.rotation
+    d1, d2 = params.delta
     c12 = 4.0 * u[0][1] ** 2 * (u[0][0] ** 2 + u[0][2] ** 2)
     c12m = 4.0 * u[1][1] ** 2 * (u[1][0] ** 2 + u[1][2] ** 2)
     c3 = (
@@ -97,48 +95,26 @@ def _tangles(u, delta) -> tuple[float, ...]:
 
 
 def _triangle_entanglement(xi1: float, xi2: float) -> float:
+    """H((1 + sqrt(1 - C)) / 2) for the tangle C = 1 - |1 + e^{i xi1} + e^{i xi2}|^2 / 9."""
     rad = 1.0 / 3.0 + (2.0 / 9.0) * (math.cos(xi1) + math.cos(xi2) + math.cos(xi1 - xi2))
     return binary_entropy((1.0 + math.sqrt(max(rad, 0.0))) / 2.0)
 
 
-def _checked_acos(x: float) -> float:
-    if not (abs(x) <= 1.0 + TOL.entry):  # NaN fails too
-        raise ValueError(f"arccos argument {x} outside [-1, 1]")
-    return math.acos(min(max(x, -1.0), 1.0))
+def gour_e12(ch: SchmidtChannel) -> float:
+    """Average measurement entanglement of Gour's protocol (Phys. Rev. A 70,
+    042301 (2004)) on a capable channel, in any coefficient order.
 
-
-def gour_e12_case1(a1: float) -> float:
-    """Reference-protocol average entanglement on the slice a2 = a1.
-
-    The two interior angles of the coefficient triangle with sides
-    (a1^2, a1^2, a0^2) enter through a closed form; the channel must be
-    capable, so a1^2 lies in [1/4, 1/2].
+    Gour's six kets (1/sqrt 6) sum_j w^{mj} (|0> + s e^{i xi_j} |1>)|j>
+    (m = 0, 1, 2; s = +-1; w = e^{2 pi i/3}) all have the tangle of
+    _triangle_entanglement(xi1, xi2), where xi = (0, d1, -d2) closes
+    sum_j a_j^2 e^{i xi_j} = 0: phases_from_weights(*ch.squares). Raises
+    ValueError for an incapable channel.
     """
-    b = a1 * a1
-    a = 1.0 - 2.0 * b
-    if not (-TOL.entry <= a <= 2.0 * b + TOL.entry):  # NaN fails too
-        raise ValueError(f"a1 = {a1} outside the capable slice (1/4 <= a1^2 <= 1/2)")
-    xi1 = math.pi - _checked_acos((2.0 * b * b - a * a) / (2.0 * b * b))
-    xi2 = math.pi + _checked_acos(a / (2.0 * b))
-    return _triangle_entanglement(xi1, xi2)
-
-
-def gour_e12_case2(a0: float, a2: float) -> float:
-    """Reference-protocol average entanglement on the slice a1^2 = 1/2."""
-    p, q, r = a0 * a0, 0.5, a2 * a2
-    if not (abs(p + r - 0.5) <= 1e-9):  # NaN fails too
-        raise ValueError(f"case-2 slice needs a0^2 + a2^2 = 1/2, got {p + r}")
-    # on the slice q = p + r, so the law-of-cosines arguments are 1 and -1 up
-    # to the slice residual; evaluating them in that form avoids catastrophic
-    # cancellation when p or r is tiny
-    s = p + r
-    arg1 = 1.0 + (q - s) * (q + s) / (2.0 * p * q) if p > TOL.weight else 1.0
-    arg2 = -1.0 + (s - q) * (s + q) / (2.0 * p * r) if p > TOL.weight and r > TOL.weight else -1.0
-    # the already-validated slice residual can push the arguments past +-1
-    # when p or r is tiny; that overshoot is not a domain violation
-    xi1 = math.pi - math.acos(min(max(arg1, -1.0), 1.0))
-    xi2 = math.pi + math.acos(min(max(arg2, -1.0), 1.0))
-    return _triangle_entanglement(xi1, xi2)
+    try:
+        d1, d2 = phases_from_weights(*ch.squares)
+    except PhaseInfeasibleError as exc:
+        raise ValueError(f"channel {ch.a} is not teleport-capable (max a_j^2 > 1/2)") from exc
+    return _triangle_entanglement(d1, -d2)
 
 
 def upper_bound_sum(a1: float) -> float:
@@ -149,10 +125,11 @@ def upper_bound_sum(a1: float) -> float:
     form. Domain: 1/3 <= a1^2 <= 1/2.
     """
     b = a1 * a1
-    arg = (1.0 - 2.0 * b) / b
-    if not (abs(arg) <= 1.0 + TOL.entry):  # NaN fails too
+    # the domain is 0 <= arg <= 1; b = 0 (a1 = 0, or a square that underflows) lies outside it
+    arg = (1.0 - 2.0 * b) / b if b > 0.0 else math.inf
+    if not (-TOL.entry <= arg <= 1.0 + TOL.entry):  # NaN fails too
         raise ValueError(f"a1 = {a1} outside domain (1/3 <= a1^2 <= 1/2)")
-    t3 = 0.5 * _checked_acos(min(max(arg, -1.0), 1.0))
+    t3 = 0.5 * math.acos(min(max(arg, -1.0), 1.0))
     tan23 = math.tan(2.0 * t3)
     t1 = 0.5 * math.atan(-math.sqrt(2.0) / tan23) if abs(tan23) > 1e-300 else -math.pi / 4
     c1, s1 = math.cos(t1) ** 2, math.sin(t1) ** 2
@@ -213,9 +190,8 @@ def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
     The probabilities and the tangles read the scheme's cached rotation, and
     the channel entropy is the channel's cached ch.entropy.
     """
-    u = params.rotation
-    probs = _probabilities(ch.squares, u)
-    tangles = _tangles(u, params.delta)
+    probs = branch_probabilities(ch, params)
+    tangles = branch_tangles(params)
     e12 = measurement_entanglement(probs, tangles)
     h12 = classical_cost(probs)
     return ResourceReport(

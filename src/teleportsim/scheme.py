@@ -78,7 +78,7 @@ class SchemeParams:
         return {"theta": list(self.theta), "delta": list(self.delta), "zeta": ZETA}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBasis:
     """Six orthonormal qubit-qutrit kets, one per measurement outcome.
 
@@ -87,12 +87,14 @@ class MeasurementBasis:
     rows, one label per ket (ValueError otherwise). The basis keeps one memo
     slot for teleport.branch_corrections: the corrections of the last channel
     it was asked for, keyed by the exact bits of that channel's coefficients.
+    A basis is one object: == and hash go by identity, so two bases with
+    equal kets are still two bases.
     """
 
     vectors: np.ndarray  # (6, 6), row j is the ket for BRANCH_LABELS[j]; (k, 6, 6) holds k bases
     labels: tuple[str, ...] = BRANCH_LABELS
     # (key, corrections) for teleport.branch_corrections; None until its first call
-    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         vectors = _read_only(self.vectors)
@@ -119,16 +121,12 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def rotation_from_angles(theta1: float, theta2: float, theta3: float) -> np.ndarray:
-    """SO(3) rotation as a product of plane rotations G01(t1) G02(-t2) G12(t3)."""
-    return np.array(rotation_rows(theta1, theta2, theta3))
-
-
 def rotation_rows(theta1: float, theta2: float, theta3: float) -> list[list[float]]:
-    """The entries of rotation_from_angles as nested lists of Python floats.
+    """SO(3) rotation as a product of plane rotations G01(t1) G02(-t2) G12(t3),
+    multiplied out into nested lists of Python floats.
 
-    Closed-form code indexes them as u[i][j]: the same numbers as the array's,
-    without numpy scalar overhead on every product.
+    Closed-form code indexes them as u[i][j], without numpy scalar overhead
+    on every product; np.array(rotation_rows(...)) is the matrix.
     """
     c1, s1 = math.cos(theta1), math.sin(theta1)
     c2, s2 = math.cos(theta2), math.sin(theta2)
@@ -172,15 +170,6 @@ def phases_from_weights(p: float, q: float, r: float) -> tuple[float, float]:
     inv = 1.0 / r
     d2 = -math.atan2((y - x * 0.0) * inv, x * inv)
     return d1, d2
-
-
-def solve_phases(ch: SchmidtChannel, u: np.ndarray) -> tuple[float, float]:
-    """Column phases closing the third-row phasor sum for channel ch and rotation u."""
-    a0sq, a1sq, a2sq = ch.squares
-    p = a0sq * u[2, 0] ** 2
-    q = a1sq * u[2, 1] ** 2
-    r = a2sq * u[2, 2] ** 2
-    return phases_from_weights(p, q, r)
 
 
 def _window_from_halflines(lo: float, hi: float, cons) -> tuple[float, float] | None:

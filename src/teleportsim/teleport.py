@@ -336,13 +336,10 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
 
 
 def branch_probabilities(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, ...]:
-    """Closed-form outcome probabilities, input-independent for valid schemes."""
-    return _probabilities(ch.squares, params.rotation)
-
-
-def _probabilities(squares, u) -> tuple[float, ...]:
-    """branch_probabilities from the channel's squares and a scheme's rotation u."""
-    A, B, C = squares
+    """Closed-form outcome probabilities from the scheme's cached rotation,
+    input-independent for valid schemes."""
+    A, B, C = ch.squares
+    u = params.rotation
     p1 = A * u[0][0] ** 2 + C * u[0][2] ** 2
     p2 = A * u[1][0] ** 2 + C * u[1][2] ** 2
     p3 = 0.5 * (A * u[2][0] ** 2 + B * u[2][1] ** 2 + C * u[2][2] ** 2)

@@ -3,7 +3,8 @@
 Each one recomputes something the library does in closed form (branch
 tangles, collapsed states, the channel ket, the resource report) straight
 from its definition or its first plain recipe, so a test can compare the
-two. The library itself never calls them.
+two; gour_basis builds the comparison protocol's measurement. The library
+itself never calls them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from teleportsim.channel import SchmidtChannel, channel_entropy, make_channel
 from teleportsim.qlinalg import bisect, entanglement_from_tangle
 from teleportsim.resources import ResourceReport, classical_cost
-from teleportsim.scheme import SchemeParams, rotation_from_angles, rotation_rows
+from teleportsim.scheme import MeasurementBasis, SchemeParams, phases_from_weights, rotation_rows
 from teleportsim.teleport import InputQubit
 
 TOL = SimpleNamespace(psd=1e-10)  # admissible negative eigenvalue magnitude
@@ -64,6 +65,36 @@ def qubit_qutrit_tangle(state) -> float:
     return min(max(c, 0.0), 1.0)
 
 
+def plane_rotation(theta1: float, theta2: float, theta3: float) -> np.ndarray:
+    """The SO(3) rotation G01(theta1) G02(-theta2) G12(theta3) as a matrix
+    product, Gij(t) turning axis i towards axis j by t."""
+    def g(i, j, t):
+        m = np.eye(3)
+        m[i, i] = m[j, j] = math.cos(t)
+        m[j, i], m[i, j] = math.sin(t), -math.sin(t)
+        return m
+
+    return g(0, 1, theta1) @ g(0, 2, -theta2) @ g(1, 2, theta3)
+
+
+def gour_basis(ch: SchmidtChannel) -> MeasurementBasis:
+    """Gour's measurement (Phys. Rev. A 70, 042301 (2004)) on a capable channel.
+
+    Six kets (1/sqrt 6) sum_j w^{mj} (|0> + s e^{i xi_j} |1>)|j>, rows in the
+    order (m, s) = (0, +), (1, +), (2, +), (0, -), (1, -), (2, -), with
+    w = e^{2 pi i/3} and xi = (0, d1, -d2) closing sum_j a_j^2 e^{i xi_j} = 0.
+    """
+    d1, d2 = phases_from_weights(*ch.squares)
+    xi = np.array([0.0, d1, -d2])
+    omega = np.exp(2j * math.pi / 3.0)
+    rows = []
+    for s in (1.0, -1.0):
+        for m in range(3):
+            phase = omega ** (m * np.arange(3))
+            rows.append(np.concatenate([phase, s * phase * np.exp(1j * xi)]) / math.sqrt(6.0))
+    return MeasurementBasis(vectors=np.array(rows))
+
+
 def collapsed_closed_form(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> np.ndarray:
     """Closed-form collapsed states, one row per branch, from the angles alone.
 
@@ -71,7 +102,7 @@ def collapsed_closed_form(inp: InputQubit, ch: SchmidtChannel, params: SchemePar
     state, no projection), as an independent oracle for the simulator.
     """
     a0, a1, a2 = ch.a
-    u = rotation_from_angles(*params.theta)
+    u = plane_rotation(*params.theta)
     d1, d2 = params.delta
     f1, f2 = np.exp(-1j * d1), np.exp(-1j * d2)  # conjugated column phases
     al, be = inp.alpha, inp.beta

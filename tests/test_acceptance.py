@@ -26,7 +26,7 @@ from teleportsim.explorer import sweep_case1, sweep_case2, sweep_degenerate
 from teleportsim.qlinalg import LOG2_3, binary_entropy
 from teleportsim.resources import (
     branch_tangles,
-    gour_e12_case1,
+    gour_e12,
     lower_bound_sum,
     resource_report,
     upper_bound_sum,
@@ -186,7 +186,7 @@ def test_5_degenerate_limit_comparison(capsys):
     for w in np.linspace(wlo, whi, 101):
         params = solve_constraints(ch, theta3, theta2_hint=math.asin(math.sqrt(w)))
         e12_min = min(e12_min, resource_report(ch, params).e12)
-    comparison = gour_e12_case1(a1)
+    comparison = gour_e12(ch)
     with _criterion(capsys, 5,
                     f"min E12 {e12_min:.6f} < comparison value {comparison:.6f}"):
         assert e12_min == pytest.approx(0.906, abs=1e-3)

@@ -8,6 +8,7 @@ import pytest
 from oracles import a1_from_entropy_exact
 
 from teleportsim import explorer, resources, scheme, teleport
+from teleportsim.channel import make_channel
 from teleportsim.cli import _fmt, main, sweep_csv_lines
 from teleportsim.explorer import (
     SweepRecord,
@@ -19,7 +20,7 @@ from teleportsim.explorer import (
     sweep_degenerate,
 )
 from teleportsim.qlinalg import LOG2_3
-from teleportsim.resources import gour_e12_case1, gour_e12_case2
+from teleportsim.resources import gour_e12
 from teleportsim.scheme import InfeasibleError
 
 E12_BALANCED = 0.9056390622295664
@@ -414,14 +415,14 @@ class TestGourComparison:
         assert list(degenerate) == [a]
         least[a] = min(least[a], degenerate[a])
         assert least[a] == pytest.approx(0.90572, abs=1e-5)
-        for (a0, a1, a2), e12 in least.items():
-            assert e12 <= gour_e12_case1(a1) + 1e-12, (a0, a1, a2)
+        for a, e12 in least.items():
+            assert e12 <= gour_e12(make_channel(*a)) + 1e-12, a
 
     def test_case2(self):
         least = self._min_e12(sweep_case2(50))
         assert len(least) == 50
-        for (a0, a1, a2), e12 in least.items():
-            assert e12 <= gour_e12_case2(a0, a2) + 1e-12, (a0, a1, a2)
+        for a, e12 in least.items():
+            assert e12 <= gour_e12(make_channel(*a)) + 1e-12, a
 
 
 SYMMETRIC_ARG = "0.5773502691896258,0.5773502691896258,0.5773502691896258"

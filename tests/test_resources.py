@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
-from oracles import qubit_qutrit_tangle, resource_report_per_branch
+from helpers import DEGENERATE, SYMMETRIC, random_capable_channel, random_incapable_channel
+from oracles import gour_basis, qubit_qutrit_tangle, resource_report_per_branch
 from teleportsim import channel, explorer, resources
-from teleportsim.channel import canonicalize, channel_entropy, make_channel
-from teleportsim.qlinalg import LOG2_3, binary_entropy, bisect
+from teleportsim.channel import SchmidtChannel, canonicalize, channel_entropy, make_channel
+from teleportsim.qlinalg import LOG2_3, binary_entropy, bisect, entanglement_from_tangle
 from teleportsim.resources import (
     B_INTERCEPT,
     K_SLOPE,
     _q_from_entropy,
     branch_tangles,
     classical_cost,
-    gour_e12_case1,
-    gour_e12_case2,
+    gour_e12,
     lower_bound_sum,
     measurement_entanglement,
     resource_report,
@@ -31,7 +31,7 @@ from teleportsim.scheme import (
     find_scheme,
     solve_constraints,
 )
-from teleportsim.teleport import InputQubit, run_teleport
+from teleportsim.teleport import InputQubit, random_input, run_teleport, run_with_basis
 
 # frozen fixtures, each computed once from the defining formulas
 H_THREE_QUARTERS = 0.8112781244591328
@@ -122,43 +122,110 @@ class TestBranchTangles:
         assert np.max(np.abs(np.array(closed) - np.array(raw))) <= 1e-10
 
 
+def _slice_channel(b):
+    """The capable a2 = a1 channel with a1^2 = b."""
+    return make_channel(math.sqrt(max(1.0 - 2.0 * b, 0.0)), math.sqrt(b), math.sqrt(b))
+
+
 class TestGourComparison:
+    """gour_e12 on the two swept slices (a2 = a1, and a1^2 = 1/2) and off them."""
+
     def test_case1_maximally_entangled(self):
-        assert gour_e12_case1(1.0 / math.sqrt(3.0)) == pytest.approx(1.0, abs=1e-12)
+        assert gour_e12(make_channel(*SYMMETRIC)) == pytest.approx(1.0, abs=1e-12)
 
     def test_case1_degenerate_limit(self):
-        val = gour_e12_case1(math.sqrt(0.5 - 1e-9))
+        val = gour_e12(_slice_channel(0.5 - 1e-9))
         assert val == pytest.approx(H_TWO_THIRDS, abs=1e-6)
 
     def test_case1_capability_boundary(self):
         # a1^2 = 1/4 puts a0^2 exactly at the capability threshold 1/2
-        assert gour_e12_case1(0.5) == pytest.approx(H_TWO_THIRDS, abs=1e-12)
-
-    def test_case1_domain(self):
-        with pytest.raises(ValueError):
-            gour_e12_case1(0.9)
-        with pytest.raises(ValueError):
-            gour_e12_case1(0.49)
-
-    def test_case1_nan(self):
-        with pytest.raises(ValueError, match="capable slice"):
-            gour_e12_case1(math.nan)
+        assert gour_e12(_slice_channel(0.25)) == pytest.approx(H_TWO_THIRDS, abs=1e-12)
 
     def test_case2_small_a2_limit(self):
-        assert gour_e12_case2(math.sqrt(0.5 - 1e-10), 1e-5) == pytest.approx(H_TWO_THIRDS, abs=1e-6)
+        ch = make_channel(math.sqrt(0.5 - 1e-10), math.sqrt(0.5), 1e-5)
+        assert gour_e12(ch) == pytest.approx(H_TWO_THIRDS, abs=1e-6)
 
     def test_case2_balanced_point(self):
         # regression-pinned: the case-2 value is H(2/3) across the slice
-        assert gour_e12_case2(0.5, 0.5) == pytest.approx(H_TWO_THIRDS, abs=1e-12)
-        assert 0.9 < gour_e12_case2(0.5, 0.5) <= 1.0
+        val = gour_e12(make_channel(0.5, math.sqrt(0.5), 0.5))
+        assert val == pytest.approx(H_TWO_THIRDS, abs=1e-12)
+        assert 0.9 < val <= 1.0
 
-    def test_case2_off_slice_rejected(self):
+    def test_any_coefficient_order(self, rng):
+        for ch in [random_capable_channel(rng) for _ in range(50)] + [make_channel(*DEGENERATE)]:
+            vals = [gour_e12(make_channel(*(ch.a[i] for i in perm)))
+                    for perm in itertools.permutations(range(3))]
+            assert max(vals) - min(vals) <= 1e-13
+
+    def test_incapable_rejected(self, rng):
+        # a1 = 0.9 (a1^2 above 1/2) and a1 = 0.49 on the a2 = a1 slice (a0^2 above 1/2)
+        chans = [make_channel(math.sqrt(0.095), 0.9, math.sqrt(0.095)), _slice_channel(0.49 ** 2)]
+        for ch in chans + [random_incapable_channel(rng) for _ in range(20)]:
+            with pytest.raises(ValueError, match="not teleport-capable"):
+                gour_e12(ch)
+
+    def test_nan(self):
         with pytest.raises(ValueError):
-            gour_e12_case2(0.5, 0.6)
+            gour_e12(SchmidtChannel(a=(math.nan, math.sqrt(0.5), 0.5)))
 
-    def test_case2_nan(self):
-        with pytest.raises(ValueError, match="slice"):
-            gour_e12_case2(math.nan, 0.5)
+
+class TestGourProtocol:
+    """Gour's measurement (oracles.gour_basis) run through the certificate:
+    perfect teleportation with six uniform outcomes, so Gour's H12 is log2 6,
+    and gour_e12 is its basis's average entanglement."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        rng = np.random.default_rng(11)
+        out = []
+        for _ in range(300):
+            ch = random_capable_channel(rng)
+            basis = gour_basis(ch)
+            out.append((ch, basis, run_with_basis(random_input(rng), ch.a, basis)))
+        return out
+
+    def test_certified_with_uniform_outcomes(self, runs):
+        for ch, _, rep in runs:
+            assert max(abs(1.0 - f) for f in rep.fidelities) <= 1e-12, ch.a
+            assert max(abs(p - 1.0 / 6.0) for p in rep.probabilities) <= 1e-15, ch.a
+            assert classical_cost(rep.probabilities) == pytest.approx(math.log2(6.0), abs=1e-12)
+
+    def test_e12_is_the_basis_entanglement(self, runs):
+        for ch, basis, rep in runs:
+            raw = sum(p * entanglement_from_tangle(qubit_qutrit_tangle(v))
+                      for p, v in zip(rep.probabilities, basis.vectors))
+            assert gour_e12(ch) == pytest.approx(raw, abs=1e-12), ch.a
+
+
+class TestClaimsAgainstGour:
+    """The abstract's comparison with Gour's protocol on the whole capable
+    simplex, in the form in which it holds: (a) the best theta3 of the
+    window needs less measurement entanglement than Gour's (a single theta3
+    need not: a 17-point grid misses on one channel here by 1.24e-3 bits),
+    and (b) no scheme sends more classical bits than Gour's log2 6."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        rng = np.random.default_rng(12)
+        out = []
+        for _ in range(400):
+            ch = random_capable_channel(rng)
+            lo, hi = admissible_theta3(ch)
+            out.append((ch, [resource_report(ch, solve_constraints(ch, t))
+                             for t in np.linspace(lo, hi, 33)]))
+        return out
+
+    def test_a_best_theta3_below_gour(self, sample):
+        # smallest margin in this sample: about 8.0e-6 bits
+        for ch, reps in sample:
+            assert min(r.e12 for r in reps) < gour_e12(ch), ch.a
+
+    def test_b_h12_at_most_log2_6(self, sample):
+        for ch, reps in sample:
+            assert max(r.h12 for r in reps) <= math.log2(6.0) + 1e-12, ch.a
+        # equality at the symmetric channel, whose six outcomes are uniform
+        ch = make_channel(*SYMMETRIC)
+        assert resource_report(ch, find_scheme(ch)).h12 == pytest.approx(math.log2(6.0), abs=1e-12)
 
 
 class TestUpperBound:
@@ -171,8 +238,9 @@ class TestUpperBound:
         assert upper_bound_sum(math.sqrt(0.5)) == pytest.approx(3 + H_THREE_QUARTERS / 2, abs=1e-9)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            upper_bound_sum(0.5)  # a1^2 = 1/4 < 1/3
+        for a1 in (0.5, 0.0, -0.0, 1e-200, 0.8):  # a1^2 = 1/4, 0, 0, 0 (underflow), 0.64
+            with pytest.raises(ValueError, match="outside domain"):
+                upper_bound_sum(a1)
 
     def test_nan(self):
         with pytest.raises(ValueError, match="outside domain"):

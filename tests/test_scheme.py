@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel, random_incapable_channel
-from oracles import qubit_qutrit_tangle, reduced_density
+from oracles import plane_rotation, qubit_qutrit_tangle, reduced_density
 from teleportsim.channel import SchmidtChannel, canonicalize, make_channel
 from teleportsim.qlinalg import TOL
 from teleportsim.resources import branch_tangles, resource_report, upper_bound_sum
@@ -26,10 +26,8 @@ from teleportsim.scheme import (
     free_theta2_window,
     measurement_bases,
     phases_from_weights,
-    rotation_from_angles,
     rotation_rows,
     solve_constraints,
-    solve_phases,
     special_case_basis,
     two_qubit_D12,
     two_qubit_feasible,
@@ -40,27 +38,27 @@ R2 = 1.0 / math.sqrt(2.0)
 
 class TestRotation:
     def test_identity(self):
-        assert np.allclose(rotation_from_angles(0.0, 0.0, 0.0), np.eye(3), atol=1e-15)
+        assert np.allclose(rotation_rows(0.0, 0.0, 0.0), np.eye(3), atol=1e-15)
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
     def test_special_orthogonal(self, t1, t2, t3):
-        u = rotation_from_angles(t1, t2, t3)
+        u = np.array(rotation_rows(t1, t2, t3))
         assert np.max(np.abs(u.T @ u - np.eye(3))) <= 1e-12
         assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
-    def test_rows_are_the_array_entries(self, t1, t2, t3):
+    def test_rows_are_the_plane_rotation_product(self, t1, t2, t3):
         rows = rotation_rows(t1, t2, t3)
-        assert rows == rotation_from_angles(t1, t2, t3).tolist()
+        assert np.max(np.abs(np.array(rows) - plane_rotation(t1, t2, t3))) <= 1e-15
         assert all(type(x) is float for row in rows for x in row)
 
     def test_degenerate_family_anchor(self):
         # the theta1-parameterized family of the a0=0 channel must appear at
         # (theta1, 0, pi/4)
         for t1 in np.linspace(0.0, math.pi / 2, 7):
-            u = rotation_from_angles(t1, 0.0, math.pi / 4)
+            u = np.array(rotation_rows(t1, 0.0, math.pi / 4))
             c1, s1 = math.cos(t1), math.sin(t1)
             expected = np.array([
                 [c1, -s1 * R2, s1 * R2],
@@ -120,13 +118,13 @@ class TestPhases:
         with pytest.raises(PhaseInfeasibleError, match="exceeds"):
             phases_from_weights(0.6, 0.1, 0.1)
 
-    def test_solve_phases_from_rotation(self):
+    def test_phases_from_rotation_third_row(self):
         # rotation whose third row has equal squares 1/3 on the symmetric channel
-        ch = make_channel(*SYMMETRIC)
+        A, B, C = make_channel(*SYMMETRIC).squares
         theta2 = math.asin(math.sqrt(1.0 / 3.0))
-        u = rotation_from_angles(0.3, theta2, math.pi / 4)
-        assert np.allclose(u[2] ** 2, 1.0 / 3.0, atol=1e-12)
-        d1, d2 = solve_phases(ch, u)
+        u = rotation_rows(0.3, theta2, math.pi / 4)
+        assert np.allclose(np.square(u[2]), 1.0 / 3.0, atol=1e-12)
+        d1, d2 = phases_from_weights(A * u[2][0] ** 2, B * u[2][1] ** 2, C * u[2][2] ** 2)
         assert d1 == pytest.approx(2.0 * math.pi / 3.0, abs=1e-10)
         assert abs(d2) == pytest.approx(2.0 * math.pi / 3.0, abs=1e-10)
 
@@ -167,7 +165,7 @@ class TestSchemeRotation:
 def _numpy_scalar_solve(ch, theta3, theta2_hint=math.pi / 4, theta1_hint=0.0):
     """solve_constraints' angles as first written, frozen: theta in plain
     floats, then the phasor closure in numpy scalars read from a rotation
-    array, as the old solve_phases did. Numpy divides a complex by a real as
+    array, as the first phase solve did. Numpy divides a complex by a real as
     a product with 1/r (Python's quotient differs in 44% of cases), and its
     x ** 2 is Python's (x * x is not, in about 1 case in 1,100)."""
     A, B, C = ch.squares
@@ -405,6 +403,14 @@ class TestOneBasisPerScheme:
         vectors = np.eye(6, dtype=complex)
         vectors.setflags(write=False)
         assert MeasurementBasis(vectors).vectors is vectors
+
+    def test_equality_is_identity(self):
+        # two bases with equal kets and labels are still two objects
+        basis, twin = special_case_basis("A", 0.1), special_case_basis("A", 0.1)
+        assert basis.vectors.tobytes() == twin.vectors.tobytes() and basis.labels == twin.labels
+        assert basis == basis and not basis != basis and hash(basis) == hash(basis)
+        assert basis != twin and not basis == twin
+        assert len({basis, twin, basis}) == 2
 
 
 class TestBasisLabels:
