@@ -2,7 +2,8 @@
 
 Subcommands: verify, sweep-case1, sweep-case2, sweep-degenerate, bounds,
 report. Exit codes: 0 success, 1 validation error (including a flag value
-that does not parse) or unwritable --out (for example a missing directory),
+that does not parse), unwritable --out (for example a missing directory) or
+out of memory (for example a --density whose grid cannot be allocated),
 2 infeasibility / incapable channel, 64 usage error (unknown flag or
 subcommand).
 """
@@ -263,6 +264,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
         return EXIT_VALIDATION
 
 

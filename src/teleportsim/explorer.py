@@ -10,11 +10,11 @@ Three sweeps cover the documented channel families:
 Each sweep takes a density and rejects one below 2; it draws no random
 numbers, so its output depends on the density alone. A family only lists its
 channels and each channel's solve_constraints points; one driver, _sweep,
-does the rest for all three. It solves all of a channel's points, then
+does the rest for all three. It solves the points in channel order and
 certifies the solved schemes with the input-free certify_stack, which covers
-every input qubit at once: one stack per channel, split only when it would
-hold more than _BLOCK = 256 schemes, a bound on the stack's memory. Each
-record that passes the gate is accounted with one resource_report call.
+every input qubit at once, in stacks of _BLOCK = 256 records (the last one
+shorter) that span channels; _BLOCK bounds the stack's memory. Each record
+that passes the gate is accounted with one resource_report call.
 Every emitted record teleports every input with fidelity at least
 1 - TOL.unitary; infeasible points are counted and reported, never fatal.
 """
@@ -31,9 +31,9 @@ from .qlinalg import LOG2_3, TOL, _FAR_MARGIN, bisect
 from .resources import lower_bound_sum, resource_report, upper_bound_sum
 from .scheme import (
     InfeasibleError,
-    SchemeParams,
     admissible_u_window,
     free_theta2_window,
+    measurement_bases,
     solve_constraints,
 )
 from .teleport import STACK_BOUND, certify_stack
@@ -41,10 +41,9 @@ from .teleport import STACK_BOUND, certify_stack
 # number of scheme-angle samples per swept channel
 _INNER_GRID = 5
 
-# most schemes certified in one stack, a bound on memory: a stack holds about
-# 5.7 KB of transient arrays per scheme, so 1.5 MB at most. Only a channel
-# with more points (the degenerate sweep's one channel at a density above
-# 256) is split.
+# records certified in one stack, a bound on memory: a stack holds about
+# 5.6 KB of transient arrays per record, so 1.5 MB at most. A stack spans as
+# many channels as it takes to fill it.
 _BLOCK = 256
 
 
@@ -111,38 +110,49 @@ def _sweep(channels) -> SweepResult:
     point a (theta3, hints) pair for solve_constraints(ch, theta3, **hints);
     a channel with no points (an empty window) counts as one skipped point.
 
-    All of a channel's points are solved first, infeasible ones skipped.
-    The solved schemes are then certified by certify_stack, one stack per
-    channel, split into stacks of at most _BLOCK only to bound memory; a
-    stack never spans two channels. A record is emitted for each scheme
-    whose deviation is at most STACK_BOUND; the rest are skipped.
+    The points are solved in channel order, infeasible ones skipped, and
+    each solved scheme is queued with its channel. Each time the queue holds
+    _BLOCK records, and once at the end, certify_stack certifies it as one
+    stack, which may span channels. The queued records are then gated and
+    accounted in order: a record is emitted when its deviation is at most
+    STACK_BOUND and skipped otherwise.
     """
     records: list[SweepRecord] = []
     skipped = 0
+    queue: list[tuple] = []  # (ch, bound_upper, bound_lower, params)
+
+    def flush():
+        nonlocal skipped
+        devs = certify_stack([q[0] for q in queue], measurement_bases([q[3] for q in queue]))
+        for (ch, bound_upper, bound_lower, params), dev in zip(queue, devs.tolist()):
+            if not (dev <= STACK_BOUND):  # fail closed: NaN does not pass
+                skipped += 1
+                continue
+            res = resource_report(ch, params)
+            records.append(SweepRecord(
+                a0=ch.a[0], a1=ch.a[1], a2=ch.a[2],
+                theta1=params.theta[0], theta2=params.theta[1], theta3=params.theta[2],
+                e_channel=res.e_channel, e12=res.e12, h12=res.h12, sum=res.sum,
+                bound_lower=bound_lower, bound_upper=bound_upper,
+            ))
+        queue.clear()
+
     for ch, bound_upper, points in channels:
         if not points:
             skipped += 1
             continue
         bound_lower = _bound_lower(ch.entropy)
-        schemes: list[SchemeParams] = []
         for theta3, hints in points:
             try:
-                schemes.append(solve_constraints(ch, theta3, **hints))
+                params = solve_constraints(ch, theta3, **hints)
             except InfeasibleError:
                 skipped += 1
-        for start in range(0, len(schemes), _BLOCK):
-            stack = schemes[start:start + _BLOCK]
-            for params, dev in zip(stack, certify_stack(ch, stack).tolist()):
-                if not (dev <= STACK_BOUND):  # fail closed: NaN does not pass
-                    skipped += 1
-                    continue
-                res = resource_report(ch, params)
-                records.append(SweepRecord(
-                    a0=ch.a[0], a1=ch.a[1], a2=ch.a[2],
-                    theta1=params.theta[0], theta2=params.theta[1], theta3=params.theta[2],
-                    e_channel=res.e_channel, e12=res.e12, h12=res.h12, sum=res.sum,
-                    bound_lower=bound_lower, bound_upper=bound_upper,
-                ))
+                continue
+            queue.append((ch, bound_upper, bound_lower, params))
+            if len(queue) == _BLOCK:
+                flush()
+    if queue:
+        flush()
     return SweepResult(records=tuple(records), skipped=skipped)
 
 

@@ -55,12 +55,13 @@ def identity(n: int) -> np.ndarray:
 
 
 def check_unitary(mat) -> None:
-    """Check each matrix of a (..., n, n) stack for unitarity; errors name the first bad one."""
+    """Check each matrix of a (..., n, n) stack for unitarity; errors name the
+    first bad one. An empty stack passes."""
     m = np.asarray(mat)
     # an inf entry makes the deviation NaN (inf * 0), which the check rejects
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.abs(m.conj().swapaxes(-1, -2) @ m - identity(m.shape[-1]))
-    if not (dev.max() <= TOL.unitary):
+    if not (dev.max(initial=0.0) <= TOL.unitary):
         per = dev.max(axis=(-2, -1))
         raise ValueError(f"matrix not unitary: max deviation "
                          f"{per[~(per <= TOL.unitary)].flat[0]:.3e}")

@@ -13,12 +13,7 @@ import numpy as np
 
 from .channel import SchmidtChannel, is_teleport_capable
 from .qlinalg import TOL, check_normalized, identity
-from .scheme import (
-    MeasurementBasis,
-    SchemeParams,
-    assemble_D12,
-    measurement_bases,
-)
+from .scheme import MeasurementBasis, SchemeParams, assemble_D12
 
 
 class CapabilityError(Exception):
@@ -126,17 +121,18 @@ def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
     Returns (n_branches, 2, d): entry j is branch j's pair (va, vb). va and vb
     depend only on the channel and the basis row, so Bob's correction can be
     built once per branch and reused for every input. A stack of bases
-    (..., n, na) gives (..., n, 2, d). The result is a fresh, writable array
-    on every call.
+    (..., n, na) gives (..., n, 2, d), with one channel for the whole stack,
+    coeffs (d,), or one per basis, coeffs (..., d). The result is a fresh,
+    writable array on every call.
     """
     a = np.asarray(coeffs, dtype=float)
     *lead, n, na = basis.vectors.shape
     d = na // 2
-    if a.shape != (d,):
-        raise ValueError(f"expected {d} channel coefficients, got {a.shape}")
+    if a.shape not in ((d,), (*lead, d)):
+        raise ValueError(f"expected {d} channel coefficients per basis, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"channel coefficients must be finite, got {a.tolist()}")
-    return a * basis.vectors.conj().reshape(*lead, n, 2, d)
+    return a[..., None, None, :] * basis.vectors.conj().reshape(*lead, n, 2, d)
 
 
 def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
@@ -242,9 +238,12 @@ def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> T
 STACK_BOUND = TOL.unitary / (4.0 * math.sqrt(6.0))
 
 
-def certify_stack(ch: SchmidtChannel, schemes) -> np.ndarray:
-    """The input-free certificate for k schemes on one channel: each record's
-    worst deviation from perfect teleportation, (k,).
+def certify_stack(channels, basis: MeasurementBasis) -> np.ndarray:
+    """The input-free certificate for k records, record i being the basis
+    basis.vectors[i] (a (k, 6, 6) stack, for example measurement_bases of k
+    schemes) on the channel channels[i]: each record's worst deviation from
+    perfect teleportation, (k,). The records may come from any number of
+    channels, in any order.
 
     Branch j collapses the input q = (alpha, beta) to alpha*va + beta*vb
     (branch_components), so Bob's output is W.[va vb].q. With the branch
@@ -263,17 +262,21 @@ def certify_stack(ch: SchmidtChannel, schemes) -> np.ndarray:
     (1 - x)^2 / (1 + x)^2 >= 1 - 4x, and eps <= TOL.unitary / (4 sqrt 6)
     gives 1 - TOL.unitary, for every input at once.
 
-    Keeps run_teleport's checks: the bases' unitarity (measurement_bases),
-    the kernel's equal-weight, orthogonality and unitarity checks, and each
-    record's probabilities summing to 1 (else ValueError). An empty sequence
-    of schemes on a capable channel gives an empty (0,) array; an incapable
-    channel raises CapabilityError either way.
+    Keeps run_teleport's checks: every distinct channel's capability
+    (CapabilityError), the kernel's equal-weight, orthogonality and
+    unitarity checks, and each record's probabilities summing to 1 (else
+    ValueError); the bases were checked for unitarity when built. A channel
+    count other than the basis count raises ValueError. An empty stack gives
+    an empty (0,) array.
     """
-    _require_capable(ch)
-    if not schemes:
+    for ch in dict.fromkeys(channels):
+        _require_capable(ch)
+    k = len(channels)
+    if basis.vectors.shape[:-2] != (k,):
+        raise ValueError(f"{k} channels for a basis stack of shape {basis.vectors.shape}")
+    if not k:
         return np.zeros(0)
-    comps = branch_components(ch.a, measurement_bases(schemes))
-    k = comps.shape[0]
+    comps = branch_components([ch.a for ch in channels], basis)
     squares = comps.real ** 2 + comps.imag ** 2
     w = _corrections(comps.reshape(-1, 2, 3), squares.reshape(-1, 2, 3)).reshape(k, 6, 3, 3)
     # a branch's six squares, summed in the order numpy sums its (2, 3) block

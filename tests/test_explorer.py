@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -89,52 +90,65 @@ def _sweeps(n_degenerate=9):
 
 
 def _spy_stacks(monkeypatch):
-    """Record each certify_stack call as (channel, the stack's scheme angles)."""
-    stacks, certify = [], explorer.certify_stack
+    """Record each certify_stack call as its records' (channel, scheme angles)."""
+    stacks, angles = [], []
+    bases, certify = explorer.measurement_bases, explorer.certify_stack
 
-    def spy(ch, schemes):
-        stacks.append((ch.a, [params.theta for params in schemes]))
-        return certify(ch, schemes)
+    def spy_bases(schemes):
+        angles[:] = [params.theta for params in schemes]
+        return bases(schemes)
 
+    def spy(channels, basis):
+        stacks.append([(ch.a, theta) for ch, theta in zip(channels, angles, strict=True)])
+        return certify(channels, basis)
+
+    monkeypatch.setattr(explorer, "measurement_bases", spy_bases)
     monkeypatch.setattr(explorer, "certify_stack", spy)
     return stacks
 
 
-def _by_channel(records):
-    """The records' scheme angles grouped by channel, as (channel, angles)."""
-    groups = {}
-    for r in records:
-        groups.setdefault((r.a0, r.a1, r.a2), []).append((r.theta1, r.theta2, r.theta3))
-    return list(groups.items())
+def _emitted(records):
+    """Each record's (channel, scheme angles), in emission order."""
+    return [((r.a0, r.a1, r.a2), (r.theta1, r.theta2, r.theta3)) for r in records]
+
+
+def _in_stacks(records, block):
+    """The records' (channel, scheme angles) cut into stacks of block, the last shorter."""
+    items = _emitted(records)
+    return [items[i:i + block] for i in range(0, len(items), block)]
 
 
 class TestSweepStacks:
-    """Each sweep certifies all of a channel's solved schemes in one stack,
-    split only past _BLOCK: one correction-kernel call per stack, the gate
-    applied record by record, no random numbers drawn, one resource_report
-    call per record."""
+    """Each sweep certifies its solved schemes in stacks of exactly _BLOCK
+    records in emission order, spanning channels, the last stack shorter:
+    one correction-kernel call per stack, the gate applied record by
+    record, no random numbers drawn, one resource_report call per record."""
 
-    @pytest.mark.parametrize("name", ["case1", "case2"])
-    def test_one_stack_per_channel(self, name, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 4, 256])
+    @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
+    def test_stacks_of_block_in_emission_order(self, name, block, monkeypatch):
+        monkeypatch.setattr(explorer, "_BLOCK", block)
         stacks = _spy_stacks(monkeypatch)
         result = dict(_sweeps())[name]()
         assert result.skipped == 0
-        assert len(stacks) == 6
-        assert stacks == _by_channel(result.records)
+        assert stacks == _in_stacks(result.records, block)
+        if name != "degenerate" and block > 1:  # some stack holds two channels
+            assert any(len({a for a, _ in stack}) > 1 for stack in stacks)
 
     def test_degenerate_density200_is_one_stack(self, monkeypatch):
         stacks = _spy_stacks(monkeypatch)
         result = sweep_degenerate(200)
         assert result.skipped == 0
-        assert stacks == _by_channel(result.records)
-        assert [len(thetas) for _, thetas in stacks] == [200]
+        assert stacks == _in_stacks(result.records, explorer._BLOCK)
+        assert [len(stack) for stack in stacks] == [200]
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
-    def test_infeasible_point_leaves_one_stack_of_the_rest(self, name, monkeypatch):
+    def test_infeasible_point_leaves_the_rest_in_stacks(self, name, monkeypatch):
         run = dict(_sweeps())[name]
         want = run()
         # the first channel with two points or more loses its second one
-        a, thetas = next((a, t) for a, t in _by_channel(want.records) if len(t) > 1)
+        a = next(a for a, group in itertools.groupby(_emitted(want.records), key=lambda x: x[0])
+                 if len(list(group)) > 1)
         i = [(r.a0, r.a1, r.a2) for r in want.records].index(a) + 1
         solve, tried = explorer.solve_constraints, []
 
@@ -146,18 +160,19 @@ class TestSweepStacks:
             return solve(ch, theta3, **hints)
 
         monkeypatch.setattr(explorer, "solve_constraints", refuse_second)
+        monkeypatch.setattr(explorer, "_BLOCK", 4)
         stacks = _spy_stacks(monkeypatch)
         got = run()
         assert want.skipped == 0 and got.skipped == 1
         assert got.records == want.records[:i] + want.records[i + 1:]
-        assert stacks == _by_channel(got.records)
-        assert dict(stacks)[a] == thetas[:1] + thetas[2:]
+        assert stacks == _in_stacks(got.records, 4)
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
     def test_all_infeasible_channel_counts_every_skip(self, name, monkeypatch):
         run = dict(_sweeps())[name]
         want = run()
-        first, thetas = _by_channel(want.records)[0]
+        first = _emitted(want.records)[0][0]
+        n = sum(1 for a, _ in _emitted(want.records) if a == first)
         solve = explorer.solve_constraints
 
         def refuse_first_channel(ch, theta3, **hints):
@@ -166,11 +181,12 @@ class TestSweepStacks:
             return solve(ch, theta3, **hints)
 
         monkeypatch.setattr(explorer, "solve_constraints", refuse_first_channel)
+        monkeypatch.setattr(explorer, "_BLOCK", 4)
         stacks = _spy_stacks(monkeypatch)
         got = run()
-        assert want.skipped == 0 and got.skipped == len(thetas)
-        assert got.records == want.records[len(thetas):]
-        assert stacks == _by_channel(got.records)
+        assert want.skipped == 0 and got.skipped == n
+        assert got.records == want.records[n:]
+        assert stacks == _in_stacks(got.records, 4)
 
     @pytest.mark.parametrize("sweep", [sweep_case1, sweep_case2, sweep_degenerate])
     def test_same_result_as_stacks_of_three(self, sweep, monkeypatch):
@@ -178,10 +194,10 @@ class TestSweepStacks:
         monkeypatch.setattr(explorer, "_BLOCK", 3)
         assert [sweep(density) for density in range(2, 41)] == want
 
-    def test_one_kernel_call_per_channel_or_block(self, monkeypatch):
-        """One kernel call per stack, and a channel split only past _BLOCK:
-        with 2 * _BLOCK + 3 degenerate points, stacks of _BLOCK, _BLOCK and
-        3 (256, 256 and 3)."""
+    def test_one_kernel_call_per_stack(self, monkeypatch):
+        """One kernel call per stack of _BLOCK records, the last shorter:
+        with 2 * _BLOCK + 3 degenerate points, stacks of 256, 256 and 3, and
+        the case sweeps' records in stacks of 5 when _BLOCK is 5."""
         calls, kernel = [], teleport._corrections
 
         def spy(comps, *rest):
@@ -191,24 +207,20 @@ class TestSweepStacks:
         monkeypatch.setattr(teleport, "_corrections", spy)
         stacks = _spy_stacks(monkeypatch)
         block = explorer._BLOCK
-        for name, run in _sweeps(n_degenerate=2 * block + 3):
+        runs = [(block, lambda: sweep_degenerate(2 * block + 3)),
+                (5, lambda: sweep_case1(6)), (5, lambda: sweep_case2(6))]
+        for size, run in runs:
+            monkeypatch.setattr(explorer, "_BLOCK", size)
             calls.clear()
             stacks.clear()
             result = run()
             assert result.skipped == 0
-            assert calls == [6 * len(thetas) for _, thetas in stacks]
-            if name == "degenerate":
-                assert calls == [6 * block] * 2 + [6 * 3]
-                assert [len(thetas) for _, thetas in stacks] == [256, 256, 3]
-                continue
-            per_channel = {}
-            for a, thetas in stacks:
-                per_channel.setdefault(a, []).append(len(thetas))
-            assert len(per_channel) == 6
-            for a, sizes in per_channel.items():
-                n = sum(1 for r in result.records if (r.a0, r.a1, r.a2) == a)
-                assert sizes == [block] * (n // block) + ([n % block] if n % block else [])
-            assert sum(calls) == 6 * len(result.records)
+            assert calls == [6 * len(stack) for stack in stacks]
+            n = len(result.records)
+            sizes = [size] * (n // size) + ([n % size] if n % size else [])
+            assert [len(stack) for stack in stacks] == sizes
+            if size == block:
+                assert sizes == [256, 256, 3]
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
     def test_one_resource_report_per_record(self, name, monkeypatch):
@@ -231,26 +243,27 @@ class TestSweepStacks:
         run = dict(_sweeps())[name]
         want = run()
         certify = explorer.certify_stack
-        before, forced = [], []
+        forced = []
 
-        def past_gate(ch, schemes):
-            devs = certify(ch, schemes)
-            if not forced and len(schemes) >= 3:
-                # the first stack of three or more: its first record exactly
-                # on the bound, its second just past it, its third NaN
-                devs[0] = explorer.STACK_BOUND
-                devs[1] = np.nextafter(explorer.STACK_BOUND, np.inf)
-                devs[2] = math.nan
-                forced.append(sum(before))
-            before.append(len(schemes))
+        def past_gate(channels, basis):
+            devs = certify(channels, basis)
+            # the first channel boundary b >= 2 (2 on the one-channel sweep):
+            # the record before b - 1 exactly on the bound, the last record
+            # of one channel just past it, the first of the next NaN
+            b = next((i for i in range(2, len(channels)) if channels[i] != channels[i - 1]), 2)
+            devs[b - 2] = explorer.STACK_BOUND
+            devs[b - 1] = np.nextafter(explorer.STACK_BOUND, np.inf)
+            devs[b] = math.nan
+            forced.append((b, channels[b - 1] != channels[b]))
             return devs
 
         monkeypatch.setattr(explorer, "certify_stack", past_gate)
         got = run()
-        assert forced and want.skipped == 0
-        i = forced[0]
+        assert want.skipped == 0
+        [(b, straddles)] = forced  # the whole sweep is one stack
+        assert straddles == (name != "degenerate")
         assert got.skipped == 2
-        assert got.records == want.records[:i + 1] + want.records[i + 3:]
+        assert got.records == want.records[:b - 1] + want.records[b + 1:]
 
     @pytest.mark.parametrize("name", ["case1", "case2"])
     def test_empty_window_is_one_skip(self, name, monkeypatch):
@@ -573,6 +586,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "density must be at least 2" in captured.err
+
+    @pytest.mark.parametrize("command",
+                             ["sweep-case1", "sweep-case2", "sweep-degenerate", "bounds"])
+    def test_density_too_large_to_allocate_exits_1(self, command, monkeypatch, capsys):
+        # the grid's allocation fails as numpy's does at --density 100000000000
+        # (an _ArrayMemoryError, a MemoryError), without allocating anything
+        def no_memory(lo, hi, num):
+            raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        assert main([command, "--density", "100000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: out of memory: Unable to allocate an array "
+                                "with shape (100000000000,)\n")
 
     def test_bounds_csv(self, capsys):
         assert main(["bounds", "--density", "10"]) == 0

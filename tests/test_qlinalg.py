@@ -80,6 +80,7 @@ class TestStackedChecks:
     def test_unitary(self, rng):
         q = np.linalg.qr(rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4)))[0]
         check_unitary(q)
+        check_unitary(q[:0])  # an empty stack passes
         bad = q.copy()
         bad[2, 1, 3] += 1e-6
         assert self._message(check_unitary, bad) == self._message(check_unitary, bad[2])

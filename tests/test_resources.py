@@ -24,6 +24,7 @@ from teleportsim.resources import (
     upper_bound_sum,
 )
 from teleportsim.scheme import (
+    MeasurementBasis,
     SchemeParams,
     admissible_theta3,
     assemble_D12,
@@ -31,7 +32,14 @@ from teleportsim.scheme import (
     find_scheme,
     solve_constraints,
 )
-from teleportsim.teleport import InputQubit, random_input, run_teleport, run_with_basis
+from teleportsim.teleport import (
+    STACK_BOUND,
+    InputQubit,
+    certify_stack,
+    random_input,
+    run_teleport,
+    run_with_basis,
+)
 
 # frozen fixtures, each computed once from the defining formulas
 H_THREE_QUARTERS = 0.8112781244591328
@@ -185,8 +193,12 @@ class TestGourProtocol:
         return out
 
     def test_certified_with_uniform_outcomes(self, runs):
+        # the 300 bases as one input-free certificate: every input, every branch
+        stack = MeasurementBasis(np.stack([basis.vectors for _, basis, _ in runs]))
+        devs = certify_stack([ch for ch, _, _ in runs], stack)
+        assert devs.shape == (300,)
+        assert devs.max() <= STACK_BOUND
         for ch, _, rep in runs:
-            assert max(abs(1.0 - f) for f in rep.fidelities) <= 1e-12, ch.a
             assert max(abs(p - 1.0 / 6.0) for p in rep.probabilities) <= 1e-15, ch.a
             assert classical_cost(rep.probabilities) == pytest.approx(math.log2(6.0), abs=1e-12)
 

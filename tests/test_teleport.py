@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
 from oracles import channel_ket, collapsed_closed_form
-from teleportsim import scheme, teleport
+from teleportsim import explorer, scheme, teleport
 from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
 from teleportsim.explorer import sweep_case2
 from teleportsim.qlinalg import TOL
@@ -785,10 +786,17 @@ def _stack_channel(kind, rng):
     return make_channel(*SYMMETRIC)
 
 
+def _one_channel(ch, schemes):
+    """certify_stack on k schemes of the one channel ch."""
+    return certify_stack([ch] * len(schemes), measurement_bases(schemes))
+
+
 def _separate_sum_certificate(coeffs, schemes):
     """certify_stack as first written, frozen: p is its own sum over each
-    branch's (2, 3) block of squares, apart from the kernel's."""
-    comps = branch_components(coeffs, measurement_bases(schemes))
+    branch's (2, 3) block of squares, apart from the kernel's. coeffs holds
+    each record's channel coefficients, (k, 3)."""
+    vectors = measurement_bases(schemes).vectors
+    comps = np.asarray(coeffs, dtype=float)[:, None, None, :] * vectors.conj().reshape(-1, 6, 2, 3)
     w = _corrections(comps.reshape(-1, 2, 3)).reshape(*comps.shape[:2], 3, 3)
     p = 0.5 * np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=(-2, -1))
     out = w @ comps.swapaxes(-1, -2)
@@ -803,9 +811,9 @@ def _separate_sum_certificate(coeffs, schemes):
 
 
 class TestStackCertificate:
-    """certify_stack certifies k schemes on one channel for every input at
-    once; a record within STACK_BOUND teleports every input with fidelity at
-    least 1 - TOL.unitary."""
+    """certify_stack certifies k records, each a basis on its own channel,
+    for every input at once; a record within STACK_BOUND teleports every
+    input with fidelity at least 1 - TOL.unitary."""
 
     @pytest.mark.parametrize("kind", ["random", "face", "symmetric"])
     def test_valid_stacks_pass_and_match_loop(self, kind, rng):
@@ -818,7 +826,7 @@ class TestStackCertificate:
             channels = [make_channel(*SYMMETRIC)]
         for ch in channels:
             schemes = [_solved(ch, frac=f) for f in (0.0, *rng.uniform(size=3), 1.0)]
-            devs = certify_stack(ch, schemes)
+            devs = _one_channel(ch, schemes)
             assert devs.shape == (5,)
             assert devs.max() <= STACK_BOUND
             _close_to_loop(devs, ch, schemes)
@@ -833,14 +841,50 @@ class TestStackCertificate:
         cases.append((ridge, [solve_constraints(ridge, math.pi / 4, theta2_hint=0.0, theta1_hint=t)
                               for t in (0.0, 0.4, math.pi / 2)]))
         for ch, schemes in cases:
-            got = certify_stack(ch, schemes)
-            assert got.tobytes() == _separate_sum_certificate(ch.a, schemes).tobytes()
+            got = _one_channel(ch, schemes)
+            assert got.tobytes() == _separate_sum_certificate([ch.a] * 3, schemes).tobytes()
+
+    def test_mixed_stack_matches_per_channel_stacks(self, rng):
+        # records of random, face, symmetric and degenerate-ridge channels
+        # (the ridge's stack has zero branches), interleaved in one stack:
+        # each record's deviation is, byte for byte, the one its channel's own
+        # stack gives, and the frozen reference's with per-record coefficients
+        ridge = make_channel(*DEGENERATE)
+        groups = [(ch, [_solved(ch, frac=f) for f in (0.0, rng.uniform(), 1.0)])
+                  for kind in ("random", "face", "symmetric")
+                  for ch in (_stack_channel(kind, rng) for _ in range(4))]
+        groups.append((ridge, [solve_constraints(ridge, math.pi / 4, theta2_hint=0.0, theta1_hint=t)
+                               for t in (0.0, 0.4, 1.0, math.pi / 2)]))
+        records = [(ch, params, dev) for ch, schemes in groups
+                   for params, dev in zip(schemes, _one_channel(ch, schemes))]
+        records = [records[i] for i in rng.permutation(len(records))]
+        channels = [ch for ch, _, _ in records]
+        schemes = [params for _, params, _ in records]
+        got = certify_stack(channels, measurement_bases(schemes))
+        assert got.tobytes() == np.array([dev for _, _, dev in records]).tobytes()
+        assert got.tobytes() == _separate_sum_certificate([ch.a for ch in channels],
+                                                          schemes).tobytes()
+        assert got.max() <= STACK_BOUND
+
+    def test_peak_memory_of_a_full_sweep_stack(self, rng):
+        # a stack of explorer._BLOCK records from as many channels keeps its
+        # transient arrays under 1.6 MB (about 5.6 KB a record)
+        channels = [random_capable_channel(rng) for _ in range(explorer._BLOCK)]
+        basis = measurement_bases([_solved(ch, frac=rng.uniform()) for ch in channels])
+        tracemalloc.start()
+        try:
+            devs = certify_stack(channels, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert devs.max() <= STACK_BOUND
+        assert peak < 1.6e6
 
     def test_zero_branches_count_as_zero(self):
         ch = make_channel(*DEGENERATE)
         t1s = np.linspace(0.0, math.pi / 2, 7).tolist()
         schemes = [solve_constraints(ch, math.pi / 4, theta2_hint=0.0, theta1_hint=t) for t in t1s]
-        devs = certify_stack(ch, schemes)
+        devs = _one_channel(ch, schemes)
         assert devs.max() <= STACK_BOUND
         _close_to_loop(devs, ch, schemes)
 
@@ -858,7 +902,7 @@ class TestStackCertificate:
                 w[:] = u @ w
 
             _faulty_kernel(monkeypatch, [6 + 4], rotate)
-            dev = certify_stack(ch, schemes)[1]
+            dev = _one_channel(ch, schemes)[1]
             # 200 inputs, each through scheme 1 with the same faulty branch 4
             _faulty_kernel(monkeypatch, range(4, 6 * 200, 6), rotate)
             inputs = np.array([random_input(rng).vector() for _ in range(200)])
@@ -872,9 +916,9 @@ class TestStackCertificate:
     def test_fault_after_kernel_checks_fails(self, fault, monkeypatch, rng):
         ch = random_capable_channel(rng)
         schemes = [_solved(ch, frac=f) for f in (0.2, 0.5, 0.8)]
-        want = certify_stack(ch, schemes)
+        want = _one_channel(ch, schemes)
         _faulty_kernel(monkeypatch, [6 + 4], fault)  # record 1, branch 4
-        devs = certify_stack(ch, schemes)
+        devs = _one_channel(ch, schemes)
         assert devs[1] > STACK_BOUND
         assert devs[[0, 2]].tolist() == want[[0, 2]].tolist()
 
@@ -896,21 +940,37 @@ class TestStackCertificate:
 
     def test_checks_kept(self, rng):
         ch = random_capable_channel(rng)
-        with pytest.raises(CapabilityError):
-            certify_stack(make_channel(math.sqrt(0.2), math.sqrt(0.6), math.sqrt(0.2)),
-                          [_solved(ch)])
+        other = random_capable_channel(rng)
+        incapable = make_channel(math.sqrt(0.2), math.sqrt(0.6), math.sqrt(0.2))
+        schemes = [_solved(ch), _solved(other), _solved(ch)]
+        for i in range(3):  # an incapable channel anywhere in the stack
+            channels = [ch, other, ch]
+            channels[i] = incapable
+            with pytest.raises(CapabilityError):
+                certify_stack(channels, measurement_bases(schemes))
         with pytest.raises(CorrectionError):  # a unitary basis solving no constraint
-            certify_stack(ch, [_solved(ch), SchemeParams(theta=(0.3, 0.4, 0.5), delta=(0.1, 0.2))])
+            _one_channel(ch, [_solved(ch), SchemeParams(theta=(0.3, 0.4, 0.5), delta=(0.1, 0.2))])
         # a channel off the unit sphere (SchmidtChannel skips make_channel's check)
         scaled = SchmidtChannel(a=tuple(1.04 * x for x in SYMMETRIC))
         with pytest.raises(ValueError, match="sum to 1"):
-            certify_stack(scaled, [_solved(make_channel(*SYMMETRIC))])
+            certify_stack([make_channel(*SYMMETRIC), scaled],
+                          measurement_bases([_solved(make_channel(*SYMMETRIC))] * 2))
 
-    def test_empty_stack(self, rng):
-        devs = certify_stack(random_capable_channel(rng), [])
+    def test_channel_count_must_match_basis_count(self, rng):
+        ch = random_capable_channel(rng)
+        basis = measurement_bases([_solved(ch)] * 3)
+        for channels in ([ch] * 2, [ch] * 4, []):
+            with pytest.raises(ValueError, match="channels for a basis stack"):
+                certify_stack(channels, basis)
+        with pytest.raises(ValueError, match="channels for a basis stack"):  # not a stack
+            certify_stack([ch], assemble_D12(_solved(ch))[1])
+
+    def test_empty_stack(self):
+        devs = certify_stack([], measurement_bases([]))
         assert devs.shape == (0,) and devs.dtype == np.float64
         with pytest.raises(CapabilityError):
-            certify_stack(make_channel(math.sqrt(0.2), math.sqrt(0.6), math.sqrt(0.2)), [])
+            certify_stack([make_channel(math.sqrt(0.2), math.sqrt(0.6), math.sqrt(0.2))],
+                          measurement_bases([]))
 
     def test_nan_fails_closed(self, monkeypatch, rng):
         def nan_entry(w, va):
@@ -919,7 +979,7 @@ class TestStackCertificate:
         ch = random_capable_channel(rng)
         schemes = [_solved(ch, frac=f) for f in (0.2, 0.5)]
         _faulty_kernel(monkeypatch, [6 + 1], nan_entry)
-        devs = certify_stack(ch, schemes)
+        devs = _one_channel(ch, schemes)
         assert devs[0] <= STACK_BOUND and math.isnan(devs[1])
 
 
