@@ -199,6 +199,7 @@ class TestGourProtocol:
         assert devs.shape == (300,)
         assert devs.max() <= STACK_BOUND
         for ch, _, rep in runs:
+            assert max(abs(1.0 - f) for f in rep.fidelities) <= 1e-12, ch.a
             assert max(abs(p - 1.0 / 6.0) for p in rep.probabilities) <= 1e-15, ch.a
             assert classical_cost(rep.probabilities) == pytest.approx(math.log2(6.0), abs=1e-12)
 
