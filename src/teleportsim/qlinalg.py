@@ -1,7 +1,7 @@
 """Shared tolerances, state and unitarity checks, and entropy functionals.
 
-Everything operates on plain numpy arrays: kets are complex arrays over the
-last axis, operators over the last two; the checks take stacks of either.
+Everything operates on plain numpy arrays: a ket is a 1-D complex array, an
+operator a matrix over the last two axes; the unitarity check takes stacks.
 All entropies are in bits (log base 2).
 """
 
@@ -33,17 +33,10 @@ LOG2_3 = math.log2(3.0)
 
 
 def check_normalized(vec) -> None:
-    """Check that each ket, the last axis of a (..., m) array, has unit norm."""
-    if vec.ndim == 1:
-        # one ket: plain floats, without a stack's reductions
-        dev = abs(float(np.vdot(vec, vec).real) - 1.0)
-        if not (dev <= TOL.entry):
-            raise ValueError(f"state not normalized: |norm^2 - 1| = {dev:.3e}")
-        return
-    dev = np.abs(np.vecdot(vec, vec).real - 1.0)
-    if not (dev.max() <= TOL.entry):
-        raise ValueError(f"state not normalized: |norm^2 - 1| = "
-                         f"{dev[~(dev <= TOL.entry)].flat[0]:.3e}")
+    """Check that one ket, a 1-D array, has unit norm."""
+    dev = abs(float(np.vdot(vec, vec).real) - 1.0)
+    if not (dev <= TOL.entry):
+        raise ValueError(f"state not normalized: |norm^2 - 1| = {dev:.3e}")
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,10 @@ Bounds as functions of channel entanglement E:
   family a2 = a1 (expressed through a1);
 * lower_bound_sum — piecewise envelope f1 (E < 3/2, via an auxiliary weight q
   with H(q) = 2(E-1)) and the affine f2 = k*E + b (E >= 3/2).
+
+The trade-off, e12 falling as h12 rises along a channel's schemes, holds
+strictly on the face max a_j^2 = 1/2 and at a0 = 0, not in a generic window:
+on the case-1 ridge (a2 = a1) many theta2 steps move both the same way.
 """
 
 from __future__ import annotations

@@ -72,18 +72,17 @@ def random_input(rng: np.random.Generator) -> InputQubit:
     return InputQubit(alpha=alpha, beta=beta)
 
 
-def total_state(vectors, coeffs) -> np.ndarray:
-    """Joint kets of input qubits (..., 2) and the diagonal channel sum_j coeffs[j] |jj>.
+def total_state(vector, coeffs) -> np.ndarray:
+    """Joint ket of one input qubit (2,) and the diagonal channel sum_j coeffs[j] |jj>.
 
-    Returns (..., 2 * d^2): each row is the Kronecker product input (x) chan,
-    checked for unit norm.
+    Returns (2 * d^2,): the Kronecker product input (x) chan, checked for
+    unit norm.
     """
     # the d x d diagonal, flattened: coeffs at every (d + 1)-th entry
     d = len(coeffs)
     chan = np.zeros(d * d, dtype=complex)
     chan[:: d + 1] = coeffs
-    vectors = np.asarray(vectors)
-    psi = (vectors[..., None] * chan).reshape(vectors.shape[:-1] + (-1,))
+    psi = (np.asarray(vector)[:, None] * chan).reshape(-1)
     check_normalized(psi)
     return psi
 
@@ -93,22 +92,17 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.nda
 
     Works for any split: Alice's dimension is the basis-vector dimension, the
     remainder is Bob's. Returns (probabilities (n,), collapsed (n, nb)), one
-    row per basis ket; collapsed states are kept unnormalized so that
-    probability = <collapsed|collapsed>. A stack of bases (..., n, na)
-    measures a matching stack of states (..., na * nb), each record with its
-    own sum-to-1 check, and adds the same leading axes to both results.
+    row per ket of the one (n, na) basis; collapsed states are kept
+    unnormalized so that probability = <collapsed|collapsed>, and the
+    probabilities must sum to 1.
     """
     na = basis.vectors.shape[-1]
-    nb = total.shape[-1] // na
-    if na * nb != total.shape[-1]:
+    nb = total.size // na
+    if na * nb != total.size:
         raise ValueError("basis dimension incompatible with total state")
-    collapsed = basis.vectors.conj() @ total.reshape(total.shape[:-1] + (na, nb))
+    collapsed = basis.vectors.conj() @ total.reshape(na, nb)
     probs = (np.abs(collapsed) ** 2).sum(axis=-1)
-    if probs.ndim == 1:  # one record: its sum compared as a float
-        ok = abs(float(probs.sum()) - 1.0) <= TOL.entry
-    else:
-        ok = (np.abs(probs.sum(axis=-1) - 1.0) <= TOL.entry).all()
-    if not ok:
+    if not (abs(float(probs.sum()) - 1.0) <= TOL.entry):
         raise ValueError("branch probabilities do not sum to 1")
     return probs, collapsed
 
@@ -117,42 +111,38 @@ def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
     """Input-independent split of each collapsed state: collapsed = alpha*va + beta*vb.
 
     coeffs are the diagonal channel coefficients (length = Bob's dimension,
-    all finite).
-    Returns (n_branches, 2, d): entry j is branch j's pair (va, vb). va and vb
-    depend only on the channel and the basis row, so Bob's correction can be
-    built once per branch and reused for every input. A stack of bases
-    (..., n, na) gives (..., n, 2, d), with one channel for the whole stack,
-    coeffs (d,), or one per basis, coeffs (..., d). The result is a fresh,
+    all finite), one set per basis record: (d,) for one (n, na) basis, (k, d)
+    for a (k, n, na) stack. Returns (n_branches, 2, d), or (k, n_branches, 2,
+    d) for a stack: entry j is branch j's pair (va, vb). va and vb depend
+    only on the channel and the basis row, so Bob's correction can be built
+    once per branch and reused for every input. The result is a fresh,
     writable array on every call.
     """
     a = np.asarray(coeffs, dtype=float)
     *lead, n, na = basis.vectors.shape
     d = na // 2
-    if a.shape not in ((d,), (*lead, d)):
-        raise ValueError(f"expected {d} channel coefficients per basis, got {a.shape}")
+    if a.shape != (*lead, d):
+        raise ValueError(f"expected {d} channel coefficients per basis record, shape "
+                         f"{(*lead, d)} for a basis of shape {basis.vectors.shape}, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"channel coefficients must be finite, got {a.tolist()}")
     return a[..., None, None, :] * basis.vectors.conj().reshape(*lead, n, 2, d)
 
 
 def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
-    """Bob's correction unitary for every branch of a valid scheme, (n_branches, d, d).
-
-    A stack of bases (..., n, na) gives (..., n, d, d), from one kernel call
-    over all its rows. The result is read-only and kept in the basis's one
-    memo slot, keyed by the exact bits of the coefficients (so -0.0 and 0.0
-    differ): asked again for the same channel, the basis returns that same
-    array without building anything; other coefficients build afresh and
-    take the slot.
+    """Bob's correction unitary for every branch of one basis, (n_branches, d, d),
+    from one kernel call over all its rows, read-only and kept in the basis's
+    one memo slot, keyed by the exact bits of the coefficients (so -0.0 and
+    0.0 differ): asked again for the same channel, the basis returns that
+    same array without building anything; other coefficients build afresh
+    and take the slot.
     """
     a = np.asarray(coeffs, dtype=float)
     key = (a.shape, a.tobytes())
     memo = basis._memo
     if memo is not None and memo[0] == key:
         return memo[1]
-    comps = branch_components(a, basis)
-    d = comps.shape[-1]
-    w = _corrections(comps.reshape(-1, 2, d)).reshape(comps.shape[:-2] + (d, d))
+    w = _corrections(branch_components(a, basis))
     w.setflags(write=False)
     object.__setattr__(basis, "_memo", (key, w))
     return w
@@ -251,8 +241,8 @@ def certify_stack(channels, basis: MeasurementBasis) -> np.ndarray:
     has checked |va| = |vb| and va orthogonal to vb), take the 3x2 matrix
     M = W.[va vb] / sqrt(p). A branch's deviation is the largest entry of
     |M - c'.[I; 0]|, with c' = M[0, 0] / |M[0, 0]| (1 if that is 0); zero
-    branches (p <= TOL.zero_branch) count as 0, as certify counts their
-    fidelity as 1. A NaN anywhere gives a NaN deviation.
+    branches (p <= TOL.zero_branch) count as 0, as run_with_basis counts
+    their fidelity as 1. A NaN anywhere gives a NaN deviation.
 
     Why STACK_BOUND suffices: write M = c'.[I; 0] + E with every |E_ik| <=
     eps. For a unit input q with target t = (q, 0), Mq = c't + Eq and
@@ -295,40 +285,28 @@ def certify_stack(channels, basis: MeasurementBasis) -> np.ndarray:
     return np.where(zero, 0.0, dev).max(axis=-1)
 
 
-def certify(vectors, coeffs, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The fidelity certificate: each input qubit sent through the diagonal
-    channel sum_j coeffs[j] |jj> with its measurement basis.
+def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> TeleportReport:
+    """The fidelity certificate of one input qubit sent through the diagonal
+    channel sum_j coeffs[j] |jj> with one explicitly supplied (n, na)
+    measurement basis (two-qubit or qubit-qutrit); run_teleport's engine.
 
-    vectors (..., 2) holds the inputs and basis.vectors (..., n, na) their
-    bases, one per input: a single (2,) input with one (n, na) basis, or k
-    inputs with a stack of k bases. Returns (probabilities, fidelities),
-    each (..., n). Branches without a perfect correction raise
-    CorrectionError; the corrections are built first, so non-finite
-    coefficients raise ValueError before any arithmetic on them.
+    Branches without a perfect correction raise CorrectionError; for the
+    two-qubit basis that is every channel except the balanced a0 = a1. The
+    corrections are built first, so non-finite coefficients raise ValueError
+    before any arithmetic on them, and a basis stack raises ValueError.
     """
-    vectors = np.asarray(vectors, dtype=complex)
-    if vectors.shape[:-1] != basis.vectors.shape[:-2]:
-        raise ValueError(f"{vectors.shape[:-1]} inputs for {basis.vectors.shape[:-2]} bases")
+    if basis.vectors.ndim != 2:
+        raise ValueError(f"one (n, na) basis expected, got a stack of shape {basis.vectors.shape}")
+    vector = inp.vector()
     corrections = branch_corrections(coeffs, basis)
-    probs, collapsed = measure_branches(total_state(vectors, coeffs), basis)
+    probs, collapsed = measure_branches(total_state(vector, coeffs), basis)
     out = (corrections @ collapsed[..., None])[..., 0]
     # fidelity |<input|W collapsed>|^2 / P, the input padded with zeros to Bob's
     # dimension (so only his first two components count); zero branches count
     # as 1, and a NaN probability is not a zero branch
     zero = probs <= TOL.zero_branch
-    overlap = np.vecdot(vectors[..., None, :], out[..., :2])
-    return probs, np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
-
-
-def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> TeleportReport:
-    """As run_teleport, but on the diagonal channel sum_j coeffs[j] |jj> with an
-    explicitly supplied measurement basis (two-qubit or qubit-qutrit): the
-    one-input view of certify.
-
-    Branches without a perfect correction raise CorrectionError; for the
-    two-qubit basis that is every channel except the balanced a0 = a1.
-    """
-    probs, fids = certify(inp.vector(), coeffs, basis)
+    overlap = np.vecdot(vector[None, :], out[..., :2])
+    fids = np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
     probabilities, fidelities = tuple(probs.tolist()), tuple(fids.tolist())
     return TeleportReport(
         labels=tuple(basis.labels),

@@ -68,8 +68,8 @@ class TestChecksFailClosed:
 
 
 class TestStackedChecks:
-    """A stack is checked matrix by matrix (row by row): one bad entry in the
-    middle fails it with the message of that entry's own check."""
+    """A stack of matrices is checked matrix by matrix: one bad entry in the
+    middle fails it with the message of that matrix's own check."""
 
     @staticmethod
     def _message(check, arg):
@@ -86,10 +86,3 @@ class TestStackedChecks:
         assert self._message(check_unitary, bad) == self._message(check_unitary, bad[2])
         bad[1] *= math.nan
         assert self._message(check_unitary, bad) == self._message(check_unitary, bad[1])
-
-    def test_normalized(self, rng):
-        v = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        check_normalized(v)
-        v[3] *= 1.001
-        assert self._message(check_normalized, v) == self._message(check_normalized, v[3])

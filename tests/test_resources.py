@@ -241,6 +241,34 @@ class TestClaimsAgainstGour:
         assert resource_report(ch, find_scheme(ch)).h12 == pytest.approx(math.log2(6.0), abs=1e-12)
 
 
+def _step_directions(result, angle):
+    """(opposite, same, flat) over the steps between consecutive records of
+    one channel, ordered by the swept angle: a step is flat when E12 or H12
+    moves by less than 1e-12, opposite when they move in opposite directions."""
+    counts = [0, 0, 0]
+    for _, group in itertools.groupby(result.records, key=lambda r: (r.a0, r.a1, r.a2)):
+        group = sorted(group, key=lambda r: getattr(r, angle))
+        for r, s in zip(group, group[1:]):
+            de, dh = s.e12 - r.e12, s.h12 - r.h12
+            if abs(de) < 1e-12 or abs(dh) < 1e-12:
+                counts[2] += 1
+            else:
+                counts[(de > 0) == (dh > 0)] += 1
+    return tuple(counts)
+
+
+class TestTradeOff:
+    """The trade-off between E12 and H12 is strict on the face
+    max a_j^2 = 1/2 and at a0 = 0, and fails on the case-1 ridge."""
+
+    def test_strict_on_the_face_and_at_a0_zero(self):
+        assert _step_directions(explorer.sweep_case2(200), "theta3") == (797, 0, 3)
+        assert _step_directions(explorer.sweep_degenerate(200), "theta1") == (198, 0, 1)
+
+    def test_not_on_the_case1_ridge(self):
+        assert _step_directions(explorer.sweep_case1(200), "theta2") == (272, 520, 7)
+
+
 class TestUpperBound:
     def test_maximally_entangled_point(self):
         assert upper_bound_sum(1.0 / math.sqrt(3.0)) == pytest.approx(SUM_MAX, abs=1e-9)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,15 @@ class TestAssemble:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError):
             MeasurementBasis(vectors=np.ones((6, 6), dtype=complex))
+
+    def test_non_unitary_basis_in_stack(self):
+        # a stack fails with the message of its bad basis's own check
+        vectors = np.stack([special_case_basis("A", t).vectors for t in (0.1, 0.7, 1.2)])
+        vectors[1, 2, 3] += 1e-6
+        with pytest.raises(ValueError) as one:
+            MeasurementBasis(vectors[1])
+        with pytest.raises(ValueError, match=re.escape(str(one.value))):
+            MeasurementBasis(vectors)
 
 
 # any scheme's angles: a unitary basis, whatever the channel

@@ -37,7 +37,6 @@ from teleportsim.teleport import (
     branch_corrections,
     branch_probabilities,
     STACK_BOUND,
-    certify,
     certify_stack,
     measure_branches,
     random_input,
@@ -508,7 +507,7 @@ class TestArrayCertificate:
         assert min(rep.fidelities) >= 1.0 - 1e-10
 
 
-def _stack_cases(kind, rng):
+def _record_cases(kind, rng):
     """(coeffs, bases) groups for one family of channels; each group shares
     its channel, as the bases of one swept channel do."""
     if kind == "random":
@@ -529,89 +528,10 @@ def _stack_cases(kind, rng):
         yield (R2, R2), [MeasurementBasis(dmat, TWO_QUBIT_LABELS)] * 6
 
 
-def _stacked(bases):
-    return MeasurementBasis(np.stack([b.vectors for b in bases]), bases[0].labels)
-
-
-def _error(call):
-    """(type, message) of the exception call() raises."""
-    with pytest.raises(Exception) as exc:
-        call()
-    return type(exc.value), str(exc.value)
-
-
-class TestStackedCertificate:
-    """certify over k stacked bases and inputs must give, bit for bit, what
-    run_with_basis (its one-input view) gives record by record, and fail on a
-    bad record exactly as that record's own call does."""
-
-    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric", "two_qubit"])
-    @pytest.mark.parametrize("k", [1, 5])
-    def test_matches_per_record_runs(self, kind, k, rng):
-        for coeffs, bases in _stack_cases(kind, rng):
-            inputs = [random_input(rng) for _ in bases]
-            for i in range(0, len(bases), k):
-                chunk = slice(i, i + k)
-                probs, fids = certify(np.array([q.vector() for q in inputs[chunk]]), coeffs,
-                                      _stacked(bases[chunk]))
-                for j, (q, basis) in enumerate(zip(inputs[chunk], bases[chunk])):
-                    rep = run_with_basis(q, coeffs, basis)
-                    assert np.array(rep.probabilities).tobytes() == probs[j].tobytes()
-                    assert np.array(rep.fidelities).tobytes() == fids[j].tobytes()
-
-    def test_schemes_match_run_teleport(self, rng):
-        for _ in range(5):
-            ch = random_capable_channel(rng)
-            schemes = [_solved(ch, frac=f) for f in rng.uniform(size=5)]
-            inputs = [random_input(rng) for _ in schemes]
-            fids = certify(np.array([q.vector() for q in inputs]), ch.a,
-                           measurement_bases(schemes))[1]
-            for j, (q, params) in enumerate(zip(inputs, schemes)):
-                assert np.array(run_teleport(q, ch, params).fidelities).tobytes() == fids[j].tobytes()
-            stacked = measurement_bases(schemes).vectors
-            assert all(np.array_equal(stacked[j], assemble_D12(p)[0]) for j, p in enumerate(schemes))
-
-    def test_zero_branches_exactly_one_inside_stack(self, rng):
-        bases = [special_case_basis("A", t) for t in (math.pi / 4, 0.0, math.pi / 3)]
-        q = np.array([random_input(rng).vector() for _ in bases])
-        probs, fids = certify(q, DEGENERATE, _stacked(bases))
-        assert probs[1, 0] <= TOL.zero_branch and probs[1, 1] <= TOL.zero_branch
-        assert fids[1, 0] == 1.0 and fids[1, 1] == 1.0
-        assert fids.min() >= 1.0 - 1e-10
-
-    def test_non_unitary_basis_in_stack(self):
-        vectors = np.stack([special_case_basis("A", t).vectors for t in (0.1, 0.7, 1.2)])
-        vectors[1, 2, 3] += 1e-6
-        assert _error(lambda: MeasurementBasis(vectors)) == _error(lambda: MeasurementBasis(vectors[1]))
-
-    def test_non_correctable_row_in_stack(self, rng):
-        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
-        bases = [assemble_D12(_solved(ch, frac=f))[1] for f in (0.2, 0.5, 0.8)]
-        # a unitary basis that solves no constraint of this channel
-        bases[1] = assemble_D12(SchemeParams(theta=(0.3, 0.4, 0.5), delta=(0.1, 0.2)))[1]
-        inputs = [random_input(rng) for _ in bases]
-        stacked = _error(lambda: certify(np.array([q.vector() for q in inputs]), ch.a,
-                                         _stacked(bases)))
-        assert stacked[0] is CorrectionError
-        assert stacked == _error(lambda: run_with_basis(inputs[1], ch.a, bases[1]))
-
-    def test_unnormalized_input_in_stack(self, rng):
-        bases = [special_case_basis("A", t) for t in (0.1, 0.7, 1.2)]
-        q = np.array([random_input(rng).vector() for _ in bases])
-        q[1] *= 1.001
-        stacked = _error(lambda: certify(q, DEGENERATE, _stacked(bases)))
-        assert stacked[0] is ValueError
-        assert stacked == _error(lambda: certify(q[1], DEGENERATE, bases[1]))
-
-    def test_inputs_must_match_bases(self, rng):
-        bases = [special_case_basis("A", t) for t in (0.1, 0.7)]
-        with pytest.raises(ValueError, match="inputs for"):
-            certify(random_input(rng).vector(), DEGENERATE, _stacked(bases))
-
-
 def _frozen_certify(vectors, coeffs, basis):
-    """certify as written for stacks, before its one-input path, frozen: the
-    reference for the probabilities and fidelities, bit for bit."""
+    """The per-input certificate as written for stacks of inputs and bases,
+    before its one-input path, frozen: the reference for run_with_basis's
+    probabilities and fidelities, bit for bit."""
     vectors = np.asarray(vectors, dtype=complex)
     comps = branch_components(coeffs, basis)
     d = comps.shape[-1]
@@ -630,20 +550,18 @@ def _frozen_certify(vectors, coeffs, basis):
 
 
 class TestOneInputPath:
-    """The one-input certificate skips the stack reductions; every output
-    byte stays that of the stack-generic code."""
+    """run_with_basis certifies one input on one basis; every output byte
+    stays that of the frozen stack-generic certificate."""
 
     @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric", "two_qubit"])
     def test_matches_frozen_certify(self, kind, rng):
-        for coeffs, bases in _stack_cases(kind, rng):
-            inputs = np.array([random_input(rng).vector() for _ in bases])
-            stacked = _stacked(bases)
-            for got, want in zip(certify(inputs, coeffs, stacked),
-                                 _frozen_certify(inputs, coeffs, stacked)):
-                assert got.tobytes() == want.tobytes()
-            for q, basis in zip(inputs, bases):
-                for got, want in zip(certify(q, coeffs, basis), _frozen_certify(q, coeffs, basis)):
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for coeffs, bases in _record_cases(kind, rng):
+            for basis in bases:
+                q = random_input(rng)
+                rep = run_with_basis(q, coeffs, basis)
+                probs, fids = _frozen_certify(q.vector(), coeffs, basis)
+                assert np.array(rep.probabilities).tobytes() == probs.tobytes()
+                assert np.array(rep.fidelities).tobytes() == fids.tobytes()
 
     def test_nan_fails_each_single_check(self):
         basis = special_case_basis("A", math.pi / 4)
@@ -653,6 +571,20 @@ class TestOneInputPath:
         total[1] = math.nan
         with pytest.raises(ValueError, match="sum to 1"):
             measure_branches(total, basis)
+
+    def test_unnormalized_input_refused(self, rng):
+        q = 1.001 * random_input(rng).vector()
+        with pytest.raises(ValueError, match="not normalized"):
+            total_state(q, DEGENERATE)
+
+    def test_basis_stack_refused(self, rng):
+        ch = random_capable_channel(rng)
+        stack = measurement_bases([_solved(ch, frac=f) for f in (0.2, 0.8)])
+        with pytest.raises(ValueError, match=re.escape("stack of shape (2, 6, 6)")):
+            run_with_basis(random_input(rng), ch.a, stack)
+        with pytest.raises(ValueError, match=re.escape("basis of shape (2, 6, 6), got (3,)")):
+            branch_components(ch.a, stack)
+        assert branch_components([ch.a] * 2, stack).shape == (2, 6, 2, 3)
 
 
 def _spy(monkeypatch, module, name):
@@ -717,13 +649,15 @@ class TestCorrectionMemo:
         ch = random_capable_channel(rng)
         vectors = assemble_D12(_solved(ch))[0].copy()
         basis = MeasurementBasis(vectors)
-        q = random_input(rng).vector()
-        want = [a.tobytes() for a in certify(q, ch.a, basis)]
+        q = random_input(rng)
+        want = run_with_basis(q, ch.a, basis)
         vectors[:] = np.eye(6)  # still unitary, but corrects no branch of this channel
         assert not np.array_equal(basis.vectors, vectors)
-        assert [a.tobytes() for a in certify(q, ch.a, basis)] == want
+        got = run_with_basis(q, ch.a, basis)
+        assert np.array(got.probabilities).tobytes() == np.array(want.probabilities).tobytes()
+        assert np.array(got.fidelities).tobytes() == np.array(want.fidelities).tobytes()
         with pytest.raises(CorrectionError):
-            certify(q, ch.a, MeasurementBasis(vectors))
+            run_with_basis(q, ch.a, MeasurementBasis(vectors))
 
 
 def _stack_deviations_loop(ch, schemes):
@@ -752,7 +686,8 @@ def _close_to_loop(devs, ch, schemes):
 
 def _faulty_kernel(monkeypatch, rows, fault):
     """Let `fault(w, va)` edit the correction of each branch row in `rows` of
-    the kernel's first call, after the kernel's own checks have passed."""
+    the kernel's first call, after the kernel's own checks have passed;
+    returns the growing list of the kernel's calls."""
     calls = []
 
     def faulty(comps, *rest):
@@ -764,6 +699,7 @@ def _faulty_kernel(monkeypatch, rows, fault):
         return w
 
     monkeypatch.setattr(teleport, "_corrections", faulty)
+    return calls
 
 
 def _entry_error(w, va):
@@ -889,10 +825,12 @@ class TestStackCertificate:
         _close_to_loop(devs, ch, schemes)
 
     def test_bound_holds_every_input(self, monkeypatch, rng):
-        # a unitary error of size eps on one correction: certify's fidelity for
-        # every input stays within the docstring's 4 sqrt(6) x deviation
+        # a unitary error of size eps on one correction: run_with_basis's
+        # fidelity for every input stays within the docstring's
+        # 4 sqrt(6) x deviation
         ch = random_capable_channel(rng)
         schemes = [_solved(ch, frac=f) for f in (0.2, 0.5, 0.8)]
+        inputs = [random_input(rng) for _ in range(200)]
         for eps in (1e-12, 1e-9, 1e-6, 1e-3):
             h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             vals, vecs = np.linalg.eigh(h + h.conj().T)
@@ -903,12 +841,15 @@ class TestStackCertificate:
 
             _faulty_kernel(monkeypatch, [6 + 4], rotate)
             dev = _one_channel(ch, schemes)[1]
-            # 200 inputs, each through scheme 1 with the same faulty branch 4
-            _faulty_kernel(monkeypatch, range(4, 6 * 200, 6), rotate)
-            inputs = np.array([random_input(rng).vector() for _ in range(200)])
-            bases = _stacked([assemble_D12(schemes[1])[1]] * 200)
-            worst = certify(inputs, ch.a, bases)[1].min()
+            # the 200 inputs through one fresh basis of scheme 1, whose faulty
+            # branch 4 is built on the first run and kept by the memo
+            basis = MeasurementBasis(assemble_D12(schemes[1])[0])
+            kernel = _faulty_kernel(monkeypatch, [4], rotate)
+            worst = min(min(run_with_basis(q, ch.a, basis).fidelities) for q in inputs)
+            assert len(kernel) == 1
             assert 1.0 - worst <= 4.0 * math.sqrt(6.0) * dev + 1e-15
+            if eps >= 1e-3:  # the kept corrections are the faulty ones
+                assert 1.0 - worst > 1e-8
             if eps >= 1e-9:
                 assert dev > STACK_BOUND
 
