@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from teleportsim.qlinalg import (
+    TOL,
     binary_entropy,
     check_normalized,
     check_unitary,
@@ -65,6 +66,18 @@ class TestChecksFailClosed:
     def test_normalized(self, bad):
         with pytest.raises(ValueError, match="not normalized"):
             check_normalized(np.array([bad, 0.0]))
+
+
+class TestNormalized:
+    def test_entry_tolerance(self):
+        # one ket passes within TOL.entry of unit norm squared, and fails past it
+        v = np.array([0.6, 0.8j])
+        check_normalized(v)
+        check_normalized(v * math.sqrt(1.0 + 0.5 * TOL.entry))
+        with pytest.raises(ValueError, match="not normalized"):
+            check_normalized(v * math.sqrt(1.0 + 2.0 * TOL.entry))
+        with pytest.raises(ValueError, match="not normalized"):
+            check_normalized(np.zeros(6))
 
 
 class TestStackedChecks:

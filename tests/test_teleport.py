@@ -587,6 +587,76 @@ class TestOneInputPath:
         assert branch_components([ch.a] * 2, stack).shape == (2, 6, 2, 3)
 
 
+def _stacked(bases):
+    return MeasurementBasis(np.stack([b.vectors for b in bases]), bases[0].labels)
+
+
+def _error(call):
+    """(type, message) of the exception call() raises."""
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+class TestRecordByRecord:
+    """A sweep certifies its records in stacks with certify_stack and a single
+    input on one basis with run_with_basis: a record's deviation must not
+    depend on the stack it sits in, must bound run_with_basis's fidelities on
+    that record's basis alone, and a bad record fails a stack as it fails
+    alone."""
+
+    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric"])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_per_record_runs(self, kind, k, rng):
+        for coeffs, bases in _record_cases(kind, rng):
+            ch = SchmidtChannel(a=tuple(coeffs))
+            alone = [certify_stack([ch], _stacked([basis]))[0] for basis in bases]
+            for i in range(0, len(bases), k):
+                chunk = bases[i:i + k]
+                devs = certify_stack([ch] * len(chunk), _stacked(chunk))
+                assert devs.tobytes() == np.array(alone[i:i + k]).tobytes()
+            for basis, dev in zip(bases, alone):
+                assert dev <= STACK_BOUND
+                for _ in range(5):
+                    rep = run_with_basis(random_input(rng), coeffs, basis)
+                    assert 1.0 - min(rep.fidelities) <= 4.0 * math.sqrt(6.0) * dev + 1e-15
+
+    def test_schemes_match_run_teleport(self, rng):
+        # a record cut from measurement_bases runs as run_teleport's own basis
+        for _ in range(5):
+            ch = random_capable_channel(rng)
+            schemes = [_solved(ch, frac=f) for f in rng.uniform(size=5)]
+            stack = measurement_bases(schemes)
+            for j, params in enumerate(schemes):
+                assert np.array_equal(stack.vectors[j], assemble_D12(params)[0])
+                q = random_input(rng)
+                got = run_with_basis(q, ch.a, MeasurementBasis(stack.vectors[j]))
+                want = run_teleport(q, ch, params)
+                assert np.array(got.probabilities).tobytes() == np.array(want.probabilities).tobytes()
+                assert np.array(got.fidelities).tobytes() == np.array(want.fidelities).tobytes()
+
+    def test_zero_branches_exactly_one_inside_stack(self, rng):
+        bases = [special_case_basis("A", t) for t in (math.pi / 4, 0.0, math.pi / 3)]
+        devs = certify_stack([make_channel(*DEGENERATE)] * 3, _stacked(bases))
+        assert devs.max() <= STACK_BOUND
+        rep = run_with_basis(random_input(rng), DEGENERATE, bases[1])
+        assert rep.probabilities[0] <= TOL.zero_branch and rep.probabilities[1] <= TOL.zero_branch
+        assert rep.fidelities[0] == 1.0 and rep.fidelities[1] == 1.0
+        for basis in bases:
+            assert min(run_with_basis(random_input(rng), DEGENERATE, basis).fidelities) >= 1.0 - 1e-10
+
+    def test_non_correctable_record_in_stack(self, rng):
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        bases = [assemble_D12(_solved(ch, frac=f))[1] for f in (0.2, 0.5, 0.8)]
+        # a unitary basis that solves no constraint of this channel
+        bases[1] = assemble_D12(SchemeParams(theta=(0.3, 0.4, 0.5), delta=(0.1, 0.2)))[1]
+        stacked = _error(lambda: certify_stack([ch] * 3, _stacked(bases)))
+        assert stacked[0] is CorrectionError
+        assert stacked == _error(lambda: run_with_basis(random_input(rng), ch.a, bases[1]))
+        for basis in (bases[0], bases[2]):
+            assert min(run_with_basis(random_input(rng), ch.a, basis).fidelities) >= 1.0 - 1e-10
+
+
 def _spy(monkeypatch, module, name):
     """Count the calls of module.name; returns the growing list of calls."""
     calls, fn = [], getattr(module, name)
