@@ -49,8 +49,11 @@ def identity(n: int) -> np.ndarray:
 
 def check_unitary(mat) -> None:
     """Check each matrix of a (..., n, n) stack for unitarity; errors name the
-    first bad one. An empty stack passes."""
+    first bad one. An array whose last two axes are not square (an isometry,
+    a 1-D ket) raises ValueError naming its shape. An empty stack passes."""
     m = np.asarray(mat)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square (..., n, n) matrices, got shape {m.shape}")
     # an inf entry makes the deviation NaN (inf * 0), which the check rejects
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.abs(m.conj().swapaxes(-1, -2) @ m - identity(m.shape[-1]))

@@ -72,7 +72,7 @@ class SchemeParams:
         dataclasses.replace ignore it; a scheme that is never measured never
         builds it.
         """
-        return MeasurementBasis(vectors=_d12_array(_d12_entries(self)).reshape(6, 6))
+        return MeasurementBasis(vectors=np.array(_d12_entries(self), dtype=complex).reshape(6, 6))
 
     def to_json_dict(self) -> dict:
         return {"theta": list(self.theta), "delta": list(self.delta), "zeta": ZETA}
@@ -82,13 +82,14 @@ class SchemeParams:
 class MeasurementBasis:
     """Six orthonormal qubit-qutrit kets, one per measurement outcome.
 
-    vectors is kept read-only: a writable array is copied first, so no later
-    write to the caller's array reaches the checked basis. labels names the
-    rows, one label per ket (ValueError otherwise). The basis keeps one memo
-    slot for teleport.branch_corrections: the corrections of the last channel
-    it was asked for, keyed by the exact bits of that channel's coefficients.
-    A basis is one object: == and hash go by identity, so two bases with
-    equal kets are still two bases.
+    vectors is a read-only copy of the array given, so no later write to the
+    caller's array reaches the checked basis. Its last two axes must be
+    square (ValueError naming the shape otherwise) and each matrix unitary;
+    labels names the rows, one label per ket (ValueError otherwise). The
+    basis keeps one memo slot for teleport.branch_corrections: the
+    corrections of the last coefficients it was asked for, keyed by their
+    exact bits. A basis is one object: == and hash go by identity, so two
+    bases with equal kets are still two bases.
     """
 
     vectors: np.ndarray  # (6, 6), row j is the ket for BRANCH_LABELS[j]; (k, 6, 6) holds k bases
@@ -97,28 +98,17 @@ class MeasurementBasis:
     _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        vectors = _read_only(self.vectors)
+        vectors = np.array(self.vectors)
+        vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
+        check_unitary(vectors)
         if len(self.labels) != vectors.shape[-2]:
             raise ValueError(f"{len(self.labels)} labels for {vectors.shape[-2]} basis kets")
-        check_unitary(vectors)
 
     def __reduce__(self):
         # copies and pickles rebuild through __init__: read-only kets, checked
         # again, and an empty memo
         return MeasurementBasis, (self.vectors, self.labels)
-
-
-def _read_only(a) -> np.ndarray:
-    """a itself if no array can write its data, else a read-only copy of it."""
-    base = a
-    while base is not None:
-        if not isinstance(base, np.ndarray) or base.flags.writeable:
-            a = np.array(a)
-            a.setflags(write=False)
-            return a
-        base = base.base
-    return a
 
 
 def rotation_rows(theta1: float, theta2: float, theta3: float) -> list[list[float]]:
@@ -342,14 +332,7 @@ def measurement_bases(schemes) -> MeasurementBasis:
     entries = []
     for params in schemes:
         entries += _d12_entries(params)
-    return MeasurementBasis(vectors=_d12_array(entries).reshape(-1, 6, 6))
-
-
-def _d12_array(entries) -> np.ndarray:
-    """The entries as a complex array that nothing can write, so MeasurementBasis keeps it uncopied."""
-    a = np.array(entries, dtype=complex)
-    a.setflags(write=False)
-    return a
+    return MeasurementBasis(vectors=np.array(entries, dtype=complex).reshape(-1, 6, 6))
 
 
 def _d12_entries(params: SchemeParams) -> list:

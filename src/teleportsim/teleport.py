@@ -130,25 +130,29 @@ def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
 
 
 def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
-    """Bob's correction unitary for every branch of one basis, (n_branches, d, d),
-    from one kernel call over all its rows, read-only and kept in the basis's
-    one memo slot, keyed by the exact bits of the coefficients (so -0.0 and
-    0.0 differ): asked again for the same channel, the basis returns that
-    same array without building anything; other coefficients build afresh
-    and take the slot.
+    """Bob's correction unitary for every branch of one (n, na) basis, (n, d,
+    d), or of each record of a (k, n, na) stack, (k, n, d, d), with coeffs
+    as branch_components takes them. One kernel call builds every branch's;
+    the result is read-only and kept in the basis's one memo slot, keyed by
+    the shape and exact bits of the coefficients (so -0.0 and 0.0 differ):
+    asked again for the same coefficients, the basis returns that same array
+    without building anything; other coefficients build afresh and take the
+    slot.
     """
     a = np.asarray(coeffs, dtype=float)
     key = (a.shape, a.tobytes())
     memo = basis._memo
     if memo is not None and memo[0] == key:
         return memo[1]
-    w = _corrections(branch_components(a, basis))
+    comps = branch_components(a, basis)
+    d = comps.shape[-1]
+    w = _corrections(comps.reshape(-1, 2, d)).reshape(*comps.shape[:-2], d, d)
     w.setflags(write=False)
     object.__setattr__(basis, "_memo", (key, w))
     return w
 
 
-def _corrections(comps: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+def _corrections(comps: np.ndarray) -> np.ndarray:
     """The correction kernel: pairs (va, vb) stacked as (n, 2, d) -> (n, d, d).
 
     Requires the equal-weight and orthogonality conditions; rows 0 and 1 of
@@ -156,16 +160,13 @@ def _corrections(comps: np.ndarray, squares: np.ndarray | None = None) -> np.nda
     is the conjugated cross product, and the free global phase is fixed by
     making the first nonzero entry (row-major, always in row 0) real positive.
     Zero branches (both components null) get the identity by convention.
-    Errors name the values of the first offending row. squares, when given,
-    must be comps.real ** 2 + comps.imag ** 2, which a caller that also needs
-    the branch weights computes once for both.
+    Errors name the values of the first offending row. branch_corrections is
+    its one caller.
     """
     n, _, d = comps.shape
     if d not in (2, 3):
         raise ValueError(f"unsupported dimension {d}")
-    if squares is None:
-        squares = comps.real ** 2 + comps.imag ** 2
-    norms = np.sqrt(np.add.reduce(squares, axis=-1))
+    norms = np.sqrt(np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=-1))
     na, nb = norms.T
     zero = (na <= TOL.zero_branch) & (nb <= TOL.zero_branch)
     unequal = np.abs(na - nb) > TOL.correction
@@ -197,7 +198,7 @@ def _corrections(comps: np.ndarray, squares: np.ndarray | None = None) -> np.nda
     if any_zero:
         w[zero] = identity(d)
     dev = np.abs(w.conj().transpose(0, 2, 1) @ w - identity(d))
-    if not (dev.max() <= TOL.unitary):
+    if not (dev.max(initial=0.0) <= TOL.unitary):
         per_row = dev.max(axis=(1, 2))
         raise CorrectionError(f"correction not unitary: deviation "
                               f"{per_row[~(per_row <= TOL.unitary)][0]:.3e}")
@@ -252,9 +253,10 @@ def certify_stack(channels, basis: MeasurementBasis) -> np.ndarray:
     (1 - x)^2 / (1 + x)^2 >= 1 - 4x, and eps <= TOL.unitary / (4 sqrt 6)
     gives 1 - TOL.unitary, for every input at once.
 
-    Keeps run_teleport's checks: every distinct channel's capability
-    (CapabilityError), the kernel's equal-weight, orthogonality and
-    unitarity checks, and each record's probabilities summing to 1 (else
+    The corrections W are branch_corrections on the whole stack, as
+    run_with_basis takes them on one basis. Keeps run_teleport's checks:
+    every distinct channel's capability (CapabilityError), the kernel's
+    equal-weight, orthogonality and unitarity checks, and each record's probabilities summing to 1 (else
     ValueError); the bases were checked for unitarity when built. A channel
     count other than the basis count raises ValueError. An empty stack gives
     an empty (0,) array.
@@ -266,9 +268,9 @@ def certify_stack(channels, basis: MeasurementBasis) -> np.ndarray:
         raise ValueError(f"{k} channels for a basis stack of shape {basis.vectors.shape}")
     if not k:
         return np.zeros(0)
-    comps = branch_components([ch.a for ch in channels], basis)
+    coeffs = [ch.a for ch in channels]
+    w, comps = branch_corrections(coeffs, basis), branch_components(coeffs, basis)
     squares = comps.real ** 2 + comps.imag ** 2
-    w = _corrections(comps.reshape(-1, 2, 3), squares.reshape(-1, 2, 3)).reshape(k, 6, 3, 3)
     # a branch's six squares, summed in the order numpy sums its (2, 3) block
     p = 0.5 * np.add.reduce(squares.reshape(k, 6, 6), axis=-1)
     if not (np.abs(p.sum(axis=-1) - 1.0) <= TOL.entry).all():

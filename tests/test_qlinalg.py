@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,3 +100,10 @@ class TestStackedChecks:
         assert self._message(check_unitary, bad) == self._message(check_unitary, bad[2])
         bad[1] *= math.nan
         assert self._message(check_unitary, bad) == self._message(check_unitary, bad[1])
+
+    @pytest.mark.parametrize("shape", [(), (4,), (4, 3), (3, 4), (2, 4, 3)])
+    def test_unitary_needs_square_matrices(self, shape):
+        # np.eye(4, 3) is an isometry: V^dag V = I passes, V V^dag = I does not
+        m = np.zeros(shape) if len(shape) < 2 else np.broadcast_to(np.eye(*shape[-2:]), shape)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            check_unitary(m)

@@ -345,6 +345,13 @@ class TestAssemble:
         with pytest.raises(ValueError):
             MeasurementBasis(vectors=np.ones((6, 6), dtype=complex))
 
+    @pytest.mark.parametrize("vectors", [np.eye(6, dtype=complex)[0], np.eye(6, 4, dtype=complex)])
+    def test_non_square_rejected(self, vectors):
+        # a 1-D ket, and an isometry with orthonormal columns (V^dag V = I)
+        # but kets that are not: each names its shape, before the labels
+        with pytest.raises(ValueError, match=re.escape(f"got shape {vectors.shape}")):
+            MeasurementBasis(vectors)
+
     def test_non_unitary_basis_in_stack(self):
         # a stack fails with the message of its bad basis's own check
         vectors = np.stack([special_case_basis("A", t).vectors for t in (0.1, 0.7, 1.2)])
@@ -409,10 +416,11 @@ class TestOneBasisPerScheme:
             assert copied.vectors.tobytes() == basis.vectors.tobytes()
             assert not copied.vectors.flags.writeable and copied._memo is None
 
-    def test_read_only_array_kept(self):
+    def test_read_only_array_copied(self):
         vectors = np.eye(6, dtype=complex)
         vectors.setflags(write=False)
-        assert MeasurementBasis(vectors).vectors is vectors
+        kept = MeasurementBasis(vectors).vectors
+        assert not np.shares_memory(kept, vectors) and not kept.flags.writeable
 
     def test_equality_is_identity(self):
         # two bases with equal kets and labels are still two objects

@@ -276,6 +276,28 @@ class TestStackedCorrections:
         ws = branch_corrections(ch.a, basis)
         assert np.max(np.abs(ws - _FROZEN_CORRECTIONS)) <= 1e-15
 
+    def test_basis_stack_record_by_record(self, rng):
+        # a (k, 6, 6) stack with (k, 3) coefficients: each record's corrections
+        # are, byte for byte, those of its basis built alone
+        channels = [random_capable_channel(rng) for _ in range(4)]
+        channels.append(make_channel(*DEGENERATE))
+        schemes = [_solved(ch, frac=rng.uniform()) for ch in channels[:4]]
+        schemes.append(solve_constraints(channels[4], math.pi / 4, theta2_hint=0.0, theta1_hint=0.0))
+        coeffs = np.array([ch.a for ch in channels])
+        ws = branch_corrections(coeffs, measurement_bases(schemes))
+        assert ws.shape == (5, 6, 3, 3) and not ws.flags.writeable
+        for a, params, w in zip(coeffs, schemes, ws):
+            assert w.tobytes() == branch_corrections(a, MeasurementBasis(params.basis.vectors)).tobytes()
+        empty = branch_corrections(np.zeros((0, 3)), measurement_bases([]))
+        assert empty.shape == (0, 6, 3, 3)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2), (1, 3, 3)])
+    def test_stack_coefficient_shape_mismatch(self, shape, rng):
+        basis = measurement_bases([_solved(random_capable_channel(rng))] * 3)
+        with pytest.raises(ValueError, match=re.escape(f"shape (3, 3) for a basis of shape "
+                                                       f"(3, 6, 6), got {shape}")):
+            branch_corrections(np.full(shape, 1.0 / math.sqrt(3.0)), basis)
+
 
 def _reference_corrections(comps):
     """Bob's corrections one row at a time, from the documented recipe."""
@@ -760,8 +782,8 @@ def _faulty_kernel(monkeypatch, rows, fault):
     returns the growing list of the kernel's calls."""
     calls = []
 
-    def faulty(comps, *rest):
-        w = _corrections(comps, *rest)
+    def faulty(comps):
+        w = _corrections(comps)
         if not calls:
             for row in rows:
                 fault(w[row], comps[row, 0])
@@ -839,8 +861,8 @@ class TestStackCertificate:
 
     @pytest.mark.parametrize("kind", ["random", "face", "symmetric"])
     def test_matches_separate_weight_sum(self, kind, rng):
-        # certify_stack reuses the kernel's squared components for p; the
-        # deviations equal, byte for byte, those with p summed on its own
+        # certify_stack sums p from its own squared components; the
+        # deviations equal, byte for byte, those of the frozen reference
         cases = [(ch, [_solved(ch, frac=f) for f in (0.0, rng.uniform(), 1.0)])
                  for ch in (_stack_channel(kind, rng) for _ in range(20))]
         ridge = make_channel(*DEGENERATE)
@@ -871,6 +893,18 @@ class TestStackCertificate:
         assert got.tobytes() == _separate_sum_certificate([ch.a for ch in channels],
                                                           schemes).tobytes()
         assert got.max() <= STACK_BOUND
+
+    def test_corrections_come_from_branch_corrections(self, monkeypatch, rng):
+        # one branch_corrections call and one kernel call per stack, and the
+        # stack's basis keeps the corrections in its memo
+        channels = [random_capable_channel(rng) for _ in range(3)]
+        basis = measurement_bases([_solved(ch) for ch in channels])
+        calls = _spy(monkeypatch, teleport, "branch_corrections")
+        kernel = _spy(monkeypatch, teleport, "_corrections")
+        certify_stack(channels, basis)
+        assert len(calls) == 1 and len(kernel) == 1
+        assert branch_corrections([ch.a for ch in channels], basis) is basis._memo[1]
+        assert len(kernel) == 1
 
     def test_peak_memory_of_a_full_sweep_stack(self, rng):
         # a stack of explorer._BLOCK records from as many channels keeps its
