@@ -25,9 +25,6 @@ from .scheme import (
     assemble_D12,
     find_scheme,
     solve_constraints,
-    special_case_basis,
-    two_qubit_D12,
-    two_qubit_feasible,
 )
 from .teleport import (
     CapabilityError,
@@ -63,9 +60,6 @@ __all__ = [
     "resource_report",
     "run_teleport",
     "solve_constraints",
-    "special_case_basis",
-    "two_qubit_D12",
-    "two_qubit_feasible",
     "upper_bound_sum",
 ]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,7 +60,7 @@ def channel_entropy(ch: SchmidtChannel) -> float:
     e = 0.0
     for x in ch.squares:
         if x > 0.0:
-            e -= x * np.log2(x)
+            e -= x * math.log2(x)
     return min(max(float(e), 0.0), LOG2_3)
 
 

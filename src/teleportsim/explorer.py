@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel import channel_entropy, make_channel
-from .qlinalg import LOG2_3, TOL, _FAR_MARGIN, bisect
+from .qlinalg import LOG2_3, TOL, bisect
 from .resources import lower_bound_sum, resource_report, upper_bound_sum
 from .scheme import (
     InfeasibleError,
@@ -208,12 +208,18 @@ def sweep_degenerate(density: int) -> SweepResult:
     return _sweep([(ch, None, points)])
 
 
+# the slice formula for the entropy and channel_entropy on the channel that
+# make_channel renormalises differ by a few ulps, far below this margin
+_FAR_MARGIN = 1e-12
+
+
 def _a1_from_entropy(e: float) -> float:
     """Invert channel entropy on the a2 = a1 slice (a1^2 in [1/3, 1/2]).
 
     Each bisection step first takes the slice entropy in plain floats and is
     settled by it when that lies more than _FAR_MARGIN from e; only the steps
-    nearer the crossing build the channel and read channel_entropy.
+    nearer the crossing build the channel and read channel_entropy, so the
+    bisection ends where one on channel_entropy alone does, bit for bit.
     """
     def above(b):  # entropy decreases from log2(3) to 1 as b = a1^2 grows
         c = 1.0 - 2.0 * b  # a0^2, whose term is 0 at c = 0

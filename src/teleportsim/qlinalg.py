@@ -67,19 +67,10 @@ def binary_entropy(x: float) -> float:
     """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
     if not (-TOL.entry <= x <= 1.0 + TOL.entry):  # NaN fails too
         raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
+    x = min(max(float(x), 0.0), 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
-
-
-# A bisection on an entropy (resources._q_from_entropy,
-# explorer._a1_from_entropy) settles each step on a plain-float math.log2
-# entropy when that lies more than this margin from the target. The plain and
-# exact entropies differ by a few ulps, far below 1e-12, so such a step goes
-# the same way on either; only the steps nearer the crossing take the exact
-# entropy, and the bisection ends where the exact one does, bit for bit.
-_FAR_MARGIN = 1e-12
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def bisect(below, lo: float, hi: float) -> float:

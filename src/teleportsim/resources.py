@@ -9,7 +9,9 @@ Quantities per scheme:
 
 Bounds as functions of channel entanglement E:
 * upper_bound_sum — the optimal-curve value of e12 + h12 for the one-parameter
-  family a2 = a1 (expressed through a1);
+  family a2 = a1 (expressed through a1). It bounds the sum on that family
+  only: off it, a valid scheme can sum above the curve at the same E (the
+  tests pin one, 1.2e-5 bits above);
 * lower_bound_sum — piecewise envelope f1 (E < 3/2, via an auxiliary weight q
   with H(q) = 2(E-1)) and the affine f2 = k*E + b (E >= 3/2).
 
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import SchmidtChannel
-from .qlinalg import LOG2_3, TOL, _FAR_MARGIN, binary_entropy, bisect, entanglement_from_tangle
+from .qlinalg import LOG2_3, TOL, binary_entropy, bisect, entanglement_from_tangle
 from .scheme import PhaseInfeasibleError, SchemeParams, phases_from_weights
 from .teleport import branch_probabilities
 
@@ -124,6 +126,9 @@ def gour_e12(ch: SchmidtChannel) -> float:
 def upper_bound_sum(a1: float) -> float:
     """e12 + h12 along the optimal curve of the a2 = a1 family, via a1.
 
+    An upper bound on the sum for the schemes of that family only, not for
+    every channel of the same entanglement.
+
     The curve pins theta3 by cos(2*theta3) = (1 - 2*a1^2)/a1^2 and theta1 by
     tan(2*theta1) = -sqrt(2)/tan(2*theta3); the sum is evaluated in closed
     form. Domain: 1/3 <= a1^2 <= 1/2.
@@ -162,16 +167,7 @@ def _g_of_q(q: float) -> float:
 def _q_from_entropy(e: float) -> float:
     """Solve H(q) = 2(E - 1) for q in [0, 1/2] by bisection."""
     target = 2.0 * (e - 1.0)
-
-    def below(q: float) -> bool:
-        # far steps are settled in plain floats, near ones by binary_entropy
-        if q > 0.0:
-            h = -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
-            if abs(h - target) > _FAR_MARGIN:
-                return h < target
-        return binary_entropy(q) < target
-
-    return bisect(below, 0.0, 0.5)
+    return bisect(lambda q: binary_entropy(q) < target, 0.0, 0.5)
 
 
 def lower_bound_sum(e: float) -> float:

@@ -80,35 +80,34 @@ class SchemeParams:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    """Six orthonormal qubit-qutrit kets, one per measurement outcome.
+    """Six orthonormal qubit-qutrit kets, one per measurement outcome, row j
+    the ket for BRANCH_LABELS[j].
 
     vectors is a read-only copy of the array given, so no later write to the
     caller's array reaches the checked basis. Its last two axes must be
-    square (ValueError naming the shape otherwise) and each matrix unitary;
-    labels names the rows, one label per ket (ValueError otherwise). The
-    basis keeps one memo slot for teleport.branch_corrections: the
+    (6, 6) (ValueError naming the shape otherwise) and each matrix unitary.
+    The basis keeps one memo slot for teleport.branch_corrections: the
     corrections of the last coefficients it was asked for, keyed by their
     exact bits. A basis is one object: == and hash go by identity, so two
     bases with equal kets are still two bases.
     """
 
-    vectors: np.ndarray  # (6, 6), row j is the ket for BRANCH_LABELS[j]; (k, 6, 6) holds k bases
-    labels: tuple[str, ...] = BRANCH_LABELS
+    vectors: np.ndarray  # (6, 6) for one basis; (k, 6, 6) holds k bases
     # (key, corrections) for teleport.branch_corrections; None until its first call
     _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         vectors = np.array(self.vectors)
+        if vectors.shape[-2:] != (6, 6):
+            raise ValueError(f"expected (..., 6, 6) qubit-qutrit kets, got shape {vectors.shape}")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         check_unitary(vectors)
-        if len(self.labels) != vectors.shape[-2]:
-            raise ValueError(f"{len(self.labels)} labels for {vectors.shape[-2]} basis kets")
 
     def __reduce__(self):
         # copies and pickles rebuild through __init__: read-only kets, checked
         # again, and an empty memo
-        return MeasurementBasis, (self.vectors, self.labels)
+        return MeasurementBasis, (self.vectors,)
 
 
 def rotation_rows(theta1: float, theta2: float, theta3: float) -> list[list[float]]:
@@ -349,49 +348,6 @@ def _d12_entries(params: SchemeParams) -> list:
         0, u11 * e1, 0, u10, 0, u12 * e2,
         -u20 * sz, u21 * e1 * cz, -u22 * sz, u20 * cz, -u21 * sz, u22 * e2 * cz,
     ]
-
-
-def special_case_basis(variant: str, theta: float) -> MeasurementBasis:
-    """The two closed-form basis families of the degenerate (a0 = 0) channel.
-
-    Variant "A" keeps theta1 free; variant "B" keeps theta2 free. Both are
-    assemble_D12 at theta3 = pi/4 and phases (0, pi). The two families are
-    not related by any local unitary.
-    """
-    if not (-TOL.entry <= theta <= math.pi / 2 + TOL.entry):
-        raise ValueError(f"theta = {theta} outside [0, pi/2]")
-    angles = {"A": (theta, 0.0, math.pi / 4), "B": (0.0, theta, math.pi / 4)}
-    if variant not in angles:
-        raise ValueError(f"unknown variant {variant!r}; expected 'A' or 'B'")
-    return assemble_D12(SchemeParams(theta=angles[variant], delta=(0.0, math.pi)))[1]
-
-
-TWO_QUBIT_LABELS = ("1+", "2+", "1-", "2-")
-
-
-def two_qubit_D12(u, eta: float, delta: float) -> np.ndarray:
-    """4x4 measurement unitary of the two-qubit scheme; rows are basis kets.
-
-    u is a real 2x2 orthogonal matrix; row order (1+, 2+, 1-, 2-) over
-    columns (|00>, |01>, |10>, |11>).
-    """
-    u = np.asarray(u, dtype=float)
-    check_unitary(u)
-    ce, se = math.cos(eta), math.sin(eta)
-    ph = np.exp(-1j * delta)
-    dmat = np.array([
-        [u[0, 0], 0, 0, u[0, 1]],
-        [u[1, 0] * ce, u[1, 1] * ph * se, u[1, 0] * se, u[1, 1] * ce],
-        [0, u[0, 1] * ph, u[0, 0], 0],
-        [-u[1, 0] * se, u[1, 1] * ph * ce, u[1, 0] * ce, -u[1, 1] * se],
-    ], dtype=complex)
-    check_unitary(dmat)
-    return dmat
-
-
-def two_qubit_feasible(a0: float, a1: float) -> bool:
-    """Perfect two-qubit teleportation needs a maximally entangled channel."""
-    return abs(a0 * a0 - 0.5) <= TOL.entry
 
 
 def find_scheme(ch: SchmidtChannel, *, theta3: float | None = None) -> SchemeParams:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import SchmidtChannel, is_teleport_capable
 from .qlinalg import TOL, check_normalized, identity
-from .scheme import MeasurementBasis, SchemeParams, assemble_D12
+from .scheme import BRANCH_LABELS, MeasurementBasis, SchemeParams, assemble_D12
 
 
 class CapabilityError(Exception):
@@ -73,34 +73,32 @@ def random_input(rng: np.random.Generator) -> InputQubit:
 
 
 def total_state(vector, coeffs) -> np.ndarray:
-    """Joint ket of one input qubit (2,) and the diagonal channel sum_j coeffs[j] |jj>.
+    """Joint ket of one input qubit (2,) and the two-qutrit channel
+    sum_j coeffs[j] |jj> (three coefficients).
 
-    Returns (2 * d^2,): the Kronecker product input (x) chan, checked for
-    unit norm.
+    Returns (18,): the Kronecker product input (x) chan, checked for unit
+    norm.
     """
-    # the d x d diagonal, flattened: coeffs at every (d + 1)-th entry
-    d = len(coeffs)
-    chan = np.zeros(d * d, dtype=complex)
-    chan[:: d + 1] = coeffs
+    # the 3 x 3 diagonal, flattened: coeffs at every 4th entry
+    chan = np.zeros(9, dtype=complex)
+    chan[::4] = coeffs
     psi = (np.asarray(vector)[:, None] * chan).reshape(-1)
     check_normalized(psi)
     return psi
 
 
 def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Project the joint state onto each basis ket of Alice's two subsystems.
+    """Project the joint state (18,) onto each ket of Alice's qubit-qutrit
+    pair.
 
-    Works for any split: Alice's dimension is the basis-vector dimension, the
-    remainder is Bob's. Returns (probabilities (n,), collapsed (n, nb)), one
-    row per ket of the one (n, na) basis; collapsed states are kept
-    unnormalized so that probability = <collapsed|collapsed>, and the
-    probabilities must sum to 1.
+    Returns (probabilities (6,), collapsed (6, 3)), one row per ket of the
+    one (6, 6) basis; collapsed states are kept unnormalized so that
+    probability = <collapsed|collapsed>, and the probabilities must sum to 1.
+    A joint state of any other size raises ValueError.
     """
-    na = basis.vectors.shape[-1]
-    nb = total.size // na
-    if na * nb != total.size:
-        raise ValueError("basis dimension incompatible with total state")
-    collapsed = basis.vectors.conj() @ total.reshape(na, nb)
+    if total.size != 18:
+        raise ValueError(f"expected a joint state of 18 amplitudes, got {total.size}")
+    collapsed = basis.vectors.conj() @ total.reshape(6, 3)
     probs = (np.abs(collapsed) ** 2).sum(axis=-1)
     if not (abs(float(probs.sum()) - 1.0) <= TOL.entry):
         raise ValueError("branch probabilities do not sum to 1")
@@ -110,29 +108,27 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.nda
 def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
     """Input-independent split of each collapsed state: collapsed = alpha*va + beta*vb.
 
-    coeffs are the diagonal channel coefficients (length = Bob's dimension,
-    all finite), one set per basis record: (d,) for one (n, na) basis, (k, d)
-    for a (k, n, na) stack. Returns (n_branches, 2, d), or (k, n_branches, 2,
-    d) for a stack: entry j is branch j's pair (va, vb). va and vb depend
-    only on the channel and the basis row, so Bob's correction can be built
-    once per branch and reused for every input. The result is a fresh,
-    writable array on every call.
+    coeffs are the three diagonal channel coefficients (all finite), one set
+    per basis record: (3,) for one (6, 6) basis, (k, 3) for a (k, 6, 6)
+    stack. Returns (6, 2, 3), or (k, 6, 2, 3) for a stack: entry j is branch
+    j's pair (va, vb). va and vb depend only on the channel and the basis
+    row, so Bob's correction can be built once per branch and reused for
+    every input. The result is a fresh, writable array on every call.
     """
     a = np.asarray(coeffs, dtype=float)
-    *lead, n, na = basis.vectors.shape
-    d = na // 2
-    if a.shape != (*lead, d):
-        raise ValueError(f"expected {d} channel coefficients per basis record, shape "
-                         f"{(*lead, d)} for a basis of shape {basis.vectors.shape}, got {a.shape}")
+    lead = basis.vectors.shape[:-2]
+    if a.shape != (*lead, 3):
+        raise ValueError(f"expected 3 channel coefficients per basis record, shape "
+                         f"{(*lead, 3)} for a basis of shape {basis.vectors.shape}, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"channel coefficients must be finite, got {a.tolist()}")
-    return a[..., None, None, :] * basis.vectors.conj().reshape(*lead, n, 2, d)
+    return a[..., None, None, :] * basis.vectors.conj().reshape(*lead, 6, 2, 3)
 
 
 def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
-    """Bob's correction unitary for every branch of one (n, na) basis, (n, d,
-    d), or of each record of a (k, n, na) stack, (k, n, d, d), with coeffs
-    as branch_components takes them. One kernel call builds every branch's;
+    """Bob's correction unitary for every branch of one (6, 6) basis, (6, 3,
+    3), or of each record of a (k, 6, 6) stack, (k, 6, 3, 3), with coeffs as
+    branch_components takes them. One kernel call builds every branch's;
     the result is read-only and kept in the basis's one memo slot, keyed by
     the shape and exact bits of the coefficients (so -0.0 and 0.0 differ):
     asked again for the same coefficients, the basis returns that same array
@@ -145,15 +141,14 @@ def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
     if memo is not None and memo[0] == key:
         return memo[1]
     comps = branch_components(a, basis)
-    d = comps.shape[-1]
-    w = _corrections(comps.reshape(-1, 2, d)).reshape(*comps.shape[:-2], d, d)
+    w = _corrections(comps.reshape(-1, 2, 3)).reshape(*comps.shape[:-2], 3, 3)
     w.setflags(write=False)
     object.__setattr__(basis, "_memo", (key, w))
     return w
 
 
 def _corrections(comps: np.ndarray) -> np.ndarray:
-    """The correction kernel: pairs (va, vb) stacked as (n, 2, d) -> (n, d, d).
+    """The correction kernel: pairs (va, vb) stacked as (n, 2, 3) -> (n, 3, 3).
 
     Requires the equal-weight and orthogonality conditions; rows 0 and 1 of
     each unitary are the conjugated normalized components, the completion row
@@ -163,9 +158,7 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
     Errors name the values of the first offending row. branch_corrections is
     its one caller.
     """
-    n, _, d = comps.shape
-    if d not in (2, 3):
-        raise ValueError(f"unsupported dimension {d}")
+    n = len(comps)
     norms = np.sqrt(np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=-1))
     na, nb = norms.T
     zero = (na <= TOL.zero_branch) & (nb <= TOL.zero_branch)
@@ -182,22 +175,21 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
     if any_zero:
         norms = np.where(zero[:, None], 1.0, norms)
     r = (comps / norms[..., None]).conj()
-    w = np.empty((n, d, d), dtype=complex)
+    w = np.empty((n, 3, 3), dtype=complex)
     w[:, :2] = r
-    if d == 3:
-        # (r0 x r1)_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], indices mod 3, from one
-        # gather: g[..., :3] is r[..., i+1] and g[..., 1:] is r[..., i+2]
-        g = r[..., [1, 2, 0, 1]]
-        g0, g1 = g[:, 0], g[:, 1]
-        np.conj(g0[:, :3] * g1[:, 1:] - g0[:, 1:] * g1[:, :3], out=w[:, 2])
+    # (r0 x r1)_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], indices mod 3, from one
+    # gather: g[..., :3] is r[..., i+1] and g[..., 1:] is r[..., i+2]
+    g = r[..., [1, 2, 0, 1]]
+    g0, g1 = g[:, 0], g[:, 1]
+    np.conj(g0[:, :3] * g1[:, 1:] - g0[:, 1:] * g1[:, :3], out=w[:, 2])
     r0 = r[:, 0]
     first = r0[np.arange(n), (np.abs(r0) > TOL.entry).argmax(axis=-1)]
     if any_zero:
         first = np.where(zero, 1.0, first)
     w *= (np.abs(first) / first)[:, None, None]
     if any_zero:
-        w[zero] = identity(d)
-    dev = np.abs(w.conj().transpose(0, 2, 1) @ w - identity(d))
+        w[zero] = identity(3)
+    dev = np.abs(w.conj().transpose(0, 2, 1) @ w - identity(3))
     if not (dev.max(initial=0.0) <= TOL.unitary):
         per_row = dev.max(axis=(1, 2))
         raise CorrectionError(f"correction not unitary: deviation "
@@ -289,29 +281,29 @@ def certify_stack(channels, basis: MeasurementBasis) -> np.ndarray:
 
 def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> TeleportReport:
     """The fidelity certificate of one input qubit sent through the diagonal
-    channel sum_j coeffs[j] |jj> with one explicitly supplied (n, na)
-    measurement basis (two-qubit or qubit-qutrit); run_teleport's engine.
+    two-qutrit channel sum_j coeffs[j] |jj> with one explicitly supplied
+    (6, 6) measurement basis; run_teleport's engine.
 
-    Branches without a perfect correction raise CorrectionError; for the
-    two-qubit basis that is every channel except the balanced a0 = a1. The
-    corrections are built first, so non-finite coefficients raise ValueError
-    before any arithmetic on them, and a basis stack raises ValueError.
+    Branches without a perfect correction raise CorrectionError. The
+    corrections are built first, so coefficients of the wrong shape or not
+    finite raise ValueError before any arithmetic on them, and a basis stack
+    raises ValueError.
     """
     if basis.vectors.ndim != 2:
-        raise ValueError(f"one (n, na) basis expected, got a stack of shape {basis.vectors.shape}")
+        raise ValueError(f"one (6, 6) basis expected, got a stack of shape {basis.vectors.shape}")
     vector = inp.vector()
     corrections = branch_corrections(coeffs, basis)
     probs, collapsed = measure_branches(total_state(vector, coeffs), basis)
     out = (corrections @ collapsed[..., None])[..., 0]
-    # fidelity |<input|W collapsed>|^2 / P, the input padded with zeros to Bob's
-    # dimension (so only his first two components count); zero branches count
-    # as 1, and a NaN probability is not a zero branch
+    # fidelity |<input|W collapsed>|^2 / P, the input padded with a zero to
+    # Bob's qutrit (so only his first two components count); zero branches
+    # count as 1, and a NaN probability is not a zero branch
     zero = probs <= TOL.zero_branch
     overlap = np.vecdot(vector[None, :], out[..., :2])
     fids = np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
     probabilities, fidelities = tuple(probs.tolist()), tuple(fids.tolist())
     return TeleportReport(
-        labels=tuple(basis.labels),
+        labels=BRANCH_LABELS,
         probabilities=probabilities,
         fidelities=fidelities,
         mean_fidelity=sum(p * f for p, f in zip(probabilities, fidelities)),

@@ -3,8 +3,11 @@
 Each one recomputes something the library does in closed form (branch
 tangles, collapsed states, the channel ket, the resource report) straight
 from its definition or its first plain recipe, so a test can compare the
-two; gour_basis builds the comparison protocol's measurement. The library
-itself never calls them.
+two; gour_basis builds the comparison protocol's measurement. The bases the
+library does not build also live here: the closed-form a0 = 0 families
+(special_case_basis) and the two-qubit scheme with its own plain
+certificate (two_qubit_D12, two_qubit_certificate). The library itself
+never calls them.
 """
 
 from __future__ import annotations
@@ -14,11 +17,18 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from teleportsim import qlinalg
 from teleportsim.channel import SchmidtChannel, channel_entropy, make_channel
-from teleportsim.qlinalg import bisect, entanglement_from_tangle
+from teleportsim.qlinalg import bisect, check_unitary, entanglement_from_tangle
 from teleportsim.resources import ResourceReport, classical_cost
-from teleportsim.scheme import MeasurementBasis, SchemeParams, phases_from_weights, rotation_rows
-from teleportsim.teleport import InputQubit
+from teleportsim.scheme import (
+    MeasurementBasis,
+    SchemeParams,
+    assemble_D12,
+    phases_from_weights,
+    rotation_rows,
+)
+from teleportsim.teleport import CorrectionError, InputQubit
 
 TOL = SimpleNamespace(psd=1e-10)  # admissible negative eigenvalue magnitude
 
@@ -169,3 +179,83 @@ def a1_from_entropy_exact(e: float) -> float:
         return channel_entropy(ch) > e
 
     return math.sqrt(bisect(above, 1.0 / 3.0, 0.5))
+
+
+def special_case_basis(variant: str, theta: float) -> MeasurementBasis:
+    """The two closed-form basis families of the degenerate (a0 = 0) channel.
+
+    Variant "A" keeps theta1 free; variant "B" keeps theta2 free. Both are
+    assemble_D12 at theta3 = pi/4 and phases (0, pi). The two families are
+    not related by any local unitary.
+    """
+    if not (-qlinalg.TOL.entry <= theta <= math.pi / 2 + qlinalg.TOL.entry):
+        raise ValueError(f"theta = {theta} outside [0, pi/2]")
+    angles = {"A": (theta, 0.0, math.pi / 4), "B": (0.0, theta, math.pi / 4)}
+    if variant not in angles:
+        raise ValueError(f"unknown variant {variant!r}; expected 'A' or 'B'")
+    return assemble_D12(SchemeParams(theta=angles[variant], delta=(0.0, math.pi)))[1]
+
+
+TWO_QUBIT_LABELS = ("1+", "2+", "1-", "2-")
+
+
+def two_qubit_D12(u, eta: float, delta: float) -> np.ndarray:
+    """4x4 measurement unitary of the two-qubit scheme; rows are basis kets.
+
+    u is a real 2x2 orthogonal matrix; row order TWO_QUBIT_LABELS over
+    columns (|00>, |01>, |10>, |11>).
+    """
+    u = np.asarray(u, dtype=float)
+    check_unitary(u)
+    ce, se = math.cos(eta), math.sin(eta)
+    ph = np.exp(-1j * delta)
+    dmat = np.array([
+        [u[0, 0], 0, 0, u[0, 1]],
+        [u[1, 0] * ce, u[1, 1] * ph * se, u[1, 0] * se, u[1, 1] * ce],
+        [0, u[0, 1] * ph, u[0, 0], 0],
+        [-u[1, 0] * se, u[1, 1] * ph * ce, u[1, 0] * ce, -u[1, 1] * se],
+    ], dtype=complex)
+    check_unitary(dmat)
+    return dmat
+
+
+def two_qubit_feasible(a0: float, a1: float) -> bool:
+    """Perfect two-qubit teleportation needs a maximally entangled channel."""
+    return abs(a0 * a0 - 0.5) <= qlinalg.TOL.entry
+
+
+def two_qubit_certificate(inp: InputQubit, coeffs, dmat) -> tuple[np.ndarray, np.ndarray]:
+    """Teleport one qubit through the two-qubit channel a0|00> + a1|11> with
+    the 4x4 measurement dmat (rows the kets, as two_qubit_D12 lays them out).
+
+    Projects the joint state input (x) channel onto each ket of Alice's two
+    qubits, splits each collapsed state as alpha*va + beta*vb, tests equal
+    weights and orthogonality of va and vb at the library's TOL.correction
+    (CorrectionError otherwise), corrects with the unitary whose rows are
+    va/|va| and vb/|vb| conjugated, and takes the fidelity. A branch whose
+    components are both null (at most TOL.zero_branch) has fidelity 1.
+    Returns (probabilities, fidelities), one entry per ket.
+    """
+    tol = qlinalg.TOL
+    chan = np.array([coeffs[0], 0.0, 0.0, coeffs[1]], dtype=complex)
+
+    def project(q):
+        # Alice holds the input qubit and her channel qubit, the first two factors
+        return np.asarray(dmat).conj() @ np.kron(q, chan).reshape(4, 2)
+
+    comps_a, comps_b = project(np.array([1.0, 0.0])), project(np.array([0.0, 1.0]))
+    collapsed = project(inp.vector())
+    probs, fids = [], []
+    for va, vb, c in zip(comps_a, comps_b, collapsed):
+        na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+        p = float(np.vdot(c, c).real)
+        probs.append(p)
+        if max(na, nb) <= tol.zero_branch:
+            fids.append(1.0)
+            continue
+        if abs(na - nb) > tol.correction or abs(np.vdot(va, vb)) > tol.correction:
+            raise CorrectionError(f"branch not correctable: |va| = {na:.6g}, |vb| = {nb:.6g}, "
+                                  f"|<va|vb>| = {abs(np.vdot(va, vb)):.3e}")
+        w = np.array([va / na, vb / nb]).conj()
+        fids.append(abs(np.vdot(inp.vector(), w @ c)) ** 2 / p)
+    return np.array(probs), np.array(fids)

@@ -5,6 +5,10 @@ assertion.
 
 import contextlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -20,7 +24,13 @@ from helpers import (
     random_incapable_channel,
     run_golden,
 )
-from oracles import collapsed_closed_form, qubit_qutrit_tangle
+from oracles import (
+    collapsed_closed_form,
+    qubit_qutrit_tangle,
+    two_qubit_certificate,
+    two_qubit_D12,
+    two_qubit_feasible,
+)
 from teleportsim.channel import make_channel
 from teleportsim.explorer import sweep_case1, sweep_case2, sweep_degenerate
 from teleportsim.qlinalg import LOG2_3, binary_entropy
@@ -32,16 +42,12 @@ from teleportsim.resources import (
     upper_bound_sum,
 )
 from teleportsim.scheme import (
-    TWO_QUBIT_LABELS,
     InfeasibleError,
-    MeasurementBasis,
     admissible_theta3,
     admissible_u_window,
     assemble_D12,
     free_theta2_window,
     solve_constraints,
-    two_qubit_D12,
-    two_qubit_feasible,
 )
 from teleportsim.teleport import (
     CorrectionError,
@@ -51,7 +57,6 @@ from teleportsim.teleport import (
     measure_branches,
     random_input,
     run_teleport,
-    run_with_basis,
     total_state,
 )
 
@@ -134,7 +139,8 @@ def test_2_capability_iff(capsys):
 
 def test_3_two_qubit_necessity(capsys):
     """Two-qubit feasibility only at a0^2 = 1/2; a grid search finds no
-    perfect two-qubit scheme for a0 = 0.6."""
+    perfect two-qubit scheme for a0 = 0.6. The two-qubit scheme and its
+    certificate are test oracles (tests/oracles.py)."""
     rng = np.random.default_rng(33)
     with _criterion(capsys, 3, "two-qubit channels need a0^2 = 1/2"):
         assert two_qubit_feasible(R2, R2)
@@ -149,8 +155,8 @@ def test_3_two_qubit_necessity(capsys):
             for eta in angles:
                 for delta in np.linspace(0.0, 2 * math.pi, 12):
                     with pytest.raises(CorrectionError):
-                        run_with_basis(random_input(rng), (a0, a1), MeasurementBasis(
-                            two_qubit_D12(u, eta, delta), TWO_QUBIT_LABELS))
+                        two_qubit_certificate(random_input(rng), (a0, a1),
+                                              two_qubit_D12(u, eta, delta))
 
 
 def test_4_published_scheme_numbers(capsys):
@@ -233,7 +239,8 @@ def test_7_oracle_equivalence(capsys):
 
 def test_8_bell_equivalent_reduction(capsys):
     """The vanishing-branch two-qubit basis is Bell-equivalent: all four rows
-    are maximally entangled and teleport with fidelity 1."""
+    are maximally entangled and teleport with fidelity 1 (the two-qubit
+    scheme and its certificate are test oracles, tests/oracles.py)."""
     rng = np.random.default_rng(88)
     u = np.array([[R2, R2], [R2, -R2]])
     dmat = two_qubit_D12(u, math.pi / 4, math.pi)
@@ -243,9 +250,8 @@ def test_8_bell_equivalent_reduction(capsys):
         )
         assert np.allclose(tangles, [1.0] * 4, atol=1e-12)  # Bell multiset
         for _ in range(20):
-            rep = run_with_basis(random_input(rng), (R2, R2),
-                                 MeasurementBasis(dmat, TWO_QUBIT_LABELS))
-            assert min(rep.fidelities) >= 1.0 - 1e-10
+            _, fidelities = two_qubit_certificate(random_input(rng), (R2, R2), dmat)
+            assert min(fidelities) >= 1.0 - 1e-10
 
 
 def test_9_cli_determinism(capsys, tmp_path):
@@ -259,10 +265,36 @@ def test_9_cli_determinism(capsys, tmp_path):
                 assert run_golden(name, path) == 0
                 contents.append(path.read_bytes())
             assert contents[0] == contents[1]
-            assert contents[0] == (GOLDEN_DIR / name).read_bytes(), name
+            assert contents[0] == (GOLDEN_DIR / name).read_bytes(), f"{name}; {_math_backends()}"
 
 
 def test_9_density200_digests(tmp_path):
     """The seeded sweeps and bounds at density 200 match their pinned digests
     in tests/golden/density200.sha256 (see helpers.DIGEST_COMMANDS)."""
-    assert digest_lines(tmp_path) == DIGEST_FILE.read_text()
+    assert digest_lines(tmp_path) == DIGEST_FILE.read_text(), _math_backends()
+
+
+def test_9_digests_without_avx512_log2(tmp_path):
+    """The density-200 digests do not depend on the code numpy dispatches its
+    float64 log2 to: the four DIGEST_COMMANDS, run in one subprocess with
+    numpy's AVX-512 paths disabled, match density200.sha256."""
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+    code = ("import sys; from helpers import digest_lines; "
+            "sys.stdout.write(digest_lines(sys.argv[1]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DIGEST_FILE.read_text()
+
+
+def _math_backends() -> str:
+    """What the golden bytes depend on beyond the code, for a failing
+    comparison: numpy's float64 log2 dispatch target and OPENBLAS_CORETYPE."""
+    from numpy.lib.introspect import opt_func_info
+
+    log2 = opt_func_info(func_name="^log2$", signature="float64")["log2"]
+    return (f"numpy float64 log2 dispatch: {log2}; "
+            f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE')!r}")

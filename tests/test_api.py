@@ -27,9 +27,6 @@ PUBLIC = [
     "resource_report",
     "run_teleport",
     "solve_constraints",
-    "special_case_basis",
-    "two_qubit_D12",
-    "two_qubit_feasible",
     "upper_bound_sum",
 ]
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import qubit_qutrit_tangle, reduced_density, von_neumann_entropy
+from oracles import (
+    qubit_qutrit_tangle,
+    reduced_density,
+    two_qubit_D12,
+    two_qubit_feasible,
+    von_neumann_entropy,
+)
 from teleportsim.qlinalg import LOG2_3
 
 
@@ -115,3 +121,33 @@ class TestTangle:
         rho = reduced_density(state, (2, 3), keep=0)
         purity = float(np.trace(rho @ rho).real)
         assert qubit_qutrit_tangle(state) == pytest.approx(2.0 * (1.0 - purity), abs=1e-12)
+
+
+R2 = 1.0 / math.sqrt(2.0)
+
+
+class TestTwoQubit:
+    def test_unitary_for_random_parameters(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            t = rng.uniform(0, 2 * math.pi)
+            u = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            dmat = two_qubit_D12(u, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            assert np.max(np.abs(dmat @ dmat.conj().T - np.eye(4))) <= 1e-10
+
+    def test_feasible_only_when_balanced(self):
+        assert two_qubit_feasible(R2, R2)
+        assert not two_qubit_feasible(0.6, 0.8)
+        assert not two_qubit_feasible(0.8, 0.6)
+
+    def test_bell_equivalent_basis(self):
+        # balanced u with eta = pi/4 and e^{i delta} = -1 gives rows locally
+        # equivalent to the four Bell states: all tangles 1
+        u = np.array([[R2, R2], [R2, -R2]])
+        dmat = two_qubit_D12(u, math.pi / 4, math.pi)
+        assert np.allclose(dmat[0], [R2, 0, 0, R2], atol=1e-12)
+        assert np.allclose(dmat[2], [0, -R2, R2, 0], atol=1e-12)
+        for row in dmat:
+            rho = row.reshape(2, 2) @ row.reshape(2, 2).conj().T
+            tangle = 4.0 * float(np.linalg.det(rho).real)
+            assert tangle == pytest.approx(1.0, abs=1e-12)

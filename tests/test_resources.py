@@ -297,6 +297,31 @@ class TestUpperBound:
             assert upper_bound_sum(math.sqrt(b)) >= rep.sum - 1e-9
 
 
+# an off-slice scheme above the upper curve at its channel's entropy: the top
+# of the channel's theta3 window, one of 4 such schemes among 5,100 (random
+# channels from seed 41, 17 theta3 per channel)
+OFF_SLICE_A = (0.6573883489300235, 0.6597240350144477, 0.36414935989963493)
+OFF_SLICE_THETA3 = 0.5458917285133558
+OFF_SLICE_GAP = 1.199e-5  # e12 + h12 - upper_bound_sum(a1 of the slice channel of equal E), bits
+
+
+class TestUpperCurveReach:
+    """upper_bound_sum bounds E12 + H12 on the a2 = a1 family alone; the
+    on-slice side is checked on every case-1 sweep record."""
+
+    def test_off_slice_scheme_above_the_curve(self):
+        ch = make_channel(*OFF_SLICE_A)
+        assert ch.a[2] != ch.a[1] and OFF_SLICE_THETA3 == pytest.approx(
+            admissible_theta3(ch)[1], abs=1e-15)
+        params = solve_constraints(ch, OFF_SLICE_THETA3)
+        assert max(constraint_residuals(ch, params)) <= 1e-15
+        tele = run_teleport(InputQubit(alpha=0.6, beta=0.8j), ch, params)
+        assert min(tele.fidelities) >= 1.0 - 1e-10
+        rep = resource_report(ch, params)
+        gap = rep.sum - upper_bound_sum(explorer._a1_from_entropy(rep.e_channel))
+        assert gap > 0.0 and gap == pytest.approx(OFF_SLICE_GAP, abs=1e-8)
+
+
 class TestLowerBound:
     def test_near_unit_entanglement(self):
         val = lower_bound_sum(1.0 + 1e-6)
@@ -327,11 +352,10 @@ class TestLowerBound:
             assert type(lower_bound_sum(e)) is float
 
     def test_bisection_takes_the_binary_entropy_steps(self, rng):
-        # math.log2 settles only the steps far from the crossing, so q is bit
-        # for bit the bisection on binary_entropy alone, down to E = 1
+        # q is bit for bit the bisection on binary_entropy, down to E = 1
         es = [1.0 - 1e-13, 1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.5 - 1e-12]
-        # entropies at which a bisection on the math.log2 entropy alone ends
-        # on a different q: the binary_entropy steps near the crossing matter
+        # entropies at which an entropy off by one ulp near the crossing ends
+        # the bisection on another q
         es += [1.0356168503062684, 1.4553265057264508, 1.2384246619250296,
                1.3944560280983205, 1.2062600409704516]
         es += np.linspace(1.0 + 1e-6, 1.5 - 1e-6, 100).tolist() + rng.uniform(1.0, 1.5, 100).tolist()

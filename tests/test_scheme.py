@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel, random_incapable_channel
-from oracles import plane_rotation, qubit_qutrit_tangle, reduced_density
+from oracles import (
+    plane_rotation,
+    qubit_qutrit_tangle,
+    reduced_density,
+    special_case_basis,
+    two_qubit_D12,
+)
 from teleportsim.channel import SchmidtChannel, canonicalize, make_channel
 from teleportsim.qlinalg import TOL
 from teleportsim.resources import branch_tangles, resource_report, upper_bound_sum
@@ -29,10 +35,8 @@ from teleportsim.scheme import (
     phases_from_weights,
     rotation_rows,
     solve_constraints,
-    special_case_basis,
-    two_qubit_D12,
-    two_qubit_feasible,
 )
+from teleportsim.teleport import InputQubit, run_teleport
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -338,8 +342,10 @@ class TestAssemble:
             assert np.allclose(closed, raw, atol=1e-10)
 
     def test_labels(self):
-        _, basis = assemble_D12(SchemeParams(theta=(0.1, 0.2, 0.3), delta=(0.4, 0.5)))
-        assert basis.labels == ("1+", "2+", "3+", "1-", "2-", "3-")
+        # every basis's rows are the six outcomes BRANCH_LABELS, in this order
+        ch = make_channel(*SYMMETRIC)
+        rep = run_teleport(InputQubit(alpha=1.0, beta=0.0), ch, solve_constraints(ch, 0.0))
+        assert rep.labels == BRANCH_LABELS == ("1+", "2+", "3+", "1-", "2-", "3-")
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError):
@@ -348,9 +354,18 @@ class TestAssemble:
     @pytest.mark.parametrize("vectors", [np.eye(6, dtype=complex)[0], np.eye(6, 4, dtype=complex)])
     def test_non_square_rejected(self, vectors):
         # a 1-D ket, and an isometry with orthonormal columns (V^dag V = I)
-        # but kets that are not: each names its shape, before the labels
+        # but kets that are not: each names its shape
         with pytest.raises(ValueError, match=re.escape(f"got shape {vectors.shape}")):
             MeasurementBasis(vectors)
+
+    def test_two_qubit_basis_rejected(self):
+        # a unitary basis of another shape: the 4x4 Bell-type two-qubit
+        # measurement, alone or stacked, is refused before its unitarity check
+        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
+        for vectors in (dmat, np.stack([dmat] * 2)):
+            with pytest.raises(ValueError, match=re.escape(f"(..., 6, 6) qubit-qutrit kets, "
+                                                           f"got shape {vectors.shape}")):
+                MeasurementBasis(vectors)
 
     def test_non_unitary_basis_in_stack(self):
         # a stack fails with the message of its bad basis's own check
@@ -423,29 +438,12 @@ class TestOneBasisPerScheme:
         assert not np.shares_memory(kept, vectors) and not kept.flags.writeable
 
     def test_equality_is_identity(self):
-        # two bases with equal kets and labels are still two objects
+        # two bases with equal kets are still two objects
         basis, twin = special_case_basis("A", 0.1), special_case_basis("A", 0.1)
-        assert basis.vectors.tobytes() == twin.vectors.tobytes() and basis.labels == twin.labels
+        assert basis.vectors.tobytes() == twin.vectors.tobytes()
         assert basis == basis and not basis != basis and hash(basis) == hash(basis)
         assert basis != twin and not basis == twin
         assert len({basis, twin, basis}) == 2
-
-
-class TestBasisLabels:
-    """A basis has one label per ket; any other count is refused, so no report
-    lists fewer (or more) branches than it sums."""
-
-    def test_two_qubit_default_labels_rejected(self):
-        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
-        with pytest.raises(ValueError, match="6 labels for 4 basis kets"):
-            MeasurementBasis(dmat)
-
-    def test_too_few_labels_rejected(self):
-        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
-        with pytest.raises(ValueError, match="1 labels for 4 basis kets"):
-            MeasurementBasis(dmat, ("x",))
-        with pytest.raises(ValueError, match="5 labels for 6 basis kets"):
-            MeasurementBasis(assemble_D12(SchemeParams(**ANGLES))[0], BRANCH_LABELS[:5])
 
 
 class TestSpecialCaseBases:
@@ -528,30 +526,3 @@ class TestSpecialCaseBases:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             special_case_basis("C", 0.3)
-
-
-class TestTwoQubit:
-    def test_unitary_for_random_parameters(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            t = rng.uniform(0, 2 * math.pi)
-            u = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-            dmat = two_qubit_D12(u, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            assert np.max(np.abs(dmat @ dmat.conj().T - np.eye(4))) <= 1e-10
-
-    def test_feasible_only_when_balanced(self):
-        assert two_qubit_feasible(R2, R2)
-        assert not two_qubit_feasible(0.6, 0.8)
-        assert not two_qubit_feasible(0.8, 0.6)
-
-    def test_bell_equivalent_basis(self):
-        # balanced u with eta = pi/4 and e^{i delta} = -1 gives rows locally
-        # equivalent to the four Bell states: all tangles 1
-        u = np.array([[R2, R2], [R2, -R2]])
-        dmat = two_qubit_D12(u, math.pi / 4, math.pi)
-        assert np.allclose(dmat[0], [R2, 0, 0, R2], atol=1e-12)
-        assert np.allclose(dmat[2], [0, -R2, R2, 0], atol=1e-12)
-        for row in dmat:
-            rho = row.reshape(2, 2) @ row.reshape(2, 2).conj().T
-            tangle = 4.0 * float(np.linalg.det(rho).real)
-            assert tangle == pytest.approx(1.0, abs=1e-12)

@@ -9,13 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
-from oracles import channel_ket, collapsed_closed_form
+from oracles import (
+    TWO_QUBIT_LABELS,
+    channel_ket,
+    collapsed_closed_form,
+    special_case_basis,
+    two_qubit_certificate,
+    two_qubit_D12,
+)
 from teleportsim import explorer, scheme, teleport
 from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
 from teleportsim.explorer import sweep_case2
 from teleportsim.qlinalg import TOL
 from teleportsim.scheme import (
-    TWO_QUBIT_LABELS,
     InfeasibleError,
     MeasurementBasis,
     SchemeParams,
@@ -25,8 +31,6 @@ from teleportsim.scheme import (
     measurement_bases,
     rotation_rows,
     solve_constraints,
-    special_case_basis,
-    two_qubit_D12,
 )
 from teleportsim.teleport import (
     CapabilityError,
@@ -230,7 +234,7 @@ class TestStackedCorrections:
     def _assert_rows_match(coeffs, basis):
         comps = branch_components(coeffs, basis)
         ws = branch_corrections(coeffs, basis)
-        assert ws.shape == (len(basis.labels),) + 2 * (comps.shape[-1],)
+        assert ws.shape == (6, 3, 3)
         for j, (va, vb) in enumerate(comps):
             assert np.array_equal(_kernel_row(va, vb), ws[j])
         return ws
@@ -249,11 +253,6 @@ class TestStackedCorrections:
         # rows 1+ and 2+ carry no weight at theta1 = 0
         assert np.array_equal(ws[0], np.eye(3))
         assert np.array_equal(ws[1], np.eye(3))
-
-    def test_two_qubit_balanced(self):
-        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
-        ws = self._assert_rows_match((R2, R2), MeasurementBasis(dmat, TWO_QUBIT_LABELS))
-        assert ws.shape == (4, 2, 2)
 
     @pytest.mark.parametrize("row", [0, 2, 5])
     def test_one_bad_row_rejected(self, row):
@@ -334,16 +333,13 @@ def _kernel_cases(kind, rng):
     elif kind == "symmetric":
         ch = make_channel(*SYMMETRIC)
         yield ch.a, assemble_D12(_solved(ch))[1]
-    elif kind == "two_qubit":
-        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
-        yield (R2, R2), MeasurementBasis(dmat, TWO_QUBIT_LABELS)
 
 
 class TestKernelBitIdentity:
     """The stacked correction kernel and total_state must match
     their one-row and np.kron definitions exactly, not just to a tolerance."""
 
-    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric", "two_qubit"])
+    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric"])
     def test_matches_per_row_recipe_and_kron(self, kind, rng):
         for coeffs, basis in _kernel_cases(kind, rng):
             ws = branch_corrections(coeffs, basis)
@@ -545,9 +541,6 @@ def _record_cases(kind, rng):
     elif kind == "symmetric":
         ch = make_channel(*SYMMETRIC)
         yield ch.a, [assemble_D12(_solved(ch))[1]] * 6
-    elif kind == "two_qubit":
-        dmat = two_qubit_D12(np.array([[R2, R2], [R2, -R2]]), math.pi / 4, math.pi)
-        yield (R2, R2), [MeasurementBasis(dmat, TWO_QUBIT_LABELS)] * 6
 
 
 def _frozen_certify(vectors, coeffs, basis):
@@ -575,7 +568,7 @@ class TestOneInputPath:
     """run_with_basis certifies one input on one basis; every output byte
     stays that of the frozen stack-generic certificate."""
 
-    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric", "two_qubit"])
+    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric"])
     def test_matches_frozen_certify(self, kind, rng):
         for coeffs, bases in _record_cases(kind, rng):
             for basis in bases:
@@ -608,9 +601,25 @@ class TestOneInputPath:
             branch_components(ch.a, stack)
         assert branch_components([ch.a] * 2, stack).shape == (2, 6, 2, 3)
 
+    def test_two_coefficients_refused(self, rng):
+        # a two-qubit channel on a qubit-qutrit basis: branch_components' shape
+        # error, raised before any state is built
+        basis = assemble_D12(_solved(random_capable_channel(rng)))[1]
+        with pytest.raises(ValueError, match=re.escape(
+                "expected 3 channel coefficients per basis record, shape (3,) for a basis "
+                "of shape (6, 6), got (2,)")):
+            run_with_basis(random_input(rng), (R2, R2), basis)
+
+    @pytest.mark.parametrize("size", [8, 12, 36])
+    def test_joint_state_of_wrong_size_refused(self, size):
+        total = np.zeros(size, dtype=complex)
+        total[0] = 1.0
+        with pytest.raises(ValueError, match=f"18 amplitudes, got {size}"):
+            measure_branches(total, special_case_basis("A", math.pi / 4))
+
 
 def _stacked(bases):
-    return MeasurementBasis(np.stack([b.vectors for b in bases]), bases[0].labels)
+    return MeasurementBasis(np.stack([b.vectors for b in bases]))
 
 
 def _error(call):
@@ -1056,14 +1065,17 @@ class TestClosedFormOracles:
 
 
 class TestTwoQubitPath:
+    """The two-qubit scheme, which the library refuses (its bases are 6x6),
+    through the plain certificate of tests/oracles.py."""
+
     def test_balanced_channel_unit_fidelity(self, rng):
         u = np.array([[R2, R2], [R2, -R2]])
         dmat = two_qubit_D12(u, math.pi / 4, math.pi)
         for _ in range(20):
-            rep = run_with_basis(random_input(rng), (R2, R2),
-                                 MeasurementBasis(dmat, TWO_QUBIT_LABELS))
-            assert min(rep.fidelities) >= 1.0 - 1e-10
-            assert sum(rep.probabilities) == pytest.approx(1.0, abs=1e-12)
+            probabilities, fidelities = two_qubit_certificate(random_input(rng), (R2, R2), dmat)
+            assert len(fidelities) == len(TWO_QUBIT_LABELS)
+            assert min(fidelities) >= 1.0 - 1e-10
+            assert sum(probabilities) == pytest.approx(1.0, abs=1e-12)
 
     def test_unbalanced_channel_never_correctable(self, rng):
         # over a parameter grid, every basis leaves at least one branch
@@ -1076,8 +1088,7 @@ class TestTwoQubitPath:
                 for delta in np.linspace(0.0, 2 * math.pi, 10):
                     dmat = two_qubit_D12(u, eta, delta)
                     with pytest.raises(CorrectionError):
-                        run_with_basis(random_input(rng), (a0, a1),
-                                       MeasurementBasis(dmat, TWO_QUBIT_LABELS))
+                        two_qubit_certificate(random_input(rng), (a0, a1), dmat)
 
 
 NONFINITE = [math.nan, math.inf, -math.inf]
