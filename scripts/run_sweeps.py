@@ -8,13 +8,16 @@ sweeps draw no random numbers.
 """
 
 import argparse
-import math
 import pathlib
 
-import numpy as np
-
 from teleportsim.cli import bounds_csv, sweep_csv_lines
-from teleportsim.explorer import bounds_table, sweep_case1, sweep_case2, sweep_degenerate
+from teleportsim.explorer import (
+    bounds_grid,
+    bounds_table,
+    sweep_case1,
+    sweep_case2,
+    sweep_degenerate,
+)
 
 
 def _summary(name, result):
@@ -42,8 +45,7 @@ def main():
             fh.writelines(sweep_csv_lines(result))
         _summary(f"sweep_{name}", result)
 
-    grid = np.linspace(1.0 + 1e-9, math.log2(3.0), args.density)
-    rows = bounds_table(grid)
+    rows = bounds_table(bounds_grid(args.density))
     (args.outdir / "bounds.csv").write_text(bounds_csv(rows))
     print(f"bounds: {len(rows)} rows, curves meet at "
           f"E = {rows[-1][0]:.6f} (lower {rows[-1][1]:.6f}, upper {rows[-1][2]:.6f})")

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .qlinalg import TOL, LOG2_3
 
 
@@ -36,23 +34,25 @@ class SchmidtChannel:
 def make_channel(a0: float, a1: float, a2: float, *, norm_tol: float = 1e-9) -> SchmidtChannel:
     """Validate and build a channel; coefficients are kept in the given order.
 
-    Inputs within norm_tol of unit square-sum are rescaled exactly onto the
-    simplex so downstream algebra sees a normalized channel.
+    Each argument is read with float(), so ints, numpy scalars and numeric
+    strings are taken as numbers and None raises TypeError. Inputs within
+    norm_tol of unit square-sum are divided by the root of their sum of
+    squares, so downstream algebra sees a normalized channel.
     """
-    a = np.array([a0, a1, a2], dtype=float)
-    if not np.all(np.isfinite(a)):
+    x, y, z = a = (float(a0), float(a1), float(a2))
+    if not all(map(math.isfinite, a)):
         raise ValueError("Schmidt coefficients must be finite")
-    if np.any(a < 0.0):
-        raise ValueError(f"negative Schmidt coefficient in {a.tolist()}")
-    # Python floats, so a square that overflows is inf without a numpy warning;
-    # added left to right, numpy's order for three terms (sum() would not be
-    # on Python 3.12+, which compensates float sums)
-    x, y, z = a.tolist()
+    if min(a) < 0.0:
+        raise ValueError(f"negative Schmidt coefficient in {list(a)}")
+    # a square that overflows is inf; added left to right, numpy's order for
+    # three terms (sum() would not be on Python 3.12+, which compensates
+    # float sums). sqrt and division are correctly rounded, so the channel
+    # has the bits numpy's a / np.sqrt(s) would give
     s = x * x + y * y + z * z
     if abs(s - 1.0) > norm_tol:
         raise ValueError(f"Schmidt coefficients not normalized: sum of squares = {s}")
-    a = a / np.sqrt(s)
-    return SchmidtChannel(a=tuple(float(x) for x in a))
+    r = math.sqrt(s)
+    return SchmidtChannel(a=(x / r, y / r, z / r))
 
 
 def channel_entropy(ch: SchmidtChannel) -> float:

@@ -22,13 +22,13 @@ import numpy as np
 from .channel import canonicalize, make_channel
 from .explorer import (
     SweepResult,
+    bounds_grid,
     bounds_table,
     record_fields,
     sweep_case1,
     sweep_case2,
     sweep_degenerate,
 )
-from .qlinalg import LOG2_3
 from .resources import resource_report
 from .scheme import InfeasibleError, find_scheme
 from .teleport import CapabilityError, CorrectionError, random_input, run_teleport
@@ -223,10 +223,7 @@ def _cmd_channel(args, seed: int) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.density < 2:
-        raise ValueError("density must be at least 2")
-    grid = np.linspace(1.0 + 1e-9, LOG2_3, args.density)
-    rows = bounds_table(grid)
+    rows = bounds_table(bounds_grid(args.density))
     if args.format == "csv":
         _emit((bounds_csv(rows),), args.out)
     else:

@@ -208,28 +208,22 @@ def sweep_degenerate(density: int) -> SweepResult:
     return _sweep([(ch, None, points)])
 
 
-# the slice formula for the entropy and channel_entropy on the channel that
-# make_channel renormalises differ by a few ulps, far below this margin
-_FAR_MARGIN = 1e-12
-
-
 def _a1_from_entropy(e: float) -> float:
     """Invert channel entropy on the a2 = a1 slice (a1^2 in [1/3, 1/2]).
 
-    Each bisection step first takes the slice entropy in plain floats and is
-    settled by it when that lies more than _FAR_MARGIN from e; only the steps
-    nearer the crossing build the channel and read channel_entropy, so the
-    bisection ends where one on channel_entropy alone does, bit for bit.
+    A bisection on b = a1^2: each step builds the channel
+    (sqrt(1 - 2b), sqrt(b), sqrt(b)) and compares its channel_entropy with e.
     """
     def above(b):  # entropy decreases from log2(3) to 1 as b = a1^2 grows
-        c = 1.0 - 2.0 * b  # a0^2, whose term is 0 at c = 0
-        h = -2.0 * b * math.log2(b) - (c * math.log2(c) if c > 0.0 else 0.0)
-        if abs(h - e) > _FAR_MARGIN:
-            return h > e
-        ch = make_channel(math.sqrt(c), math.sqrt(b), math.sqrt(b))
+        ch = make_channel(math.sqrt(1.0 - 2.0 * b), math.sqrt(b), math.sqrt(b))
         return channel_entropy(ch) > e
 
     return math.sqrt(bisect(above, 1.0 / 3.0, 0.5))
+
+
+def bounds_grid(density: int) -> np.ndarray:
+    """The bounds table's E grid: density points from just above 1 to log2 3."""
+    return _grid(1.0 + 1e-9, LOG2_3, density)
 
 
 def bounds_table(e_grid) -> list[tuple[float, float, float]]:

@@ -248,18 +248,19 @@ def solve_constraints(
     The channel must be capable and canonicalized. The hints are consumed
     only when the corresponding angle is left free by the constraints
     (degenerate channels); otherwise both angles are pinned in closed form.
-    Raises InfeasibleError (with the admissible theta3 interval attached)
-    when theta3 lies outside the feasible window, ValueError when it is not
-    finite.
+    theta3 is gated on u = sin^2(theta3) against admissible_u_window, within
+    TOL.entry. Raises InfeasibleError (with the admissible theta3 interval
+    attached) when theta3 lies outside that window or the residuals exceed
+    TOL.unitary, ValueError when it is not finite.
     """
     if not math.isfinite(theta3):
         raise ValueError(f"theta3 must be finite, got {theta3}")
     A, B, C = ch.squares
-    lo, hi = admissible_theta3(ch)
+    ulo, uhi = admissible_u_window(ch)
     s3 = math.sin(theta3)
     u = s3 ** 2
-    ulo, uhi = math.sin(lo) ** 2, math.sin(hi) ** 2
     if not (ulo - TOL.entry <= u <= uhi + TOL.entry):
+        lo, hi = admissible_theta3(ch)
         raise InfeasibleError(
             f"theta3 = {theta3:.6g} outside the admissible interval "
             f"[{lo:.6g}, {hi:.6g}] for this channel",
@@ -293,7 +294,7 @@ def solve_constraints(
     if max(res) > TOL.unitary:
         raise InfeasibleError(
             f"constraint residuals {res} exceed tolerance at theta3 = {theta3:.6g}",
-            interval=(lo, hi),
+            interval=admissible_theta3(ch),
         )
     return params
 

@@ -62,12 +62,39 @@ class TestMakeChannel:
         with pytest.raises(ValueError, match=re.escape(f"sum of squares = {float(np.sum(a * a))}")):
             make_channel(*a.tolist())
 
+    @staticmethod
+    def _numpy_rescale(a):
+        a = np.array(a, dtype=float)
+        return tuple((a / np.sqrt(np.sum(a * a))).tolist())
+
     def test_rescale_matches_numpy(self, rng):
-        # the plain-float sum of squares rescales exactly as numpy's would
+        # the plain-float rescale gives numpy's bits: near-normalized inputs,
+        # then the a2 = a1 slice channels the bound-curve bisection builds,
+        # b = a1^2 in [1/3, 1/2] with both ends
         for _ in range(2000):
             a = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0])) * (1.0 + rng.uniform(-1e-10, 1e-10))
-            want = tuple((a / np.sqrt(np.sum(a * a))).tolist())
-            assert make_channel(*a.tolist()).a == want
+            assert make_channel(*a.tolist()).a == self._numpy_rescale(a)
+        bs = np.linspace(1.0 / 3.0, 0.5, 10_001).tolist()
+        assert bs[0] == 1.0 / 3.0 and bs[-1] == 0.5
+        for b in bs:
+            a = (math.sqrt(1.0 - 2.0 * b), math.sqrt(b), math.sqrt(b))
+            assert make_channel(*a).a == self._numpy_rescale(a)
+
+    @pytest.mark.parametrize("args", [
+        (np.float64(0.6), np.float64(0.8), np.float64(0.0)),
+        (np.int64(0), np.int64(1), np.int64(0)),
+        (0, 1, 0),
+        ("0.6", "0.8", "0"),
+        (0.6, np.float64(0.8), "0.0"),
+    ])
+    def test_numbers_read_as_floats(self, args):
+        ch = make_channel(*args)
+        assert ch.a == self._numpy_rescale(args)
+        assert all(type(x) is float for x in ch.a)
+
+    def test_none_rejected(self):
+        with pytest.raises(TypeError):
+            make_channel(None, 1.0, 0.0)
 
 
 class TestEntropy:

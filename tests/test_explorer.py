@@ -355,6 +355,13 @@ class TestBoundsTable:
         for _, lo, up in bounds_table(np.linspace(1.0 + 1e-6, LOG2_3, 60)):
             assert up >= lo - 5e-6
 
+    def test_grid(self):
+        grid = explorer.bounds_grid(200).tolist()
+        assert grid == np.linspace(1.0 + 1e-9, LOG2_3, 200).tolist()
+        assert grid[0] == 1.0 + 1e-9 and grid[-1] == LOG2_3
+        with pytest.raises(ValueError, match="density must be at least 2"):
+            explorer.bounds_grid(1)
+
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             bounds_table([0.5])
@@ -367,8 +374,8 @@ BOUNDS_GRID_200 = np.linspace(1.0 + 1e-9, LOG2_3, 200).tolist()
 
 
 class TestA1FromEntropy:
-    """The bound-curve inversion settles its far bisection steps in plain
-    floats, yet ends where the all-exact bisection ends, bit for bit."""
+    """The bound-curve inversion ends where the oracle's bisection on
+    channel_entropy ends, bit for bit."""
 
     @staticmethod
     def _same_as_exact(es):
@@ -385,22 +392,6 @@ class TestA1FromEntropy:
     def test_edges(self):
         self._same_as_exact([1.0 + 1e-15, 1.0 + 1e-9, 1.5,
                              LOG2_3 - 1e-13, LOG2_3, LOG2_3 + 1e-12])
-
-    def test_few_exact_steps(self, monkeypatch):
-        # the all-exact bisection builds about 52.5 channels per inversion
-        counts = []
-        make = explorer.make_channel
-
-        def spy(*args, **kwargs):
-            counts[-1] += 1
-            return make(*args, **kwargs)
-
-        monkeypatch.setattr(explorer, "make_channel", spy)
-        for e in BOUNDS_GRID_200:
-            counts.append(0)
-            explorer._a1_from_entropy(e)
-        assert sum(counts) / len(counts) < 20
-        assert max(counts) < 40
 
 
 class TestGourComparison:

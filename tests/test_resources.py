@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -336,6 +337,19 @@ class TestLowerBound:
     def test_affine_constants(self):
         assert K_SLOPE == pytest.approx(K_FROZEN, abs=1e-12)
         assert B_INTERCEPT == pytest.approx(B_FROZEN, abs=1e-12)
+
+    def test_affine_pins_exact(self):
+        # the constants' formulas, taken exactly, meet both pins of the affine
+        # piece: f2(log2 3) = 1 + log2 6 and f2(3/2) = 2 log2 3 + 1/3
+        log2_3 = sp.log(3, 2)
+        k = (sp.Rational(5, 3) - log2_3) / (log2_3 - sp.Rational(3, 2))
+        b = 2 * log2_3 + sp.Rational(11, 6) - 1 / (4 * log2_3 - 6)
+        assert sp.simplify(k * log2_3 + b - (1 + sp.log(6, 2))) == 0
+        assert sp.simplify(k * sp.Rational(3, 2) + b - (2 * log2_3 + sp.Rational(1, 3))) == 0
+        # the floats are a few ulp off (K 30, B 10), from the cancellation
+        # in LOG2_3 - 1.5
+        assert K_SLOPE == pytest.approx(float(k.evalf(30)), rel=1e-14, abs=0.0)
+        assert B_INTERCEPT == pytest.approx(float(b.evalf(30)), rel=1e-14, abs=0.0)
 
     def test_three_halves_uses_affine_piece(self):
         assert lower_bound_sum(1.5) == pytest.approx(LOWER_AT_THREE_HALVES, abs=1e-12)

@@ -286,6 +286,22 @@ class TestSolveConstraints:
         lo, hi = exc.value.interval
         assert 0.0 <= lo <= hi < 0.3
 
+    def test_gate_is_the_exact_u_window(self, rng):
+        # theta3 is gated on u = sin^2(theta3) against admissible_u_window
+        # itself; admissible_theta3 only reports the refused interval
+        tried = 0
+        while tried < 20:
+            ch = random_capable_channel(rng)
+            ulo, _ = admissible_u_window(ch)
+            if ulo < 1e-6:
+                continue
+            tried += 1
+            with pytest.raises(InfeasibleError) as exc:
+                solve_constraints(ch, math.asin(math.sqrt(ulo - 2.0 * TOL.entry)))
+            assert exc.value.interval == admissible_theta3(ch)
+            params = solve_constraints(ch, math.asin(math.sqrt(ulo)))
+            assert max(constraint_residuals(ch, params)) <= TOL.unitary
+
     def test_non_canonical_rejected(self):
         ch = make_channel(math.sqrt(0.5), math.sqrt(0.2), math.sqrt(0.3))
         with pytest.raises(ValueError, match="canonicalized"):

@@ -1,17 +1,14 @@
 """Smoke tests: both experiment scripts run end to end on a small grid."""
 
-import math
 import os
 import pathlib
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from teleportsim.cli import bounds_csv, sweep_csv_lines
+from teleportsim.cli import main, sweep_csv_lines
 from teleportsim.explorer import (
-    bounds_table,
     record_fields,
     sweep_case1,
     sweep_case2,
@@ -47,10 +44,12 @@ def test_run_sweeps(tmp_path):
         assert len(lines) == len(result.records) + 2  # header, records, skipped footer
         assert lines[-1] == f"# skipped={result.skipped}"
         assert (out / name).read_text() == "".join(sweep_csv_lines(result))
-    bounds = (out / "bounds.csv").read_text()
-    assert bounds.splitlines()[0] == "e,lower,upper"
+    bounds = (out / "bounds.csv").read_bytes()
+    assert bounds.splitlines()[0] == b"e,lower,upper"
     assert len(bounds.splitlines()) == POINTS + 1
-    assert bounds == bounds_csv(bounds_table(np.linspace(1.0 + 1e-9, math.log2(3.0), POINTS)))
+    # byte for byte the table of `teleportsim bounds --density POINTS`
+    assert main(["bounds", "--density", str(POINTS), "--out", str(tmp_path / "cli.csv")]) == 0
+    assert bounds == (tmp_path / "cli.csv").read_bytes()
     assert [line.split(":")[0] for line in stdout.splitlines()] == [
         "sweep_case1", "sweep_case2", "sweep_degenerate", "bounds"]
 
