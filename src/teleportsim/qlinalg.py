@@ -64,10 +64,19 @@ def check_unitary(mat) -> None:
 
 
 def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
+    """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0.
+
+    Checks x against [0, 1] (within TOL.entry; NaN fails), clips it and
+    evaluates _binary_entropy.
+    """
     if not (-TOL.entry <= x <= 1.0 + TOL.entry):  # NaN fails too
         raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(float(x), 0.0), 1.0)
+    return _binary_entropy(min(max(float(x), 0.0), 1.0))
+
+
+def _binary_entropy(x: float) -> float:
+    """binary_entropy without the check, for a float x in [0, 1] by
+    construction (a bisection midpoint, a clipped tangle's weight)."""
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -76,23 +85,30 @@ def binary_entropy(x: float) -> float:
 def bisect(below, lo: float, hi: float) -> float:
     """Bisect [lo, hi] on a monotone predicate until (lo, hi) stops changing.
 
-    below(x) is true left of the crossing. The loop ends once the midpoint
-    rounds to an end of the interval, so the crossing is as exact as floats
-    allow; returns that last midpoint.
+    below(x) is true left of the crossing. The loop ends on the first
+    midpoint that equals the end it would replace (lo when below(mid), hi
+    otherwise), so the crossing is as exact as floats allow; returns that
+    midpoint.
     """
     while True:
         mid = 0.5 * (lo + hi)
-        step = (mid, hi) if below(mid) else (lo, mid)
-        if step == (lo, hi):
-            return mid
-        lo, hi = step
+        if below(mid):
+            if mid == lo:
+                return mid
+            lo = mid
+        else:
+            if mid == hi:
+                return mid
+            hi = mid
 
 
 def entanglement_from_tangle(c: float) -> float:
     """Entropy of entanglement H((1 + sqrt(1-C))/2) for tangle C in [0,1].
 
-    C is clipped to [0, 1]; a NaN tangle stays NaN and binary_entropy
-    raises ValueError on it.
+    C is clipped to [0, 1], which puts the weight in [1/2, 1], so the
+    unchecked _binary_entropy takes it; a NaN tangle raises ValueError.
     """
+    if math.isnan(c):
+        raise ValueError(f"tangle {c} is not a number")
     c = min(max(c, 0.0), 1.0)
-    return binary_entropy((1.0 + math.sqrt(1.0 - c)) / 2.0)
+    return _binary_entropy((1.0 + math.sqrt(1.0 - c)) / 2.0)

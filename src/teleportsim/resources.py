@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import SchmidtChannel
-from .qlinalg import LOG2_3, TOL, binary_entropy, bisect, entanglement_from_tangle
+from .qlinalg import LOG2_3, TOL, _binary_entropy, binary_entropy, bisect, entanglement_from_tangle
 from .scheme import PhaseInfeasibleError, SchemeParams, phases_from_weights
 from .teleport import branch_probabilities
 
@@ -62,13 +62,17 @@ def measurement_entanglement(probabilities, tangles) -> float:
     """e12 = sum of P_j * H((1 + sqrt(1 - C_j)) / 2) over branches.
 
     H is evaluated once per distinct tangle (a scheme's six branches share
-    three), and the terms are summed in branch order.
+    three), and the terms are added left to right in branch order, never
+    through sum(), which compensates float sums from Python 3.12 on.
     """
     h = {}
-    for c in tangles:
-        if c not in h:
-            h[c] = entanglement_from_tangle(c)
-    return float(sum([p * h[c] for p, c in zip(probabilities, tangles)]))
+    total = 0.0
+    for p, c in zip(probabilities, tangles):
+        hc = h.get(c)
+        if hc is None:
+            hc = h[c] = entanglement_from_tangle(c)
+        total += p * hc
+    return float(total)
 
 
 def classical_cost(probabilities) -> float:
@@ -167,7 +171,8 @@ def _g_of_q(q: float) -> float:
 def _q_from_entropy(e: float) -> float:
     """Solve H(q) = 2(E - 1) for q in [0, 1/2] by bisection."""
     target = 2.0 * (e - 1.0)
-    return bisect(lambda q: binary_entropy(q) < target, 0.0, 0.5)
+    # every midpoint lies in [0, 1/2], so each step takes the unchecked core
+    return bisect(lambda q: _binary_entropy(q) < target, 0.0, 0.5)
 
 
 def lower_bound_sum(e: float) -> float:

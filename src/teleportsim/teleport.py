@@ -302,11 +302,16 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
     overlap = np.vecdot(vector[None, :], out[..., :2])
     fids = np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
     probabilities, fidelities = tuple(probs.tolist()), tuple(fids.tolist())
+    # added left to right, never through sum(), which compensates float sums
+    # from Python 3.12 on
+    mean = 0.0
+    for p, f in zip(probabilities, fidelities):
+        mean += p * f
     return TeleportReport(
         labels=BRANCH_LABELS,
         probabilities=probabilities,
         fidelities=fidelities,
-        mean_fidelity=sum(p * f for p, f in zip(probabilities, fidelities)),
+        mean_fidelity=mean,
     )
 
 

@@ -3,7 +3,8 @@
 Each one recomputes something the library does in closed form (branch
 tangles, collapsed states, the channel ket, the resource report) straight
 from its definition or its first plain recipe, so a test can compare the
-two; gour_basis builds the comparison protocol's measurement. The bases the
+two; gour_basis builds the comparison protocol's measurement, and
+tuple_bisect keeps the bisection's first loop. The bases the
 library does not build also live here: the closed-form a0 = 0 families
 (special_case_basis) and the two-qubit scheme with its own plain
 certificate (two_qubit_D12, two_qubit_certificate). The library itself
@@ -19,7 +20,7 @@ import numpy as np
 
 from teleportsim import qlinalg
 from teleportsim.channel import SchmidtChannel, channel_entropy, make_channel
-from teleportsim.qlinalg import bisect, check_unitary, entanglement_from_tangle
+from teleportsim.qlinalg import check_unitary, entanglement_from_tangle
 from teleportsim.resources import ResourceReport, classical_cost
 from teleportsim.scheme import (
     MeasurementBasis,
@@ -159,7 +160,9 @@ def resource_report_per_branch(ch: SchmidtChannel, params: SchemeParams) -> Reso
     clip = lambda c: min(max(c, 0.0), 1.0)
     tangles = (clip(c12), clip(c12), clip(c3), clip(c12m), clip(c12m), clip(c3))
 
-    e12 = float(sum(p * entanglement_from_tangle(c) for p, c in zip(probs, tangles)))
+    e12 = 0.0  # left to right: sum() compensates float sums from Python 3.12 on
+    for p, c in zip(probs, tangles):
+        e12 += p * entanglement_from_tangle(c)
     h12 = classical_cost(probs)
     return ResourceReport(
         e_channel=channel_entropy(ch),
@@ -171,14 +174,25 @@ def resource_report_per_branch(ch: SchmidtChannel, params: SchemeParams) -> Reso
     )
 
 
+def tuple_bisect(below, lo: float, hi: float) -> float:
+    """qlinalg.bisect as first written, frozen: each step builds the next
+    (lo, hi) as a tuple and the loop ends when it equals the last one."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        step = (mid, hi) if below(mid) else (lo, mid)
+        if step == (lo, hi):
+            return mid
+        lo, hi = step
+
+
 def a1_from_entropy_exact(e: float) -> float:
     """explorer._a1_from_entropy with every bisection step decided by
-    channel_entropy on a freshly built channel."""
+    channel_entropy on a freshly built channel, on the frozen tuple_bisect."""
     def above(b):  # entropy decreases from log2(3) to 1 as b = a1^2 grows
         ch = make_channel(math.sqrt(max(1.0 - 2.0 * b, 0.0)), math.sqrt(b), math.sqrt(b))
         return channel_entropy(ch) > e
 
-    return math.sqrt(bisect(above, 1.0 / 3.0, 0.5))
+    return math.sqrt(tuple_bisect(above, 1.0 / 3.0, 0.5))
 
 
 def special_case_basis(variant: str, theta: float) -> MeasurementBasis:

@@ -1,12 +1,17 @@
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 
+from oracles import tuple_bisect
+from teleportsim.channel import channel_entropy, make_channel
 from teleportsim.qlinalg import (
+    LOG2_3,
     TOL,
     binary_entropy,
+    bisect,
     check_normalized,
     check_unitary,
     entanglement_from_tangle,
@@ -38,9 +43,81 @@ class TestTangle:
         assert entanglement_from_tangle(0.0) == 0.0
         assert entanglement_from_tangle(1.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_nan_tangle(self):
+    @pytest.mark.parametrize("nan", [math.nan, -math.nan, np.float64("nan")])
+    def test_nan_tangle(self, nan):
         with pytest.raises(ValueError):
-            entanglement_from_tangle(math.nan)
+            entanglement_from_tangle(nan)
+
+    def test_core_is_the_checked_entropy(self):
+        # bit for bit binary_entropy of the clipped tangle's weight, on a grid
+        # past both ends of [0, 1] and within 1e-15 of each
+        ends = [k * 1e-16 for k in range(-10, 11)] + [1.0 + k * 1e-16 for k in range(-10, 11)]
+        ends += [0.0, -0.0, 1.0, 5e-324, -5e-324, math.nextafter(1.0, 0.0),
+                 math.nextafter(1.0, 2.0), -1e300, 1e300, -math.inf, math.inf]
+        grid = np.linspace(-0.5, 1.5, 4001).tolist() + ends
+        assert any(c < 0.0 for c in grid) and any(c > 1.0 for c in grid)
+        for c in grid:
+            clipped = min(max(c, 0.0), 1.0)
+            want = binary_entropy((1.0 + math.sqrt(1.0 - clipped)) / 2.0)
+            assert entanglement_from_tangle(c).hex() == want.hex(), c
+
+
+class TestBisect:
+    """bisect visits the midpoints of the frozen tuple loop and ends on the
+    same one, bit for bit, on the library's predicates and on predicates
+    that are not monotone or cross at an end of the interval."""
+
+    @staticmethod
+    def _same_as_tuple(below, lo, hi):
+        seen = ([], [])
+
+        def recorded(i):
+            def pred(x):
+                seen[i].append(x.hex())
+                return below(x)
+            return pred
+
+        got, want = bisect(recorded(0), lo, hi), tuple_bisect(recorded(1), lo, hi)
+        assert got.hex() == want.hex(), (lo, hi)
+        assert seen[0] == seen[1], (lo, hi)
+        return got
+
+    def test_q_predicate(self, rng):
+        es = [1.0 - 1e-13, 1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.5 - 1e-12, 1.5]
+        for e in es + rng.uniform(1.0, 1.5, 200).tolist():
+            target = 2.0 * (e - 1.0)
+            self._same_as_tuple(lambda q: binary_entropy(q) < target, 0.0, 0.5)
+
+    def test_slice_predicate(self, rng):
+        def above(e):
+            def pred(b):
+                ch = make_channel(math.sqrt(max(1.0 - 2.0 * b, 0.0)), math.sqrt(b), math.sqrt(b))
+                return channel_entropy(ch) > e
+            return pred
+
+        es = [1.0 + 1e-15, 1.0 + 1e-9, 1.5, LOG2_3 - 1e-13, LOG2_3, LOG2_3 + 1e-12]
+        for e in es + (LOG2_3 - rng.uniform(0.0, LOG2_3 - 1.0, 200)).tolist():
+            self._same_as_tuple(above(e), 1.0 / 3.0, 0.5)
+
+    INTERVALS = [(0.0, 0.5), (1.0 / 3.0, 0.5), (-1.0, 1.0), (-3.5, -0.25), (0.0, 5e-324),
+                 (1.0, math.nextafter(1.0, 2.0)), (0.75, 0.75), (2.0, 1.0)]
+
+    @pytest.mark.parametrize("lo, hi", INTERVALS)
+    def test_seeded_non_monotone(self, lo, hi):
+        # each midpoint's answer is a seeded coin toss on its bits
+        for seed in range(40):
+            self._same_as_tuple(lambda x: random.Random(f"{seed}:{x.hex()}").random() < 0.5, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", INTERVALS)
+    def test_crossing_at_either_end(self, lo, hi):
+        # always true ends within an ulp of hi, always false within one of lo
+        up = self._same_as_tuple(lambda x: True, lo, hi)
+        down = self._same_as_tuple(lambda x: False, lo, hi)
+        if lo <= hi:
+            assert up in (hi, math.nextafter(hi, lo)) and down in (lo, math.nextafter(lo, hi))
+        for edge in (math.nextafter(lo, hi), math.nextafter(hi, lo)):
+            self._same_as_tuple(lambda x: x < edge, lo, hi)
+            self._same_as_tuple(lambda x: x <= edge, lo, hi)
 
 
 class TestIdentity:

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel, random_incapable_channel
-from oracles import gour_basis, qubit_qutrit_tangle, resource_report_per_branch
-from teleportsim import channel, explorer, resources
+from oracles import gour_basis, qubit_qutrit_tangle, resource_report_per_branch, tuple_bisect
+from teleportsim import channel, explorer, resources, teleport
 from teleportsim.channel import SchmidtChannel, canonicalize, channel_entropy, make_channel
-from teleportsim.qlinalg import LOG2_3, binary_entropy, bisect, entanglement_from_tangle
+from teleportsim.qlinalg import LOG2_3, binary_entropy, entanglement_from_tangle
 from teleportsim.resources import (
     B_INTERCEPT,
     K_SLOPE,
@@ -366,7 +366,8 @@ class TestLowerBound:
             assert type(lower_bound_sum(e)) is float
 
     def test_bisection_takes_the_binary_entropy_steps(self, rng):
-        # q is bit for bit the bisection on binary_entropy, down to E = 1
+        # q is bit for bit the frozen tuple bisection on the checked
+        # binary_entropy, down to E = 1
         es = [1.0 - 1e-13, 1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.5 - 1e-12]
         # entropies at which an entropy off by one ulp near the crossing ends
         # the bisection on another q
@@ -375,7 +376,7 @@ class TestLowerBound:
         es += np.linspace(1.0 + 1e-6, 1.5 - 1e-6, 100).tolist() + rng.uniform(1.0, 1.5, 100).tolist()
         for e in es:
             target = 2.0 * (e - 1.0)
-            assert _q_from_entropy(e) == bisect(lambda q: binary_entropy(q) < target, 0.0, 0.5)
+            assert _q_from_entropy(e) == tuple_bisect(lambda q: binary_entropy(q) < target, 0.0, 0.5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -475,6 +476,48 @@ def _accounting_cases():
         yield ch, find_scheme(ch)
     ch = make_channel(*SYMMETRIC)
     yield ch, find_scheme(ch)
+
+
+def _compensated_sum(iterable, start=0):
+    """sum() as Python 3.12 and later add floats: Neumaier-compensated."""
+    total, comp = float(start), 0.0
+    for x in iterable:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+def _left_to_right(terms):
+    total = 0.0
+    for x in terms:
+        total += x
+    return total
+
+
+class TestSumOfThePythonVersion:
+    """e12 and the mean fidelity are added left to right, so a Python whose
+    sum() compensates float sums (3.12 on) reports the same bits."""
+
+    def test_compensated_sum_changes_nothing(self, monkeypatch, rng):
+        cases = list(_accounting_cases())
+        runs = [(random_input(rng), ch.a, assemble_D12(params)[1]) for ch, params in cases[::5]]
+
+        def outputs():
+            return ([repr(resource_report(ch, params)) for ch, params in cases],
+                    [repr(run_with_basis(*run)) for run in runs])
+
+        plain = outputs()
+        # the data has teeth: compensation moves some e12 and some mean fidelity
+        e12_terms = [[p * entanglement_from_tangle(c) for p, c in zip(r.probabilities, r.tangles)]
+                     for r in (resource_report(ch, params) for ch, params in cases)]
+        fid_terms = [[p * f for p, f in zip(r.probabilities, r.fidelities)]
+                     for r in (run_with_basis(*run) for run in runs)]
+        for terms in (e12_terms, fid_terms):
+            assert any(_compensated_sum(t) != _left_to_right(t) for t in terms)
+        for module in (resources, teleport):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+        assert outputs() == plain
 
 
 class TestAccounting:
