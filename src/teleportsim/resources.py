@@ -1,7 +1,8 @@
 """Resource accounting: entanglement consumed, classical bits sent, and the
 trade-off bounds on their sum.
 
-Quantities per scheme:
+Quantities per scheme, all from one resource_report pass (its closed-form
+branch probabilities and tangles have no other home in the library):
 * e_channel — entanglement entropy of the shared channel;
 * e12 — probability-weighted average entanglement of the measurement basis;
 * h12 — Shannon entropy of the outcome distribution (classical cost);
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from .channel import SchmidtChannel
 from .qlinalg import LOG2_3, TOL, _binary_entropy, binary_entropy, bisect, entanglement_from_tangle
 from .scheme import PhaseInfeasibleError, SchemeParams, phases_from_weights
-from .teleport import branch_probabilities
 
 # affine piece of the lower bound: f2(E) = K_SLOPE * E + B_INTERCEPT,
 # pinned by f2(log2 3) = 1 + log2 6 and the stated slope
@@ -59,49 +59,34 @@ class ResourceReport:
 
 
 def measurement_entanglement(probabilities, tangles) -> float:
-    """e12 = sum of P_j * H((1 + sqrt(1 - C_j)) / 2) over branches.
-
-    H is evaluated once per distinct tangle (a scheme's six branches share
-    three), and the terms are added left to right in branch order, never
-    through sum(), which compensates float sums from Python 3.12 on.
-    """
-    h = {}
+    """e12 = sum of P_j * H((1 + sqrt(1 - C_j)) / 2) over branches, added left
+    to right, never through sum(), which compensates float sums from Python
+    3.12 on. Sequences of unequal length raise ValueError naming both, and a
+    negative or NaN probability raises classical_cost's ValueError."""
+    probabilities, tangles = list(probabilities), list(tangles)
+    if len(probabilities) != len(tangles):
+        raise ValueError(f"{len(probabilities)} probabilities but {len(tangles)} tangles")
     total = 0.0
     for p, c in zip(probabilities, tangles):
-        hc = h.get(c)
-        if hc is None:
-            hc = h[c] = entanglement_from_tangle(c)
-        total += p * hc
+        _check_probability(p)
+        total += p * entanglement_from_tangle(c)
     return float(total)
 
 
+def _check_probability(p: float) -> None:
+    if not (-TOL.entry <= p):  # NaN fails too
+        raise ValueError(f"negative or NaN probability {p}")
+
+
 def classical_cost(probabilities) -> float:
-    """Shannon entropy (bits) of the outcome distribution, with 0 log 0 = 0."""
+    """Shannon entropy (bits) of the outcome distribution, with 0 log 0 = 0;
+    a probability below -TOL.entry, or a NaN, raises ValueError."""
     h = 0.0
     for p in probabilities:
-        if not (-TOL.entry <= p):  # NaN fails too
-            raise ValueError(f"negative or NaN probability {p}")
+        _check_probability(p)
         if p > 0.0:
             h -= p * math.log2(p)
     return h
-
-
-def branch_tangles(params: SchemeParams) -> tuple[float, ...]:
-    """Closed-form tangles of the six basis rows, in label order, from the
-    scheme's cached rotation."""
-    u = params.rotation
-    d1, d2 = params.delta
-    c12 = 4.0 * u[0][1] ** 2 * (u[0][0] ** 2 + u[0][2] ** 2)
-    c12m = 4.0 * u[1][1] ** 2 * (u[1][0] ** 2 + u[1][2] ** 2)
-    c3 = (
-        2.0 * u[2][0] ** 2 * u[2][1] ** 2 * (1.0 - math.cos(d1))
-        + 2.0 * u[2][0] ** 2 * u[2][2] ** 2 * (1.0 - math.cos(d2))
-        + 2.0 * u[2][1] ** 2 * u[2][2] ** 2 * (1.0 - math.cos(d1 + d2))
-    )
-    c12 = min(max(c12, 0.0), 1.0)
-    c12m = min(max(c12m, 0.0), 1.0)
-    c3 = min(max(c3, 0.0), 1.0)
-    return (c12, c12, c3, c12m, c12m, c3)
 
 
 def _triangle_entanglement(xi1: float, xi2: float) -> float:
@@ -190,20 +175,44 @@ def lower_bound_sum(e: float) -> float:
 
 
 def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
-    """Assemble all resource quantifiers for a solved scheme.
-
-    The probabilities and the tangles read the scheme's cached rotation, and
-    the channel entropy is the channel's cached ch.entropy.
+    """All resource quantifiers of a solved scheme, in one pass: the cached
+    rotation's squares give the three distinct probabilities and clipped
+    tangles (branches p1 p1 p3 p2 p2 p3), each entropy and log2 is taken once,
+    and the e12 and h12 terms are added left to right in branch order, as
+    measurement_entanglement and classical_cost add them, with their checks
+    and bits. The channel entropy is the channel's cached ch.entropy.
     """
-    probs = branch_probabilities(ch, params)
-    tangles = branch_tangles(params)
-    e12 = measurement_entanglement(probs, tangles)
-    h12 = classical_cost(probs)
+    A, B, C = ch.squares
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = params.rotation
+    s00, s01, s02 = u00 ** 2, u01 ** 2, u02 ** 2
+    s10, s11, s12 = u10 ** 2, u11 ** 2, u12 ** 2
+    s20, s21, s22 = u20 ** 2, u21 ** 2, u22 ** 2
+    d1, d2 = params.delta
+    p1 = A * s00 + C * s02
+    p2 = A * s10 + C * s12
+    p3 = 0.5 * (A * s20 + B * s21 + C * s22)
+    c1 = min(max(4.0 * s01 * (s00 + s02), 0.0), 1.0)
+    c2 = min(max(4.0 * s11 * (s10 + s12), 0.0), 1.0)
+    c3 = min(max(
+        2.0 * s20 * s21 * (1.0 - math.cos(d1))
+        + 2.0 * s20 * s22 * (1.0 - math.cos(d2))
+        + 2.0 * s21 * s22 * (1.0 - math.cos(d1 + d2)), 0.0), 1.0)
+    t1 = p1 * entanglement_from_tangle(c1)
+    t3 = p3 * entanglement_from_tangle(c3)
+    t2 = p2 * entanglement_from_tangle(c2)
+    probs = (p1, p1, p3, p2, p2, p3)
+    if not (-TOL.entry <= p1 and -TOL.entry <= p3 and -TOL.entry <= p2):  # NaN fails too
+        classical_cost(probs)  # raises, naming the first bad probability
+    l1 = p1 * math.log2(p1) if p1 > 0.0 else 0.0
+    l3 = p3 * math.log2(p3) if p3 > 0.0 else 0.0
+    l2 = p2 * math.log2(p2) if p2 > 0.0 else 0.0
+    e12 = 0.0 + t1 + t1 + t3 + t2 + t2 + t3  # from 0.0, as the loops start
+    h12 = 0.0 - l1 - l1 - l3 - l2 - l2 - l3
     return ResourceReport(
         e_channel=ch.entropy,
         e12=e12,
         h12=h12,
-        tangles=tangles,
+        tangles=(c1, c1, c3, c2, c2, c3),
         probabilities=probs,
         sum=e12 + h12,
     )

@@ -314,13 +314,3 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
         mean_fidelity=mean,
     )
 
-
-def branch_probabilities(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, ...]:
-    """Closed-form outcome probabilities from the scheme's cached rotation,
-    input-independent for valid schemes."""
-    A, B, C = ch.squares
-    u = params.rotation
-    p1 = A * u[0][0] ** 2 + C * u[0][2] ** 2
-    p2 = A * u[1][0] ** 2 + C * u[1][2] ** 2
-    p3 = 0.5 * (A * u[2][0] ** 2 + B * u[2][1] ** 2 + C * u[2][2] ** 2)
-    return (p1, p1, p3, p2, p2, p3)

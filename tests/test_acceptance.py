@@ -35,7 +35,6 @@ from teleportsim.channel import make_channel
 from teleportsim.explorer import sweep_case1, sweep_case2, sweep_degenerate
 from teleportsim.qlinalg import LOG2_3, binary_entropy
 from teleportsim.resources import (
-    branch_tangles,
     gour_e12,
     lower_bound_sum,
     resource_report,
@@ -53,7 +52,6 @@ from teleportsim.teleport import (
     CorrectionError,
     branch_components,
     branch_corrections,
-    branch_probabilities,
     measure_branches,
     random_input,
     run_teleport,
@@ -227,11 +225,12 @@ def test_7_oracle_equivalence(capsys):
         inp = random_input(rng)
         raw_probs, raw_collapsed = measure_branches(total_state(inp.vector(), ch.a), basis)
         raw_tangles = np.array([qubit_qutrit_tangle(v) for v in basis.vectors])
+        closed = resource_report(ch, params)
         worst = max(
             worst,
             float(np.max(np.abs(raw_collapsed - collapsed_closed_form(inp, ch, params)))),
-            float(np.max(np.abs(raw_probs - np.array(branch_probabilities(ch, params))))),
-            float(np.max(np.abs(raw_tangles - np.array(branch_tangles(params))))),
+            float(np.max(np.abs(raw_probs - np.array(closed.probabilities)))),
+            float(np.max(np.abs(raw_tangles - np.array(closed.tangles)))),
         )
     with _criterion(capsys, 7, f"max oracle deviation {worst:.3e} over 10^3 schemes"):
         assert worst <= 1e-10

@@ -16,7 +16,6 @@ from teleportsim.resources import (
     B_INTERCEPT,
     K_SLOPE,
     _q_from_entropy,
-    branch_tangles,
     classical_cost,
     gour_e12,
     lower_bound_sum,
@@ -110,14 +109,15 @@ class TestMeasurementEntanglement:
 class TestBranchTangles:
     def test_identity_rows_zero(self):
         params = SchemeParams(theta=(0.0, 0.0, 0.0), delta=(0.0, 0.0))
-        assert max(branch_tangles(params)) <= 1e-12
+        assert max(resource_report(make_channel(*SYMMETRIC), params).tangles) <= 1e-12
 
     def test_symmetric_third_row_maximal(self):
         # equal third-row weights with 120-degree phases give tangle 1
         theta2 = math.asin(math.sqrt(1.0 / 3.0))
         params = SchemeParams(theta=(0.3, theta2, math.pi / 4),
                               delta=(2 * math.pi / 3, 2 * math.pi / 3))
-        assert branch_tangles(params)[2] == pytest.approx(1.0, abs=1e-10)
+        tangles = resource_report(make_channel(*SYMMETRIC), params).tangles
+        assert tangles[2] == pytest.approx(1.0, abs=1e-10)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -126,7 +126,7 @@ class TestBranchTangles:
         ch = random_capable_channel(rng)
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
-        closed = branch_tangles(params)
+        closed = resource_report(ch, params).tangles
         raw = [qubit_qutrit_tangle(v) for v in basis.vectors]
         assert np.max(np.abs(np.array(closed) - np.array(raw))) <= 1e-10
 

@@ -19,7 +19,7 @@ from oracles import (
 )
 from teleportsim.channel import SchmidtChannel, canonicalize, make_channel
 from teleportsim.qlinalg import TOL
-from teleportsim.resources import branch_tangles, resource_report, upper_bound_sum
+from teleportsim.resources import resource_report, upper_bound_sum
 from teleportsim.scheme import (
     BRANCH_LABELS,
     InfeasibleError,
@@ -353,7 +353,7 @@ class TestAssemble:
             lo, hi = admissible_theta3(ch)
             params = solve_constraints(ch, 0.5 * (lo + hi))
             _, basis = assemble_D12(params)
-            closed = branch_tangles(params)
+            closed = resource_report(ch, params).tangles
             raw = [qubit_qutrit_tangle(row) for row in basis.vectors]
             assert np.allclose(closed, raw, atol=1e-10)
 

@@ -21,6 +21,7 @@ from teleportsim import explorer, scheme, teleport
 from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
 from teleportsim.explorer import sweep_case2
 from teleportsim.qlinalg import TOL
+from teleportsim.resources import resource_report
 from teleportsim.scheme import (
     InfeasibleError,
     MeasurementBasis,
@@ -39,7 +40,6 @@ from teleportsim.teleport import (
     _corrections,
     branch_components,
     branch_corrections,
-    branch_probabilities,
     STACK_BOUND,
     certify_stack,
     measure_branches,
@@ -1060,7 +1060,7 @@ class TestClosedFormOracles:
         _, basis = assemble_D12(params)
         total = total_state(random_input(rng).vector(), ch.a)
         raw, _ = measure_branches(total, basis)
-        closed = branch_probabilities(ch, params)
+        closed = resource_report(ch, params).probabilities
         assert np.max(np.abs(raw - np.array(closed))) <= 1e-10
 
 
