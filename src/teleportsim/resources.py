@@ -206,7 +206,7 @@ def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
     l1 = p1 * math.log2(p1) if p1 > 0.0 else 0.0
     l3 = p3 * math.log2(p3) if p3 > 0.0 else 0.0
     l2 = p2 * math.log2(p2) if p2 > 0.0 else 0.0
-    e12 = 0.0 + t1 + t1 + t3 + t2 + t2 + t3  # from 0.0, as the loops start
+    e12 = 0.0 + t1 + t1 + t3 + t2 + t2 + t3  # from 0.0 as the loops, so -0.0 terms give 0.0
     h12 = 0.0 - l1 - l1 - l3 - l2 - l2 - l3
     return ResourceReport(
         e_channel=ch.entropy,

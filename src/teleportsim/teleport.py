@@ -313,4 +313,3 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
         fidelities=fidelities,
         mean_fidelity=mean,
     )
-

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,6 +105,21 @@ class TestMeasurementEntanglement:
         params = solve_constraints(ch, math.pi / 4, theta2_hint=0.0, theta1_hint=math.pi / 4)
         rep = resource_report(ch, params)
         assert rep.e12 == pytest.approx(E12_BALANCED, abs=1e-12)
+
+    @pytest.mark.parametrize("probabilities, tangles", [([0.5, 0.5], [1.0]), ([1.0], [1.0, 0.0])])
+    def test_unequal_lengths_rejected(self, probabilities, tangles):
+        # zip would cut the longer one short: [0.5, 0.5], [1.0] read 0.5
+        with pytest.raises(ValueError, match=f"{len(probabilities)} probabilities "
+                                             f"but {len(tangles)} tangles"):
+            measurement_entanglement(probabilities, tangles)
+
+    @pytest.mark.parametrize("p", [math.nan, -0.1])
+    def test_negative_or_nan_probability_rejected(self, p):
+        # classical_cost's error; a NaN probability used to give a NaN e12
+        with pytest.raises(ValueError, match="negative or NaN probability"):
+            measurement_entanglement([0.5, p], [1.0, 1.0])
+        with pytest.raises(ValueError, match="negative or NaN probability"):
+            classical_cost([0.5, p])
 
 
 class TestBranchTangles:
@@ -240,6 +256,30 @@ class TestClaimsAgainstGour:
         # equality at the symmetric channel, whose six outcomes are uniform
         ch = make_channel(*SYMMETRIC)
         assert resource_report(ch, find_scheme(ch)).h12 == pytest.approx(math.log2(6.0), abs=1e-12)
+
+
+class TestSumAtWindowEndpoint:
+    """The least E12 + H12 over a channel's theta3 window lies at one of its
+    two endpoints, so a channel's best scheme for the sum, and the lower
+    envelope of the sum over channels, need only the two endpoint schemes.
+    Checked here on a seeded whole-simplex sample, not assumed: a point the
+    solver refuses fails the test; none is skipped."""
+
+    def test_least_sum_at_an_endpoint(self):
+        rng = np.random.default_rng(31)
+        where = {"bottom": 0, "inside": 0, "top": 0}
+        n = 0
+        while n < 300:
+            ch = random_capable_channel(rng)
+            lo, hi = admissible_theta3(ch)
+            if not hi - lo > 1e-6:
+                continue
+            n += 1
+            sums = [resource_report(ch, solve_constraints(ch, t)).sum
+                    for t in np.linspace(lo, hi, 33).tolist()]
+            least = sums.index(min(sums))
+            where["bottom" if least == 0 else "top" if least == 32 else "inside"] += 1
+        assert where == {"bottom": 147, "inside": 0, "top": 153}
 
 
 def _step_directions(result, angle):
@@ -459,11 +499,29 @@ class TestResourceReport:
             assert sum(rep.probabilities) == pytest.approx(1.0, abs=1e-12)
             assert rep.sum == pytest.approx(rep.e12 + rep.h12, abs=1e-15)
 
+    def test_nan_probability_rejected(self):
+        # a hand-built channel skips make_channel's checks, so its NaN reaches
+        # the probabilities; classical_cost's error names the first one
+        ch = SchmidtChannel(a=(math.nan, math.sqrt(0.5), 0.5))
+        with pytest.raises(ValueError, match="negative or NaN probability nan"):
+            resource_report(ch, _solved(make_channel(*SYMMETRIC), frac=0.3))
+
+
+def _swept_cases():
+    """(channel, scheme) of each of the 543 records of the three density-50
+    sweeps, as their driver passes it to resource_report: the case-1 ridge
+    at its theta2 hints, the face a1^2 = 1/2, and a0 = 0, where some
+    branches have probability exactly 0."""
+    with mock.patch.object(explorer, "resource_report", wraps=resource_report) as spy:
+        for sweep in (explorer.sweep_case1, explorer.sweep_case2, explorer.sweep_degenerate):
+            sweep(50)
+    return [call.args for call in spy.call_args_list]
+
 
 def _accounting_cases():
     """(channel, scheme) pairs: 2,000 seeded random capable channels at
     random theta3, the a0 = 0 ridge at 25 theta1 hints, the face a1^2 = 1/2
-    at 25 splits, and the symmetric point."""
+    at 25 splits, the symmetric point, and every density-50 sweep record."""
     rng = np.random.default_rng(909)
     for _ in range(2000):
         ch = random_capable_channel(rng)
@@ -476,6 +534,7 @@ def _accounting_cases():
         yield ch, find_scheme(ch)
     ch = make_channel(*SYMMETRIC)
     yield ch, find_scheme(ch)
+    yield from _swept_cases()
 
 
 def _compensated_sum(iterable, start=0):
@@ -523,7 +582,7 @@ class TestSumOfThePythonVersion:
 
 class TestAccounting:
     def test_report_equals_per_branch_recipe(self):
-        n = 0
+        n = zero = 0
         for ch, params in _accounting_cases():
             got = resource_report(ch, params)
             want = resource_report_per_branch(ch, params)
@@ -531,7 +590,19 @@ class TestAccounting:
                 assert getattr(got, name) == getattr(want, name), (name, ch.a, params)
             assert repr(got) == repr(want)
             n += 1
-        assert n == 2051
+            zero += 0.0 in got.probabilities
+        assert n == 2051 + 543
+        # h12's 0 log 0 = 0 path: one ridge scheme and three swept records
+        assert zero == 4
+
+    def test_fields_are_the_public_functions(self):
+        # bit for bit: e12 and h12 are measurement_entanglement and
+        # classical_cost of the report's own probabilities and tangles
+        for ch, params in _accounting_cases():
+            rep = resource_report(ch, params)
+            e12 = measurement_entanglement(rep.probabilities, rep.tangles)
+            assert rep.e12.hex() == e12.hex(), (ch.a, params)
+            assert rep.h12.hex() == classical_cost(rep.probabilities).hex(), (ch.a, params)
 
     def test_each_entropy_computed_once(self, monkeypatch):
         tangles, channels = [], []
