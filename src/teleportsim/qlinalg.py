@@ -1,7 +1,6 @@
-"""Shared tolerances, state and unitarity checks, and entropy functionals.
+"""Shared tolerances, the unitarity check, and entropy functionals.
 
-Everything operates on plain numpy arrays: a ket is a 1-D complex array, an
-operator a matrix over the last two axes; the unitarity check takes stacks.
+The unitarity check takes one matrix or a stack, over the last two axes.
 All entropies are in bits (log base 2).
 """
 
@@ -30,13 +29,6 @@ class Tolerances:
 TOL = Tolerances()
 
 LOG2_3 = math.log2(3.0)
-
-
-def check_normalized(vec) -> None:
-    """Check that one ket, a 1-D array, has unit norm."""
-    dev = abs(float(np.vdot(vec, vec).real) - 1.0)
-    if not (dev <= TOL.entry):
-        raise ValueError(f"state not normalized: |norm^2 - 1| = {dev:.3e}")
 
 
 @lru_cache(maxsize=None)

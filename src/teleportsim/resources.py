@@ -34,6 +34,8 @@ from .scheme import PhaseInfeasibleError, SchemeParams, phases_from_weights
 # pinned by f2(log2 3) = 1 + log2 6 and the stated slope
 K_SLOPE = (5.0 / 3.0 - LOG2_3) / (LOG2_3 - 1.5)
 B_INTERCEPT = 2.0 * LOG2_3 + 11.0 / 6.0 - 1.0 / (4.0 * LOG2_3 - 6.0)
+# the probabilities every check takes: [0, 1], TOL.entry wide on each side (NaN fails)
+_P_MIN, _P_MAX = -TOL.entry, 1.0 + TOL.entry
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def measurement_entanglement(probabilities, tangles) -> float:
     """e12 = sum of P_j * H((1 + sqrt(1 - C_j)) / 2) over branches, added left
     to right, never through sum(), which compensates float sums from Python
     3.12 on. Sequences of unequal length raise ValueError naming both, and a
-    negative or NaN probability raises classical_cost's ValueError."""
+    probability outside [0, 1] or NaN raises classical_cost's ValueError."""
     probabilities, tangles = list(probabilities), list(tangles)
     if len(probabilities) != len(tangles):
         raise ValueError(f"{len(probabilities)} probabilities but {len(tangles)} tangles")
@@ -74,13 +76,14 @@ def measurement_entanglement(probabilities, tangles) -> float:
 
 
 def _check_probability(p: float) -> None:
-    if not (-TOL.entry <= p):  # NaN fails too
-        raise ValueError(f"negative or NaN probability {p}")
+    if not (_P_MIN <= p <= _P_MAX):  # NaN fails too
+        raise ValueError(f"probability {p} outside [0, 1]")
 
 
 def classical_cost(probabilities) -> float:
     """Shannon entropy (bits) of the outcome distribution, with 0 log 0 = 0;
-    a probability below -TOL.entry, or a NaN, raises ValueError."""
+    a probability more than TOL.entry outside [0, 1], or a NaN, raises
+    ValueError."""
     h = 0.0
     for p in probabilities:
         _check_probability(p)
@@ -201,7 +204,7 @@ def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
     t3 = p3 * entanglement_from_tangle(c3)
     t2 = p2 * entanglement_from_tangle(c2)
     probs = (p1, p1, p3, p2, p2, p3)
-    if not (-TOL.entry <= p1 and -TOL.entry <= p3 and -TOL.entry <= p2):  # NaN fails too
+    if not (_P_MIN <= p1 <= _P_MAX and _P_MIN <= p3 <= _P_MAX and _P_MIN <= p2 <= _P_MAX):
         classical_cost(probs)  # raises, naming the first bad probability
     l1 = p1 * math.log2(p1) if p1 > 0.0 else 0.0
     l3 = p3 * math.log2(p3) if p3 > 0.0 else 0.0

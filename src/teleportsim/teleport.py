@@ -1,7 +1,10 @@
-"""Exact protocol execution: joint state, projective measurement, corrections.
+"""Exact protocol execution: Alice's projection, Bob's corrections and the
+fidelity certificates.
 
-All states are simulated exactly as complex vectors; fidelities come out as
-floating-point 1 (to 1e-10), never as sampled statistics.
+Branch j collapses the input alpha|0> + beta|1> to alpha*va + beta*vb
+(branch_components): by linearity, the projection of the joint state input
+(x) channel onto that branch's ket, which is never built. Fidelities come
+out as floating-point 1 (to 1e-10), never as sampled statistics.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtChannel, is_teleport_capable
-from .qlinalg import TOL, check_normalized, identity
+from .qlinalg import TOL, identity
 from .scheme import BRANCH_LABELS, MeasurementBasis, SchemeParams, assemble_D12
 
 
@@ -70,39 +73,6 @@ def random_input(rng: np.random.Generator) -> InputQubit:
     # np.linalg.norm's arithmetic for a complex vector, without its dispatch
     alpha, beta = (z / np.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))).tolist()
     return InputQubit(alpha=alpha, beta=beta)
-
-
-def total_state(vector, coeffs) -> np.ndarray:
-    """Joint ket of one input qubit (2,) and the two-qutrit channel
-    sum_j coeffs[j] |jj> (three coefficients).
-
-    Returns (18,): the Kronecker product input (x) chan, checked for unit
-    norm.
-    """
-    # the 3 x 3 diagonal, flattened: coeffs at every 4th entry
-    chan = np.zeros(9, dtype=complex)
-    chan[::4] = coeffs
-    psi = (np.asarray(vector)[:, None] * chan).reshape(-1)
-    check_normalized(psi)
-    return psi
-
-
-def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Project the joint state (18,) onto each ket of Alice's qubit-qutrit
-    pair.
-
-    Returns (probabilities (6,), collapsed (6, 3)), one row per ket of the
-    one (6, 6) basis; collapsed states are kept unnormalized so that
-    probability = <collapsed|collapsed>, and the probabilities must sum to 1.
-    A joint state of any other size raises ValueError.
-    """
-    if total.size != 18:
-        raise ValueError(f"expected a joint state of 18 amplitudes, got {total.size}")
-    collapsed = basis.vectors.conj() @ total.reshape(6, 3)
-    probs = (np.abs(collapsed) ** 2).sum(axis=-1)
-    if not (abs(float(probs.sum()) - 1.0) <= TOL.entry):
-        raise ValueError("branch probabilities do not sum to 1")
-    return probs, collapsed
 
 
 def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
@@ -279,6 +249,26 @@ def certify_stack(channels, basis: MeasurementBasis) -> np.ndarray:
     return np.where(zero, 0.0, dev).max(axis=-1)
 
 
+def _project(a: complex, b: complex, coeffs, basis: MeasurementBasis) -> tuple[list, list]:
+    """Alice's projection of the input a|0> + b|1> onto one (6, 6) basis:
+    per branch, the unnormalized collapsed state a*va + b*vb
+    (branch_components) and its probability <collapsed|collapsed>. A joint
+    norm (|a|^2 + |b|^2)(c0^2 + c1^2 + c2^2) more than TOL.entry from 1, or
+    probabilities not summing to 1, raise ValueError (a NaN fails both)."""
+    c0, c1, c2 = map(float, coeffs)
+    n2 = (a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag) * (
+        c0 * c0 + c1 * c1 + c2 * c2)
+    if not (abs(n2 - 1.0) <= TOL.entry):
+        raise ValueError(f"joint state not normalized: |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
+    collapsed = [(a * u0 + b * v0, a * u1 + b * v1, a * u2 + b * v2)
+                 for (u0, u1, u2), (v0, v1, v2) in branch_components(coeffs, basis).tolist()]
+    probs = [x0.real * x0.real + x0.imag * x0.imag + x1.real * x1.real + x1.imag * x1.imag
+             + x2.real * x2.real + x2.imag * x2.imag for x0, x1, x2 in collapsed]
+    if not (abs(math.fsum(probs) - 1.0) <= TOL.entry):
+        raise ValueError("branch probabilities do not sum to 1")
+    return probs, collapsed
+
+
 def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> TeleportReport:
     """The fidelity certificate of one input qubit sent through the diagonal
     two-qutrit channel sum_j coeffs[j] |jj> with one explicitly supplied
@@ -287,29 +277,23 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
     Branches without a perfect correction raise CorrectionError. The
     corrections are built first, so coefficients of the wrong shape or not
     finite raise ValueError before any arithmetic on them, and a basis stack
-    raises ValueError.
+    raises ValueError; then _project's norm and sum-to-1 checks run.
     """
     if basis.vectors.ndim != 2:
         raise ValueError(f"one (6, 6) basis expected, got a stack of shape {basis.vectors.shape}")
-    vector = inp.vector()
     corrections = branch_corrections(coeffs, basis)
-    probs, collapsed = measure_branches(total_state(vector, coeffs), basis)
-    out = (corrections @ collapsed[..., None])[..., 0]
-    # fidelity |<input|W collapsed>|^2 / P, the input padded with a zero to
-    # Bob's qutrit (so only his first two components count); zero branches
-    # count as 1, and a NaN probability is not a zero branch
-    zero = probs <= TOL.zero_branch
-    overlap = np.vecdot(vector[None, :], out[..., :2])
-    fids = np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
-    probabilities, fidelities = tuple(probs.tolist()), tuple(fids.tolist())
-    # added left to right, never through sum(), which compensates float sums
-    # from Python 3.12 on
-    mean = 0.0
-    for p, f in zip(probabilities, fidelities):
-        mean += p * f
-    return TeleportReport(
-        labels=BRANCH_LABELS,
-        probabilities=probabilities,
-        fidelities=fidelities,
-        mean_fidelity=mean,
-    )
+    a, b = complex(inp.alpha), complex(inp.beta)
+    probs, collapsed = _project(a, b, coeffs, basis)
+    ac, bc = a.conjugate(), b.conjugate()
+    fidelities, mean = [], 0.0
+    for p, (x0, x1, x2), ((w00, w01, w02), (w10, w11, w12)) in zip(
+            probs, collapsed, corrections[:, :2].tolist()):
+        # fidelity |<input|W collapsed>|^2 / P, the input padded with a zero to
+        # Bob's qutrit (so only his first two components count); zero branches
+        # count as 1, and a NaN probability is not a zero branch
+        o = ac * (w00 * x0 + w01 * x1 + w02 * x2) + bc * (w10 * x0 + w11 * x1 + w12 * x2)
+        f = 1.0 if p <= TOL.zero_branch else (o.real * o.real + o.imag * o.imag) / p
+        fidelities.append(f)
+        mean += p * f  # left to right, never through sum(), compensated from Python 3.12 on
+    return TeleportReport(labels=BRANCH_LABELS, probabilities=tuple(probs),
+                          fidelities=tuple(fidelities), mean_fidelity=mean)

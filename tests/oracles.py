@@ -3,7 +3,8 @@
 Each one recomputes something the library does in closed form (branch
 tangles, collapsed states, the channel ket, the resource report) straight
 from its definition or its first plain recipe, so a test can compare the
-two; gour_basis builds the comparison protocol's measurement, and
+two (the joint-state projection, total_state and measure_branches, is
+run_with_basis's); gour_basis builds the comparison protocol's measurement, and
 tuple_bisect keeps the bisection's first loop. The bases the
 library does not build also live here: the closed-form a0 = 0 families
 (special_case_basis) and the two-qubit scheme with its own plain
@@ -104,6 +105,42 @@ def gour_basis(ch: SchmidtChannel) -> MeasurementBasis:
             phase = omega ** (m * np.arange(3))
             rows.append(np.concatenate([phase, s * phase * np.exp(1j * xi)]) / math.sqrt(6.0))
     return MeasurementBasis(vectors=np.array(rows))
+
+
+def total_state(vector, coeffs) -> np.ndarray:
+    """Joint ket of one input qubit (2,) and the two-qutrit channel
+    sum_j coeffs[j] |jj> (three coefficients).
+
+    Returns (18,): the Kronecker product input (x) chan, checked for unit
+    norm (ValueError "not normalized" otherwise, a NaN included).
+    """
+    # the 3 x 3 diagonal, flattened: coeffs at every 4th entry
+    chan = np.zeros(9, dtype=complex)
+    chan[::4] = coeffs
+    psi = (np.asarray(vector)[:, None] * chan).reshape(-1)
+    dev = abs(float(np.vdot(psi, psi).real) - 1.0)
+    if not (dev <= qlinalg.TOL.entry):
+        raise ValueError(f"state not normalized: |norm^2 - 1| = {dev:.3e}")
+    return psi
+
+
+def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Project the joint state (18,) onto each ket of Alice's qubit-qutrit
+    pair: the library's first per-input recipe, kept as the joint-state
+    oracle for run_with_basis, which projects the input-free split instead.
+
+    Returns (probabilities (6,), collapsed (6, 3)), one row per ket of the
+    one (6, 6) basis; collapsed states are kept unnormalized so that
+    probability = <collapsed|collapsed>, and the probabilities must sum to 1.
+    A joint state of any other size raises ValueError.
+    """
+    if total.size != 18:
+        raise ValueError(f"expected a joint state of 18 amplitudes, got {total.size}")
+    collapsed = basis.vectors.conj() @ total.reshape(6, 3)
+    probs = (np.abs(collapsed) ** 2).sum(axis=-1)
+    if not (abs(float(probs.sum()) - 1.0) <= qlinalg.TOL.entry):
+        raise ValueError("branch probabilities do not sum to 1")
+    return probs, collapsed
 
 
 def collapsed_closed_form(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> np.ndarray:

@@ -26,10 +26,12 @@ from helpers import (
 )
 from oracles import (
     collapsed_closed_form,
+    measure_branches,
     qubit_qutrit_tangle,
     two_qubit_certificate,
     two_qubit_D12,
     two_qubit_feasible,
+    total_state,
 )
 from teleportsim.channel import make_channel
 from teleportsim.explorer import sweep_case1, sweep_case2, sweep_degenerate
@@ -52,10 +54,8 @@ from teleportsim.teleport import (
     CorrectionError,
     branch_components,
     branch_corrections,
-    measure_branches,
     random_input,
     run_teleport,
-    total_state,
 )
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -273,27 +273,52 @@ def test_9_density200_digests(tmp_path):
     assert digest_lines(tmp_path) == DIGEST_FILE.read_text(), _math_backends()
 
 
+def _in_subprocess(code, arg, env):
+    """Run code (python -c, with src/ and tests/ on the path and arg as
+    sys.argv[1]) in a fresh interpreter under env; returns its stdout."""
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(arg)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_9_digests_without_avx512_log2(tmp_path):
     """The density-200 digests do not depend on the code numpy dispatches its
     float64 log2 to: the four DIGEST_COMMANDS, run in one subprocess with
     numpy's AVX-512 paths disabled, match density200.sha256."""
-    tests = pathlib.Path(__file__).resolve().parent
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
     code = ("import sys; from helpers import digest_lines; "
             "sys.stdout.write(digest_lines(sys.argv[1]))")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == DIGEST_FILE.read_text()
+    assert _in_subprocess(code, tmp_path, env) == DIGEST_FILE.read_text()
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+def test_9_verify_across_openblas_cores(coretype, tmp_path):
+    """The golden verify command gives verify.json byte for byte whichever
+    kernel OpenBLAS picks: OPENBLAS_CORETYPE is read when OpenBLAS loads, so
+    each setting (unset, Haswell, Prescott) runs in its own subprocess."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    out = tmp_path / "verify.json"
+    code = ("import sys; from helpers import run_golden; "
+            "sys.exit(run_golden('verify.json', sys.argv[1]))")
+    _in_subprocess(code, out, env)
+    assert out.read_bytes() == (GOLDEN_DIR / "verify.json").read_bytes()
 
 
 def _math_backends() -> str:
     """What the golden bytes depend on beyond the code, for a failing
-    comparison: numpy's float64 log2 dispatch target and OPENBLAS_CORETYPE."""
+    comparison: numpy's float64 log2 and complex128 multiply dispatch
+    targets (the entropies' and the correction kernel's complex products)
+    and OPENBLAS_CORETYPE."""
     from numpy.lib.introspect import opt_func_info
 
     log2 = opt_func_info(func_name="^log2$", signature="float64")["log2"]
+    multiply = opt_func_info(func_name="^multiply$", signature="complex128")["multiply"]
     return (f"numpy float64 log2 dispatch: {log2}; "
+            f"numpy complex128 multiply dispatch: {multiply}; "
             f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE')!r}")

@@ -7,10 +7,8 @@ import pytest
 
 from oracles import tuple_bisect
 from teleportsim.qlinalg import (
-    TOL,
     binary_entropy,
     bisect,
-    check_normalized,
     check_unitary,
     entanglement_from_tangle,
     identity,
@@ -121,23 +119,6 @@ class TestChecksFailClosed:
         m[1, 2] = bad
         with pytest.raises(ValueError, match="not unitary"):
             check_unitary(m)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
-    def test_normalized(self, bad):
-        with pytest.raises(ValueError, match="not normalized"):
-            check_normalized(np.array([bad, 0.0]))
-
-
-class TestNormalized:
-    def test_entry_tolerance(self):
-        # one ket passes within TOL.entry of unit norm squared, and fails past it
-        v = np.array([0.6, 0.8j])
-        check_normalized(v)
-        check_normalized(v * math.sqrt(1.0 + 0.5 * TOL.entry))
-        with pytest.raises(ValueError, match="not normalized"):
-            check_normalized(v * math.sqrt(1.0 + 2.0 * TOL.entry))
-        with pytest.raises(ValueError, match="not normalized"):
-            check_normalized(np.zeros(6))
 
 
 class TestStackedChecks:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from helpers import DEGENERATE, SYMMETRIC, random_capable_channel, random_incapa
 from oracles import gour_basis, qubit_qutrit_tangle, resource_report_per_branch, tuple_bisect
 from teleportsim import channel, explorer, resources, teleport
 from teleportsim.channel import SchmidtChannel, canonicalize, channel_entropy, make_channel
-from teleportsim.qlinalg import LOG2_3, binary_entropy, entanglement_from_tangle
+from teleportsim.qlinalg import LOG2_3, TOL, binary_entropy, entanglement_from_tangle
 from teleportsim.resources import (
     B_INTERCEPT,
     K_SLOPE,
@@ -81,7 +82,7 @@ class TestClassicalCost:
             classical_cost([-0.1, 1.1, 0, 0, 0, 0])
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match=re.escape("probability nan outside [0, 1]")):
             classical_cost([math.nan, 0.5])
 
 
@@ -116,10 +117,24 @@ class TestMeasurementEntanglement:
     @pytest.mark.parametrize("p", [math.nan, -0.1])
     def test_negative_or_nan_probability_rejected(self, p):
         # classical_cost's error; a NaN probability used to give a NaN e12
-        with pytest.raises(ValueError, match="negative or NaN probability"):
+        with pytest.raises(ValueError, match=re.escape(f"probability {p} outside [0, 1]")):
             measurement_entanglement([0.5, p], [1.0, 1.0])
-        with pytest.raises(ValueError, match="negative or NaN probability"):
+        with pytest.raises(ValueError, match=re.escape(f"probability {p} outside [0, 1]")):
             classical_cost([0.5, p])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 1.0 + 2.0 * TOL.entry, math.inf])
+    def test_probability_above_one_rejected(self, p):
+        # a probability above 1 gave classical_cost([1.5]) = -0.877 bits and
+        # measurement_entanglement([2.0], [1.0]) = 2.0
+        with pytest.raises(ValueError, match=re.escape(f"probability {p} outside [0, 1]")):
+            classical_cost([p])
+        with pytest.raises(ValueError, match=re.escape(f"probability {p} outside [0, 1]")):
+            measurement_entanglement([p], [1.0])
+
+    def test_probability_within_entry_tolerance_of_one_taken(self):
+        p = 1.0 + 0.5 * TOL.entry
+        assert classical_cost([p]) == -p * math.log2(p)
+        assert measurement_entanglement([p], [1.0]) == p
 
 
 class TestBranchTangles:
@@ -503,8 +518,19 @@ class TestResourceReport:
         # a hand-built channel skips make_channel's checks, so its NaN reaches
         # the probabilities; classical_cost's error names the first one
         ch = SchmidtChannel(a=(math.nan, math.sqrt(0.5), 0.5))
-        with pytest.raises(ValueError, match="negative or NaN probability nan"):
+        with pytest.raises(ValueError, match=re.escape("probability nan outside [0, 1]")):
             resource_report(ch, _solved(make_channel(*SYMMETRIC), frac=0.3))
+
+    def test_probability_above_one_rejected(self):
+        # a hand-built channel of squares far above 1 pushes p1 past 1, which
+        # the guard refuses as classical_cost does
+        ch = SchmidtChannel(a=(3.0, 3.0, 3.0))
+        params = _solved(make_channel(*SYMMETRIC), frac=0.3)
+        u = params.rotation
+        p1 = 9.0 * u[0][0] ** 2 + 9.0 * u[0][2] ** 2  # as resource_report forms it
+        assert p1 > 1.0
+        with pytest.raises(ValueError, match=re.escape(f"probability {p1} outside [0, 1]")):
+            resource_report(ch, params)
 
 
 def _swept_cases():

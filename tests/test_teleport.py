@@ -13,7 +13,9 @@ from oracles import (
     TWO_QUBIT_LABELS,
     channel_ket,
     collapsed_closed_form,
+    measure_branches,
     special_case_basis,
+    total_state,
     two_qubit_certificate,
     two_qubit_D12,
 )
@@ -42,11 +44,9 @@ from teleportsim.teleport import (
     branch_corrections,
     STACK_BOUND,
     certify_stack,
-    measure_branches,
     random_input,
     run_teleport,
     run_with_basis,
-    total_state,
 )
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -336,8 +336,9 @@ def _kernel_cases(kind, rng):
 
 
 class TestKernelBitIdentity:
-    """The stacked correction kernel and total_state must match
-    their one-row and np.kron definitions exactly, not just to a tolerance."""
+    """The stacked correction kernel and the joint-state oracle's total_state
+    must match their one-row and np.kron definitions exactly, not just to a
+    tolerance."""
 
     @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric"])
     def test_matches_per_row_recipe_and_kron(self, kind, rng):
@@ -543,30 +544,30 @@ def _record_cases(kind, rng):
         yield ch.a, [assemble_D12(_solved(ch))[1]] * 6
 
 
-def _frozen_certify(vectors, coeffs, basis):
-    """The per-input certificate as written for stacks of inputs and bases,
-    before its one-input path, frozen: the reference for run_with_basis's
-    probabilities and fidelities, bit for bit."""
-    vectors = np.asarray(vectors, dtype=complex)
-    comps = branch_components(coeffs, basis)
-    d = comps.shape[-1]
-    corrections = _corrections(comps.reshape(-1, 2, d)).reshape(comps.shape[:-2] + (d, d))
-    chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
-    total = (vectors[..., None] * chan).reshape(vectors.shape[:-1] + (-1,))
-    assert (np.abs(np.vecdot(total, total).real - 1.0).max() <= TOL.entry)
-    na = basis.vectors.shape[-1]
-    collapsed = basis.vectors.conj() @ total.reshape(total.shape[:-1] + (na, -1))
-    probs = (np.abs(collapsed) ** 2).sum(axis=-1)
-    assert (np.abs(probs.sum(axis=-1) - 1.0) <= TOL.entry).all()
-    out = (corrections @ collapsed[..., None])[..., 0]
+def _frozen_certify(vector, coeffs, basis):
+    """The per-input certificate's first recipe, frozen: the joint state and
+    its projection (tests/oracles.py), corrected by branch_corrections, the
+    fidelity |<input|W collapsed>|^2 / P (1 on a zero branch). The reference
+    for run_with_basis's probabilities and fidelities."""
+    probs, collapsed = measure_branches(total_state(vector, coeffs), basis)
+    out = (branch_corrections(coeffs, basis) @ collapsed[..., None])[..., 0]
     zero = probs <= TOL.zero_branch
-    overlap = np.vecdot(vectors[..., None, :], out[..., :2])
+    overlap = np.vecdot(vector[None, :], out[..., :2])
     return probs, np.where(zero, 1.0, np.abs(overlap) ** 2 / np.where(zero, 1.0, probs))
 
 
+def _unchecked_input(alpha, beta):
+    """An InputQubit built past its own norm check, to reach run_with_basis's."""
+    q = object.__new__(InputQubit)
+    object.__setattr__(q, "alpha", alpha)
+    object.__setattr__(q, "beta", beta)
+    return q
+
+
 class TestOneInputPath:
-    """run_with_basis certifies one input on one basis; every output byte
-    stays that of the frozen stack-generic certificate."""
+    """run_with_basis certifies one input on one basis from the input-free
+    split; its outputs match the joint-state recipe to 1e-14, about ten times
+    the largest gap seen between the two."""
 
     @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric"])
     def test_matches_frozen_certify(self, kind, rng):
@@ -575,22 +576,43 @@ class TestOneInputPath:
                 q = random_input(rng)
                 rep = run_with_basis(q, coeffs, basis)
                 probs, fids = _frozen_certify(q.vector(), coeffs, basis)
-                assert np.array(rep.probabilities).tobytes() == probs.tobytes()
-                assert np.array(rep.fidelities).tobytes() == fids.tobytes()
+                assert np.max(np.abs(np.array(rep.probabilities) - probs)) <= 1e-14
+                assert np.max(np.abs(np.array(rep.fidelities) - fids)) <= 1e-14
 
-    def test_nan_fails_each_single_check(self):
+    def test_nan_fails_each_single_check(self, monkeypatch):
         basis = special_case_basis("A", math.pi / 4)
         with pytest.raises(ValueError, match="not normalized"):
-            total_state(np.array([math.nan, 0.0]), DEGENERATE)
-        total = total_state(np.array([1.0, 0.0]), DEGENERATE).copy()
-        total[1] = math.nan
+            run_with_basis(_unchecked_input(math.nan, 0.0), DEGENERATE, basis)
+        # the corrections are built and kept first, so a NaN put into the
+        # components afterwards reaches only the projection's sum check
+        branch_corrections(DEGENERATE, basis)
+        split = teleport.branch_components
+
+        def nan_entry(coeffs, basis):
+            comps = split(coeffs, basis)
+            comps[0, 0, 1] = math.nan
+            return comps
+
+        monkeypatch.setattr(teleport, "branch_components", nan_entry)
         with pytest.raises(ValueError, match="sum to 1"):
-            measure_branches(total, basis)
+            run_with_basis(InputQubit(alpha=1.0, beta=0.0), DEGENERATE, basis)
 
     def test_unnormalized_input_refused(self, rng):
-        q = 1.001 * random_input(rng).vector()
+        basis = special_case_basis("A", math.pi / 4)
+        q = random_input(rng)
         with pytest.raises(ValueError, match="not normalized"):
-            total_state(q, DEGENERATE)
+            run_with_basis(_unchecked_input(1.001 * q.alpha, 1.001 * q.beta), DEGENERATE, basis)
+        # the channel's norm counts too: the corrections take any scale
+        with pytest.raises(ValueError, match="not normalized"):
+            run_with_basis(q, 1.001 * np.array(DEGENERATE), basis)
+
+    def test_joint_norm_entry_tolerance(self, rng):
+        # the joint norm passes within TOL.entry of 1 and fails past it
+        basis = special_case_basis("A", math.pi / 4)
+        q = random_input(rng)
+        run_with_basis(q, math.sqrt(1.0 + 0.5 * TOL.entry) * np.array(DEGENERATE), basis)
+        with pytest.raises(ValueError, match="not normalized"):
+            run_with_basis(q, math.sqrt(1.0 + 2.0 * TOL.entry) * np.array(DEGENERATE), basis)
 
     def test_basis_stack_refused(self, rng):
         ch = random_capable_channel(rng)
@@ -1146,14 +1168,14 @@ class TestFailClosed:
 
     def test_nan_probability_is_not_a_zero_branch(self, monkeypatch, rng):
         # the upstream checks stop every NaN; fake one past them to test the mask
-        measure = teleport.measure_branches
+        project = teleport._project
 
-        def nan_first(total, basis):
-            probs, collapsed = measure(total, basis)
+        def nan_first(*args):
+            probs, collapsed = project(*args)
             probs[0] = math.nan
             return probs, collapsed
 
-        monkeypatch.setattr(teleport, "measure_branches", nan_first)
+        monkeypatch.setattr(teleport, "_project", nan_first)
         ch = make_channel(*SYMMETRIC)
         rep = run_teleport(random_input(rng), ch, find_scheme(ch))
         assert math.isnan(rep.fidelities[0])
