@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import re
 import sys
@@ -137,18 +136,16 @@ def sweep_csv_lines(result: SweepResult):
     """A sweep as CSV lines, each ending in a newline: header, one line per
     record, then a `# skipped=N` footer.
 
-    A record's line is one %-template over its fields, the same text as
-    joining their _fmt: every field but the last is a float, and the last,
-    bound_upper, is an empty field when it is None.
+    A record's line is one %-template over the record, a tuple of its
+    fields, the same text as joining their _fmt: every field but the last is
+    a float, and the last, bound_upper, is an empty field when it is None.
     """
     names = record_fields()
-    row = operator.attrgetter(*names)
     head = "%.17g," * (len(names) - 1)
     full, open_upper = head + "%.17g\n", head + "\n"
     yield ",".join(names) + "\n"
     for r in result.records:
-        values = row(r)
-        yield open_upper % values[:-1] if values[-1] is None else full % values
+        yield open_upper % r[:-1] if r[-1] is None else full % r
     yield f"# skipped={result.skipped}\n"
 
 
@@ -161,10 +158,7 @@ def bounds_csv(rows) -> str:
 def _sweep_json(result: SweepResult) -> str:
     return json.dumps(
         {
-            "records": [
-                {name: getattr(r, name) for name in record_fields()}
-                for r in result.records
-            ],
+            "records": [r._asdict() for r in result.records],
             "skipped": result.skipped,
         },
         indent=2,

@@ -14,7 +14,8 @@ does the rest for all three. It solves the points in channel order and
 certifies the solved schemes with the input-free certify_stack, which covers
 every input qubit at once, in stacks of _BLOCK = 256 records (the last one
 shorter) that span channels; _BLOCK bounds the stack's memory. Each record
-that passes the gate is accounted with one resource_report call.
+that passes the gate is accounted with one resource_report call and emitted
+as a SweepRecord, a tuple of its fields in CSV column order.
 Every emitted record teleports every input with fidelity at least
 1 - TOL.unitary; infeasible points are counted and reported, never fatal.
 """
@@ -22,7 +23,8 @@ Every emitted record teleports every input with fidelity at least
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +49,9 @@ _INNER_GRID = 5
 _BLOCK = 256
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRecord:
-    """One emitted data point: channel, scheme angles, resources, bounds."""
+class SweepRecord(NamedTuple):
+    """One emitted data point: channel, scheme angles, resources, bounds; a
+    tuple of its twelve fields, in this order (the CSV columns)."""
 
     a0: float
     a1: float
@@ -72,7 +74,7 @@ class SweepResult:
 
 
 def record_fields() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(SweepRecord))
+    return SweepRecord._fields
 
 
 def _bound_lower(e: float) -> float:
@@ -128,13 +130,9 @@ def _sweep(channels) -> SweepResult:
             if not (dev <= STACK_BOUND):  # fail closed: NaN does not pass
                 skipped += 1
                 continue
-            res = resource_report(ch, params)
-            records.append(SweepRecord(
-                a0=ch.a[0], a1=ch.a[1], a2=ch.a[2],
-                theta1=params.theta[0], theta2=params.theta[1], theta3=params.theta[2],
-                e_channel=res.e_channel, e12=res.e12, h12=res.h12, sum=res.sum,
-                bound_lower=bound_lower, bound_upper=bound_upper,
-            ))
+            e_channel, e12, h12, _, _, total = resource_report(ch, params)
+            records.append(SweepRecord(*ch.a, *params.theta, e_channel, e12, h12, total,
+                                       bound_lower, bound_upper))
         queue.clear()
 
     for ch, bound_upper, points in channels:

@@ -74,6 +74,12 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _entanglement_from_tangle(c: float) -> float:
+    """entanglement_from_tangle without the check and clip, for a tangle c
+    already in [0, 1] (resource_report checks and clips its own)."""
+    return _binary_entropy((1.0 + math.sqrt(1.0 - c)) / 2.0)
+
+
 def bisect(below, lo: float, hi: float) -> float:
     """Bisect [lo, hi] on a monotone predicate until (lo, hi) stops changing.
 
@@ -98,9 +104,9 @@ def entanglement_from_tangle(c: float) -> float:
     """Entropy of entanglement H((1 + sqrt(1-C))/2) for tangle C in [0,1].
 
     C is clipped to [0, 1], which puts the weight in [1/2, 1], so the
-    unchecked _binary_entropy takes it; a NaN tangle raises ValueError.
+    unchecked core _entanglement_from_tangle takes it; a NaN tangle raises
+    ValueError.
     """
     if math.isnan(c):
         raise ValueError(f"tangle {c} is not a number")
-    c = min(max(c, 0.0), 1.0)
-    return _binary_entropy((1.0 + math.sqrt(1.0 - c)) / 2.0)
+    return _entanglement_from_tangle(min(max(c, 0.0), 1.0))

@@ -1,8 +1,9 @@
 """Resource accounting: entanglement consumed, classical bits sent, and the
 trade-off bounds on their sum.
 
-Quantities per scheme, all from one resource_report pass (its closed-form
-branch probabilities and tangles have no other home in the library):
+Quantities per scheme, all from one resource_report pass, a ResourceReport
+tuple (its closed-form branch probabilities and tangles have no other home
+in the library):
 * e_channel — entanglement entropy of the shared channel;
 * e12 — probability-weighted average entanglement of the measurement basis;
 * h12 — Shannon entropy of the outcome distribution (classical cost);
@@ -24,10 +25,11 @@ on the case-1 ridge (a2 = a1) many theta2 steps move both the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channel import SchmidtChannel
-from .qlinalg import LOG2_3, TOL, _binary_entropy, binary_entropy, bisect, entanglement_from_tangle
+from .qlinalg import (LOG2_3, TOL, _binary_entropy, _entanglement_from_tangle, binary_entropy,
+                      bisect, entanglement_from_tangle)
 from .scheme import PhaseInfeasibleError, SchemeParams, phases_from_weights
 
 # affine piece of the lower bound: f2(E) = K_SLOPE * E + B_INTERCEPT,
@@ -38,9 +40,9 @@ B_INTERCEPT = 2.0 * LOG2_3 + 11.0 / 6.0 - 1.0 / (4.0 * LOG2_3 - 6.0)
 _P_MIN, _P_MAX = -TOL.entry, 1.0 + TOL.entry
 
 
-@dataclass(frozen=True)
-class ResourceReport:
-    """All resource quantifiers of one solved scheme on one channel."""
+class ResourceReport(NamedTuple):
+    """All resource quantifiers of one solved scheme on one channel: a
+    tuple of its six fields, in this order."""
 
     e_channel: float
     e12: float
@@ -183,7 +185,9 @@ def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
     tangles (branches p1 p1 p3 p2 p2 p3), each entropy and log2 is taken once,
     and the e12 and h12 terms are added left to right in branch order, as
     measurement_entanglement and classical_cost add them, with their checks
-    and bits. The channel entropy is the channel's cached ch.entropy.
+    and bits: the three tangles are checked for NaN once, then each takes the
+    unchecked entropy core. The channel entropy is the channel's cached
+    ch.entropy.
     """
     A, B, C = ch.squares
     (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = params.rotation
@@ -200,9 +204,12 @@ def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
         2.0 * s20 * s21 * (1.0 - math.cos(d1))
         + 2.0 * s20 * s22 * (1.0 - math.cos(d2))
         + 2.0 * s21 * s22 * (1.0 - math.cos(d1 + d2)), 0.0), 1.0)
-    t1 = p1 * entanglement_from_tangle(c1)
-    t3 = p3 * entanglement_from_tangle(c3)
-    t2 = p2 * entanglement_from_tangle(c2)
+    if math.isnan(c1 + c3 + c2):  # the clip keeps a NaN
+        for c in (c1, c3, c2):
+            entanglement_from_tangle(c)  # raises, naming the first bad tangle
+    t1 = p1 * _entanglement_from_tangle(c1)
+    t3 = p3 * _entanglement_from_tangle(c3)
+    t2 = p2 * _entanglement_from_tangle(c2)
     probs = (p1, p1, p3, p2, p2, p3)
     if not (_P_MIN <= p1 <= _P_MAX and _P_MIN <= p3 <= _P_MAX and _P_MIN <= p2 <= _P_MAX):
         classical_cost(probs)  # raises, naming the first bad probability
@@ -211,11 +218,4 @@ def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
     l2 = p2 * math.log2(p2) if p2 > 0.0 else 0.0
     e12 = 0.0 + t1 + t1 + t3 + t2 + t2 + t3  # from 0.0 as the loops, so -0.0 terms give 0.0
     h12 = 0.0 - l1 - l1 - l3 - l2 - l2 - l3
-    return ResourceReport(
-        e_channel=ch.entropy,
-        e12=e12,
-        h12=h12,
-        tangles=(c1, c1, c3, c2, c2, c3),
-        probabilities=probs,
-        sum=e12 + h12,
-    )
+    return ResourceReport(ch.entropy, e12, h12, (c1, c1, c3, c2, c2, c3), probs, e12 + h12)

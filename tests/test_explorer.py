@@ -563,6 +563,18 @@ class TestCli:
             for r in records]
         assert lines[1].endswith(",\n") and lines[3].endswith(",-0\n")
 
+    def test_record_fields_are_the_csv_header(self):
+        header = next(sweep_csv_lines(SweepResult(records=(), skipped=0)))
+        assert record_fields() == SweepRecord._fields
+        assert header == ",".join(SweepRecord._fields) + "\n"
+
+    def test_record_is_a_read_only_tuple(self):
+        record = sweep_case2(density=4).records[0]
+        assert record == tuple(getattr(record, name) for name in record_fields())
+        for name in record_fields():
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+
     def test_sweep_json_structure(self, capsys):
         assert main(["sweep-case2", "--density", "6", "--seed", "5",
                      "--format", "json"]) == 0

@@ -532,6 +532,27 @@ class TestResourceReport:
         with pytest.raises(ValueError, match=re.escape(f"probability {p1} outside [0, 1]")):
             resource_report(ch, params)
 
+    @pytest.mark.parametrize("row,col", itertools.product(range(3), repeat=2))
+    def test_nan_tangle_rejected(self, row, col):
+        # each rotation entry feeds one tangle, which the clip leaves NaN; the
+        # one check before the entropies raises entanglement_from_tangle's error
+        ch = make_channel(*SYMMETRIC)
+        params = _solved(ch, frac=0.3)
+        rotation = [list(r) for r in params.rotation]
+        rotation[row][col] = math.nan
+        object.__setattr__(params, "rotation", rotation)
+        with pytest.raises(ValueError, match=re.escape("tangle nan is not a number")):
+            resource_report(ch, params)
+
+    def test_report_is_a_read_only_tuple(self):
+        ch = make_channel(*SYMMETRIC)
+        rep = resource_report(ch, _solved(ch, frac=0.3))
+        assert rep == tuple(getattr(rep, name) for name in rep._fields)
+        assert rep._fields == ("e_channel", "e12", "h12", "tangles", "probabilities", "sum")
+        for name in rep._fields:
+            with pytest.raises(AttributeError):
+                setattr(rep, name, 0.0)
+
 
 def _swept_cases():
     """(channel, scheme) of each of the 543 records of the three density-50
@@ -639,8 +660,8 @@ class TestAccounting:
                 return fn(arg)
             return wrapper
 
-        monkeypatch.setattr(resources, "entanglement_from_tangle",
-                            counted(tangles, resources.entanglement_from_tangle))
+        monkeypatch.setattr(resources, "_entanglement_from_tangle",
+                            counted(tangles, resources._entanglement_from_tangle))
         monkeypatch.setattr(channel, "channel_entropy",
                             counted(channels, channel.channel_entropy))
         ch = make_channel(*SYMMETRIC)
