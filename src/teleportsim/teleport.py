@@ -44,9 +44,6 @@ class InputQubit:
         if not (abs(n2 - 1.0) <= TOL.entry):
             raise ValueError(f"input qubit not normalized: |alpha|^2+|beta|^2 = {n2}")
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
-
 
 @dataclass(frozen=True)
 class TeleportReport:

@@ -107,6 +107,11 @@ def gour_basis(ch: SchmidtChannel) -> MeasurementBasis:
     return MeasurementBasis(vectors=np.array(rows))
 
 
+def input_vector(inp: InputQubit) -> np.ndarray:
+    """The input qubit alpha|0> + beta|1> as its (2,) ket."""
+    return np.array([inp.alpha, inp.beta], dtype=complex)
+
+
 def total_state(vector, coeffs) -> np.ndarray:
     """Joint ket of one input qubit (2,) and the two-qutrit channel
     sum_j coeffs[j] |jj> (three coefficients).
@@ -295,7 +300,7 @@ def two_qubit_certificate(inp: InputQubit, coeffs, dmat) -> tuple[np.ndarray, np
         return np.asarray(dmat).conj() @ np.kron(q, chan).reshape(4, 2)
 
     comps_a, comps_b = project(np.array([1.0, 0.0])), project(np.array([0.0, 1.0]))
-    collapsed = project(inp.vector())
+    collapsed = project(input_vector(inp))
     probs, fids = [], []
     for va, vb, c in zip(comps_a, comps_b, collapsed):
         na, nb = np.linalg.norm(va), np.linalg.norm(vb)
@@ -308,5 +313,5 @@ def two_qubit_certificate(inp: InputQubit, coeffs, dmat) -> tuple[np.ndarray, np
             raise CorrectionError(f"branch not correctable: |va| = {na:.6g}, |vb| = {nb:.6g}, "
                                   f"|<va|vb>| = {abs(np.vdot(va, vb)):.3e}")
         w = np.array([va / na, vb / nb]).conj()
-        fids.append(abs(np.vdot(inp.vector(), w @ c)) ** 2 / p)
+        fids.append(abs(np.vdot(input_vector(inp), w @ c)) ** 2 / p)
     return np.array(probs), np.array(fids)

@@ -26,6 +26,7 @@ from helpers import (
 )
 from oracles import (
     collapsed_closed_form,
+    input_vector,
     measure_branches,
     qubit_qutrit_tangle,
     two_qubit_certificate,
@@ -223,7 +224,7 @@ def test_7_oracle_equivalence(capsys):
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
         inp = random_input(rng)
-        raw_probs, raw_collapsed = measure_branches(total_state(inp.vector(), ch.a), basis)
+        raw_probs, raw_collapsed = measure_branches(total_state(input_vector(inp), ch.a), basis)
         raw_tangles = np.array([qubit_qutrit_tangle(v) for v in basis.vectors])
         closed = resource_report(ch, params)
         worst = max(

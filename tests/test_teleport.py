@@ -13,6 +13,7 @@ from oracles import (
     TWO_QUBIT_LABELS,
     channel_ket,
     collapsed_closed_form,
+    input_vector,
     measure_branches,
     special_case_basis,
     total_state,
@@ -86,21 +87,21 @@ class TestInputQubit:
 class TestTotalState:
     def test_basis_input(self):
         ch = make_channel(*SYMMETRIC)
-        psi = total_state(InputQubit(alpha=1.0, beta=0.0).vector(), ch.a)
+        psi = total_state(input_vector(InputQubit(alpha=1.0, beta=0.0)), ch.a)
         assert np.allclose(psi[:9], channel_ket(ch), atol=1e-15)
         assert np.allclose(psi[9:], 0.0, atol=1e-15)
 
     def test_product_channel(self):
         ch = make_channel(1.0, 0.0, 0.0)
         q = InputQubit(alpha=0.6, beta=0.8)
-        psi = total_state(q.vector(), ch.a)
+        psi = total_state(input_vector(q), ch.a)
         assert psi[0] == pytest.approx(0.6) and psi[9] == pytest.approx(0.8)
         assert np.count_nonzero(psi) == 2
 
     def test_generic_amplitudes(self):
         q = InputQubit(alpha=0.6, beta=0.8j)
         ch = make_channel(0.5, math.sqrt(0.5), 0.5)
-        psi = total_state(q.vector(), ch.a)
+        psi = total_state(input_vector(q), ch.a)
         for j, a in enumerate(ch.a):
             assert psi[4 * j] == pytest.approx(q.alpha * a, abs=1e-15)
             assert psi[9 + 4 * j] == pytest.approx(q.beta * a, abs=1e-15)
@@ -110,21 +111,21 @@ class TestMeasureBranches:
     def test_degenerate_balanced_probabilities(self, rng):
         ch = make_channel(*DEGENERATE)
         basis = special_case_basis("A", math.pi / 4)
-        total = total_state(random_input(rng).vector(), ch.a)
+        total = total_state(input_vector(random_input(rng)), ch.a)
         probs, _ = measure_branches(total, basis)
         assert np.allclose(probs, [1 / 8, 1 / 8, 1 / 4, 1 / 8, 1 / 8, 1 / 4], atol=1e-12)
 
     def test_degenerate_two_qubit_reduction(self, rng):
         ch = make_channel(*DEGENERATE)
         basis = special_case_basis("A", 0.0)
-        total = total_state(random_input(rng).vector(), ch.a)
+        total = total_state(input_vector(random_input(rng)), ch.a)
         probs, _ = measure_branches(total, basis)
         assert np.allclose(probs, [0, 0, 1 / 4, 1 / 4, 1 / 4, 1 / 4], atol=1e-12)
 
     def test_probability_equals_collapsed_norm(self, rng):
         ch = random_capable_channel(rng)
         _, basis = assemble_D12(_solved(ch))
-        total = total_state(random_input(rng).vector(), ch.a)
+        total = total_state(input_vector(random_input(rng)), ch.a)
         for p, c in zip(*measure_branches(total, basis)):
             assert p == pytest.approx(float(np.vdot(c, c).real), abs=1e-12)
 
@@ -132,7 +133,7 @@ class TestMeasureBranches:
         for _ in range(10):
             ch = random_capable_channel(rng)
             _, basis = assemble_D12(_solved(ch))
-            total = total_state(random_input(rng).vector(), ch.a)
+            total = total_state(input_vector(random_input(rng)), ch.a)
             p, _ = measure_branches(total, basis)
             assert sum(p) == pytest.approx(1.0, abs=1e-12)
             assert p[0] == pytest.approx(p[1], abs=1e-12)  # 1+ = 2+
@@ -144,7 +145,7 @@ class TestMeasureBranches:
         _, basis = assemble_D12(_solved(ch))
         reference = None
         for _ in range(50):
-            total = total_state(random_input(rng).vector(), ch.a)
+            total = total_state(input_vector(random_input(rng)), ch.a)
             p, _ = measure_branches(total, basis)
             if reference is None:
                 reference = p
@@ -347,7 +348,8 @@ class TestKernelBitIdentity:
             assert np.array_equal(ws, _reference_corrections(branch_components(coeffs, basis)))
             q = random_input(rng)
             chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
-            assert np.array_equal(total_state(q.vector(), coeffs), np.kron(q.vector(), chan))
+            vector = input_vector(q)
+            assert np.array_equal(total_state(vector, coeffs), np.kron(vector, chan))
 
     @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric", "angles"])
     def test_bases_match_nested_numpy_layout(self, kind, rng):
@@ -575,7 +577,7 @@ class TestOneInputPath:
             for basis in bases:
                 q = random_input(rng)
                 rep = run_with_basis(q, coeffs, basis)
-                probs, fids = _frozen_certify(q.vector(), coeffs, basis)
+                probs, fids = _frozen_certify(input_vector(q), coeffs, basis)
                 assert np.max(np.abs(np.array(rep.probabilities) - probs)) <= 1e-14
                 assert np.max(np.abs(np.array(rep.fidelities) - fids)) <= 1e-14
 
@@ -1068,7 +1070,7 @@ class TestClosedFormOracles:
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
         q = random_input(rng)
-        total = total_state(q.vector(), ch.a)
+        total = total_state(input_vector(q), ch.a)
         _, raw = measure_branches(total, basis)
         closed = collapsed_closed_form(q, ch, params)
         assert np.max(np.abs(raw - closed)) <= 1e-10
@@ -1080,7 +1082,7 @@ class TestClosedFormOracles:
         ch = random_capable_channel(rng)
         params = _solved(ch, frac=rng.uniform())
         _, basis = assemble_D12(params)
-        total = total_state(random_input(rng).vector(), ch.a)
+        total = total_state(input_vector(random_input(rng)), ch.a)
         raw, _ = measure_branches(total, basis)
         closed = resource_report(ch, params).probabilities
         assert np.max(np.abs(raw - np.array(closed))) <= 1e-10
