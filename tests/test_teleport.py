@@ -31,6 +31,7 @@ from teleportsim.scheme import (
     SchemeParams,
     admissible_theta3,
     assemble_D12,
+    constraint_residuals,
     find_scheme,
     measurement_bases,
     rotation_rows,
@@ -1059,6 +1060,47 @@ class TestStackCertificate:
         _faulty_kernel(monkeypatch, [6 + 1], nan_entry)
         devs = _one_channel(ch, schemes)
         assert devs[0] <= STACK_BOUND and math.isnan(devs[1])
+
+
+def _identity_cases(kind, rng):
+    """(channel, scheme) pairs: Dirichlet(1,1,1) capable channels, each at a
+    random theta3 in its window, solved ("solved", where the residuals are
+    rounding noise) or at random angles ("angles", where they are not)."""
+    for _ in range(250):
+        ch = random_capable_channel(rng)
+        if kind == "solved":
+            yield ch, _solved(ch, frac=rng.uniform())
+        else:
+            yield ch, SchemeParams(theta=tuple(rng.uniform(0.0, math.pi, 3).tolist()),
+                                   delta=tuple(rng.uniform(-math.pi, math.pi, 2).tolist()))
+
+
+class TestCertificateIdentities:
+    """The per-branch correctability conditions are the solver's residuals
+    (r1, r2, r3) = constraint_residuals: with (va, vb) from branch_components,
+    branches 1+, 2+ (and 1-, 2-) split the input over disjoint supports with
+    ||va|^2 - |vb|^2| = r1 (r2), and branches 3+- have |va| = |vb| and
+    |<va, vb>| = r3 / 2."""
+
+    TOL = 1e-15
+
+    @pytest.mark.parametrize("kind", ["solved", "angles"])
+    def test_branch_conditions_are_the_residuals(self, kind):
+        index = {label: j for j, label in enumerate(scheme.BRANCH_LABELS)}
+        for ch, params in _identity_cases(kind, np.random.default_rng(5)):
+            r1, r2, r3 = constraint_residuals(ch, params)
+            comps = branch_components(ch.a, params.basis)
+            norms = np.einsum("jki,jki->jk", comps, comps.conj()).real
+            for label, r in (("1+", r1), ("2+", r1), ("1-", r2), ("2-", r2)):
+                va, vb = comps[index[label]]
+                assert not np.any(va * vb), (label, ch.a, params)
+                na, nb = norms[index[label]]
+                assert abs(abs(na - nb) - r) <= self.TOL, (label, ch.a, params)
+            for label in ("3+", "3-"):
+                va, vb = comps[index[label]]
+                na, nb = norms[index[label]]
+                assert abs(na - nb) <= self.TOL, (label, ch.a, params)
+                assert abs(abs(np.vdot(va, vb)) - r3 / 2.0) <= self.TOL, (label, ch.a, params)
 
 
 class TestClosedFormOracles:
