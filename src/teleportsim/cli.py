@@ -20,10 +20,10 @@ import numpy as np
 
 from .channel import canonicalize, make_channel
 from .explorer import (
+    SweepRecord,
     SweepResult,
     bounds_grid,
     bounds_table,
-    record_fields,
     sweep_case1,
     sweep_case2,
     sweep_degenerate,
@@ -140,7 +140,7 @@ def sweep_csv_lines(result: SweepResult):
     fields, the same text as joining their _fmt: every field but the last is
     a float, and the last, bound_upper, is an empty field when it is None.
     """
-    names = record_fields()
+    names = SweepRecord._fields
     head = "%.17g," * (len(names) - 1)
     full, open_upper = head + "%.17g\n", head + "\n"
     yield ",".join(names) + "\n"

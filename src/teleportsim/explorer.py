@@ -11,13 +11,13 @@ Each sweep takes a density and rejects one below 2; it draws no random
 numbers, so its output depends on the density alone. A family only lists its
 channels and each channel's solve_constraints points; one driver, _sweep,
 does the rest for all three. It solves the points in channel order and
-certifies the solved schemes with the input-free certify_stack, which covers
-every input qubit at once, in stacks of _BLOCK = 256 records (the last one
-shorter) that span channels; _BLOCK bounds the stack's memory. Each record
-that passes the gate is accounted with one resource_report call and emitted
-as a SweepRecord, a tuple of its fields in CSV column order.
-Every emitted record teleports every input with fidelity at least
-1 - TOL.unitary; infeasible points are counted and reported, never fatal.
+certifies each solved scheme with the input-free certify_scheme, which
+covers every input qubit at once from closed forms; once every point is
+solved and certified, each record that passed the gate is accounted with one
+resource_report call and emitted as a SweepRecord, a tuple of its fields in
+CSV column order. Every emitted record teleports every input with fidelity
+at least 1 - TOL.unitary; infeasible points are counted and reported, never
+fatal.
 """
 
 from __future__ import annotations
@@ -31,22 +31,11 @@ import numpy as np
 from .channel import channel_entropy, make_channel
 from .qlinalg import LOG2_3, TOL, bisect
 from .resources import lower_bound_sum, resource_report, upper_bound_sum
-from .scheme import (
-    InfeasibleError,
-    admissible_u_window,
-    free_theta2_window,
-    measurement_bases,
-    solve_constraints,
-)
-from .teleport import STACK_BOUND, certify_stack
+from .scheme import InfeasibleError, admissible_u_window, free_theta2_window, solve_constraints
+from .teleport import DEVIATION_BOUND, certify_scheme
 
 # number of scheme-angle samples per swept channel
 _INNER_GRID = 5
-
-# records certified in one stack, a bound on memory: a stack holds about
-# 5.6 KB of transient arrays per record, so 1.5 MB at most. A stack spans as
-# many channels as it takes to fill it.
-_BLOCK = 256
 
 
 class SweepRecord(NamedTuple):
@@ -71,10 +60,6 @@ class SweepRecord(NamedTuple):
 class SweepResult:
     records: tuple[SweepRecord, ...]
     skipped: int
-
-
-def record_fields() -> tuple[str, ...]:
-    return SweepRecord._fields
 
 
 def _bound_lower(e: float) -> float:
@@ -112,29 +97,14 @@ def _sweep(channels) -> SweepResult:
     point a (theta3, hints) pair for solve_constraints(ch, theta3, **hints);
     a channel with no points (an empty window) counts as one skipped point.
 
-    The points are solved in channel order, infeasible ones skipped, and
-    each solved scheme is queued with its channel. Each time the queue holds
-    _BLOCK records, and once at the end, certify_stack certifies it as one
-    stack, which may span channels. The queued records are then gated and
-    accounted in order: a record is emitted when its deviation is at most
-    STACK_BOUND and skipped otherwise.
+    Two passes. The first solves the points in channel order and certifies
+    each solved scheme: a point is skipped when it is infeasible or its
+    certify_scheme deviation is not at most DEVIATION_BOUND (a NaN fails).
+    The second accounts each kept scheme, in order, with one resource_report
+    call and emits its record.
     """
-    records: list[SweepRecord] = []
+    kept: list[tuple] = []  # (ch, params, bound_lower, bound_upper)
     skipped = 0
-    queue: list[tuple] = []  # (ch, bound_upper, bound_lower, params)
-
-    def flush():
-        nonlocal skipped
-        devs = certify_stack([q[0] for q in queue], measurement_bases([q[3] for q in queue]))
-        for (ch, bound_upper, bound_lower, params), dev in zip(queue, devs.tolist()):
-            if not (dev <= STACK_BOUND):  # fail closed: NaN does not pass
-                skipped += 1
-                continue
-            e_channel, e12, h12, _, _, total = resource_report(ch, params)
-            records.append(SweepRecord(*ch.a, *params.theta, e_channel, e12, h12, total,
-                                       bound_lower, bound_upper))
-        queue.clear()
-
     for ch, bound_upper, points in channels:
         if not points:
             skipped += 1
@@ -146,11 +116,15 @@ def _sweep(channels) -> SweepResult:
             except InfeasibleError:
                 skipped += 1
                 continue
-            queue.append((ch, bound_upper, bound_lower, params))
-            if len(queue) == _BLOCK:
-                flush()
-    if queue:
-        flush()
+            if certify_scheme(ch, params) <= DEVIATION_BOUND:  # fail closed: NaN does not pass
+                kept.append((ch, params, bound_lower, bound_upper))
+            else:
+                skipped += 1
+    records: list[SweepRecord] = []
+    for ch, params, bound_lower, bound_upper in kept:
+        e_channel, e12, h12, _, _, total = resource_report(ch, params)
+        records.append(SweepRecord(*ch.a, *params.theta, e_channel, e12, h12, total,
+                                   bound_lower, bound_upper))
     return SweepResult(records=tuple(records), skipped=skipped)
 
 

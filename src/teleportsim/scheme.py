@@ -84,22 +84,22 @@ class MeasurementBasis:
     the ket for BRANCH_LABELS[j].
 
     vectors is a read-only copy of the array given, so no later write to the
-    caller's array reaches the checked basis. Its last two axes must be
-    (6, 6) (ValueError naming the shape otherwise) and each matrix unitary.
-    The basis keeps one memo slot for teleport.branch_corrections: the
-    corrections of the last coefficients it was asked for, keyed by their
-    exact bits. A basis is one object: == and hash go by identity, so two
-    bases with equal kets are still two bases.
+    caller's array reaches the checked basis. It must be (6, 6) (ValueError
+    naming the shape otherwise) and unitary. The basis keeps one memo slot
+    for teleport.branch_corrections: the components and corrections of the
+    last coefficients it was asked for, keyed by their exact bits. A basis
+    is one object: == and hash go by identity, so two bases with equal kets
+    are still two bases.
     """
 
-    vectors: np.ndarray  # (6, 6) for one basis; (k, 6, 6) holds k bases
-    # (key, corrections) for teleport.branch_corrections; None until its first call
+    vectors: np.ndarray
+    # (key, components, corrections) for teleport.branch_corrections; None until its first call
     _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         vectors = np.array(self.vectors)
-        if vectors.shape[-2:] != (6, 6):
-            raise ValueError(f"expected (..., 6, 6) qubit-qutrit kets, got shape {vectors.shape}")
+        if vectors.shape != (6, 6):
+            raise ValueError(f"expected (6, 6) qubit-qutrit kets, got shape {vectors.shape}")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         check_unitary(vectors)
@@ -320,19 +320,10 @@ def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:
     Row order is (1+, 2+, 3+, 1-, 2-, 3-) over the computational columns
     (|00>, |01>, |02>, |10>, |11>, |12>). The basis is params.basis, built and
     checked for unitarity once per scheme: every call returns that one basis
-    object and its read-only array. measurement_bases fills the same layout
-    for k schemes.
+    object and its read-only array.
     """
     basis = params.basis
     return basis.vectors, basis
-
-
-def measurement_bases(schemes) -> MeasurementBasis:
-    """The bases of k schemes as one (k, 6, 6) stack, checked for unitarity in one call."""
-    entries = []
-    for params in schemes:
-        entries += _d12_entries(params)
-    return MeasurementBasis(vectors=np.array(entries, dtype=complex).reshape(-1, 6, 6))
 
 
 def _d12_entries(params: SchemeParams) -> list:

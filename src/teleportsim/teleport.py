@@ -3,8 +3,12 @@ fidelity certificates.
 
 Branch j collapses the input alpha|0> + beta|1> to alpha*va + beta*vb
 (branch_components): by linearity, the projection of the joint state input
-(x) channel onto that branch's ket, which is never built. Fidelities come
-out as floating-point 1 (to 1e-10), never as sampled statistics.
+(x) channel onto that branch's ket, which is never built. run_with_basis
+certifies one input on one basis from those components and Bob's
+corrections; certify_scheme certifies a solved scheme for every input at
+once from the closed forms of the same components, with no basis built.
+Fidelities come out as floating-point 1 (to 1e-10), never as sampled
+statistics.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import numpy as np
 
 from .channel import SchmidtChannel, is_teleport_capable
 from .qlinalg import TOL, identity
-from .scheme import BRANCH_LABELS, MeasurementBasis, SchemeParams, assemble_D12
+from .scheme import (BRANCH_LABELS, MeasurementBasis, SchemeParams, assemble_D12,
+                     constraint_residuals)
 
 
 class CapabilityError(Exception):
@@ -75,42 +80,39 @@ def random_input(rng: np.random.Generator) -> InputQubit:
 def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
     """Input-independent split of each collapsed state: collapsed = alpha*va + beta*vb.
 
-    coeffs are the three diagonal channel coefficients (all finite), one set
-    per basis record: (3,) for one (6, 6) basis, (k, 3) for a (k, 6, 6)
-    stack. Returns (6, 2, 3), or (k, 6, 2, 3) for a stack: entry j is branch
-    j's pair (va, vb). va and vb depend only on the channel and the basis
-    row, so Bob's correction can be built once per branch and reused for
-    every input. The result is a fresh, writable array on every call.
+    coeffs are the three diagonal channel coefficients (all finite). Returns
+    (6, 2, 3): entry j is branch j's pair (va, vb). va and vb depend only on
+    the channel and the basis row, so Bob's correction can be built once per
+    branch and reused for every input. The result is a fresh, writable array
+    on every call.
     """
     a = np.asarray(coeffs, dtype=float)
-    lead = basis.vectors.shape[:-2]
-    if a.shape != (*lead, 3):
-        raise ValueError(f"expected 3 channel coefficients per basis record, shape "
-                         f"{(*lead, 3)} for a basis of shape {basis.vectors.shape}, got {a.shape}")
+    if a.shape != (3,):
+        raise ValueError(f"expected 3 channel coefficients, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"channel coefficients must be finite, got {a.tolist()}")
-    return a[..., None, None, :] * basis.vectors.conj().reshape(*lead, 6, 2, 3)
+    return a * basis.vectors.conj().reshape(6, 2, 3)
 
 
 def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
-    """Bob's correction unitary for every branch of one (6, 6) basis, (6, 3,
-    3), or of each record of a (k, 6, 6) stack, (k, 6, 3, 3), with coeffs as
-    branch_components takes them. One kernel call builds every branch's;
-    the result is read-only and kept in the basis's one memo slot, keyed by
-    the shape and exact bits of the coefficients (so -0.0 and 0.0 differ):
-    asked again for the same coefficients, the basis returns that same array
-    without building anything; other coefficients build afresh and take the
-    slot.
+    """Bob's correction unitary for every branch of one basis, (6, 3, 3),
+    with coeffs as branch_components takes them. One kernel call builds
+    every branch's; the result is read-only and kept, with the read-only
+    components it was built from, in the basis's one memo slot, keyed by the
+    exact bits of the coefficients (so -0.0 and 0.0 differ): asked again for
+    the same coefficients, the basis returns that same array without
+    building anything; other coefficients build afresh and take the slot.
     """
     a = np.asarray(coeffs, dtype=float)
     key = (a.shape, a.tobytes())
     memo = basis._memo
     if memo is not None and memo[0] == key:
-        return memo[1]
+        return memo[2]
     comps = branch_components(a, basis)
-    w = _corrections(comps.reshape(-1, 2, 3)).reshape(*comps.shape[:-2], 3, 3)
+    w = _corrections(comps)
+    comps.setflags(write=False)
     w.setflags(write=False)
-    object.__setattr__(basis, "_memo", (key, w))
+    object.__setattr__(basis, "_memo", (key, comps, w))
     return w
 
 
@@ -183,82 +185,102 @@ def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> T
     return run_with_basis(inp, ch.a, basis)
 
 
-# certify_stack's gate: a record whose worst deviation is at most this has
-# fidelity at least 1 - TOL.unitary for every input (see certify_stack)
-STACK_BOUND = TOL.unitary / (4.0 * math.sqrt(6.0))
+# certify_scheme's gate: a scheme whose worst deviation is at most this
+# teleports every input with fidelity at least 1 - TOL.unitary (see certify_scheme)
+DEVIATION_BOUND = TOL.unitary / (4.0 * math.sqrt(6.0))
 
 
-def certify_stack(channels, basis: MeasurementBasis) -> np.ndarray:
-    """The input-free certificate for k records, record i being the basis
-    basis.vectors[i] (a (k, 6, 6) stack, for example measurement_bases of k
-    schemes) on the channel channels[i]: each record's worst deviation from
-    perfect teleportation, (k,). The records may come from any number of
-    channels, in any order.
+def certify_scheme(ch: SchmidtChannel, params: SchemeParams) -> float:
+    """The input-free certificate of one solved scheme on the channel ch:
+    its worst deviation from perfect teleportation over the six branches,
+    in plain floats from closed forms.
 
     Branch j collapses the input q = (alpha, beta) to alpha*va + beta*vb
     (branch_components), so Bob's output is W.[va vb].q. With the branch
-    probability p = (|va|^2 + |vb|^2) / 2 (every input's, once the kernel
-    has checked |va| = |vb| and va orthogonal to vb), take the 3x2 matrix
-    M = W.[va vb] / sqrt(p). A branch's deviation is the largest entry of
-    |M - c'.[I; 0]|, with c' = M[0, 0] / |M[0, 0]| (1 if that is 0); zero
-    branches (p <= TOL.zero_branch) count as 0, as run_with_basis counts
-    their fidelity as 1. A NaN anywhere gives a NaN deviation.
+    probability p = (|va|^2 + |vb|^2) / 2, take the 3x2 matrix M =
+    W.[va vb] / sqrt(p). A branch's deviation is the largest entry of
+    |M - c'.[I; 0]|, with c' = M[0, 0] / |M[0, 0]|. The correction kernel's
+    W has rows conj(va)/|va| and conj(vb)/|vb| times one phase c, and a
+    third row, their cross product, orthogonal to both va and vb. So
+    M = (c / sqrt p).[[|va|, <va, vb>/|va|], [<vb, va>/|vb|, |vb|], [0, 0]],
+    c' = c, and the deviation is
 
-    Why STACK_BOUND suffices: write M = c'.[I; 0] + E with every |E_ik| <=
-    eps. For a unit input q with target t = (q, 0), Mq = c't + Eq and
-    |Eq| <= ||E||_F <= sqrt(6) eps = x, so |<t, Mq>| >= 1 - x and |Mq| <= 1 + x.
-    The output's fidelity |<t, Mq>|^2 / |Mq|^2 (|Mq|^2 is that input's branch
-    probability over p, W being unitary) is then at least
-    (1 - x)^2 / (1 + x)^2 >= 1 - 4x, and eps <= TOL.unitary / (4 sqrt 6)
+        max(||va| - sqrt p|, ||vb| - sqrt p|, |<va, vb>| / min(|va|, |vb|)) / sqrt p.
+
+    In the _d12_entries layout each term is a closed form in the rotation u,
+    the phases and the channel squares (A, B, C):
+    * 1+ and 2+ (1- and 2-: row 1 of u) have disjoint supports, so
+      <va, vb> = 0, and the weights |va|^2, |vb|^2 are A u00^2 + C u02^2
+      and B u01^2 (swapped on 2+); 1+ and 2+ deviate alike;
+    * 3+ and 3- have |va|^2 = |vb|^2 = p = (A u20^2 + B u21^2 + C u22^2) / 2
+      (zeta = pi/4) and |<va, vb>| = r3 / 2, with r3 the phasor residual of
+      constraint_residuals, so their deviation is r3 / (2p).
+    Zero branches (p <= TOL.zero_branch) count as 0, as run_with_basis
+    counts their fidelity as 1. A NaN anywhere gives NaN, which fails the
+    gate `deviation <= DEVIATION_BOUND`.
+
+    Why DEVIATION_BOUND suffices: write M = c'.[I; 0] + E with every
+    |E_ik| <= eps. For a unit input q with target t = (q, 0), Mq = c't + Eq
+    and |Eq| <= ||E||_F <= sqrt(6) eps = x, so |<t, Mq>| >= 1 - x and
+    |Mq| <= 1 + x. The output's fidelity |<t, Mq>|^2 / |Mq|^2 is then at
+    least (1 - x)^2 / (1 + x)^2 >= 1 - 4x, and eps <= TOL.unitary / (4 sqrt 6)
     gives 1 - TOL.unitary, for every input at once.
 
-    The corrections W are branch_corrections on the whole stack, as
-    run_with_basis takes them on one basis. Keeps run_teleport's checks:
-    every distinct channel's capability (CapabilityError), the kernel's
-    equal-weight, orthogonality and unitarity checks, and each record's probabilities summing to 1 (else
-    ValueError); the bases were checked for unitarity when built. A channel
-    count other than the basis count raises ValueError. An empty stack gives
-    an empty (0,) array.
+    Rounding: the closed forms are exact identities of the layout; in
+    floats each term carries a few ulps of error relative to its branch's
+    weight, so the value is within 1e-15 of the exact deviation of the
+    scheme's float angles (and within 2e-15 of the kernel-built stack
+    certificate, tests/oracles.certify_stack). The gate thus admits an exact
+    deviation up to DEVIATION_BOUND + 1e-15: a fidelity of at least
+    1 - TOL.unitary - 4 sqrt(6) x 1e-15, under 1e-14 below 1 - TOL.unitary.
+
+    Keeps the checks of run_teleport that do not depend on the input: the
+    channel's capability (CapabilityError) and the branch probabilities
+    summing to 1 within TOL.entry (ValueError). It raises no
+    CorrectionError: a branch the kernel would refuse (||va| - |vb|| or
+    |<va, vb>| above TOL.correction) deviates by more than DEVIATION_BOUND,
+    so it fails the gate instead.
     """
-    for ch in dict.fromkeys(channels):
-        _require_capable(ch)
-    k = len(channels)
-    if basis.vectors.shape[:-2] != (k,):
-        raise ValueError(f"{k} channels for a basis stack of shape {basis.vectors.shape}")
-    if not k:
-        return np.zeros(0)
-    coeffs = [ch.a for ch in channels]
-    w, comps = branch_corrections(coeffs, basis), branch_components(coeffs, basis)
-    squares = comps.real ** 2 + comps.imag ** 2
-    # a branch's six squares, summed in the order numpy sums its (2, 3) block
-    p = 0.5 * np.add.reduce(squares.reshape(k, 6, 6), axis=-1)
-    if not (np.abs(p.sum(axis=-1) - 1.0) <= TOL.entry).all():
+    _require_capable(ch)
+    A, B, C = ch.squares
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = params.rotation
+    x0, y0 = A * u00 * u00 + C * u02 * u02, B * u01 * u01
+    x1, y1 = A * u10 * u10 + C * u12 * u12, B * u11 * u11
+    p3 = 0.5 * (A * u20 * u20 + B * u21 * u21 + C * u22 * u22)
+    if abs(x0 + y0 + x1 + y1 + 2.0 * p3 - 1.0) > TOL.entry:  # a NaN goes on to the deviation
         raise ValueError("branch probabilities do not sum to 1")
-    # the entries of |W.[va vb] - c'.sqrt(p).[I; 0]|, scaled by 1/sqrt(p) last
-    out = w @ comps.swapaxes(-1, -2)
-    dev = np.abs(out)
-    r, sp = dev[..., 0, 0], np.sqrt(p)
-    target = np.divide(sp * out[..., 0, 0], r, out=sp.astype(complex), where=r > 0.0)
-    dev[..., 1, 1] = np.abs(out[..., 1, 1] - target)
-    dev[..., 0, 0] = np.abs(r - sp)
-    zero = p <= TOL.zero_branch
-    dev = dev.max(axis=(-2, -1)) / np.where(zero, 1.0, sp)
-    return np.where(zero, 0.0, dev).max(axis=-1)
+    r3 = constraint_residuals(ch, params)[2]
+    devs = (_split_deviation(x0, y0), _split_deviation(x1, y1),
+            0.0 if p3 <= TOL.zero_branch else 0.5 * r3 / p3)
+    # a bare max would drop a NaN that does not come first
+    return math.nan if math.isnan(sum(devs)) else max(devs)
+
+
+def _split_deviation(x: float, y: float) -> float:
+    """The deviation of a branch whose components have disjoint supports and
+    squared norms x and y (certify_scheme)."""
+    p = 0.5 * (x + y)
+    if p <= TOL.zero_branch:
+        return 0.0
+    sp = math.sqrt(p)
+    return max(abs(math.sqrt(x) - sp), abs(math.sqrt(y) - sp)) / sp
 
 
 def _project(a: complex, b: complex, coeffs, basis: MeasurementBasis) -> tuple[list, list]:
-    """Alice's projection of the input a|0> + b|1> onto one (6, 6) basis:
-    per branch, the unnormalized collapsed state a*va + b*vb
-    (branch_components) and its probability <collapsed|collapsed>. A joint
-    norm (|a|^2 + |b|^2)(c0^2 + c1^2 + c2^2) more than TOL.entry from 1, or
-    probabilities not summing to 1, raise ValueError (a NaN fails both)."""
+    """Alice's projection of the input a|0> + b|1> onto one basis: per
+    branch, the unnormalized collapsed state a*va + b*vb and its probability
+    <collapsed|collapsed>, with (va, vb) the components branch_corrections
+    kept in the basis's memo for coeffs (run_with_basis builds them first).
+    A joint norm (|a|^2 + |b|^2)(c0^2 + c1^2 + c2^2) more than TOL.entry
+    from 1, or probabilities not summing to 1, raise ValueError (a NaN fails
+    both)."""
     c0, c1, c2 = map(float, coeffs)
     n2 = (a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag) * (
         c0 * c0 + c1 * c1 + c2 * c2)
     if not (abs(n2 - 1.0) <= TOL.entry):
         raise ValueError(f"joint state not normalized: |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
     collapsed = [(a * u0 + b * v0, a * u1 + b * v1, a * u2 + b * v2)
-                 for (u0, u1, u2), (v0, v1, v2) in branch_components(coeffs, basis).tolist()]
+                 for (u0, u1, u2), (v0, v1, v2) in basis._memo[1].tolist()]
     probs = [x0.real * x0.real + x0.imag * x0.imag + x1.real * x1.real + x1.imag * x1.imag
              + x2.real * x2.real + x2.imag * x2.imag for x0, x1, x2 in collapsed]
     if not (abs(math.fsum(probs) - 1.0) <= TOL.entry):
@@ -269,15 +291,13 @@ def _project(a: complex, b: complex, coeffs, basis: MeasurementBasis) -> tuple[l
 def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> TeleportReport:
     """The fidelity certificate of one input qubit sent through the diagonal
     two-qutrit channel sum_j coeffs[j] |jj> with one explicitly supplied
-    (6, 6) measurement basis; run_teleport's engine.
+    measurement basis; run_teleport's engine.
 
     Branches without a perfect correction raise CorrectionError. The
-    corrections are built first, so coefficients of the wrong shape or not
-    finite raise ValueError before any arithmetic on them, and a basis stack
-    raises ValueError; then _project's norm and sum-to-1 checks run.
+    corrections are built first (or read from the basis's memo), so
+    coefficients of the wrong shape or not finite raise ValueError before
+    any arithmetic on them; then _project's norm and sum-to-1 checks run.
     """
-    if basis.vectors.ndim != 2:
-        raise ValueError(f"one (6, 6) basis expected, got a stack of shape {basis.vectors.shape}")
     corrections = branch_corrections(coeffs, basis)
     a, b = complex(inp.alpha), complex(inp.beta)
     probs, collapsed = _project(a, b, coeffs, basis)

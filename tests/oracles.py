@@ -5,7 +5,9 @@ tangles, collapsed states, the channel ket, the resource report) straight
 from its definition or its first plain recipe, so a test can compare the
 two (the joint-state projection, total_state and measure_branches, is
 run_with_basis's); gour_basis builds the comparison protocol's measurement, and
-tuple_bisect keeps the bisection's first loop. The bases the
+tuple_bisect keeps the bisection's first loop; certify_stack is the
+kernel-built reference for teleport.certify_scheme, on the (k, 6, 6) basis
+stacks of measurement_bases. The bases the
 library does not build also live here: the closed-form a0 = 0 families
 (special_case_basis) and the two-qubit scheme with its own plain
 certificate (two_qubit_D12, two_qubit_certificate). The library itself
@@ -19,13 +21,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from teleportsim import qlinalg
+from teleportsim import qlinalg, teleport
 from teleportsim.channel import SchmidtChannel, channel_entropy, make_channel
 from teleportsim.qlinalg import check_unitary, entanglement_from_tangle
 from teleportsim.resources import ResourceReport, classical_cost
 from teleportsim.scheme import (
     MeasurementBasis,
     SchemeParams,
+    _d12_entries,
     assemble_D12,
     phases_from_weights,
     rotation_rows,
@@ -146,6 +149,51 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.nda
     if not (abs(float(probs.sum()) - 1.0) <= qlinalg.TOL.entry):
         raise ValueError("branch probabilities do not sum to 1")
     return probs, collapsed
+
+
+def measurement_bases(schemes) -> np.ndarray:
+    """The bases of k schemes as one (k, 6, 6) array in the assemble_D12
+    layout, built from one flat list and checked for unitarity in one call."""
+    entries = []
+    for params in schemes:
+        entries += _d12_entries(params)
+    vectors = np.array(entries, dtype=complex).reshape(-1, 6, 6)
+    check_unitary(vectors)
+    return vectors
+
+
+def certify_stack(channels, vectors) -> np.ndarray:
+    """The input-free certificate of k records, record i being the basis
+    vectors[i] of a (k, 6, 6) array (measurement_bases of k schemes, or
+    Gour's kets) on the channel channels[i]: each record's worst deviation,
+    (k,), the quantity teleport.certify_scheme gives in closed form.
+
+    The reference recipe, with Bob's corrections built by the library's
+    correction kernel (teleport._corrections) on the whole stack: branch j
+    collapses the input q to alpha*va + beta*vb, M = W.[va vb] / sqrt(p)
+    with p = (|va|^2 + |vb|^2) / 2, and a branch's deviation is the largest
+    entry of |M - c'.[I; 0]|, c' = M[0, 0] / |M[0, 0]| (1 if that is 0);
+    zero branches (p <= TOL.zero_branch) count as 0 and a NaN gives NaN.
+    The kernel raises CorrectionError on a branch it cannot correct.
+    """
+    k = len(channels)
+    if vectors.shape != (k, 6, 6):
+        raise ValueError(f"{k} channels for a basis stack of shape {vectors.shape}")
+    coeffs = np.array([ch.a for ch in channels], dtype=float).reshape(k, 3)
+    comps = coeffs[:, None, None, :] * vectors.conj().reshape(k, 6, 2, 3)
+    w = teleport._corrections(comps.reshape(-1, 2, 3)).reshape(k, 6, 3, 3)
+    # a branch's six squares, summed in the order numpy sums its (2, 3) block
+    p = 0.5 * np.add.reduce((comps.real ** 2 + comps.imag ** 2).reshape(k, 6, 6), axis=-1)
+    # the entries of |W.[va vb] - c'.sqrt(p).[I; 0]|, scaled by 1/sqrt(p) last
+    out = w @ comps.swapaxes(-1, -2)
+    dev = np.abs(out)
+    r, sp = dev[..., 0, 0], np.sqrt(p)
+    target = np.divide(sp * out[..., 0, 0], r, out=sp.astype(complex), where=r > 0.0)
+    dev[..., 1, 1] = np.abs(out[..., 1, 1] - target)
+    dev[..., 0, 0] = np.abs(r - sp)
+    zero = p <= qlinalg.TOL.zero_branch
+    dev = dev.max(axis=(-2, -1)) / np.where(zero, 1.0, sp)
+    return np.where(zero, 0.0, dev).max(axis=-1)
 
 
 def collapsed_closed_form(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> np.ndarray:

@@ -15,7 +15,6 @@ from teleportsim.explorer import (
     SweepRecord,
     SweepResult,
     bounds_table,
-    record_fields,
     sweep_case1,
     sweep_case2,
     sweep_degenerate,
@@ -82,29 +81,27 @@ class TestSweeps:
                 sweep_degenerate(density)
 
 
-def _sweeps(n_degenerate=9):
-    """Each sweep on a small grid, as (name, thunk)."""
-    return [("case1", lambda: sweep_case1(density=6)),
-            ("case2", lambda: sweep_case2(density=6)),
-            ("degenerate", lambda: sweep_degenerate(n_degenerate))]
+def _sweeps(density=6):
+    """Each sweep on a small grid, as (name, thunk); the degenerate sweep at
+    9 points unless a density is given."""
+    return [("case1", lambda: sweep_case1(density=density)),
+            ("case2", lambda: sweep_case2(density=density)),
+            ("degenerate", lambda: sweep_degenerate(9 if density == 6 else density))]
 
 
-def _spy_stacks(monkeypatch):
-    """Record each certify_stack call as its records' (channel, scheme angles)."""
-    stacks, angles = [], []
-    bases, certify = explorer.measurement_bases, explorer.certify_stack
+def _spy_certified(monkeypatch, log=None):
+    """Record each certify_scheme call as its record's (channel, scheme
+    angles); with `log`, append ("certify", angles) to it too."""
+    certified, certify = [], explorer.certify_scheme
 
-    def spy_bases(schemes):
-        angles[:] = [params.theta for params in schemes]
-        return bases(schemes)
+    def spy(ch, params):
+        certified.append((ch.a, params.theta))
+        if log is not None:
+            log.append(("certify", params.theta))
+        return certify(ch, params)
 
-    def spy(channels, basis):
-        stacks.append([(ch.a, theta) for ch, theta in zip(channels, angles, strict=True)])
-        return certify(channels, basis)
-
-    monkeypatch.setattr(explorer, "measurement_bases", spy_bases)
-    monkeypatch.setattr(explorer, "certify_stack", spy)
-    return stacks
+    monkeypatch.setattr(explorer, "certify_scheme", spy)
+    return certified
 
 
 def _emitted(records):
@@ -112,38 +109,40 @@ def _emitted(records):
     return [((r.a0, r.a1, r.a2), (r.theta1, r.theta2, r.theta3)) for r in records]
 
 
-def _in_stacks(records, block):
-    """The records' (channel, scheme angles) cut into stacks of block, the last shorter."""
-    items = _emitted(records)
-    return [items[i:i + block] for i in range(0, len(items), block)]
+class TestSweepDriver:
+    """Each sweep solves and certifies every point first, in channel order,
+    each solved scheme with one certify_scheme call and no basis or
+    correction kernel; then it accounts each kept record with one
+    resource_report call. The gate applies record by record, and no random
+    numbers are drawn."""
 
-
-class TestSweepStacks:
-    """Each sweep certifies its solved schemes in stacks of exactly _BLOCK
-    records in emission order, spanning channels, the last stack shorter:
-    one correction-kernel call per stack, the gate applied record by
-    record, no random numbers drawn, one resource_report call per record."""
-
-    @pytest.mark.parametrize("block", [1, 4, 256])
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
-    def test_stacks_of_block_in_emission_order(self, name, block, monkeypatch):
-        monkeypatch.setattr(explorer, "_BLOCK", block)
-        stacks = _spy_stacks(monkeypatch)
+    def test_each_scheme_certified_once_in_emission_order(self, name, monkeypatch):
+        certified = _spy_certified(monkeypatch)
         result = dict(_sweeps())[name]()
         assert result.skipped == 0
-        assert stacks == _in_stacks(result.records, block)
-        if name != "degenerate" and block > 1:  # some stack holds two channels
-            assert any(len({a for a, _ in stack}) > 1 for stack in stacks)
+        assert certified == _emitted(result.records)
 
-    def test_degenerate_density200_is_one_stack(self, monkeypatch):
-        stacks = _spy_stacks(monkeypatch)
-        result = sweep_degenerate(200)
-        assert result.skipped == 0
-        assert stacks == _in_stacks(result.records, explorer._BLOCK)
-        assert [len(stack) for stack in stacks] == [200]
+    def test_no_basis_and_no_kernel(self, monkeypatch):
+        # the sweeps certify from closed forms: no basis is built (each
+        # MeasurementBasis checks its unitarity) and Bob's correction kernel
+        # never runs
+        calls = []
+
+        def refuse(name):
+            def spy(*args):
+                calls.append(name)
+                raise AssertionError(f"a sweep called {name}")
+            return spy
+
+        monkeypatch.setattr(scheme, "check_unitary", refuse("check_unitary"))
+        monkeypatch.setattr(teleport, "_corrections", refuse("_corrections"))
+        for _, run in _sweeps(200):
+            assert run().records
+        assert calls == []
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
-    def test_infeasible_point_leaves_the_rest_in_stacks(self, name, monkeypatch):
+    def test_infeasible_point_is_skipped_uncertified(self, name, monkeypatch):
         run = dict(_sweeps())[name]
         want = run()
         # the first channel with two points or more loses its second one
@@ -160,12 +159,11 @@ class TestSweepStacks:
             return solve(ch, theta3, **hints)
 
         monkeypatch.setattr(explorer, "solve_constraints", refuse_second)
-        monkeypatch.setattr(explorer, "_BLOCK", 4)
-        stacks = _spy_stacks(monkeypatch)
+        certified = _spy_certified(monkeypatch)
         got = run()
         assert want.skipped == 0 and got.skipped == 1
         assert got.records == want.records[:i] + want.records[i + 1:]
-        assert stacks == _in_stacks(got.records, 4)
+        assert certified == _emitted(got.records)
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
     def test_all_infeasible_channel_counts_every_skip(self, name, monkeypatch):
@@ -181,89 +179,66 @@ class TestSweepStacks:
             return solve(ch, theta3, **hints)
 
         monkeypatch.setattr(explorer, "solve_constraints", refuse_first_channel)
-        monkeypatch.setattr(explorer, "_BLOCK", 4)
-        stacks = _spy_stacks(monkeypatch)
+        certified = _spy_certified(monkeypatch)
         got = run()
         assert want.skipped == 0 and got.skipped == n
         assert got.records == want.records[n:]
-        assert stacks == _in_stacks(got.records, 4)
-
-    @pytest.mark.parametrize("sweep", [sweep_case1, sweep_case2, sweep_degenerate])
-    def test_same_result_as_stacks_of_three(self, sweep, monkeypatch):
-        want = [sweep(density) for density in range(2, 41)]
-        monkeypatch.setattr(explorer, "_BLOCK", 3)
-        assert [sweep(density) for density in range(2, 41)] == want
-
-    def test_one_kernel_call_per_stack(self, monkeypatch):
-        """One kernel call per stack of _BLOCK records, the last shorter:
-        with 2 * _BLOCK + 3 degenerate points, stacks of 256, 256 and 3, and
-        the case sweeps' records in stacks of 5 when _BLOCK is 5."""
-        calls, kernel = [], teleport._corrections
-
-        def spy(comps, *rest):
-            calls.append(len(comps))
-            return kernel(comps, *rest)
-
-        monkeypatch.setattr(teleport, "_corrections", spy)
-        stacks = _spy_stacks(monkeypatch)
-        block = explorer._BLOCK
-        runs = [(block, lambda: sweep_degenerate(2 * block + 3)),
-                (5, lambda: sweep_case1(6)), (5, lambda: sweep_case2(6))]
-        for size, run in runs:
-            monkeypatch.setattr(explorer, "_BLOCK", size)
-            calls.clear()
-            stacks.clear()
-            result = run()
-            assert result.skipped == 0
-            assert calls == [6 * len(stack) for stack in stacks]
-            n = len(result.records)
-            sizes = [size] * (n // size) + ([n % size] if n % size else [])
-            assert [len(stack) for stack in stacks] == sizes
-            if size == block:
-                assert sizes == [256, 256, 3]
+        assert certified == _emitted(got.records)
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
-    def test_one_resource_report_per_record(self, name, monkeypatch):
+    def test_accounting_follows_every_certificate(self, name, monkeypatch):
+        # one resource_report call per record, looked up through the module,
+        # and all of them after the sweep's last certificate
         run = dict(_sweeps())[name]
         want = run()
-        reported = []
+        log = []
+        report = explorer.resource_report
+
+        def spy(ch, params):
+            log.append(("report", params.theta))
+            return report(ch, params)
+
+        monkeypatch.setattr(explorer, "resource_report", spy)
+        _spy_certified(monkeypatch, log)
+        got = run()
+        assert got == want
+        angles = [(r.theta1, r.theta2, r.theta3) for r in got.records]
+        assert log == [("certify", t) for t in angles] + [("report", t) for t in angles]
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
+    def test_gate_skips_only_the_failing_record(self, name, monkeypatch):
+        run = dict(_sweeps())[name]
+        want = run()
+        certify = explorer.certify_scheme
+        calls, reported = [], []
+        # the first channel boundary b >= 2 (2 on the one-channel sweep): the
+        # record before b - 1 exactly on the bound, the last record of one
+        # channel just past it, the first of the next NaN
+        channels = [(r.a0, r.a1, r.a2) for r in want.records]
+        b = next((i for i in range(2, len(channels)) if channels[i] != channels[i - 1]), 2)
+        forced = {b - 2: explorer.DEVIATION_BOUND,
+                  b - 1: np.nextafter(explorer.DEVIATION_BOUND, np.inf),
+                  b: math.nan}
+
+        def past_gate(ch, params):
+            dev = certify(ch, params)
+            calls.append(params.theta)
+            return forced.get(len(calls) - 1, dev)
+
         report = explorer.resource_report
 
         def spy(ch, params):
             reported.append(params.theta)
             return report(ch, params)
 
+        monkeypatch.setattr(explorer, "certify_scheme", past_gate)
         monkeypatch.setattr(explorer, "resource_report", spy)
         got = run()
-        assert got == want
-        assert reported == [(r.theta1, r.theta2, r.theta3) for r in got.records]
-
-    @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
-    def test_gate_skips_only_the_failing_record(self, name, monkeypatch):
-        run = dict(_sweeps())[name]
-        want = run()
-        certify = explorer.certify_stack
-        forced = []
-
-        def past_gate(channels, basis):
-            devs = certify(channels, basis)
-            # the first channel boundary b >= 2 (2 on the one-channel sweep):
-            # the record before b - 1 exactly on the bound, the last record
-            # of one channel just past it, the first of the next NaN
-            b = next((i for i in range(2, len(channels)) if channels[i] != channels[i - 1]), 2)
-            devs[b - 2] = explorer.STACK_BOUND
-            devs[b - 1] = np.nextafter(explorer.STACK_BOUND, np.inf)
-            devs[b] = math.nan
-            forced.append((b, channels[b - 1] != channels[b]))
-            return devs
-
-        monkeypatch.setattr(explorer, "certify_stack", past_gate)
-        got = run()
         assert want.skipped == 0
-        [(b, straddles)] = forced  # the whole sweep is one stack
-        assert straddles == (name != "degenerate")
+        assert (channels[b - 1] != channels[b]) == (name != "degenerate")
         assert got.skipped == 2
         assert got.records == want.records[:b - 1] + want.records[b + 1:]
+        assert reported == [(r.theta1, r.theta2, r.theta3) for r in got.records]
 
     @pytest.mark.parametrize("name", ["case1", "case2"])
     def test_empty_window_is_one_skip(self, name, monkeypatch):
@@ -535,10 +510,10 @@ class TestCli:
     def test_sweep_csv_structure(self, capsys):
         assert main(["sweep-case1", "--density", "8", "--seed", "5"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == ",".join(record_fields())
+        assert lines[0] == ",".join(SweepRecord._fields)
         assert lines[-1].startswith("# skipped=")
         first = lines[1].split(",")
-        assert len(first) == len(record_fields())
+        assert len(first) == len(SweepRecord._fields)
         float(first[0])  # parseable payload
 
     def test_sweep_csv_streamed_line_by_line(self, tmp_path, capsys):
@@ -559,19 +534,19 @@ class TestCli:
         records += sweep_case1(density=4).records + sweep_case2(density=4).records
         lines = list(sweep_csv_lines(SweepResult(records=tuple(records), skipped=0)))
         assert lines[1:-1] == [
-            ",".join(_fmt(getattr(r, name)) for name in record_fields()) + "\n"
+            ",".join(_fmt(getattr(r, name)) for name in SweepRecord._fields) + "\n"
             for r in records]
         assert lines[1].endswith(",\n") and lines[3].endswith(",-0\n")
 
     def test_record_fields_are_the_csv_header(self):
         header = next(sweep_csv_lines(SweepResult(records=(), skipped=0)))
-        assert record_fields() == SweepRecord._fields
         assert header == ",".join(SweepRecord._fields) + "\n"
+        assert SweepRecord._fields[:3] == ("a0", "a1", "a2") and len(SweepRecord._fields) == 12
 
     def test_record_is_a_read_only_tuple(self):
         record = sweep_case2(density=4).records[0]
-        assert record == tuple(getattr(record, name) for name in record_fields())
-        for name in record_fields():
+        assert record == tuple(getattr(record, name) for name in SweepRecord._fields)
+        for name in SweepRecord._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, 0.0)
 
@@ -580,7 +555,7 @@ class TestCli:
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"records", "skipped"}
-        assert set(payload["records"][0]) == set(record_fields())
+        assert set(payload["records"][0]) == set(SweepRecord._fields)
 
     @pytest.mark.parametrize("command",
                              ["sweep-case1", "sweep-case2", "sweep-degenerate", "bounds"])
@@ -616,7 +591,7 @@ class TestCli:
         assert main(["sweep-degenerate", "--density", "9", "--out", str(path)]) == 0
         assert capsys.readouterr().out == ""
         text = path.read_text()
-        assert text.startswith(",".join(record_fields()))
+        assert text.startswith(",".join(SweepRecord._fields))
         assert text.rstrip().endswith("# skipped=0")
 
     def test_deterministic_output(self, tmp_path):

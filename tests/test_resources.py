@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel, random_incapable_channel
-from oracles import gour_basis, qubit_qutrit_tangle, resource_report_per_branch, tuple_bisect
+from oracles import (
+    certify_stack,
+    gour_basis,
+    qubit_qutrit_tangle,
+    resource_report_per_branch,
+    tuple_bisect,
+)
 from teleportsim import channel, explorer, resources, teleport
 from teleportsim.channel import SchmidtChannel, canonicalize, channel_entropy, make_channel
 from teleportsim.qlinalg import LOG2_3, TOL, binary_entropy, entanglement_from_tangle
@@ -26,7 +32,6 @@ from teleportsim.resources import (
     upper_bound_sum,
 )
 from teleportsim.scheme import (
-    MeasurementBasis,
     SchemeParams,
     admissible_theta3,
     assemble_D12,
@@ -35,9 +40,8 @@ from teleportsim.scheme import (
     solve_constraints,
 )
 from teleportsim.teleport import (
-    STACK_BOUND,
+    DEVIATION_BOUND,
     InputQubit,
-    certify_stack,
     random_input,
     run_teleport,
     run_with_basis,
@@ -226,10 +230,10 @@ class TestGourProtocol:
 
     def test_certified_with_uniform_outcomes(self, runs):
         # the 300 bases as one input-free certificate: every input, every branch
-        stack = MeasurementBasis(np.stack([basis.vectors for _, basis, _ in runs]))
+        stack = np.stack([basis.vectors for _, basis, _ in runs])
         devs = certify_stack([ch for ch, _, _ in runs], stack)
         assert devs.shape == (300,)
-        assert devs.max() <= STACK_BOUND
+        assert devs.max() <= DEVIATION_BOUND
         for ch, _, rep in runs:
             assert max(abs(1.0 - f) for f in rep.fidelities) <= 1e-12, ch.a
             assert max(abs(p - 1.0 / 6.0) for p in rep.probabilities) <= 1e-15, ch.a

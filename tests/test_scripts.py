@@ -9,7 +9,7 @@ import pytest
 
 from teleportsim.cli import main, sweep_csv_lines
 from teleportsim.explorer import (
-    record_fields,
+    SweepRecord,
     sweep_case1,
     sweep_case2,
     sweep_degenerate,
@@ -40,7 +40,7 @@ def test_run_sweeps(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted([*sweeps, "bounds.csv"])
     for name, result in sweeps.items():
         lines = (out / name).read_text().splitlines()
-        assert lines[0] == ",".join(record_fields())
+        assert lines[0] == ",".join(SweepRecord._fields)
         assert len(lines) == len(result.records) + 2  # header, records, skipped footer
         assert lines[-1] == f"# skipped={result.skipped}"
         assert (out / name).read_text() == "".join(sweep_csv_lines(result))

@@ -1,8 +1,10 @@
 import cmath
 import math
 import re
-import tracemalloc
 
+from types import SimpleNamespace
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 from helpers import DEGENERATE, SYMMETRIC, random_capable_channel
 from oracles import (
     TWO_QUBIT_LABELS,
+    certify_stack,
     channel_ket,
     collapsed_closed_form,
     input_vector,
     measure_branches,
+    measurement_bases,
     special_case_basis,
     total_state,
     two_qubit_certificate,
@@ -22,7 +26,6 @@ from oracles import (
 )
 from teleportsim import explorer, scheme, teleport
 from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
-from teleportsim.explorer import sweep_case2
 from teleportsim.qlinalg import TOL
 from teleportsim.resources import resource_report
 from teleportsim.scheme import (
@@ -33,19 +36,18 @@ from teleportsim.scheme import (
     assemble_D12,
     constraint_residuals,
     find_scheme,
-    measurement_bases,
     rotation_rows,
     solve_constraints,
 )
 from teleportsim.teleport import (
+    DEVIATION_BOUND,
     CapabilityError,
     CorrectionError,
     InputQubit,
     _corrections,
     branch_components,
     branch_corrections,
-    STACK_BOUND,
-    certify_stack,
+    certify_scheme,
     random_input,
     run_teleport,
     run_with_basis,
@@ -277,26 +279,25 @@ class TestStackedCorrections:
         ws = branch_corrections(ch.a, basis)
         assert np.max(np.abs(ws - _FROZEN_CORRECTIONS)) <= 1e-15
 
-    def test_basis_stack_record_by_record(self, rng):
-        # a (k, 6, 6) stack with (k, 3) coefficients: each record's corrections
-        # are, byte for byte, those of its basis built alone
+    def test_kernel_stack_record_by_record(self, rng):
+        # the kernel on the components of k bases at once (as the stack
+        # oracle calls it): each basis's rows are, byte for byte, its own
+        # branch_corrections
         channels = [random_capable_channel(rng) for _ in range(4)]
         channels.append(make_channel(*DEGENERATE))
         schemes = [_solved(ch, frac=rng.uniform()) for ch in channels[:4]]
         schemes.append(solve_constraints(channels[4], math.pi / 4, theta2_hint=0.0, theta1_hint=0.0))
-        coeffs = np.array([ch.a for ch in channels])
-        ws = branch_corrections(coeffs, measurement_bases(schemes))
-        assert ws.shape == (5, 6, 3, 3) and not ws.flags.writeable
-        for a, params, w in zip(coeffs, schemes, ws):
-            assert w.tobytes() == branch_corrections(a, MeasurementBasis(params.basis.vectors)).tobytes()
-        empty = branch_corrections(np.zeros((0, 3)), measurement_bases([]))
-        assert empty.shape == (0, 6, 3, 3)
+        comps = np.concatenate([branch_components(ch.a, params.basis)
+                                for ch, params in zip(channels, schemes)])
+        ws = _corrections(comps).reshape(5, 6, 3, 3)
+        for ch, params, w in zip(channels, schemes, ws):
+            assert w.tobytes() == branch_corrections(ch.a, MeasurementBasis(params.basis.vectors)).tobytes()
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2), (1, 3, 3)])
-    def test_stack_coefficient_shape_mismatch(self, shape, rng):
-        basis = measurement_bases([_solved(random_capable_channel(rng))] * 3)
-        with pytest.raises(ValueError, match=re.escape(f"shape (3, 3) for a basis of shape "
-                                                       f"(3, 6, 6), got {shape}")):
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3), (3, 3)])
+    def test_coefficient_shape_refused(self, shape, rng):
+        basis = assemble_D12(_solved(random_capable_channel(rng)))[1]
+        with pytest.raises(ValueError, match=re.escape(f"expected 3 channel coefficients, "
+                                                       f"got shape {shape}")):
             branch_corrections(np.full(shape, 1.0 / math.sqrt(3.0)), basis)
 
 
@@ -359,7 +360,7 @@ class TestKernelBitIdentity:
         for params, want in zip(schemes, frozen):
             assert assemble_D12(params)[0].tobytes() == want.tobytes()
         for k in {1, min(3, len(schemes)), len(schemes)}:
-            got = measurement_bases(schemes[:k]).vectors
+            got = measurement_bases(schemes[:k])
             assert got.shape == (k, 6, 6) and got.tobytes() == np.array(frozen[:k]).tobytes()
 
 
@@ -587,16 +588,12 @@ class TestOneInputPath:
         with pytest.raises(ValueError, match="not normalized"):
             run_with_basis(_unchecked_input(math.nan, 0.0), DEGENERATE, basis)
         # the corrections are built and kept first, so a NaN put into the
-        # components afterwards reaches only the projection's sum check
+        # kept components afterwards reaches only the projection's sum check
         branch_corrections(DEGENERATE, basis)
-        split = teleport.branch_components
-
-        def nan_entry(coeffs, basis):
-            comps = split(coeffs, basis)
-            comps[0, 0, 1] = math.nan
-            return comps
-
-        monkeypatch.setattr(teleport, "branch_components", nan_entry)
+        key, comps, ws = basis._memo
+        comps = comps.copy()
+        comps[0, 0, 1] = math.nan
+        object.__setattr__(basis, "_memo", (key, comps, ws))
         with pytest.raises(ValueError, match="sum to 1"):
             run_with_basis(InputQubit(alpha=1.0, beta=0.0), DEGENERATE, basis)
 
@@ -617,22 +614,12 @@ class TestOneInputPath:
         with pytest.raises(ValueError, match="not normalized"):
             run_with_basis(q, math.sqrt(1.0 + 2.0 * TOL.entry) * np.array(DEGENERATE), basis)
 
-    def test_basis_stack_refused(self, rng):
-        ch = random_capable_channel(rng)
-        stack = measurement_bases([_solved(ch, frac=f) for f in (0.2, 0.8)])
-        with pytest.raises(ValueError, match=re.escape("stack of shape (2, 6, 6)")):
-            run_with_basis(random_input(rng), ch.a, stack)
-        with pytest.raises(ValueError, match=re.escape("basis of shape (2, 6, 6), got (3,)")):
-            branch_components(ch.a, stack)
-        assert branch_components([ch.a] * 2, stack).shape == (2, 6, 2, 3)
-
     def test_two_coefficients_refused(self, rng):
         # a two-qubit channel on a qubit-qutrit basis: branch_components' shape
         # error, raised before any state is built
         basis = assemble_D12(_solved(random_capable_channel(rng)))[1]
         with pytest.raises(ValueError, match=re.escape(
-                "expected 3 channel coefficients per basis record, shape (3,) for a basis "
-                "of shape (6, 6), got (2,)")):
+                "expected 3 channel coefficients, got shape (2,)")):
             run_with_basis(random_input(rng), (R2, R2), basis)
 
     @pytest.mark.parametrize("size", [8, 12, 36])
@@ -641,76 +628,6 @@ class TestOneInputPath:
         total[0] = 1.0
         with pytest.raises(ValueError, match=f"18 amplitudes, got {size}"):
             measure_branches(total, special_case_basis("A", math.pi / 4))
-
-
-def _stacked(bases):
-    return MeasurementBasis(np.stack([b.vectors for b in bases]))
-
-
-def _error(call):
-    """(type, message) of the exception call() raises."""
-    with pytest.raises(Exception) as exc:
-        call()
-    return type(exc.value), str(exc.value)
-
-
-class TestRecordByRecord:
-    """A sweep certifies its records in stacks with certify_stack and a single
-    input on one basis with run_with_basis: a record's deviation must not
-    depend on the stack it sits in, must bound run_with_basis's fidelities on
-    that record's basis alone, and a bad record fails a stack as it fails
-    alone."""
-
-    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric"])
-    @pytest.mark.parametrize("k", [1, 5])
-    def test_matches_per_record_runs(self, kind, k, rng):
-        for coeffs, bases in _record_cases(kind, rng):
-            ch = SchmidtChannel(a=tuple(coeffs))
-            alone = [certify_stack([ch], _stacked([basis]))[0] for basis in bases]
-            for i in range(0, len(bases), k):
-                chunk = bases[i:i + k]
-                devs = certify_stack([ch] * len(chunk), _stacked(chunk))
-                assert devs.tobytes() == np.array(alone[i:i + k]).tobytes()
-            for basis, dev in zip(bases, alone):
-                assert dev <= STACK_BOUND
-                for _ in range(5):
-                    rep = run_with_basis(random_input(rng), coeffs, basis)
-                    assert 1.0 - min(rep.fidelities) <= 4.0 * math.sqrt(6.0) * dev + 1e-15
-
-    def test_schemes_match_run_teleport(self, rng):
-        # a record cut from measurement_bases runs as run_teleport's own basis
-        for _ in range(5):
-            ch = random_capable_channel(rng)
-            schemes = [_solved(ch, frac=f) for f in rng.uniform(size=5)]
-            stack = measurement_bases(schemes)
-            for j, params in enumerate(schemes):
-                assert np.array_equal(stack.vectors[j], assemble_D12(params)[0])
-                q = random_input(rng)
-                got = run_with_basis(q, ch.a, MeasurementBasis(stack.vectors[j]))
-                want = run_teleport(q, ch, params)
-                assert np.array(got.probabilities).tobytes() == np.array(want.probabilities).tobytes()
-                assert np.array(got.fidelities).tobytes() == np.array(want.fidelities).tobytes()
-
-    def test_zero_branches_exactly_one_inside_stack(self, rng):
-        bases = [special_case_basis("A", t) for t in (math.pi / 4, 0.0, math.pi / 3)]
-        devs = certify_stack([make_channel(*DEGENERATE)] * 3, _stacked(bases))
-        assert devs.max() <= STACK_BOUND
-        rep = run_with_basis(random_input(rng), DEGENERATE, bases[1])
-        assert rep.probabilities[0] <= TOL.zero_branch and rep.probabilities[1] <= TOL.zero_branch
-        assert rep.fidelities[0] == 1.0 and rep.fidelities[1] == 1.0
-        for basis in bases:
-            assert min(run_with_basis(random_input(rng), DEGENERATE, basis).fidelities) >= 1.0 - 1e-10
-
-    def test_non_correctable_record_in_stack(self, rng):
-        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
-        bases = [assemble_D12(_solved(ch, frac=f))[1] for f in (0.2, 0.5, 0.8)]
-        # a unitary basis that solves no constraint of this channel
-        bases[1] = assemble_D12(SchemeParams(theta=(0.3, 0.4, 0.5), delta=(0.1, 0.2)))[1]
-        stacked = _error(lambda: certify_stack([ch] * 3, _stacked(bases)))
-        assert stacked[0] is CorrectionError
-        assert stacked == _error(lambda: run_with_basis(random_input(rng), ch.a, bases[1]))
-        for basis in (bases[0], bases[2]):
-            assert min(run_with_basis(random_input(rng), ch.a, basis).fidelities) >= 1.0 - 1e-10
 
 
 def _spy(monkeypatch, module, name):
@@ -726,8 +643,26 @@ def _spy(monkeypatch, module, name):
 
 
 class TestCorrectionMemo:
-    """A basis keeps the corrections of its last channel: the kernel runs once
-    per basis and channel, and any other coefficients build afresh."""
+    """A basis keeps the components and corrections of its last channel: the
+    kernel runs once per basis and channel, run_with_basis projects on the
+    kept components, and any other coefficients build afresh."""
+
+    def test_runs_read_the_kept_components(self, monkeypatch, rng):
+        ch = random_capable_channel(rng)
+        basis = assemble_D12(_solved(ch))[1]
+        ws = branch_corrections(ch.a, basis)
+        key, comps, kept = basis._memo
+        assert kept is ws and not comps.flags.writeable
+        split = _spy(monkeypatch, teleport, "branch_components")
+        q = random_input(rng)
+        want = _frozen_certify(input_vector(q), ch.a, basis)
+        rep = run_with_basis(q, ch.a, basis)
+        assert split == [] and basis._memo[1] is comps
+        assert np.max(np.abs(np.array(rep.fidelities) - want[1])) <= 1e-14
+        # the public split is still a fresh, writable array with the kept bits
+        fresh = branch_components(ch.a, basis)
+        assert fresh is not comps and fresh.flags.writeable
+        assert fresh.tobytes() == comps.tobytes()
 
     def test_one_build_for_many_runs(self, monkeypatch, rng):
         ch = random_capable_channel(rng)
@@ -745,6 +680,7 @@ class TestCorrectionMemo:
         ws = branch_corrections(ch.a, basis)
         comps = _spy(monkeypatch, teleport, "branch_components")
         assert branch_corrections(np.array(ch.a), basis) is ws  # same bits, another container
+        assert basis._memo[2] is ws
         assert comps == []
         assert not ws.flags.writeable
         with pytest.raises(ValueError):
@@ -786,6 +722,232 @@ class TestCorrectionMemo:
             run_with_basis(q, ch.a, MeasurementBasis(vectors))
 
 
+def _scheme_groups(kind, rng):
+    """(channel, schemes) groups for one family of channels, the schemes
+    whose bases _record_cases gives."""
+    if kind == "random":
+        for _ in range(10):
+            ch = random_capable_channel(rng)
+            yield ch, [_solved(ch, frac=f) for f in rng.uniform(size=7)]
+    elif kind == "a0_zero":  # special_case_basis("A", t)'s schemes
+        yield make_channel(*DEGENERATE), [
+            SchemeParams(theta=(t, 0.0, math.pi / 4), delta=(0.0, math.pi))
+            for t in np.linspace(0, math.pi / 2, 9).tolist()]
+    elif kind == "face":
+        for c in (0.05, 0.2, 0.35, 0.45):
+            ch, _ = canonicalize(make_channel(math.sqrt(0.5 - c), math.sqrt(0.5), math.sqrt(c)))
+            yield ch, [_solved(ch, frac=f) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    elif kind == "symmetric":
+        yield make_channel(*SYMMETRIC), [_solved(make_channel(*SYMMETRIC))]
+
+
+# |certify_scheme - certify_stack| on one record, fixed before the two were
+# first compared; the largest gap seen on the density-200 sweeps and a
+# 2,172-scheme simplex sample was 8.2e-16
+ORACLE_TOL = 2e-15
+
+
+def _assert_matches_oracle(records):
+    """certify_scheme on each (channel, scheme) record against the stack
+    oracle, within ORACLE_TOL and with the same gate decision; returns the
+    deviations."""
+    got = np.array([certify_scheme(ch, params) for ch, params in records])
+    ref = certify_stack([ch for ch, _ in records], measurement_bases([p for _, p in records]))
+    assert np.max(np.abs(got - ref)) <= ORACLE_TOL
+    assert ((got <= DEVIATION_BOUND) == (ref <= DEVIATION_BOUND)).all()
+    return got
+
+
+def _simplex_records(n, rng):
+    """A seeded whole-simplex sample: n Dirichlet(1,1,1) capable channels,
+    canonicalized, each solved at both ends of its theta3 window and at one
+    random theta3 inside it."""
+    records = []
+    for _ in range(n):
+        ch = random_capable_channel(rng)
+        for frac in (0.0, 1.0, rng.uniform()):
+            records.append((ch, _solved(ch, frac=frac)))
+    return records
+
+
+class TestSchemeCertificate:
+    """certify_scheme is the kernel-built stack certificate (oracles.certify_stack)
+    in closed form: the same deviation to ORACLE_TOL, the same gate decision,
+    and a record within DEVIATION_BOUND teleports every input."""
+
+    @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric"])
+    def test_matches_oracle_and_bounds_every_run(self, kind, rng):
+        for ch, schemes in _scheme_groups(kind, rng):
+            devs = _assert_matches_oracle([(ch, params) for params in schemes])
+            assert devs.max() <= DEVIATION_BOUND
+            for params, dev in zip(schemes, devs.tolist()):
+                for _ in range(5):
+                    rep = run_teleport(random_input(rng), ch, params)
+                    assert 1.0 - min(rep.fidelities) <= 4.0 * math.sqrt(6.0) * (dev + ORACLE_TOL)
+
+    def test_every_sweep_record_matches_oracle(self, monkeypatch):
+        # every scheme the three density-25 sweeps certify
+        records, certify = [], explorer.certify_scheme
+
+        def spy(ch, params):
+            records.append((ch, params))
+            return certify(ch, params)
+
+        monkeypatch.setattr(explorer, "certify_scheme", spy)
+        for sweep in (explorer.sweep_case1, explorer.sweep_case2, explorer.sweep_degenerate):
+            assert sweep(25).skipped == 0
+        assert len(records) == 268
+        assert _assert_matches_oracle(records).max() <= DEVIATION_BOUND
+
+    def test_simplex_sample_matches_oracle(self):
+        records = _simplex_records(200, np.random.default_rng(27))
+        assert _assert_matches_oracle(records).max() <= DEVIATION_BOUND
+
+    @pytest.mark.parametrize("kind", ["random", "face", "symmetric"])
+    def test_matches_branch_loop(self, kind, rng):
+        # the deviation as first written, one branch at a time from the
+        # kernel's corrections
+        cases = [(ch, [_solved(ch, frac=f) for f in (0.0, *rng.uniform(size=3), 1.0)])
+                 for ch in (_stack_channel(kind, rng) for _ in range(5))]
+        for ch, schemes in cases:
+            got = [certify_scheme(ch, params) for params in schemes]
+            np.testing.assert_allclose(got, _stack_deviations_loop(ch, schemes),
+                                       rtol=0.0, atol=ORACLE_TOL)
+
+    def test_zero_branches_count_as_zero(self, rng):
+        ch = make_channel(*DEGENERATE)
+        t1s = np.linspace(0.0, math.pi / 2, 7).tolist()
+        schemes = [solve_constraints(ch, math.pi / 4, theta2_hint=0.0, theta1_hint=t) for t in t1s]
+        devs = _assert_matches_oracle([(ch, params) for params in schemes])
+        assert devs.max() <= DEVIATION_BOUND
+        # at theta1 = 0, branches 1+ and 2+ carry no weight and run with fidelity 1
+        rep = run_teleport(random_input(rng), ch, schemes[0])
+        assert rep.probabilities[0] <= TOL.zero_branch and rep.probabilities[1] <= TOL.zero_branch
+        assert rep.fidelities[0] == 1.0 and rep.fidelities[1] == 1.0
+
+    def test_schemes_match_run_teleport(self, rng):
+        # a record cut from the oracle's stack runs as run_teleport's own basis
+        for _ in range(5):
+            ch = random_capable_channel(rng)
+            schemes = [_solved(ch, frac=f) for f in rng.uniform(size=5)]
+            stack = measurement_bases(schemes)
+            for j, params in enumerate(schemes):
+                assert np.array_equal(stack[j], assemble_D12(params)[0])
+                q = random_input(rng)
+                got = run_with_basis(q, ch.a, MeasurementBasis(stack[j]))
+                want = run_teleport(q, ch, params)
+                assert np.array(got.probabilities).tobytes() == np.array(want.probabilities).tobytes()
+                assert np.array(got.fidelities).tobytes() == np.array(want.fidelities).tobytes()
+
+    def test_checks_kept(self, rng):
+        ch = random_capable_channel(rng)
+        incapable = make_channel(math.sqrt(0.2), math.sqrt(0.6), math.sqrt(0.2))
+        with pytest.raises(CapabilityError):
+            certify_scheme(incapable, _solved(ch))
+        # a channel off the unit sphere (SchmidtChannel skips make_channel's check)
+        scaled = SchmidtChannel(a=tuple(1.04 * x for x in SYMMETRIC))
+        with pytest.raises(ValueError, match="sum to 1"):
+            certify_scheme(scaled, _solved(make_channel(*SYMMETRIC)))
+
+    def test_uncorrectable_scheme_fails_the_gate(self, rng):
+        # a unitary basis solving no constraint of this channel: the kernel
+        # refuses it (run_with_basis, the oracle) and certify_scheme's
+        # deviation is far past the gate
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        params = SchemeParams(theta=(0.3, 0.4, 0.5), delta=(0.1, 0.2))
+        assert certify_scheme(ch, params) > 1e3 * DEVIATION_BOUND
+        with pytest.raises(CorrectionError):
+            run_teleport(random_input(rng), ch, params)
+        with pytest.raises(CorrectionError):
+            certify_stack([ch], measurement_bases([params]))
+
+    @pytest.mark.parametrize("entry", range(9))
+    def test_nan_rotation_fails_the_gate(self, entry):
+        # a NaN in any one rotation entry, whichever branch it reaches, gives
+        # NaN: never a pass, and never a bare max's 0.0
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        params = _solved(ch)
+        rows = [list(row) for row in params.rotation]
+        rows[entry // 3][entry % 3] = math.nan
+        object.__setattr__(params, "rotation", rows)
+        dev = certify_scheme(ch, params)
+        assert not (dev <= DEVIATION_BOUND) and math.isnan(dev)
+
+
+# 50 significant digits for the exact deviation, and certify_scheme's
+# documented rounding allowance against it (the largest gap seen on the
+# density-200 sweeps and a 2,172-scheme simplex sample was 2.2e-16)
+EXACT_DIGITS = 50
+ROUNDING_ALLOWANCE = 1e-15
+
+
+def _exact_deviation(ch, params, monkeypatch):
+    """A scheme's worst branch deviation, by certify_stack's recipe, in
+    mpmath at EXACT_DIGITS: the kets of the library's _d12_entries layout at
+    zeta = pi/4 from the scheme's own float rotation and phases, Bob's
+    corrections built row by row as the kernel builds them, and M against
+    c'.[I; 0] entry by entry."""
+    with mpmath.workdps(EXACT_DIGITS):
+        with monkeypatch.context() as m:
+            m.setattr(scheme, "cmath", mpmath)
+            m.setattr(scheme, "_COS_ZETA", 1 / mpmath.sqrt(2))
+            m.setattr(scheme, "_SIN_ZETA", 1 / mpmath.sqrt(2))
+            exact = SimpleNamespace(rotation=[[mpmath.mpf(x) for x in row] for row in params.rotation],
+                                    delta=tuple(mpmath.mpf(d) for d in params.delta))
+            kets = scheme._d12_entries(exact)
+        a = [mpmath.mpf(x) for x in ch.a]
+        worst = mpmath.mpf(0)
+        for j in range(6):
+            ket = kets[6 * j:6 * j + 6]
+            va = [a[i] * mpmath.conj(ket[i]) for i in range(3)]
+            vb = [a[i] * mpmath.conj(ket[3 + i]) for i in range(3)]
+            na = mpmath.sqrt(sum(abs(x) ** 2 for x in va))
+            nb = mpmath.sqrt(sum(abs(x) ** 2 for x in vb))
+            p = (na ** 2 + nb ** 2) / 2
+            if p <= TOL.zero_branch:
+                continue
+            r0 = [mpmath.conj(x) / na for x in va]
+            r1 = [mpmath.conj(x) / nb for x in vb]
+            r2 = [mpmath.conj(r0[(i + 1) % 3] * r1[(i + 2) % 3] - r0[(i + 2) % 3] * r1[(i + 1) % 3])
+                  for i in range(3)]
+            m = [[sum(w[i] * v[i] for i in range(3)) / mpmath.sqrt(p) for v in (va, vb)]
+                 for w in (r0, r1, r2)]
+            c = m[0][0] / abs(m[0][0])
+            target = [[c, 0], [0, c], [0, 0]]
+            worst = max(worst, *(abs(m[i][k] - target[i][k]) for i in range(3) for k in range(2)))
+        return worst
+
+
+class TestSchemeCertificateRounding:
+    """certify_scheme's floats stay within its documented rounding allowance
+    of the exact deviation of the same scheme: on solved schemes, where the
+    deviation is rounding noise, and on schemes off the solution (a nudged
+    theta3, arbitrary angles), where it is not and the kernel would refuse
+    the branches."""
+
+    def test_within_allowance_of_exact(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        records = _simplex_records(40, rng)
+        for kind in ("a0_zero", "face", "symmetric"):
+            records += [(ch, params) for ch, schemes in _scheme_groups(kind, rng)
+                        for params in schemes]
+        for ch, params in records[:60:3]:
+            t1, t2, t3 = params.theta
+            records.append((ch, SchemeParams(theta=(t1, t2, t3 + 1e-7), delta=params.delta)))
+        for ch, _ in records[:60:3]:
+            records.append((ch, SchemeParams(theta=tuple(rng.uniform(0.0, math.pi, 3).tolist()),
+                                             delta=tuple(rng.uniform(-math.pi, math.pi, 2).tolist()))))
+        worst = 0.0
+        for ch, params in records:
+            exact = _exact_deviation(ch, params, monkeypatch)
+            gap = abs(certify_scheme(ch, params) - float(exact))
+            assert gap <= ROUNDING_ALLOWANCE, (ch.a, params, float(exact))
+            worst = max(worst, gap)
+        assert worst > 0.0  # the floats do round: the comparison is not vacuous
+        # off the solution the deviation is far from noise
+        assert min(certify_scheme(ch, params) for ch, params in records[-20:]) > 1e-3
+
+
 def _stack_deviations_loop(ch, schemes):
     """certify_stack's deviations, one branch at a time: the reference."""
     out = []
@@ -802,12 +964,6 @@ def _stack_deviations_loop(ch, schemes):
             worst = max(worst, float(np.abs(m - c * np.eye(3, 2)).max()))
         out.append(worst)
     return out
-
-
-def _close_to_loop(devs, ch, schemes):
-    # the stack sums and multiplies in another order: a few ulps of 1 apart
-    ref = _stack_deviations_loop(ch, schemes)
-    np.testing.assert_allclose(devs, ref, rtol=0.0, atol=8 * np.finfo(float).eps)
 
 
 def _faulty_kernel(monkeypatch, rows, fault):
@@ -849,118 +1005,14 @@ def _stack_channel(kind, rng):
 
 
 def _one_channel(ch, schemes):
-    """certify_stack on k schemes of the one channel ch."""
+    """The stack oracle on k schemes of the one channel ch."""
     return certify_stack([ch] * len(schemes), measurement_bases(schemes))
 
 
-def _separate_sum_certificate(coeffs, schemes):
-    """certify_stack as first written, frozen: p is its own sum over each
-    branch's (2, 3) block of squares, apart from the kernel's. coeffs holds
-    each record's channel coefficients, (k, 3)."""
-    vectors = measurement_bases(schemes).vectors
-    comps = np.asarray(coeffs, dtype=float)[:, None, None, :] * vectors.conj().reshape(-1, 6, 2, 3)
-    w = _corrections(comps.reshape(-1, 2, 3)).reshape(*comps.shape[:2], 3, 3)
-    p = 0.5 * np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=(-2, -1))
-    out = w @ comps.swapaxes(-1, -2)
-    dev = np.abs(out)
-    r, sp = dev[..., 0, 0], np.sqrt(p)
-    target = np.divide(sp * out[..., 0, 0], r, out=sp.astype(complex), where=r > 0.0)
-    dev[..., 1, 1] = np.abs(out[..., 1, 1] - target)
-    dev[..., 0, 0] = np.abs(r - sp)
-    zero = p <= TOL.zero_branch
-    dev = dev.max(axis=(-2, -1)) / np.where(zero, 1.0, sp)
-    return np.where(zero, 0.0, dev).max(axis=-1)
-
-
-class TestStackCertificate:
-    """certify_stack certifies k records, each a basis on its own channel,
-    for every input at once; a record within STACK_BOUND teleports every
-    input with fidelity at least 1 - TOL.unitary."""
-
-    @pytest.mark.parametrize("kind", ["random", "face", "symmetric"])
-    def test_valid_stacks_pass_and_match_loop(self, kind, rng):
-        if kind == "random":
-            channels = [random_capable_channel(rng) for _ in range(5)]
-        elif kind == "face":
-            channels = [canonicalize(make_channel(math.sqrt(0.3), math.sqrt(0.5),
-                                                  math.sqrt(0.2)))[0]]
-        else:
-            channels = [make_channel(*SYMMETRIC)]
-        for ch in channels:
-            schemes = [_solved(ch, frac=f) for f in (0.0, *rng.uniform(size=3), 1.0)]
-            devs = _one_channel(ch, schemes)
-            assert devs.shape == (5,)
-            assert devs.max() <= STACK_BOUND
-            _close_to_loop(devs, ch, schemes)
-
-    @pytest.mark.parametrize("kind", ["random", "face", "symmetric"])
-    def test_matches_separate_weight_sum(self, kind, rng):
-        # certify_stack sums p from its own squared components; the
-        # deviations equal, byte for byte, those of the frozen reference
-        cases = [(ch, [_solved(ch, frac=f) for f in (0.0, rng.uniform(), 1.0)])
-                 for ch in (_stack_channel(kind, rng) for _ in range(20))]
-        ridge = make_channel(*DEGENERATE)
-        cases.append((ridge, [solve_constraints(ridge, math.pi / 4, theta2_hint=0.0, theta1_hint=t)
-                              for t in (0.0, 0.4, math.pi / 2)]))
-        for ch, schemes in cases:
-            got = _one_channel(ch, schemes)
-            assert got.tobytes() == _separate_sum_certificate([ch.a] * 3, schemes).tobytes()
-
-    def test_mixed_stack_matches_per_channel_stacks(self, rng):
-        # records of random, face, symmetric and degenerate-ridge channels
-        # (the ridge's stack has zero branches), interleaved in one stack:
-        # each record's deviation is, byte for byte, the one its channel's own
-        # stack gives, and the frozen reference's with per-record coefficients
-        ridge = make_channel(*DEGENERATE)
-        groups = [(ch, [_solved(ch, frac=f) for f in (0.0, rng.uniform(), 1.0)])
-                  for kind in ("random", "face", "symmetric")
-                  for ch in (_stack_channel(kind, rng) for _ in range(4))]
-        groups.append((ridge, [solve_constraints(ridge, math.pi / 4, theta2_hint=0.0, theta1_hint=t)
-                               for t in (0.0, 0.4, 1.0, math.pi / 2)]))
-        records = [(ch, params, dev) for ch, schemes in groups
-                   for params, dev in zip(schemes, _one_channel(ch, schemes))]
-        records = [records[i] for i in rng.permutation(len(records))]
-        channels = [ch for ch, _, _ in records]
-        schemes = [params for _, params, _ in records]
-        got = certify_stack(channels, measurement_bases(schemes))
-        assert got.tobytes() == np.array([dev for _, _, dev in records]).tobytes()
-        assert got.tobytes() == _separate_sum_certificate([ch.a for ch in channels],
-                                                          schemes).tobytes()
-        assert got.max() <= STACK_BOUND
-
-    def test_corrections_come_from_branch_corrections(self, monkeypatch, rng):
-        # one branch_corrections call and one kernel call per stack, and the
-        # stack's basis keeps the corrections in its memo
-        channels = [random_capable_channel(rng) for _ in range(3)]
-        basis = measurement_bases([_solved(ch) for ch in channels])
-        calls = _spy(monkeypatch, teleport, "branch_corrections")
-        kernel = _spy(monkeypatch, teleport, "_corrections")
-        certify_stack(channels, basis)
-        assert len(calls) == 1 and len(kernel) == 1
-        assert branch_corrections([ch.a for ch in channels], basis) is basis._memo[1]
-        assert len(kernel) == 1
-
-    def test_peak_memory_of_a_full_sweep_stack(self, rng):
-        # a stack of explorer._BLOCK records from as many channels keeps its
-        # transient arrays under 1.6 MB (about 5.6 KB a record)
-        channels = [random_capable_channel(rng) for _ in range(explorer._BLOCK)]
-        basis = measurement_bases([_solved(ch, frac=rng.uniform()) for ch in channels])
-        tracemalloc.start()
-        try:
-            devs = certify_stack(channels, basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert devs.max() <= STACK_BOUND
-        assert peak < 1.6e6
-
-    def test_zero_branches_count_as_zero(self):
-        ch = make_channel(*DEGENERATE)
-        t1s = np.linspace(0.0, math.pi / 2, 7).tolist()
-        schemes = [solve_constraints(ch, math.pi / 4, theta2_hint=0.0, theta1_hint=t) for t in t1s]
-        devs = _one_channel(ch, schemes)
-        assert devs.max() <= STACK_BOUND
-        _close_to_loop(devs, ch, schemes)
+class TestDeviationBound:
+    """The deviation certify_scheme computes, measured by the stack oracle on
+    deliberately faulty corrections: DEVIATION_BOUND's derivation holds for
+    every input, and the deviation sees faults no fidelity shows."""
 
     def test_bound_holds_every_input(self, monkeypatch, rng):
         # a unitary error of size eps on one correction: run_with_basis's
@@ -989,7 +1041,7 @@ class TestStackCertificate:
             if eps >= 1e-3:  # the kept corrections are the faulty ones
                 assert 1.0 - worst > 1e-8
             if eps >= 1e-9:
-                assert dev > STACK_BOUND
+                assert dev > DEVIATION_BOUND
 
     @pytest.mark.parametrize("fault", [_entry_error, _relative_phase])
     def test_fault_after_kernel_checks_fails(self, fault, monkeypatch, rng):
@@ -998,7 +1050,7 @@ class TestStackCertificate:
         want = _one_channel(ch, schemes)
         _faulty_kernel(monkeypatch, [6 + 4], fault)  # record 1, branch 4
         devs = _one_channel(ch, schemes)
-        assert devs[1] > STACK_BOUND
+        assert devs[1] > DEVIATION_BOUND
         assert devs[[0, 2]].tolist() == want[[0, 2]].tolist()
 
     def test_relative_phase_invisible_to_fidelity(self, monkeypatch, rng):
@@ -1009,48 +1061,6 @@ class TestStackCertificate:
         rep = run_teleport(InputQubit(alpha=R2, beta=R2), ch, params)
         assert min(rep.fidelities) >= 1.0 - 1e-15
 
-    @pytest.mark.parametrize("fault", [_entry_error, _relative_phase])
-    def test_fault_skips_its_sweep_record(self, fault, monkeypatch):
-        want = sweep_case2(6)
-        _faulty_kernel(monkeypatch, [6 + 4], fault)  # the first stack's record 1
-        got = sweep_case2(6)
-        assert want.skipped == 0 and got.skipped == 1
-        assert got.records == want.records[:1] + want.records[2:]
-
-    def test_checks_kept(self, rng):
-        ch = random_capable_channel(rng)
-        other = random_capable_channel(rng)
-        incapable = make_channel(math.sqrt(0.2), math.sqrt(0.6), math.sqrt(0.2))
-        schemes = [_solved(ch), _solved(other), _solved(ch)]
-        for i in range(3):  # an incapable channel anywhere in the stack
-            channels = [ch, other, ch]
-            channels[i] = incapable
-            with pytest.raises(CapabilityError):
-                certify_stack(channels, measurement_bases(schemes))
-        with pytest.raises(CorrectionError):  # a unitary basis solving no constraint
-            _one_channel(ch, [_solved(ch), SchemeParams(theta=(0.3, 0.4, 0.5), delta=(0.1, 0.2))])
-        # a channel off the unit sphere (SchmidtChannel skips make_channel's check)
-        scaled = SchmidtChannel(a=tuple(1.04 * x for x in SYMMETRIC))
-        with pytest.raises(ValueError, match="sum to 1"):
-            certify_stack([make_channel(*SYMMETRIC), scaled],
-                          measurement_bases([_solved(make_channel(*SYMMETRIC))] * 2))
-
-    def test_channel_count_must_match_basis_count(self, rng):
-        ch = random_capable_channel(rng)
-        basis = measurement_bases([_solved(ch)] * 3)
-        for channels in ([ch] * 2, [ch] * 4, []):
-            with pytest.raises(ValueError, match="channels for a basis stack"):
-                certify_stack(channels, basis)
-        with pytest.raises(ValueError, match="channels for a basis stack"):  # not a stack
-            certify_stack([ch], assemble_D12(_solved(ch))[1])
-
-    def test_empty_stack(self):
-        devs = certify_stack([], measurement_bases([]))
-        assert devs.shape == (0,) and devs.dtype == np.float64
-        with pytest.raises(CapabilityError):
-            certify_stack([make_channel(math.sqrt(0.2), math.sqrt(0.6), math.sqrt(0.2))],
-                          measurement_bases([]))
-
     def test_nan_fails_closed(self, monkeypatch, rng):
         def nan_entry(w, va):
             w[2, 0] = math.nan
@@ -1059,7 +1069,7 @@ class TestStackCertificate:
         schemes = [_solved(ch, frac=f) for f in (0.2, 0.5)]
         _faulty_kernel(monkeypatch, [6 + 1], nan_entry)
         devs = _one_channel(ch, schemes)
-        assert devs[0] <= STACK_BOUND and math.isnan(devs[1])
+        assert devs[0] <= DEVIATION_BOUND and math.isnan(devs[1])
 
 
 # fixed before the identities were first checked; the worst deviation seen
