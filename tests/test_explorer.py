@@ -81,12 +81,11 @@ class TestSweeps:
                 sweep_degenerate(density)
 
 
-def _sweeps(density=6):
-    """Each sweep on a small grid, as (name, thunk); the degenerate sweep at
-    9 points unless a density is given."""
+def _sweeps(density=6, n_degenerate=9):
+    """Each sweep on a small grid, as (name, thunk)."""
     return [("case1", lambda: sweep_case1(density=density)),
             ("case2", lambda: sweep_case2(density=density)),
-            ("degenerate", lambda: sweep_degenerate(9 if density == 6 else density))]
+            ("degenerate", lambda: sweep_degenerate(n_degenerate))]
 
 
 def _spy_certified(monkeypatch, log=None):
@@ -137,7 +136,7 @@ class TestSweepDriver:
 
         monkeypatch.setattr(scheme, "check_unitary", refuse("check_unitary"))
         monkeypatch.setattr(teleport, "_corrections", refuse("_corrections"))
-        for _, run in _sweeps(200):
+        for _, run in _sweeps(200, 200):
             assert run().records
         assert calls == []
 

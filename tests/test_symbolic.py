@@ -54,29 +54,41 @@ def _dot(x, y):
     return sp.expand(sum(sp.conjugate(p) * q for p, q in zip(x, y)))
 
 
-def test_certificate_weights_and_overlaps(layout):
-    # certify_scheme's closed forms: on 1+- and 2+- the components have
-    # disjoint supports with squared norms A u_r0^2 + C u_r2^2 and B u_r1^2
-    # (row r = 0 for the + pair, 1 for the - pair), whose difference is the
-    # weight-balance residual; on 3+- both squared norms are
-    # (A u20^2 + B u21^2 + C u22^2) / 2 and |<va, vb>| is half the phasor
-    # residual of constraint_residuals
+@pytest.fixture
+def branches(layout):
+    """Each branch label's (va, vb), the residuals (r1, r2, r3) of
+    constraint_residuals and the channel squares (A, B, C), all symbolic."""
     ch = SchmidtChannel(a=A_COEFFS)
-    A, B, C = ch.squares
-    r1, r2, r3 = scheme.constraint_residuals(ch, layout)
     entries = scheme._d12_entries(layout)
-    kets = {label: entries[6 * j:6 * j + 6] for j, label in enumerate(scheme.BRANCH_LABELS)}
-    for row, residual, labels in ((0, r1, ("1+", "2+")), (1, r2, ("1-", "2-"))):
-        weights = (A * U[row, 0] ** 2 + C * U[row, 2] ** 2, B * U[row, 1] ** 2)
-        for label, (wa, wb) in zip(labels, (weights, weights[::-1])):
-            va, vb = _split(kets[label], A_COEFFS)
-            assert all(sp.expand(x * y) == 0 for x, y in zip(va, vb)), label
-            na2, nb2 = _dot(va, va), _dot(vb, vb)
-            assert sp.expand(na2 - wa) == 0 and sp.expand(nb2 - wb) == 0, label
-            assert sp.expand(residual ** 2 - (na2 - nb2) ** 2) == 0, label
+    split = {label: _split(entries[6 * j:6 * j + 6], A_COEFFS)
+             for j, label in enumerate(scheme.BRANCH_LABELS)}
+    return split, scheme.constraint_residuals(ch, layout), ch.squares
+
+
+@pytest.mark.parametrize("label", ["1+", "2+", "1-", "2-"])
+def test_disjoint_branch_weights(label, branches):
+    # certify_scheme's closed forms on 1+- and 2+-: the components have
+    # disjoint supports, their squared norms are A u_r0^2 + C u_r2^2 and
+    # B u_r1^2 (row r = 0 for the + pair, 1 for the - pair; swapped on 2+-),
+    # and their difference is that row's weight-balance residual
+    split, (r1, r2, _), (A, B, C) = branches
+    row, residual = (0, r1) if label.endswith("+") else (1, r2)
+    weights = (A * U[row, 0] ** 2 + C * U[row, 2] ** 2, B * U[row, 1] ** 2)
+    wa, wb = weights if label.startswith("1") else weights[::-1]
+    va, vb = split[label]
+    assert all(sp.expand(x * y) == 0 for x, y in zip(va, vb))
+    na2, nb2 = _dot(va, va), _dot(vb, vb)
+    assert sp.expand(na2 - wa) == 0 and sp.expand(nb2 - wb) == 0
+    assert sp.expand(residual ** 2 - (na2 - nb2) ** 2) == 0
+
+
+@pytest.mark.parametrize("label", ["3+", "3-"])
+def test_balanced_branch_weight_and_overlap(label, branches):
+    # on 3+- both squared norms are (A u20^2 + B u21^2 + C u22^2) / 2 and
+    # |<va, vb>| is half the phasor residual of constraint_residuals
+    split, (_, _, r3), (A, B, C) = branches
     half = (A * U[2, 0] ** 2 + B * U[2, 1] ** 2 + C * U[2, 2] ** 2) / 2
-    for label in ("3+", "3-"):
-        va, vb = _split(kets[label], A_COEFFS)
-        assert sp.expand(_dot(va, va) - half) == 0 and sp.expand(_dot(vb, vb) - half) == 0, label
-        overlap = _dot(va, vb)
-        assert sp.expand(4 * overlap * sp.conjugate(overlap) - r3 ** 2) == 0, label
+    va, vb = split[label]
+    assert sp.expand(_dot(va, va) - half) == 0 and sp.expand(_dot(vb, vb) - half) == 0
+    overlap = _dot(va, vb)
+    assert sp.expand(4 * overlap * sp.conjugate(overlap) - r3 ** 2) == 0

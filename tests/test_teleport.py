@@ -530,22 +530,29 @@ class TestArrayCertificate:
         assert min(rep.fidelities) >= 1.0 - 1e-10
 
 
-def _record_cases(kind, rng):
-    """(coeffs, bases) groups for one family of channels; each group shares
-    its channel, as the bases of one swept channel do."""
+def _scheme_groups(kind, rng):
+    """(channel, schemes) groups for one family of channels; each group
+    shares its channel, as the schemes of one swept channel do."""
     if kind == "random":
         for _ in range(10):
             ch = random_capable_channel(rng)
-            yield ch.a, [assemble_D12(_solved(ch, frac=f))[1] for f in rng.uniform(size=7)]
-    elif kind == "a0_zero":
-        yield DEGENERATE, [special_case_basis("A", float(t)) for t in np.linspace(0, math.pi / 2, 9)]
+            yield ch, [_solved(ch, frac=f) for f in rng.uniform(size=7)]
+    elif kind == "a0_zero":  # special_case_basis("A", t)'s schemes
+        yield make_channel(*DEGENERATE), [
+            SchemeParams(theta=(t, 0.0, math.pi / 4), delta=(0.0, math.pi))
+            for t in np.linspace(0, math.pi / 2, 9).tolist()]
     elif kind == "face":
         for c in (0.05, 0.2, 0.35, 0.45):
             ch, _ = canonicalize(make_channel(math.sqrt(0.5 - c), math.sqrt(0.5), math.sqrt(c)))
-            yield ch.a, [assemble_D12(_solved(ch, frac=f))[1] for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+            yield ch, [_solved(ch, frac=f) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
     elif kind == "symmetric":
-        ch = make_channel(*SYMMETRIC)
-        yield ch.a, [assemble_D12(_solved(ch))[1]] * 6
+        yield make_channel(*SYMMETRIC), [_solved(make_channel(*SYMMETRIC))] * 6
+
+
+def _record_cases(kind, rng):
+    """(coeffs, bases) groups: _scheme_groups' schemes as their bases."""
+    for ch, schemes in _scheme_groups(kind, rng):
+        yield ch.a, [assemble_D12(params)[1] for params in schemes]
 
 
 def _frozen_certify(vector, coeffs, basis):
@@ -722,25 +729,6 @@ class TestCorrectionMemo:
             run_with_basis(q, ch.a, MeasurementBasis(vectors))
 
 
-def _scheme_groups(kind, rng):
-    """(channel, schemes) groups for one family of channels, the schemes
-    whose bases _record_cases gives."""
-    if kind == "random":
-        for _ in range(10):
-            ch = random_capable_channel(rng)
-            yield ch, [_solved(ch, frac=f) for f in rng.uniform(size=7)]
-    elif kind == "a0_zero":  # special_case_basis("A", t)'s schemes
-        yield make_channel(*DEGENERATE), [
-            SchemeParams(theta=(t, 0.0, math.pi / 4), delta=(0.0, math.pi))
-            for t in np.linspace(0, math.pi / 2, 9).tolist()]
-    elif kind == "face":
-        for c in (0.05, 0.2, 0.35, 0.45):
-            ch, _ = canonicalize(make_channel(math.sqrt(0.5 - c), math.sqrt(0.5), math.sqrt(c)))
-            yield ch, [_solved(ch, frac=f) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    elif kind == "symmetric":
-        yield make_channel(*SYMMETRIC), [_solved(make_channel(*SYMMETRIC))]
-
-
 # |certify_scheme - certify_stack| on one record, fixed before the two were
 # first compared; the largest gap seen on the density-200 sweeps and a
 # 2,172-scheme simplex sample was 8.2e-16
@@ -785,8 +773,11 @@ class TestSchemeCertificate:
                     rep = run_teleport(random_input(rng), ch, params)
                     assert 1.0 - min(rep.fidelities) <= 4.0 * math.sqrt(6.0) * (dev + ORACLE_TOL)
 
-    def test_every_sweep_record_matches_oracle(self, monkeypatch):
-        # every scheme the three density-25 sweeps certify
+    @pytest.mark.parametrize("sweep, count", [(explorer.sweep_case1, 118),
+                                              (explorer.sweep_case2, 125),
+                                              (explorer.sweep_degenerate, 25)])
+    def test_every_sweep_record_matches_oracle(self, sweep, count, monkeypatch):
+        # every scheme a density-25 sweep certifies
         records, certify = [], explorer.certify_scheme
 
         def spy(ch, params):
@@ -794,9 +785,8 @@ class TestSchemeCertificate:
             return certify(ch, params)
 
         monkeypatch.setattr(explorer, "certify_scheme", spy)
-        for sweep in (explorer.sweep_case1, explorer.sweep_case2, explorer.sweep_degenerate):
-            assert sweep(25).skipped == 0
-        assert len(records) == 268
+        assert sweep(25).skipped == 0
+        assert len(records) == count
         assert _assert_matches_oracle(records).max() <= DEVIATION_BOUND
 
     def test_simplex_sample_matches_oracle(self):
@@ -871,6 +861,31 @@ class TestSchemeCertificate:
         rows[entry // 3][entry % 3] = math.nan
         object.__setattr__(params, "rotation", rows)
         dev = certify_scheme(ch, params)
+        assert not (dev <= DEVIATION_BOUND) and math.isnan(dev)
+
+    @pytest.mark.parametrize("slot", range(2))
+    def test_nan_phase_fails_the_gate(self, slot):
+        # a phase reaches only branches 3+- through the phasor residual
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        params = _solved(ch)
+        delta = list(params.delta)
+        delta[slot] = math.nan
+        object.__setattr__(params, "delta", tuple(delta))
+        dev = certify_scheme(ch, params)
+        assert not (dev <= DEVIATION_BOUND) and math.isnan(dev)
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_nan_channel_coefficient_never_passes(self, slot):
+        # a hand-built channel skips make_channel's check: the capability
+        # gate refuses it (a NaN first in max) or the deviation is NaN
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        params = _solved(ch)
+        a = list(ch.a)
+        a[slot] = math.nan
+        try:
+            dev = certify_scheme(SchmidtChannel(a=tuple(a)), params)
+        except CapabilityError:
+            return
         assert not (dev <= DEVIATION_BOUND) and math.isnan(dev)
 
 
