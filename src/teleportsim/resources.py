@@ -38,6 +38,9 @@ K_SLOPE = (5.0 / 3.0 - LOG2_3) / (LOG2_3 - 1.5)
 B_INTERCEPT = 2.0 * LOG2_3 + 11.0 / 6.0 - 1.0 / (4.0 * LOG2_3 - 6.0)
 # the probabilities every check takes: [0, 1], TOL.entry wide on each side (NaN fails)
 _P_MIN, _P_MAX = -TOL.entry, 1.0 + TOL.entry
+# builds a NamedTuple from its values as the class's generated __new__ does,
+# without that Python frame: _tuple_new(ResourceReport, values)
+_tuple_new = tuple.__new__
 
 
 class ResourceReport(NamedTuple):
@@ -198,12 +201,16 @@ def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
     p1 = A * s00 + C * s02
     p2 = A * s10 + C * s12
     p3 = 0.5 * (A * s20 + B * s21 + C * s22)
-    c1 = min(max(4.0 * s01 * (s00 + s02), 0.0), 1.0)
-    c2 = min(max(4.0 * s11 * (s10 + s12), 0.0), 1.0)
-    c3 = min(max(
-        2.0 * s20 * s21 * (1.0 - math.cos(d1))
-        + 2.0 * s20 * s22 * (1.0 - math.cos(d2))
-        + 2.0 * s21 * s22 * (1.0 - math.cos(d1 + d2)), 0.0), 1.0)
+    c1 = 4.0 * s01 * (s00 + s02)
+    c2 = 4.0 * s11 * (s10 + s12)
+    c3 = (2.0 * s20 * s21 * (1.0 - math.cos(d1))
+          + 2.0 * s20 * s22 * (1.0 - math.cos(d2))
+          + 2.0 * s21 * s22 * (1.0 - math.cos(d1 + d2)))
+    # clip to [0, 1] by two comparisons, not min/max calls; a NaN and a -0.0
+    # pass through unchanged, as they did with min(max(c, 0.0), 1.0)
+    c1 = 0.0 if c1 < 0.0 else 1.0 if c1 > 1.0 else c1
+    c2 = 0.0 if c2 < 0.0 else 1.0 if c2 > 1.0 else c2
+    c3 = 0.0 if c3 < 0.0 else 1.0 if c3 > 1.0 else c3
     if math.isnan(c1 + c3 + c2):  # the clip keeps a NaN
         for c in (c1, c3, c2):
             entanglement_from_tangle(c)  # raises, naming the first bad tangle
@@ -218,4 +225,5 @@ def resource_report(ch: SchmidtChannel, params: SchemeParams) -> ResourceReport:
     l2 = p2 * math.log2(p2) if p2 > 0.0 else 0.0
     e12 = 0.0 + t1 + t1 + t3 + t2 + t2 + t3  # from 0.0 as the loops, so -0.0 terms give 0.0
     h12 = 0.0 - l1 - l1 - l3 - l2 - l2 - l3
-    return ResourceReport(ch.entropy, e12, h12, (c1, c1, c3, c2, c2, c3), probs, e12 + h12)
+    return _tuple_new(ResourceReport,
+                      (ch.entropy, e12, h12, (c1, c1, c3, c2, c2, c3), probs, e12 + h12))

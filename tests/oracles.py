@@ -151,6 +151,20 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.nda
     return probs, collapsed
 
 
+def check_unitary_stack(mat) -> None:
+    """qlinalg.check_unitary over each matrix of a (..., n, n) stack, in one
+    pass; the error is the first bad matrix's own. An empty stack passes."""
+    m = np.asarray(mat)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square (..., n, n) matrices, got shape {m.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        per = np.abs(m.conj().swapaxes(-1, -2) @ m - qlinalg.identity(m.shape[-1])).max(
+            axis=(-2, -1), initial=0.0)
+    bad = per[~(per <= qlinalg.TOL.unitary)]  # NaN fails too
+    if bad.size:
+        raise ValueError(f"matrix not unitary: max deviation {bad[0]:.3e}")
+
+
 def measurement_bases(schemes) -> np.ndarray:
     """The bases of k schemes as one (k, 6, 6) array in the assemble_D12
     layout, built from one flat list and checked for unitarity in one call."""
@@ -158,7 +172,7 @@ def measurement_bases(schemes) -> np.ndarray:
     for params in schemes:
         entries += _d12_entries(params)
     vectors = np.array(entries, dtype=complex).reshape(-1, 6, 6)
-    check_unitary(vectors)
+    check_unitary_stack(vectors)
     return vectors
 
 

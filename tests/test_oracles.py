@@ -1,6 +1,7 @@
 """The reference oracles in tests/oracles.py checked against known values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    check_unitary_stack,
     qubit_qutrit_tangle,
     reduced_density,
     two_qubit_D12,
     two_qubit_feasible,
     von_neumann_entropy,
 )
-from teleportsim.qlinalg import LOG2_3
+from teleportsim.qlinalg import LOG2_3, check_unitary
 
 
 def _complex_vec(dim, seed):
@@ -151,3 +153,31 @@ class TestTwoQubit:
             rho = row.reshape(2, 2) @ row.reshape(2, 2).conj().T
             tangle = 4.0 * float(np.linalg.det(rho).real)
             assert tangle == pytest.approx(1.0, abs=1e-12)
+
+
+class TestUnitaryStack:
+    """The stack check used by measurement_bases checks matrix by matrix:
+    one bad entry in the middle fails it with the library's message for
+    that one matrix."""
+
+    @staticmethod
+    def _message(check, arg):
+        with pytest.raises(ValueError) as exc:
+            check(arg)
+        return str(exc.value)
+
+    def test_unitary(self, rng):
+        q = np.linalg.qr(rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4)))[0]
+        check_unitary_stack(q)
+        check_unitary_stack(q[:0])  # an empty stack passes
+        bad = q.copy()
+        bad[2, 1, 3] += 1e-6
+        assert self._message(check_unitary_stack, bad) == self._message(check_unitary, bad[2])
+        bad[1] *= math.nan
+        assert self._message(check_unitary_stack, bad) == self._message(check_unitary, bad[1])
+
+    @pytest.mark.parametrize("shape", [(), (4,), (4, 3), (3, 4), (2, 4, 3)])
+    def test_unitary_needs_square_matrices(self, shape):
+        m = np.zeros(shape) if len(shape) < 2 else np.broadcast_to(np.eye(*shape[-2:]), shape)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            check_unitary_stack(m)
