@@ -36,8 +36,7 @@ from .teleport import DEVIATION_BOUND, certify_scheme
 
 # number of scheme-angle samples per swept channel
 _INNER_GRID = 5
-# builds a NamedTuple from its values as the class's generated __new__ does,
-# without that Python frame: _tuple_new(SweepRecord, values)
+# the call SweepRecord's generated __new__ makes, here without that Python frame
 _tuple_new = tuple.__new__
 
 

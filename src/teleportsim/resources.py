@@ -38,8 +38,7 @@ K_SLOPE = (5.0 / 3.0 - LOG2_3) / (LOG2_3 - 1.5)
 B_INTERCEPT = 2.0 * LOG2_3 + 11.0 / 6.0 - 1.0 / (4.0 * LOG2_3 - 6.0)
 # the probabilities every check takes: [0, 1], TOL.entry wide on each side (NaN fails)
 _P_MIN, _P_MAX = -TOL.entry, 1.0 + TOL.entry
-# builds a NamedTuple from its values as the class's generated __new__ does,
-# without that Python frame: _tuple_new(ResourceReport, values)
+# the call ResourceReport's generated __new__ makes, here without that Python frame
 _tuple_new = tuple.__new__
 
 

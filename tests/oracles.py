@@ -7,7 +7,8 @@ two (the joint-state projection, total_state and measure_branches, is
 run_with_basis's); gour_basis builds the comparison protocol's measurement, and
 tuple_bisect keeps the bisection's first loop; certify_stack is the
 kernel-built reference for teleport.certify_scheme, on the (k, 6, 6) basis
-stacks of measurement_bases. The bases the
+stacks of measurement_bases (checked by check_unitary_stack, the stack form
+of qlinalg.check_unitary). The bases the
 library does not build also live here: the closed-form a0 = 0 families
 (special_case_basis) and the two-qubit scheme with its own plain
 certificate (two_qubit_D12, two_qubit_certificate). The library itself

@@ -543,11 +543,19 @@ class TestCli:
         assert SweepRecord._fields[:3] == ("a0", "a1", "a2") and len(SweepRecord._fields) == 12
 
     def test_record_is_a_read_only_tuple(self):
-        record = sweep_case2(density=4).records[0]
+        records = [r for _, run in _sweeps(25, 25) for r in run().records]
+        assert records and all(type(r) is SweepRecord for r in records)
+        assert all(len(r) == len(SweepRecord._fields) for r in records)
+        record = records[0]
         assert record == tuple(getattr(record, name) for name in SweepRecord._fields)
         for name in SweepRecord._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, 0.0)
+        for copy in (SweepRecord(**record._asdict()), record._replace(),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(copy) is SweepRecord and copy == record
+        changed = record._replace(e12=0.5)
+        assert type(changed) is SweepRecord and changed.e12 == 0.5 and changed[8:] == record[8:]
 
     def test_sweep_json_structure(self, capsys):
         assert main(["sweep-case2", "--density", "6", "--seed", "5",

@@ -121,12 +121,13 @@ class TestChecksFailClosed:
             check_unitary(m)
 
 
-class TestUnitaryShape:
-    """Only one square matrix is checked: any other shape, a stack included,
-    raises ValueError naming it."""
+class TestStackedChecks:
+    """check_unitary takes one square matrix: a stack, like any other shape,
+    raises ValueError naming it (the tests' stack check is
+    oracles.check_unitary_stack)."""
 
     @pytest.mark.parametrize("shape", [(), (4,), (4, 3), (3, 4), (2, 4, 3), (2, 4, 4)])
-    def test_unitary_needs_one_square_matrix(self, shape):
+    def test_unitary_needs_square_matrices(self, shape):
         # np.eye(4, 3) is an isometry: V^dag V = I passes, V V^dag = I does not
         m = np.zeros(shape) if len(shape) < 2 else np.broadcast_to(np.eye(*shape[-2:]), shape)
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 from unittest import mock
 
@@ -23,6 +24,7 @@ from teleportsim.qlinalg import LOG2_3, TOL, binary_entropy, entanglement_from_t
 from teleportsim.resources import (
     B_INTERCEPT,
     K_SLOPE,
+    ResourceReport,
     _q_from_entropy,
     classical_cost,
     gour_e12,
@@ -32,6 +34,7 @@ from teleportsim.resources import (
     upper_bound_sum,
 )
 from teleportsim.scheme import (
+    BRANCH_LABELS,
     SchemeParams,
     admissible_theta3,
     assemble_D12,
@@ -548,31 +551,57 @@ class TestResourceReport:
         with pytest.raises(ValueError, match=re.escape("tangle nan is not a number")):
             resource_report(ch, params)
 
+    def test_tangle_clipped_at_one(self):
+        # rotation row 0 = (0.9, 0.9, 0) gives branches 1+ and 2+ (row 0's
+        # pair) the raw tangle 4 * 0.81 * 0.81 > 1, which the clip sets to
+        # exactly 1; rows 1 and 2 keep their tangles
+        ch = make_channel(*SYMMETRIC)
+        params = _solved(ch, frac=0.3)
+        before = resource_report(ch, params)
+        rotation = [list(r) for r in params.rotation]
+        rotation[0] = [0.9, 0.9, 0.0]
+        object.__setattr__(params, "rotation", rotation)
+        rep = resource_report(ch, params)
+        assert 4.0 * 0.81 * 0.81 > 1.0
+        tangles = dict(zip(BRANCH_LABELS, rep.tangles))
+        assert tangles["1+"] == tangles["2+"] == 1.0
+        assert [tangles[b] for b in ("3+", "1-", "2-", "3-")] == [
+            dict(zip(BRANCH_LABELS, before.tangles))[b] for b in ("3+", "1-", "2-", "3-")]
+        e12 = measurement_entanglement(rep.probabilities, rep.tangles)
+        assert rep.e12.hex() == e12.hex()
+
     def test_report_is_a_read_only_tuple(self):
         ch = make_channel(*SYMMETRIC)
         rep = resource_report(ch, _solved(ch, frac=0.3))
+        assert type(rep) is ResourceReport
         assert rep == tuple(getattr(rep, name) for name in rep._fields)
         assert rep._fields == ("e_channel", "e12", "h12", "tangles", "probabilities", "sum")
         for name in rep._fields:
             with pytest.raises(AttributeError):
                 setattr(rep, name, 0.0)
+        for copy in (ResourceReport(**rep._asdict()), rep._replace(),
+                     pickle.loads(pickle.dumps(rep))):
+            assert type(copy) is ResourceReport and copy == rep
+        changed = rep._replace(e12=0.5)
+        assert type(changed) is ResourceReport and changed.e12 == 0.5 and changed[2:] == rep[2:]
 
 
-def _swept_cases():
-    """(channel, scheme) of each of the 543 records of the three density-50
-    sweeps, as their driver passes it to resource_report: the case-1 ridge
-    at its theta2 hints, the face a1^2 = 1/2, and a0 = 0, where some
-    branches have probability exactly 0."""
+def _swept_cases(density):
+    """(channel, scheme) of each record of the three sweeps at `density`
+    (543 at 50, 2,199 at 200), as their driver passes it to resource_report:
+    the case-1 ridge at its theta2 hints, the face a1^2 = 1/2, and a0 = 0,
+    where some branches have probability exactly 0."""
     with mock.patch.object(explorer, "resource_report", wraps=resource_report) as spy:
         for sweep in (explorer.sweep_case1, explorer.sweep_case2, explorer.sweep_degenerate):
-            sweep(50)
+            sweep(density)
     return [call.args for call in spy.call_args_list]
 
 
 def _accounting_cases():
     """(channel, scheme) pairs: 2,000 seeded random capable channels at
     random theta3, the a0 = 0 ridge at 25 theta1 hints, the face a1^2 = 1/2
-    at 25 splits, the symmetric point, and every density-50 sweep record."""
+    at 25 splits, the symmetric point, and every density-50 and density-200
+    sweep record (the latter are family-sweeps' records)."""
     rng = np.random.default_rng(909)
     for _ in range(2000):
         ch = random_capable_channel(rng)
@@ -585,7 +614,8 @@ def _accounting_cases():
         yield ch, find_scheme(ch)
     ch = make_channel(*SYMMETRIC)
     yield ch, find_scheme(ch)
-    yield from _swept_cases()
+    yield from _swept_cases(50)
+    yield from _swept_cases(200)
 
 
 def _compensated_sum(iterable, start=0):
@@ -642,9 +672,10 @@ class TestAccounting:
             assert repr(got) == repr(want)
             n += 1
             zero += 0.0 in got.probabilities
-        assert n == 2051 + 543
-        # h12's 0 log 0 = 0 path: one ridge scheme and three swept records
-        assert zero == 4
+        assert n == 2051 + 543 + 2199
+        # h12's 0 log 0 = 0 path: one ridge scheme and three swept records at
+        # each density
+        assert zero == 7
 
     def test_fields_are_the_public_functions(self):
         # bit for bit: e12 and h12 are measurement_entanglement and
