@@ -144,7 +144,7 @@ def upper_bound_sum(a1: float) -> float:
     probs = ((s1 + c1 * c3) / den, (c3 + c1 * s3) / den, c3 / den)
     total = 0.0
     for p, c in zip(probs, tangles):
-        total += 2.0 * p * (entanglement_from_tangle(min(max(c, 0.0), 1.0)) - math.log2(p))
+        total += 2.0 * p * (entanglement_from_tangle(c) - math.log2(p))
     return total
 
 

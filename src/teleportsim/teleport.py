@@ -121,13 +121,14 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
 
     Requires the equal-weight and orthogonality conditions; rows 0 and 1 of
     each unitary are the conjugated normalized components, the completion row
-    is the conjugated cross product, and the free global phase is fixed by
-    making the first nonzero entry (row-major, always in row 0) real positive.
-    Zero branches (both components null) get the identity by convention.
-    Errors name the values of the first offending row. branch_corrections is
-    its one caller.
+    is the conjugated cross product, and the free global phase makes the
+    first entry of row 0 above TOL.entry real positive. Zero branches (both
+    components null) get the identity by convention. Each branch is built in
+    Python complex arithmetic, so no bit depends on numpy's SIMD dispatch; a
+    null or NaN component of a live branch gives NaN entries, which the
+    unitarity check refuses. Errors name the values of the first offending
+    row. branch_corrections is its one src/ caller.
     """
-    n = len(comps)
     norms = np.sqrt(np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=-1))
     na, nb = norms.T
     zero = (na <= TOL.zero_branch) & (nb <= TOL.zero_branch)
@@ -140,24 +141,22 @@ def _corrections(comps: np.ndarray) -> np.ndarray:
                                   f"|phi_beta| = {nb[bad[0]]:.6g}")
         bad = np.flatnonzero((overlap > TOL.correction) & ~zero)
         raise CorrectionError(f"components not orthogonal: |overlap| = {overlap[bad[0]]:.3e}")
-    any_zero = zero.any()
-    if any_zero:
-        norms = np.where(zero[:, None], 1.0, norms)
-    r = (comps / norms[..., None]).conj()
-    w = np.empty((n, 3, 3), dtype=complex)
-    w[:, :2] = r
-    # (r0 x r1)_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], indices mod 3, from one
-    # gather: g[..., :3] is r[..., i+1] and g[..., 1:] is r[..., i+2]
-    g = r[..., [1, 2, 0, 1]]
-    g0, g1 = g[:, 0], g[:, 1]
-    np.conj(g0[:, :3] * g1[:, 1:] - g0[:, 1:] * g1[:, :3], out=w[:, 2])
-    r0 = r[:, 0]
-    first = r0[np.arange(n), (np.abs(r0) > TOL.entry).argmax(axis=-1)]
-    if any_zero:
-        first = np.where(zero, 1.0, first)
-    w *= (np.abs(first) / first)[:, None, None]
-    if any_zero:
-        w[zero] = identity(3)
+    rows = []
+    for (va, vb), (na, nb), z in zip(comps.tolist(), norms.tolist(), zero.tolist()):
+        if z:
+            rows += ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            continue
+        # x * (1 / |v|), as numpy divides a complex by a real; a null v gives NaN
+        sa, sb = 1.0 / na if na else math.nan, 1.0 / nb if nb else math.nan
+        a0, a1, a2 = (va[0] * sa).conjugate(), (va[1] * sa).conjugate(), (va[2] * sa).conjugate()
+        b0, b1, b2 = (vb[0] * sb).conjugate(), (vb[1] * sb).conjugate(), (vb[2] * sb).conjugate()
+        x0, x1, x2 = ((a1 * b2 - a2 * b1).conjugate(), (a2 * b0 - a0 * b2).conjugate(),
+                      (a0 * b1 - a1 * b0).conjugate())
+        f = (a0 if abs(a0) > TOL.entry else a1 if abs(a1) > TOL.entry
+             else a2 if abs(a2) > TOL.entry else math.nan)  # NaN: row 0 null or NaN
+        c = abs(f) / f
+        rows += ((a0 * c, a1 * c, a2 * c), (b0 * c, b1 * c, b2 * c), (x0 * c, x1 * c, x2 * c))
+    w = np.array(rows, dtype=complex).reshape(-1, 3, 3)
     dev = np.abs(w.conj().transpose(0, 2, 1) @ w - identity(3))
     if not (dev.max(initial=0.0) <= TOL.unitary):
         per_row = dev.max(axis=(1, 2))
@@ -250,10 +249,10 @@ def certify_scheme(ch: SchmidtChannel, params: SchemeParams) -> float:
     if abs(x0 + y0 + x1 + y1 + 2.0 * p3 - 1.0) > TOL.entry:  # a NaN goes on to the deviation
         raise ValueError("branch probabilities do not sum to 1")
     r3 = constraint_residuals(ch, params)[2]
-    devs = (_split_deviation(x0, y0), _split_deviation(x1, y1),
-            0.0 if p3 <= TOL.zero_branch else 0.5 * r3 / p3)
+    d0, d1, d2 = (_split_deviation(x0, y0), _split_deviation(x1, y1),
+                  0.0 if p3 <= TOL.zero_branch else 0.5 * r3 / p3)
     # a bare max would drop a NaN that does not come first
-    return math.nan if math.isnan(sum(devs)) else max(devs)
+    return math.nan if math.isnan(d0 + d1 + d2) else max(d0, d1, d2)
 
 
 def _split_deviation(x: float, y: float) -> float:

@@ -14,6 +14,8 @@ import numpy as np
 
 from teleportsim.channel import canonicalize, make_channel
 from teleportsim.cli import main as cli_main
+from teleportsim.scheme import admissible_theta3, assemble_D12, solve_constraints
+from teleportsim.teleport import branch_corrections
 
 DEGENERATE = (0.0, math.sqrt(0.5), math.sqrt(0.5))
 SYMMETRIC = (1.0 / math.sqrt(3.0),) * 3
@@ -78,6 +80,36 @@ def digest_lines(workdir) -> str:
         path = pathlib.Path(workdir) / name
         assert cli_main(argv + ["--seed", "9", "--out", str(path)]) == 0
         lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n")
+    return "".join(lines)
+
+
+# numpy's setting that turns off its X86_V3 (AVX2, FMA) and AVX-512 dispatch
+NO_X86_V3 = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+# verify runs whose bytes must not depend on that dispatch, at seeds 1-6:
+# the symmetric point, a generic channel, one near the face, and a0 = 0
+DISPATCH_CHANNELS = ("0.577,0.577,0.577", "0.6,0.6,0.529", "0.7,0.5,0.5099", "0,0.7071,0.7071")
+
+
+def dispatch_digests(workdir) -> str:
+    """SHA-256 lines of what must not depend on numpy's SIMD dispatch: the
+    output of each DISPATCH_CHANNELS verify run at seeds 1-6 (written into
+    `workdir`), then Bob's corrections (branch_corrections, as bytes) for 50
+    solved schemes on seeded random channels."""
+    lines = []
+    path = pathlib.Path(workdir) / "verify.json"
+    for channel in DISPATCH_CHANNELS:
+        for seed in range(1, 7):
+            assert cli_main(["verify", "--channel", channel, "--seed", str(seed),
+                             "--out", str(path)]) == 0
+            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                         f"verify {channel} seed {seed}\n")
+    rng = np.random.default_rng(29)
+    for k in range(50):
+        ch = random_capable_channel(rng)
+        lo, hi = admissible_theta3(ch)
+        _, basis = assemble_D12(solve_constraints(ch, lo + rng.uniform() * (hi - lo)))
+        ws = branch_corrections(ch.a, basis)
+        lines.append(f"{hashlib.sha256(ws.tobytes()).hexdigest()}  corrections {k}\n")
     return "".join(lines)
 
 

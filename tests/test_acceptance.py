@@ -19,6 +19,7 @@ from helpers import (
     DIGEST_FILE,
     GOLDEN_COMMANDS,
     GOLDEN_DIR,
+    NO_X86_V3,
     random_capable_channel,
     digest_lines,
     random_incapable_channel,
@@ -296,14 +297,21 @@ def test_9_digests_without_avx512_log2(tmp_path):
     assert _in_subprocess(code, tmp_path, env) == DIGEST_FILE.read_text()
 
 
-@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
-def test_9_verify_across_openblas_cores(coretype, tmp_path):
+@pytest.mark.parametrize("coretype, npy_disable", [(None, None), ("Haswell", None),
+                                                   ("Prescott", None), (None, NO_X86_V3)],
+                         ids=["None", "Haswell", "Prescott", "no-X86_V3"])
+def test_9_verify_across_openblas_cores(coretype, npy_disable, tmp_path):
     """The golden verify command gives verify.json byte for byte whichever
-    kernel OpenBLAS picks: OPENBLAS_CORETYPE is read when OpenBLAS loads, so
-    each setting (unset, Haswell, Prescott) runs in its own subprocess."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    kernel OpenBLAS picks, and with numpy's X86_V3 and AVX-512 dispatch
+    disabled: OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES are read when
+    the libraries load, so each setting (OpenBLAS's unset, Haswell,
+    Prescott; numpy's NO_X86_V3) runs in its own subprocess."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
+    if npy_disable is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = npy_disable
     out = tmp_path / "verify.json"
     code = ("import sys; from helpers import run_golden; "
             "sys.exit(run_golden('verify.json', sys.argv[1]))")
@@ -311,15 +319,27 @@ def test_9_verify_across_openblas_cores(coretype, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "verify.json").read_bytes()
 
 
+def test_9_verify_without_x86_v3_dispatch(tmp_path):
+    """verify's output and Bob's corrections do not depend on the code numpy
+    dispatches its complex multiply to: helpers.dispatch_digests (24 verify
+    runs, 50 schemes' corrections) gives the same lines in a subprocess with
+    numpy's default dispatch and in one with NO_X86_V3."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    code = ("import sys; from helpers import dispatch_digests; "
+            "sys.stdout.write(dispatch_digests(sys.argv[1]))")
+    default = _in_subprocess(code, tmp_path, env)
+    disabled = _in_subprocess(code, tmp_path, dict(env, NPY_DISABLE_CPU_FEATURES=NO_X86_V3))
+    assert len(default.splitlines()) == 74
+    assert disabled.splitlines() == default.splitlines()
+
+
 def _math_backends() -> str:
     """What the golden bytes depend on beyond the code, for a failing
-    comparison: numpy's float64 log2 and complex128 multiply dispatch
-    targets (the entropies' and the correction kernel's complex products)
-    and OPENBLAS_CORETYPE."""
+    comparison: numpy's float64 log2 dispatch target and OPENBLAS_CORETYPE.
+    No output takes numpy's complex multiply, so its dispatch is not named
+    (test_9_verify_without_x86_v3_dispatch)."""
     from numpy.lib.introspect import opt_func_info
 
     log2 = opt_func_info(func_name="^log2$", signature="float64")["log2"]
-    multiply = opt_func_info(func_name="^multiply$", signature="complex128")["multiply"]
     return (f"numpy float64 log2 dispatch: {log2}; "
-            f"numpy complex128 multiply dispatch: {multiply}; "
             f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE')!r}")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 
 from types import SimpleNamespace
 
@@ -339,15 +340,18 @@ def _kernel_cases(kind, rng):
 
 
 class TestKernelBitIdentity:
-    """The stacked correction kernel and the joint-state oracle's total_state
-    must match their one-row and np.kron definitions exactly, not just to a
-    tolerance."""
+    """The joint-state oracle's total_state must match its np.kron definition
+    exactly, not just to a tolerance. The correction kernel builds each branch
+    in Python complex arithmetic and the one-row recipe in numpy's, which
+    rounds differently, so the kernel matches the recipe to 1e-15, the bound
+    of test_matches_frozen_per_row_corrections."""
 
     @pytest.mark.parametrize("kind", ["random", "a0_zero", "face", "symmetric"])
     def test_matches_per_row_recipe_and_kron(self, kind, rng):
         for coeffs, basis in _kernel_cases(kind, rng):
             ws = branch_corrections(coeffs, basis)
-            assert np.array_equal(ws, _reference_corrections(branch_components(coeffs, basis)))
+            ref = _reference_corrections(branch_components(coeffs, basis))
+            assert ws.shape == ref.shape and np.max(np.abs(ws - ref)) <= 1e-15
             q = random_input(rng)
             chan = np.diag(np.asarray(coeffs, dtype=complex)).reshape(-1)
             vector = input_vector(q)
@@ -1234,10 +1238,20 @@ class TestFailClosed:
         comps = np.zeros((2, 2, 3), dtype=complex)
         comps[:, 0, 0] = comps[:, 1, 1] = 0.5
         comps[1, 0, 2] = math.nan
-        # the kernel's division by a NaN norm warns on the way; silence that to
-        # reach the unitarity check (branch_components stops NaN before this)
-        with np.errstate(invalid="ignore"), pytest.raises(CorrectionError, match="not unitary"):
+        # branch_components stops NaN before the kernel; the kernel itself
+        # reaches the unitarity check without a warning
+        with pytest.raises(CorrectionError, match="not unitary"):
             _corrections(comps)
+
+    def test_null_component_of_live_branch_fails_unitarity(self):
+        # |va| = 0 < |vb| <= TOL.correction passes the weight gate: the
+        # normalization must give NaN, not a ZeroDivisionError or a warning
+        comps = np.zeros((6, 2, 3), dtype=complex)
+        comps[2, 1, 0] = 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorrectionError, match="not unitary: deviation nan"):
+                _corrections(comps)
 
     def test_nan_probability_is_not_a_zero_branch(self, monkeypatch, rng):
         # the upstream checks stop every NaN; fake one past them to test the mask
