@@ -65,13 +65,10 @@ def channel_entropy(ch: SchmidtChannel) -> float:
 
 
 def is_teleport_capable(ch: SchmidtChannel) -> bool:
-    """Perfect qubit teleportation is possible iff max a_j^2 <= 1/2.
-
-    The gate admits max a_j^2 up to 1/2 + TOL.entry (1e-12), but the theta3
-    window is already empty from about 1/2 + 1e-13, so a channel in that band
-    passes this gate and then has no scheme (InfeasibleError).
-    """
-    return max(ch.squares) <= 0.5 + TOL.entry
+    """Perfect qubit teleportation is possible iff max a_j^2 <= 1/2 (within
+    TOL.window): the library's one capability test, through which the theta3
+    window, run_teleport, certify_scheme and gour_e12 all refuse."""
+    return max(ch.squares) <= 0.5 + TOL.window
 
 
 def canonicalize(ch: SchmidtChannel) -> tuple[SchmidtChannel, tuple[int, int, int]]:

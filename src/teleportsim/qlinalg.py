@@ -22,7 +22,7 @@ class Tolerances:
     correction: float = 1e-9   # perfect-correctability conditions
     zero_branch: float = 1e-14  # branch probability / component norm taken as exactly 0
     degenerate: float = 1e-13  # constraint coefficient below this is cancellation noise
-    window: float = 1e-14      # slack before an admissible u-window counts as empty
+    window: float = 1e-14      # capability slack over max a_j^2 = 1/2; u-window emptiness
     weight: float = 1e-15      # phasor / slice weight taken as exactly 0
 
 

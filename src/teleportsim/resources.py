@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .channel import SchmidtChannel
+from .channel import SchmidtChannel, is_teleport_capable
 from .qlinalg import (LOG2_3, TOL, _binary_entropy, _entanglement_from_tangle, binary_entropy,
                       bisect, entanglement_from_tangle)
-from .scheme import PhaseInfeasibleError, SchemeParams, phases_from_weights
+from .scheme import SchemeParams, phases_from_weights
 
 # affine piece of the lower bound: f2(E) = K_SLOPE * E + B_INTERCEPT,
 # pinned by f2(log2 3) = 1 + log2 6 and the stated slope
@@ -110,12 +110,11 @@ def gour_e12(ch: SchmidtChannel) -> float:
     (m = 0, 1, 2; s = +-1; w = e^{2 pi i/3}) all have the tangle of
     _triangle_entanglement(xi1, xi2), where xi = (0, d1, -d2) closes
     sum_j a_j^2 e^{i xi_j} = 0: phases_from_weights(*ch.squares). Raises
-    ValueError for an incapable channel.
+    ValueError for a channel is_teleport_capable refuses.
     """
-    try:
-        d1, d2 = phases_from_weights(*ch.squares)
-    except PhaseInfeasibleError as exc:
-        raise ValueError(f"channel {ch.a} is not teleport-capable (max a_j^2 > 1/2)") from exc
+    if not is_teleport_capable(ch):
+        raise ValueError(f"channel {ch.a} is not teleport-capable (max a_j^2 > 1/2)")
+    d1, d2 = phases_from_weights(*ch.squares)
     return _triangle_entanglement(d1, -d2)
 
 

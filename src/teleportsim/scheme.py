@@ -40,10 +40,6 @@ class InfeasibleError(Exception):
         self.interval = interval
 
 
-class PhaseInfeasibleError(InfeasibleError):
-    """The three-phasor closure has no solution (triangle inequality violated)."""
-
-
 @dataclass(frozen=True)
 class SchemeParams:
     """Angles defining Alice's measurement: rotation and phases (balance angle ZETA).
@@ -133,16 +129,14 @@ def phases_from_weights(p: float, q: float, r: float) -> tuple[float, float]:
     p, q, r are the nonnegative squared weights of the third-row phasors.
     The d1 branch with sin(d1) >= 0 is returned. Plain floats and numpy
     scalars give the same bits: the complex quotient is taken as numpy takes
-    it.
+    it. Weights that break the triangle inequality raise InfeasibleError.
     """
     total = p + q + r
     for name, val in (("p", p), ("q", q), ("r", r)):
         others = total - val
         if val > others + TOL.entry:
-            raise PhaseInfeasibleError(
-                f"phasor closure infeasible: weight {name}={val:.6g} exceeds "
-                f"the sum of the other two ({others:.6g})"
-            )
+            raise InfeasibleError(f"phasor closure infeasible: weight {name}={val:.6g} exceeds "
+                                  f"the sum of the other two ({others:.6g})")
     if q <= TOL.weight and r <= TOL.weight:
         return 0.0, 0.0
     if p <= TOL.weight or q <= TOL.weight:
@@ -188,7 +182,8 @@ def admissible_u_window(ch: SchmidtChannel) -> tuple[float, float]:
     The weight-balance equations force sin^2(theta2) = N/(N+d) with
     N = (B+C)u - (B-A), and the phasor closure adds three inequalities that
     are all linear in u, so the feasible set is a single exact interval.
-    Raises InfeasibleError when it is empty (incapable channel).
+    Raises InfeasibleError for a channel is_teleport_capable refuses, and,
+    failing closed, should a capable channel's half-lines not meet.
     """
     A, B, C = ch.squares
     if B + TOL.entry < max(A, C):
@@ -200,12 +195,11 @@ def admissible_u_window(ch: SchmidtChannel) -> tuple[float, float]:
         ((B + C) * (d - A), C * d - A * (B - A)),      # q <= p + r
         (-(B + C) * (A + d), -(C * d + A * (B - A))),  # r <= p + q
     ]
-    w = _window_from_halflines(0.0, 1.0, cons)
+    w = _window_from_halflines(0.0, 1.0, cons) if is_teleport_capable(ch) else None
     if w is None:
         raise InfeasibleError(
             f"no admissible theta3 for channel a^2 = ({A:.6g}, {B:.6g}, {C:.6g}); "
-            "perfect teleportation requires max a_j^2 <= 1/2",
-            interval=None,
+            "perfect teleportation requires max a_j^2 <= 1/2"
         )
     return w
 
@@ -343,11 +337,8 @@ def _d12_entries(params: SchemeParams) -> list:
 
 
 def find_scheme(ch: SchmidtChannel, *, theta3: float | None = None) -> SchemeParams:
-    """Convenience solver: pick a feasible theta3 (window midpoint) if not given."""
-    if not is_teleport_capable(ch):
-        raise InfeasibleError(
-            f"channel {ch.a} is not teleport-capable (max a_j^2 > 1/2)", interval=None
-        )
+    """Convenience solver: pick a feasible theta3 (window midpoint) if not given.
+    An incapable channel has no window, so admissible_u_window refuses it."""
     if theta3 is None:
         lo, hi = admissible_theta3(ch)
         theta3 = 0.5 * (lo + hi)

@@ -72,8 +72,10 @@ class TeleportReport:
 def random_input(rng: np.random.Generator) -> InputQubit:
     """Haar-random qubit: two complex normal deviates, normalized."""
     z = rng.normal(size=2) + 1j * rng.normal(size=2)
-    # np.linalg.norm's arithmetic for a complex vector, without its dispatch
-    alpha, beta = (z / np.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))).tolist()
+    # np.linalg.norm's sum of squares for a complex vector in plain floats, not
+    # ndarray.dot, whose BLAS kernel (the OpenBLAS core) could move its bits
+    (x0, x1), (y0, y1) = z.real.tolist(), z.imag.tolist()
+    alpha, beta = (z / math.sqrt((x0 * x0 + x1 * x1) + (y0 * y0 + y1 * y1))).tolist()
     return InputQubit(alpha=alpha, beta=beta)
 
 

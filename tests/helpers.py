@@ -15,7 +15,7 @@ import numpy as np
 from teleportsim.channel import canonicalize, make_channel
 from teleportsim.cli import main as cli_main
 from teleportsim.scheme import admissible_theta3, assemble_D12, solve_constraints
-from teleportsim.teleport import branch_corrections
+from teleportsim.teleport import branch_corrections, random_input
 
 DEGENERATE = (0.0, math.sqrt(0.5), math.sqrt(0.5))
 SYMMETRIC = (1.0 / math.sqrt(3.0),) * 3
@@ -88,6 +88,16 @@ NO_X86_V3 = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 # verify runs whose bytes must not depend on that dispatch, at seeds 1-6:
 # the symmetric point, a generic channel, one near the face, and a0 = 0
 DISPATCH_CHANNELS = ("0.577,0.577,0.577", "0.6,0.6,0.529", "0.7,0.5,0.5099", "0,0.7071,0.7071")
+
+
+def input_digest(n=20_000, seed=5) -> str:
+    """SHA-256 of the reprs of n random_input draws from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for _ in range(n):
+        q = random_input(rng)
+        h.update(repr((q.alpha, q.beta)).encode())
+    return h.hexdigest()
 
 
 def dispatch_digests(workdir) -> str:

@@ -20,6 +20,7 @@ from helpers import (
     GOLDEN_COMMANDS,
     GOLDEN_DIR,
     NO_X86_V3,
+    input_digest,
     random_capable_channel,
     digest_lines,
     random_incapable_channel,
@@ -305,7 +306,9 @@ def test_9_verify_across_openblas_cores(coretype, npy_disable, tmp_path):
     kernel OpenBLAS picks, and with numpy's X86_V3 and AVX-512 dispatch
     disabled: OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES are read when
     the libraries load, so each setting (OpenBLAS's unset, Haswell,
-    Prescott; numpy's NO_X86_V3) runs in its own subprocess."""
+    Prescott; numpy's NO_X86_V3) runs in its own subprocess. Nor do the
+    Haar inputs of random_input: helpers.input_digest there equals this
+    process's."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
     if coretype is not None:
@@ -313,10 +316,12 @@ def test_9_verify_across_openblas_cores(coretype, npy_disable, tmp_path):
     if npy_disable is not None:
         env["NPY_DISABLE_CPU_FEATURES"] = npy_disable
     out = tmp_path / "verify.json"
-    code = ("import sys; from helpers import run_golden; "
-            "sys.exit(run_golden('verify.json', sys.argv[1]))")
-    _in_subprocess(code, out, env)
+    code = ("import sys; from helpers import input_digest, run_golden; "
+            "code = run_golden('verify.json', sys.argv[1]); "
+            "sys.stdout.write(input_digest()); sys.exit(code)")
+    digest = _in_subprocess(code, out, env)
     assert out.read_bytes() == (GOLDEN_DIR / "verify.json").read_bytes()
+    assert digest == input_digest()
 
 
 def test_9_verify_without_x86_v3_dispatch(tmp_path):

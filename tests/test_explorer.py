@@ -593,6 +593,16 @@ class TestCli:
         assert lines[0] == "e,lower,upper"
         assert len(lines) == 11
 
+    def test_bounds_json(self, tmp_path, capsys):
+        assert main(["bounds", "--density", "7", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        rows = [(r["e"], r["lower"], r["upper"]) for r in json.loads(out)]
+        assert rows == [tuple(row) for row in bounds_table(explorer.bounds_grid(7))]
+        path = tmp_path / "bounds.json"
+        assert main(["bounds", "--density", "7", "--format", "json", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == out
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         assert main(["sweep-degenerate", "--density", "9", "--out", str(path)]) == 0

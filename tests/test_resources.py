@@ -392,6 +392,13 @@ class TestLowerBound:
         assert math.isclose(val, 3.0, rel_tol=1e-6)
         assert lower_bound_sum(1.0 + 1e-12) == pytest.approx(LOWER_AT_ONE_PLUS_1E12, abs=1e-14)
 
+    def test_unit_entanglement_is_three(self):
+        # at E = 1 (and within TOL.entry below it) the bisection lands on
+        # q = 0, where the low piece is 3 exactly: the two-qubit limit the
+        # sweeps' explorer._bound_lower returns
+        for e in (1.0, 1.0 - 5e-13):
+            assert lower_bound_sum(e) == 3.0 == explorer._bound_lower(e)
+
     def test_maximally_entangled_point(self):
         assert lower_bound_sum(LOG2_3) == pytest.approx(SUM_MAX, abs=1e-9)
         assert lower_bound_sum(LOG2_3) == pytest.approx(LOWER_AT_LOG2_3, abs=1e-14)

@@ -24,8 +24,8 @@ from teleportsim.scheme import (
     BRANCH_LABELS,
     InfeasibleError,
     MeasurementBasis,
-    PhaseInfeasibleError,
     SchemeParams,
+    _window_from_halflines,
     admissible_theta3,
     admissible_u_window,
     assemble_D12,
@@ -119,7 +119,7 @@ class TestPhases:
         assert (d1, d2) == (0.0, math.pi)
 
     def test_triangle_violation(self):
-        with pytest.raises(PhaseInfeasibleError, match="exceeds"):
+        with pytest.raises(InfeasibleError, match="exceeds"):
             phases_from_weights(0.6, 0.1, 0.1)
 
     def test_phases_from_rotation_third_row(self):
@@ -305,6 +305,24 @@ class TestSolveConstraints:
         ch = make_channel(math.sqrt(0.5), math.sqrt(0.2), math.sqrt(0.3))
         with pytest.raises(ValueError, match="canonicalized"):
             solve_constraints(ch, 0.3)
+
+    def test_residual_refusal_at_window_top(self):
+        # near the face, cancellation at theta3 -> pi/2 leaves a phasor
+        # residual of 1.5e-10 (CHANGES.md): 15 of 99 such splits refuse;
+        # this pins the refusal and the interval it reports
+        top, share = 0.5 - 1e-12, 0.02
+        rest = 1.0 - top
+        ch, _ = canonicalize(make_channel(math.sqrt(rest * share), math.sqrt(top),
+                                          math.sqrt(rest * (1.0 - share))))
+        with pytest.raises(InfeasibleError, match="constraint residuals") as exc:
+            solve_constraints(ch, admissible_theta3(ch)[1])
+        assert exc.value.interval == admissible_theta3(ch)
+
+    def test_empty_halflines(self):
+        # a vacuous constraint 0 * u <= beta < 0, and half-lines that do not meet
+        assert _window_from_halflines(0.0, 1.0, [(0.0, -1.0)]) is None
+        assert _window_from_halflines(0.0, 1.0, [(1.0, -0.5)]) is None
+        assert _window_from_halflines(0.0, 1.0, [(0.0, 1.0), (2.0, 1.0)]) == (0.0, 0.5)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

@@ -28,7 +28,7 @@ from oracles import (
 from teleportsim import explorer, scheme, teleport
 from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
 from teleportsim.qlinalg import TOL
-from teleportsim.resources import resource_report
+from teleportsim.resources import gour_e12, resource_report
 from teleportsim.scheme import (
     InfeasibleError,
     MeasurementBasis,
@@ -78,14 +78,18 @@ class TestInputQubit:
             assert abs(q.alpha) ** 2 + abs(q.beta) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_normalized_as_by_linalg_norm(self):
-        # bit for bit the draw divided by np.linalg.norm, as seeded output depends on it
+        # bit for bit the draw divided by np.linalg.norm's sum of squares taken
+        # in plain floats, as seeded output depends on it; np.linalg.norm itself
+        # runs ndarray.dot, whose last bit moves with the OpenBLAS core
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(500):
             q = random_input(rng)
             z = twin.normal(size=2) + 1j * twin.normal(size=2)
-            z = z / np.linalg.norm(z)
-            assert (q.alpha, q.beta) == (complex(z[0]), complex(z[1]))
+            (x0, x1), (y0, y1) = z.real.tolist(), z.imag.tolist()
+            w = z / math.sqrt((x0 * x0 + x1 * x1) + (y0 * y0 + y1 * y1))
+            assert (q.alpha, q.beta) == (complex(w[0]), complex(w[1]))
             assert type(q.alpha) is complex and type(q.beta) is complex
+            assert np.max(np.abs(w - z / np.linalg.norm(z))) <= 4e-16
 
 
 class TestTotalState:
@@ -441,27 +445,79 @@ class TestEdgeChannels:
         ch = _edge_channel(0.5 + 1e-12, split)
         with pytest.raises(InfeasibleError):
             find_scheme(ch)
-        # the capability gate allows max a_j^2 <= 1/2 + TOL.entry, so at exactly
-        # 1/2 + 1e-12 the last ulp of the rescaled coefficients decides whether
-        # run_teleport refuses the channel; when it does, it is a CapabilityError
-        if not is_teleport_capable(ch):
-            params = find_scheme(make_channel(*SYMMETRIC))
-            with pytest.raises(CapabilityError):
-                run_teleport(InputQubit(alpha=1.0, beta=0.0), ch, params)
+        assert not is_teleport_capable(ch)
+        params = find_scheme(make_channel(*SYMMETRIC))
+        with pytest.raises(CapabilityError):
+            run_teleport(InputQubit(alpha=1.0, beta=0.0), ch, params)
 
     def test_above_gate_slack_refused(self):
         ch = _edge_channel(0.5 + 2e-12, 0.5)
-        with pytest.raises(InfeasibleError, match="not teleport-capable"):
+        with pytest.raises(InfeasibleError, match="no admissible theta3"):
             find_scheme(ch)
         with pytest.raises(CapabilityError):
             run_teleport(InputQubit(alpha=1.0, beta=0.0), ch, find_scheme(make_channel(*SYMMETRIC)))
 
-    def test_inside_gate_slack_has_no_window(self):
-        # capable by the 1e-12 gate, yet no theta3 window exists
-        ch = _edge_channel(0.5 + 5e-13, 0.5)
-        assert is_teleport_capable(ch)
-        with pytest.raises(InfeasibleError, match="no admissible theta3"):
-            find_scheme(ch)
+    @pytest.mark.parametrize("excess", [0.0, math.ulp(0.5), 1e-14,
+                                        2e-14, 5e-14, 1e-13, 5e-13, 1e-12, 2e-12])
+    @pytest.mark.parametrize("split", [0.1, 0.5, 0.9])
+    def test_gate_and_window_agree(self, excess, split):
+        # one predicate: the capability gate, the theta3 window, the solver,
+        # the per-input certificate and Gour's comparison accept or refuse
+        # together, at max a_j^2 = 1/2 + excess (TOL.window = 1e-14)
+        ch = _edge_channel(0.5 + excess, split)
+        q = InputQubit(alpha=R2, beta=R2)
+        if excess <= TOL.window:
+            assert is_teleport_capable(ch)
+            lo, hi = scheme.admissible_u_window(ch)
+            assert 0.0 <= lo <= hi <= 1.0
+            assert min(run_teleport(q, ch, find_scheme(ch)).fidelities) >= 1.0 - 1e-10
+            assert 0.0 < gour_e12(ch) <= 1.0
+        else:
+            assert not is_teleport_capable(ch)
+            with pytest.raises(InfeasibleError, match="no admissible theta3"):
+                scheme.admissible_u_window(ch)
+            with pytest.raises(InfeasibleError, match="no admissible theta3"):
+                find_scheme(ch)
+            with pytest.raises(CapabilityError):
+                run_teleport(q, ch, find_scheme(make_channel(*SYMMETRIC)))
+            with pytest.raises(ValueError, match="not teleport-capable"):
+                gour_e12(ch)
+
+    def test_every_admitted_channel_near_the_face_has_a_window(self):
+        # seeded scan on both sides of the face max a_j^2 = 1/2: excesses
+        # uniform in [-1e-13, 2e-14] and log-spaced down to 1e-16 on each side,
+        # splits of the rest uniform and log-spaced down to 1e-16 at both ends
+        rng = np.random.default_rng(30)
+        n = 20_000
+        mags = 10.0 ** rng.uniform(-16.0, -13.0, n)
+        excess = np.select([np.arange(n) % 3 == 0, np.arange(n) % 3 == 1],
+                           [rng.uniform(-1e-13, 2e-14, n), -mags], np.minimum(mags, 2e-14))
+        ends = 10.0 ** rng.uniform(-16.0, 0.0, n)
+        kind = rng.integers(0, 3, n)
+        split = np.select([kind == 0, kind == 1], [rng.uniform(0.0, 1.0, n), ends], 1.0 - ends)
+        admitted = 0
+        for e, s in zip(excess.tolist(), split.tolist()):
+            ch = _edge_channel(0.5 + e, s)
+            if is_teleport_capable(ch):
+                admitted += 1
+                lo, hi = scheme.admissible_u_window(ch)  # raises if the half-lines are empty
+                assert 0.0 <= lo <= hi <= 1.0
+        assert admitted > n // 2
+
+    @pytest.mark.parametrize("a0sq", [5.0 * 10.0 ** -k for k in range(15, 5, -1)])
+    def test_face_corner_fails_closed(self, a0sq):
+        # a1^2 = 1/2, a2^2 = 1/2 - a0^2: find_scheme solves, but up to a0^2 =
+        # 5e-7 Bob's corrections are refused (CHANGES.md); none may certify a
+        # lower fidelity
+        ch, _ = canonicalize(make_channel(math.sqrt(a0sq), R2, math.sqrt(0.5 - a0sq)))
+        params = find_scheme(ch)
+        for seed in range(3):
+            try:
+                rep = run_teleport(random_input(np.random.default_rng(seed)), ch, params)
+            except CorrectionError as exc:
+                assert "correction not unitary" in str(exc)
+                continue
+            assert min(rep.fidelities) >= 1.0 - 1e-10
 
 
 class TestRunTeleport:
