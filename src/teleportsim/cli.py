@@ -77,10 +77,6 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _fmt(x) -> str:
-    return "" if x is None else format(float(x), ".17g")
-
-
 def _parse_channel(text: str):
     parts = text.split(",")
     if len(parts) != 3:
@@ -136,9 +132,9 @@ def sweep_csv_lines(result: SweepResult):
     """A sweep as CSV lines, each ending in a newline: header, one line per
     record, then a `# skipped=N` footer.
 
-    A record's line is one %-template over the record, a tuple of its
-    fields, the same text as joining their _fmt: every field but the last is
-    a float, and the last, bound_upper, is an empty field when it is None.
+    A record's line is one %.17g template over the record (a tuple of its
+    fields), the same text as joining format(x, ".17g") of each: every field
+    but the last is a float; the last, bound_upper, is empty when None.
     """
     names = SweepRecord._fields
     head = "%.17g," * (len(names) - 1)
@@ -150,9 +146,9 @@ def sweep_csv_lines(result: SweepResult):
 
 
 def bounds_csv(rows) -> str:
-    """bounds_table rows as CSV under the header `e,lower,upper`."""
-    lines = ["e,lower,upper"] + [",".join(_fmt(x) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """bounds_table rows as CSV under the header `e,lower,upper`, each row
+    in sweep_csv_lines' %.17g template."""
+    return "".join(["e,lower,upper\n"] + ["%.17g,%.17g,%.17g\n" % tuple(row) for row in rows])
 
 
 def _sweep_json(result: SweepResult) -> str:

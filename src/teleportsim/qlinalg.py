@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +19,7 @@ class Tolerances:
     entry: float = 1e-12       # entrywise comparisons, norms
     unitary: float = 1e-10     # ||M^dag M - I||_max for unitarity checks
     correction: float = 1e-9   # perfect-correctability conditions
-    zero_branch: float = 1e-14  # branch probability / component norm taken as exactly 0
+    zero_branch: float = 1e-14  # component norm taken as exactly 0 (teleport._zero_branch)
     degenerate: float = 1e-13  # constraint coefficient below this is cancellation noise
     window: float = 1e-14      # capability slack over max a_j^2 = 1/2; u-window emptiness
     weight: float = 1e-15      # phasor / slice weight taken as exactly 0
@@ -31,14 +30,6 @@ TOL = Tolerances()
 LOG2_3 = math.log2(3.0)
 
 
-@lru_cache(maxsize=None)
-def identity(n: int) -> np.ndarray:
-    """The n x n identity, built once per n and read-only."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
 def check_unitary(mat) -> None:
     """Check one (n, n) matrix for unitarity. Any other shape (a stack, an
     isometry, a 1-D ket) raises ValueError naming it."""
@@ -47,7 +38,7 @@ def check_unitary(mat) -> None:
         raise ValueError(f"expected a square (n, n) matrix, got shape {m.shape}")
     # an inf entry makes the deviation NaN (inf * 0), which the check rejects
     with np.errstate(invalid="ignore", over="ignore"):
-        dev = np.abs(m.conj().T @ m - identity(m.shape[0])).max(initial=0.0)
+        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max(initial=0.0)
     if not (dev <= TOL.unitary):
         raise ValueError(f"matrix not unitary: max deviation {dev:.3e}")
 

@@ -82,14 +82,14 @@ class MeasurementBasis:
     vectors is a read-only copy of the array given, so no later write to the
     caller's array reaches the checked basis. It must be (6, 6) (ValueError
     naming the shape otherwise) and unitary. The basis keeps one memo slot
-    for teleport.branch_corrections: the components and corrections of the
-    last coefficients it was asked for, keyed by their exact bits. A basis
-    is one object: == and hash go by identity, so two bases with equal kets
-    are still two bases.
+    for teleport.branch_corrections: the components, corrections and zero
+    flags of the last coefficients it was asked for, keyed by their exact
+    bits. A basis is one object: == and hash go by identity, so two bases
+    with equal kets are still two bases.
     """
 
     vectors: np.ndarray
-    # (key, components, corrections) for teleport.branch_corrections; None until its first call
+    # (key, components, corrections, zero flags) for teleport.branch_corrections; None until then
     _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

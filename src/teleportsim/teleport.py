@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtChannel, is_teleport_capable
-from .qlinalg import TOL, identity
+from .qlinalg import TOL
 from .scheme import (BRANCH_LABELS, MeasurementBasis, SchemeParams, assemble_D12,
                      constraint_residuals)
 
@@ -98,12 +98,11 @@ def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
 
 def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
     """Bob's correction unitary for every branch of one basis, (6, 3, 3),
-    with coeffs as branch_components takes them. One kernel call builds
-    every branch's; the result is read-only and kept, with the read-only
-    components it was built from, in the basis's one memo slot, keyed by the
-    exact bits of the coefficients (so -0.0 and 0.0 differ): asked again for
-    the same coefficients, the basis returns that same array without
-    building anything; other coefficients build afresh and take the slot.
+    with coeffs as branch_components takes them, from one kernel call. The
+    result is read-only and kept, with the read-only components and the
+    kernel's zero flags, in the basis's one memo slot, keyed by the exact
+    bits of the coefficients (-0.0 and 0.0 differ): the same coefficients
+    again get that same array, built once; other coefficients take the slot.
     """
     a = np.asarray(coeffs, dtype=float)
     key = (a.shape, a.tobytes())
@@ -111,60 +110,74 @@ def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
     if memo is not None and memo[0] == key:
         return memo[2]
     comps = branch_components(a, basis)
-    w = _corrections(comps)
+    w, zero = _corrections(comps)
     comps.setflags(write=False)
     w.setflags(write=False)
-    object.__setattr__(basis, "_memo", (key, comps, w))
+    object.__setattr__(basis, "_memo", (key, comps, w, zero))
     return w
 
 
-def _corrections(comps: np.ndarray) -> np.ndarray:
-    """The correction kernel: pairs (va, vb) stacked as (n, 2, 3) -> (n, 3, 3).
+def _zero_branch(na: float, nb: float) -> bool:
+    """The one zero-branch rule: both component norms |va|, |vb| <= TOL.zero_branch."""
+    return na <= TOL.zero_branch and nb <= TOL.zero_branch
 
-    Requires the equal-weight and orthogonality conditions; rows 0 and 1 of
-    each unitary are the conjugated normalized components, the completion row
-    is the conjugated cross product, and the free global phase makes the
-    first entry of row 0 above TOL.entry real positive. Zero branches (both
-    components null) get the identity by convention. Each branch is built in
-    Python complex arithmetic, so no bit depends on numpy's SIMD dispatch; a
-    null or NaN component of a live branch gives NaN entries, which the
-    unitarity check refuses. Errors name the values of the first offending
-    row. branch_corrections is its one src/ caller.
+
+def _corrections(comps: np.ndarray) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """The correction kernel, one plain-Python pass over pairs (va, vb)
+    stacked as (n, 2, 3): the (n, 3, 3) corrections and each branch's
+    _zero_branch flag. A zero branch gets the identity; any other needs equal
+    weights and orthogonal components, and its rows are the conjugated unit
+    components and their conjugated cross product times the phase that makes
+    the first entry of row 0 above TOL.entry real positive, with W^dag W - I
+    within TOL.unitary entrywise (a null or NaN component gives NaN, which
+    fails). No bit depends on numpy's SIMD dispatch. Errors go by kind over
+    all branches (unequal weights, orthogonality, unitarity), each naming its
+    first offending branch.
     """
-    norms = np.sqrt(np.add.reduce(comps.real ** 2 + comps.imag ** 2, axis=-1))
-    na, nb = norms.T
-    zero = (na <= TOL.zero_branch) & (nb <= TOL.zero_branch)
-    unequal = np.abs(na - nb) > TOL.correction
-    overlap = np.abs(np.vecdot(comps[:, 0], comps[:, 1]))
-    if ((unequal | (overlap > TOL.correction)) & ~zero).any():
-        bad = np.flatnonzero(unequal & ~zero)
-        if bad.size:
-            raise CorrectionError(f"unequal component weights: |phi_alpha| = {na[bad[0]]:.6g}, "
-                                  f"|phi_beta| = {nb[bad[0]]:.6g}")
-        bad = np.flatnonzero((overlap > TOL.correction) & ~zero)
-        raise CorrectionError(f"components not orthogonal: |overlap| = {overlap[bad[0]]:.3e}")
-    rows = []
-    for (va, vb), (na, nb), z in zip(comps.tolist(), norms.tolist(), zero.tolist()):
-        if z:
-            rows += ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    flat, zero, faults = [], [], {}  # faults: precedence -> message of its first branch
+    for (a0, a1, a2), (b0, b1, b2) in comps.tolist():
+        # |v| as numpy takes it: the left-to-right sum of x * conj(x) = re^2 + im^2
+        na = math.sqrt((a0 * a0.conjugate()).real + (a1 * a1.conjugate()).real
+                       + (a2 * a2.conjugate()).real)
+        nb = math.sqrt((b0 * b0.conjugate()).real + (b1 * b1.conjugate()).real
+                       + (b2 * b2.conjugate()).real)
+        zero.append(_zero_branch(na, nb))
+        if zero[-1]:
+            flat += (1, 0, 0, 0, 1, 0, 0, 0, 1)
             continue
+        if abs(na - nb) > TOL.correction:
+            faults.setdefault(0, f"unequal component weights: |phi_alpha| = {na:.6g}, "
+                                 f"|phi_beta| = {nb:.6g}")
+        o = abs(a0.conjugate() * b0 + a1.conjugate() * b1 + a2.conjugate() * b2)
+        if o > TOL.correction:
+            faults.setdefault(1, f"components not orthogonal: |overlap| = {o:.3e}")
+        if faults:
+            continue  # a CorrectionError will be raised: build nothing more
         # x * (1 / |v|), as numpy divides a complex by a real; a null v gives NaN
         sa, sb = 1.0 / na if na else math.nan, 1.0 / nb if nb else math.nan
-        a0, a1, a2 = (va[0] * sa).conjugate(), (va[1] * sa).conjugate(), (va[2] * sa).conjugate()
-        b0, b1, b2 = (vb[0] * sb).conjugate(), (vb[1] * sb).conjugate(), (vb[2] * sb).conjugate()
+        a0, a1, a2 = (a0 * sa).conjugate(), (a1 * sa).conjugate(), (a2 * sa).conjugate()
+        b0, b1, b2 = (b0 * sb).conjugate(), (b1 * sb).conjugate(), (b2 * sb).conjugate()
         x0, x1, x2 = ((a1 * b2 - a2 * b1).conjugate(), (a2 * b0 - a0 * b2).conjugate(),
                       (a0 * b1 - a1 * b0).conjugate())
         f = (a0 if abs(a0) > TOL.entry else a1 if abs(a1) > TOL.entry
              else a2 if abs(a2) > TOL.entry else math.nan)  # NaN: row 0 null or NaN
         c = abs(f) / f
-        rows += ((a0 * c, a1 * c, a2 * c), (b0 * c, b1 * c, b2 * c), (x0 * c, x1 * c, x2 * c))
-    w = np.array(rows, dtype=complex).reshape(-1, 3, 3)
-    dev = np.abs(w.conj().transpose(0, 2, 1) @ w - identity(3))
-    if not (dev.max(initial=0.0) <= TOL.unitary):
-        per_row = dev.max(axis=(1, 2))
-        raise CorrectionError(f"correction not unitary: deviation "
-                              f"{per_row[~(per_row <= TOL.unitary)][0]:.3e}")
-    return w
+        w = (p0, p1, p2, q0, q1, q2, r0, r1, r2) = (a0 * c, a1 * c, a2 * c, b0 * c, b1 * c,
+                                                    b2 * c, x0 * c, x1 * c, x2 * c)
+        flat += w
+        # |W^dag W - I| on and above the diagonal, column by column
+        P0, Q0, R0, P1, Q1, R1 = (p0.conjugate(), q0.conjugate(), r0.conjugate(),
+                                  p1.conjugate(), q1.conjugate(), r1.conjugate())
+        dev = (abs(P0 * p0 + Q0 * q0 + R0 * r0 - 1), abs(P1 * p1 + Q1 * q1 + R1 * r1 - 1),
+               abs(p2.conjugate() * p2 + q2.conjugate() * q2 + r2.conjugate() * r2 - 1),
+               abs(P0 * p1 + Q0 * q1 + R0 * r1), abs(P0 * p2 + Q0 * q2 + R0 * r2),
+               abs(P1 * p2 + Q1 * q2 + R1 * r2))
+        d = math.nan if math.isnan(sum(dev)) else max(dev)  # max alone may drop a NaN
+        if not d <= TOL.unitary:
+            faults[2] = f"correction not unitary: deviation {d:.3e}"
+    if faults:
+        raise CorrectionError(faults[min(faults)])
+    return np.array(flat, dtype=complex).reshape(-1, 3, 3), tuple(zero)
 
 
 def _require_capable(ch: SchmidtChannel) -> None:
@@ -216,9 +229,9 @@ def certify_scheme(ch: SchmidtChannel, params: SchemeParams) -> float:
     * 3+ and 3- have |va|^2 = |vb|^2 = p = (A u20^2 + B u21^2 + C u22^2) / 2
       (zeta = pi/4) and |<va, vb>| = r3 / 2, with r3 the phasor residual of
       constraint_residuals, so their deviation is r3 / (2p).
-    Zero branches (p <= TOL.zero_branch) count as 0, as run_with_basis
-    counts their fidelity as 1. A NaN anywhere gives NaN, which fails the
-    gate `deviation <= DEVIATION_BOUND`.
+    A zero branch (_zero_branch on |va| and |vb|) counts as 0, as
+    run_with_basis counts its fidelity as 1. A NaN anywhere gives NaN,
+    which fails the gate `deviation <= DEVIATION_BOUND`.
 
     Why DEVIATION_BOUND suffices: write M = c'.[I; 0] + E with every
     |E_ik| <= eps. For a unit input q with target t = (q, 0), Mq = c't + Eq
@@ -252,7 +265,7 @@ def certify_scheme(ch: SchmidtChannel, params: SchemeParams) -> float:
         raise ValueError("branch probabilities do not sum to 1")
     r3 = constraint_residuals(ch, params)[2]
     d0, d1, d2 = (_split_deviation(x0, y0), _split_deviation(x1, y1),
-                  0.0 if p3 <= TOL.zero_branch else 0.5 * r3 / p3)
+                  0.0 if _zero_branch(math.sqrt(p3), math.sqrt(p3)) else 0.5 * r3 / p3)
     # a bare max would drop a NaN that does not come first
     return math.nan if math.isnan(d0 + d1 + d2) else max(d0, d1, d2)
 
@@ -260,11 +273,11 @@ def certify_scheme(ch: SchmidtChannel, params: SchemeParams) -> float:
 def _split_deviation(x: float, y: float) -> float:
     """The deviation of a branch whose components have disjoint supports and
     squared norms x and y (certify_scheme)."""
-    p = 0.5 * (x + y)
-    if p <= TOL.zero_branch:
+    na, nb = math.sqrt(x), math.sqrt(y)
+    if _zero_branch(na, nb):
         return 0.0
-    sp = math.sqrt(p)
-    return max(abs(math.sqrt(x) - sp), abs(math.sqrt(y) - sp)) / sp
+    sp = math.sqrt(0.5 * (x + y))
+    return max(abs(na - sp), abs(nb - sp)) / sp
 
 
 def _project(a: complex, b: complex, coeffs, basis: MeasurementBasis) -> tuple[list, list]:
@@ -304,13 +317,13 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
     probs, collapsed = _project(a, b, coeffs, basis)
     ac, bc = a.conjugate(), b.conjugate()
     fidelities, mean = [], 0.0
-    for p, (x0, x1, x2), ((w00, w01, w02), (w10, w11, w12)) in zip(
-            probs, collapsed, corrections[:, :2].tolist()):
+    for p, z, (x0, x1, x2), ((w00, w01, w02), (w10, w11, w12)) in zip(
+            probs, basis._memo[3], collapsed, corrections[:, :2].tolist()):
         # fidelity |<input|W collapsed>|^2 / P, the input padded with a zero to
-        # Bob's qutrit (so only his first two components count); zero branches
-        # count as 1, and a NaN probability is not a zero branch
+        # Bob's qutrit (so only his first two components count); a branch the
+        # kernel flagged zero (_zero_branch) counts as 1
         o = ac * (w00 * x0 + w01 * x1 + w02 * x2) + bc * (w10 * x0 + w11 * x1 + w12 * x2)
-        f = 1.0 if p <= TOL.zero_branch else (o.real * o.real + o.imag * o.imag) / p
+        f = 1.0 if z else (o.real * o.real + o.imag * o.imag) / p
         fidelities.append(f)
         mean += p * f  # left to right, never through sum(), compensated from Python 3.12 on
     return TeleportReport(labels=BRANCH_LABELS, probabilities=tuple(probs),

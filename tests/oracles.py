@@ -159,7 +159,7 @@ def check_unitary_stack(mat) -> None:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected square (..., n, n) matrices, got shape {m.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
-        per = np.abs(m.conj().swapaxes(-1, -2) @ m - qlinalg.identity(m.shape[-1])).max(
+        per = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(
             axis=(-2, -1), initial=0.0)
     bad = per[~(per <= qlinalg.TOL.unitary)]  # NaN fails too
     if bad.size:
@@ -188,7 +188,8 @@ def certify_stack(channels, vectors) -> np.ndarray:
     collapses the input q to alpha*va + beta*vb, M = W.[va vb] / sqrt(p)
     with p = (|va|^2 + |vb|^2) / 2, and a branch's deviation is the largest
     entry of |M - c'.[I; 0]|, c' = M[0, 0] / |M[0, 0]| (1 if that is 0);
-    zero branches (p <= TOL.zero_branch) count as 0 and a NaN gives NaN.
+    zero branches (the kernel's flags, teleport._zero_branch) count as 0
+    and a NaN gives NaN.
     The kernel raises CorrectionError on a branch it cannot correct.
     """
     k = len(channels)
@@ -196,7 +197,8 @@ def certify_stack(channels, vectors) -> np.ndarray:
         raise ValueError(f"{k} channels for a basis stack of shape {vectors.shape}")
     coeffs = np.array([ch.a for ch in channels], dtype=float).reshape(k, 3)
     comps = coeffs[:, None, None, :] * vectors.conj().reshape(k, 6, 2, 3)
-    w = teleport._corrections(comps.reshape(-1, 2, 3)).reshape(k, 6, 3, 3)
+    w, zero = teleport._corrections(comps.reshape(-1, 2, 3))
+    w, zero = w.reshape(k, 6, 3, 3), np.reshape(zero, (k, 6))
     # a branch's six squares, summed in the order numpy sums its (2, 3) block
     p = 0.5 * np.add.reduce((comps.real ** 2 + comps.imag ** 2).reshape(k, 6, 6), axis=-1)
     # the entries of |W.[va vb] - c'.sqrt(p).[I; 0]|, scaled by 1/sqrt(p) last
@@ -206,7 +208,6 @@ def certify_stack(channels, vectors) -> np.ndarray:
     target = np.divide(sp * out[..., 0, 0], r, out=sp.astype(complex), where=r > 0.0)
     dev[..., 1, 1] = np.abs(out[..., 1, 1] - target)
     dev[..., 0, 0] = np.abs(r - sp)
-    zero = p <= qlinalg.TOL.zero_branch
     dev = dev.max(axis=(-2, -1)) / np.where(zero, 1.0, sp)
     return np.where(zero, 0.0, dev).max(axis=-1)
 

@@ -10,7 +10,7 @@ from oracles import a1_from_entropy_exact
 
 from teleportsim import explorer, resources, scheme, teleport
 from teleportsim.channel import make_channel
-from teleportsim.cli import _fmt, main, sweep_csv_lines
+from teleportsim.cli import bounds_csv, main, sweep_csv_lines
 from teleportsim.explorer import (
     SweepRecord,
     SweepResult,
@@ -533,9 +533,14 @@ class TestCli:
         records += sweep_case1(density=4).records + sweep_case2(density=4).records
         lines = list(sweep_csv_lines(SweepResult(records=tuple(records), skipped=0)))
         assert lines[1:-1] == [
-            ",".join(_fmt(getattr(r, name)) for name in SweepRecord._fields) + "\n"
+            ",".join("" if (x := getattr(r, name)) is None else format(x, ".17g")
+                     for name in SweepRecord._fields) + "\n"
             for r in records]
         assert lines[1].endswith(",\n") and lines[3].endswith(",-0\n")
+        # bounds_csv takes the same template
+        rows = [tuple(values[i:i + 3]) for i in range(0, len(values) - 2)]
+        assert bounds_csv(rows).split("\n") == (
+            ["e,lower,upper"] + [",".join(format(x, ".17g") for x in row) for row in rows] + [""])
 
     def test_record_fields_are_the_csv_header(self):
         header = next(sweep_csv_lines(SweepResult(records=(), skipped=0)))

@@ -11,7 +11,6 @@ from teleportsim.qlinalg import (
     bisect,
     check_unitary,
     entanglement_from_tangle,
-    identity,
 )
 
 # fixture value: binary_entropy(3/4), computed once from the definition
@@ -100,14 +99,6 @@ class TestBisect:
             self._same_as_tuple(lambda x: x <= edge, lo, hi)
 
 
-class TestIdentity:
-    def test_cached_and_read_only(self):
-        for n in (2, 3, 6):
-            eye = identity(n)
-            assert eye is identity(n)
-            assert np.array_equal(eye, np.eye(n)) and eye.dtype == np.float64
-            with pytest.raises(ValueError):
-                eye[0, 0] = 2.0
 
 
 class TestChecksFailClosed:

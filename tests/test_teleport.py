@@ -59,7 +59,7 @@ R2 = 1.0 / math.sqrt(2.0)
 
 def _kernel_row(va, vb):
     """The correction kernel on one pair of components (an N=1 stack)."""
-    return _corrections(np.array([[va, vb]]))[0]
+    return _corrections(np.array([[va, vb]]))[0][0]
 
 
 def _solved(ch, rng=None, frac=0.5):
@@ -278,6 +278,33 @@ class TestStackedCorrections:
         with pytest.raises(CorrectionError, match="orthogonal"):
             _corrections(comps)
 
+    def test_error_precedence_across_branches(self):
+        # every branch is judged before the kernel raises: a weight fault in
+        # any row beats an orthogonality fault, which beats a unitarity fault,
+        # whichever rows they sit in
+        ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
+        comps = branch_components(ch.a, assemble_D12(_solved(ch))[1])
+        mixed = comps.copy()
+        # row 0: equal weights but overlapping; row 4: unequal weights
+        mixed[0, 1] = (mixed[0, 0] + mixed[0, 1]) / math.sqrt(2.0)
+        mixed[4, 1] *= 0.5
+        na, nb = np.linalg.norm(mixed[4], axis=-1)
+        with pytest.raises(CorrectionError, match=re.escape(
+                f"unequal component weights: |phi_alpha| = {na:.6g}, "
+                f"|phi_beta| = {nb:.6g}")):
+            _corrections(mixed)
+        mixed = comps.copy()
+        # row 1: equal weights 1e-12, overlap 7e-25, but the unit components
+        # are 45 degrees apart, so only the unitarity check can refuse it
+        mixed[1, 0], mixed[1, 1] = [1e-12, 0, 0], [R2 * 1e-12, R2 * 1e-12, 0]
+        with pytest.raises(CorrectionError, match="correction not unitary"):
+            _corrections(mixed)
+        mixed[3, 1] = (mixed[3, 0] + mixed[3, 1]) / math.sqrt(2.0)
+        overlap = abs(np.vdot(mixed[3, 0], mixed[3, 1]))
+        with pytest.raises(CorrectionError, match=re.escape(
+                f"components not orthogonal: |overlap| = {overlap:.3e}")):
+            _corrections(mixed)
+
     def test_matches_frozen_per_row_corrections(self):
         ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
         _, basis = assemble_D12(_solved(ch))
@@ -294,7 +321,7 @@ class TestStackedCorrections:
         schemes.append(solve_constraints(channels[4], math.pi / 4, theta2_hint=0.0, theta1_hint=0.0))
         comps = np.concatenate([branch_components(ch.a, params.basis)
                                 for ch, params in zip(channels, schemes)])
-        ws = _corrections(comps).reshape(5, 6, 3, 3)
+        ws = _corrections(comps)[0].reshape(5, 6, 3, 3)
         for ch, params, w in zip(channels, schemes, ws):
             assert w.tobytes() == branch_corrections(ch.a, MeasurementBasis(params.basis.vectors)).tobytes()
 
@@ -509,16 +536,18 @@ class TestEdgeChannels:
     def test_face_corner_fails_closed(self, a0sq):
         # a1^2 = 1/2, a2^2 = 1/2 - a0^2: find_scheme solves, but up to a0^2 =
         # 5e-7 Bob's corrections are refused (CHANGES.md); none may certify a
-        # lower fidelity
+        # lower fidelity, and the input-free certificate passes the scheme
+        # exactly when run_teleport does (one zero-branch rule)
         ch, _ = canonicalize(make_channel(math.sqrt(a0sq), R2, math.sqrt(0.5 - a0sq)))
         params = find_scheme(ch)
+        certified = certify_scheme(ch, params) <= DEVIATION_BOUND
         for seed in range(3):
             try:
                 rep = run_teleport(random_input(np.random.default_rng(seed)), ch, params)
             except CorrectionError as exc:
-                assert "correction not unitary" in str(exc)
+                assert "correction not unitary" in str(exc) and not certified
                 continue
-            assert min(rep.fidelities) >= 1.0 - 1e-10
+            assert certified and min(rep.fidelities) >= 1.0 - 1e-10
 
 
 class TestRunTeleport:
@@ -658,10 +687,10 @@ class TestOneInputPath:
         # the corrections are built and kept first, so a NaN put into the
         # kept components afterwards reaches only the projection's sum check
         branch_corrections(DEGENERATE, basis)
-        key, comps, ws = basis._memo
+        key, comps, ws, zero = basis._memo
         comps = comps.copy()
         comps[0, 0, 1] = math.nan
-        object.__setattr__(basis, "_memo", (key, comps, ws))
+        object.__setattr__(basis, "_memo", (key, comps, ws, zero))
         with pytest.raises(ValueError, match="sum to 1"):
             run_with_basis(InputQubit(alpha=1.0, beta=0.0), DEGENERATE, basis)
 
@@ -719,7 +748,7 @@ class TestCorrectionMemo:
         ch = random_capable_channel(rng)
         basis = assemble_D12(_solved(ch))[1]
         ws = branch_corrections(ch.a, basis)
-        key, comps, kept = basis._memo
+        key, comps, kept, _ = basis._memo
         assert kept is ws and not comps.flags.writeable
         split = _spy(monkeypatch, teleport, "branch_components")
         q = random_input(rng)
@@ -762,7 +791,7 @@ class TestCorrectionMemo:
         with pytest.raises(CorrectionError):
             branch_corrections(make_channel(*SYMMETRIC).a, basis)
         assert len(kernel) == 1
-        fresh = _corrections(branch_components(ch.a, basis))
+        fresh, _ = _corrections(branch_components(ch.a, basis))
         assert branch_corrections(ch.a, basis).tobytes() == fresh.tobytes()
 
     def test_key_is_the_exact_bits(self, monkeypatch):
@@ -1049,12 +1078,12 @@ def _faulty_kernel(monkeypatch, rows, fault):
     calls = []
 
     def faulty(comps):
-        w = _corrections(comps)
+        w, zero = _corrections(comps)
         if not calls:
             for row in rows:
                 fault(w[row], comps[row, 0])
         calls.append(len(comps))
-        return w
+        return w, zero
 
     monkeypatch.setattr(teleport, "_corrections", faulty)
     return calls
@@ -1291,13 +1320,15 @@ class TestFailClosed:
         with pytest.raises(ValueError, match="sum to 1"):
             measure_branches(total, special_case_basis("A", math.pi / 4))
 
-    def test_nan_components_fail_unitarity(self):
-        comps = np.zeros((2, 2, 3), dtype=complex)
+    @pytest.mark.parametrize("row", range(6))
+    def test_nan_components_fail_unitarity(self, row):
+        comps = np.zeros((6, 2, 3), dtype=complex)
         comps[:, 0, 0] = comps[:, 1, 1] = 0.5
-        comps[1, 0, 2] = math.nan
+        comps[row, 0, 2] = math.nan
         # branch_components stops NaN before the kernel; the kernel itself
-        # reaches the unitarity check without a warning
-        with pytest.raises(CorrectionError, match="not unitary"):
+        # reaches the unitarity check without a warning, and the NaN is
+        # reported wherever its branch sits among valid ones
+        with pytest.raises(CorrectionError, match="not unitary: deviation nan"):
             _corrections(comps)
 
     def test_null_component_of_live_branch_fails_unitarity(self):
@@ -1311,7 +1342,7 @@ class TestFailClosed:
                 _corrections(comps)
 
     def test_nan_probability_is_not_a_zero_branch(self, monkeypatch, rng):
-        # the upstream checks stop every NaN; fake one past them to test the mask
+        # the upstream checks stop every NaN; fake one past them on a live branch
         project = teleport._project
 
         def nan_first(*args):
