@@ -11,13 +11,21 @@ from .qlinalg import TOL, LOG2_3
 
 @dataclass(frozen=True)
 class SchmidtChannel:
-    """Real Schmidt coefficients (a0, a1, a2) of the shared two-qutrit state."""
+    """Real Schmidt coefficients (a0, a1, a2) of the shared two-qutrit state: a tuple
+    of exactly three (another sequence is copied into one, other counts raise ValueError)."""
 
     a: tuple[float, float, float]
     squares: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "squares", tuple(x * x for x in self.a))
+        a = self.a
+        if type(a) is not tuple:
+            a = tuple(a)
+            object.__setattr__(self, "a", a)
+        if len(a) != 3:
+            raise ValueError(f"a channel has 3 Schmidt coefficients, got {len(a)}")
+        x, y, z = a
+        self.__dict__["squares"] = (x * x, y * y, z * z)  # as object.__setattr__, faster
 
     @cached_property
     def entropy(self) -> float:
@@ -81,7 +89,6 @@ def canonicalize(ch: SchmidtChannel) -> tuple[SchmidtChannel, tuple[int, int, in
     output.
     """
     a, b, c = ch.squares
-    imax = 0 if a >= b and a >= c else 1 if b >= c else 2
-    perm = [0, 1, 2]
-    perm[1], perm[imax] = perm[imax], perm[1]
-    return SchmidtChannel(a=tuple(ch.a[i] for i in perm)), tuple(perm)
+    perm = (1, 0, 2) if a >= b and a >= c else (0, 1, 2) if b >= c else (0, 2, 1)
+    x = ch.a
+    return SchmidtChannel((x[perm[0]], x[perm[1]], x[perm[2]])), perm

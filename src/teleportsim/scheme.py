@@ -55,9 +55,10 @@ class SchemeParams:
     rotation: list[list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (*self.theta, *self.delta)):
+        (t1, t2, t3), (d1, d2), isfinite = self.theta, self.delta, math.isfinite
+        if not (isfinite(t1) and isfinite(t2) and isfinite(t3) and isfinite(d1) and isfinite(d2)):
             raise ValueError(f"scheme angles must be finite: {self.theta}, {self.delta}")
-        object.__setattr__(self, "rotation", rotation_rows(*self.theta))
+        object.__setattr__(self, "rotation", rotation_rows(t1, t2, t3))
 
     @cached_property
     def basis(self) -> MeasurementBasis:
@@ -89,7 +90,7 @@ class MeasurementBasis:
     """
 
     vectors: np.ndarray
-    # (key, components, corrections, zero flags) for teleport.branch_corrections; None until then
+    # teleport.branch_corrections' (key, comps, w, zero flags, comps.tolist(), Bob's rows)
     _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -210,6 +211,7 @@ def admissible_theta3(ch: SchmidtChannel) -> tuple[float, float]:
     return math.asin(math.sqrt(lo)), math.asin(math.sqrt(hi))
 
 
+@lru_cache(maxsize=16)
 def free_theta2_window(ch: SchmidtChannel, u: float) -> tuple[float, float]:
     """Phasor-feasible interval of sin^2(theta2) when theta2 is unconstrained.
 

@@ -91,18 +91,20 @@ def branch_components(coeffs, basis: MeasurementBasis) -> np.ndarray:
     a = np.asarray(coeffs, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected 3 channel coefficients, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"channel coefficients must be finite, got {a.tolist()}")
+    x, y, z = a.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"channel coefficients must be finite, got {[x, y, z]}")
     return a * basis.vectors.conj().reshape(6, 2, 3)
 
 
 def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
     """Bob's correction unitary for every branch of one basis, (6, 3, 3),
     with coeffs as branch_components takes them, from one kernel call. The
-    result is read-only and kept, with the read-only components and the
-    kernel's zero flags, in the basis's one memo slot, keyed by the exact
-    bits of the coefficients (-0.0 and 0.0 differ): the same coefficients
-    again get that same array, built once; other coefficients take the slot.
+    result is read-only and kept, with the read-only components, the
+    kernel's zero flags and the lists the runs read, in the basis's one memo
+    slot, keyed by the exact bits of the coefficients (-0.0 and 0.0 differ):
+    the same coefficients again get that same array, built once; other
+    coefficients take the slot.
     """
     a = np.asarray(coeffs, dtype=float)
     key = (a.shape, a.tobytes())
@@ -110,10 +112,13 @@ def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
     if memo is not None and memo[0] == key:
         return memo[2]
     comps = branch_components(a, basis)
-    w, zero = _corrections(comps)
+    rows = comps.tolist()
+    flat, zero = _corrections(rows)
+    w = np.array(flat, dtype=complex).reshape(-1, 3, 3)
     comps.setflags(write=False)
     w.setflags(write=False)
-    object.__setattr__(basis, "_memo", (key, comps, w, zero))
+    bob = [flat[k:k + 6] for k in range(0, len(flat), 9)]  # rows 0 and 1 of each W
+    object.__setattr__(basis, "_memo", (key, comps, w, zero, rows, bob))
     return w
 
 
@@ -122,11 +127,12 @@ def _zero_branch(na: float, nb: float) -> bool:
     return na <= TOL.zero_branch and nb <= TOL.zero_branch
 
 
-def _corrections(comps: np.ndarray) -> tuple[np.ndarray, tuple[bool, ...]]:
-    """The correction kernel, one plain-Python pass over pairs (va, vb)
-    stacked as (n, 2, 3): the (n, 3, 3) corrections and each branch's
-    _zero_branch flag. A zero branch gets the identity; any other needs equal
-    weights and orthogonal components, and its rows are the conjugated unit
+def _corrections(rows: list) -> tuple[list, tuple[bool, ...]]:
+    """The correction kernel, one plain-Python pass over pairs (va, vb) of
+    complex components nested as (n, 2, 3) lists: the n corrections' entries,
+    row by row in one flat list, and each branch's _zero_branch flag. A zero
+    branch gets the identity; any other needs equal weights and orthogonal
+    components, and its rows are the conjugated unit
     components and their conjugated cross product times the phase that makes
     the first entry of row 0 above TOL.entry real positive, with W^dag W - I
     within TOL.unitary entrywise (a null or NaN component gives NaN, which
@@ -135,7 +141,7 @@ def _corrections(comps: np.ndarray) -> tuple[np.ndarray, tuple[bool, ...]]:
     first offending branch.
     """
     flat, zero, faults = [], [], {}  # faults: precedence -> message of its first branch
-    for (a0, a1, a2), (b0, b1, b2) in comps.tolist():
+    for (a0, a1, a2), (b0, b1, b2) in rows:
         # |v| as numpy takes it: the left-to-right sum of x * conj(x) = re^2 + im^2
         na = math.sqrt((a0 * a0.conjugate()).real + (a1 * a1.conjugate()).real
                        + (a2 * a2.conjugate()).real)
@@ -177,7 +183,7 @@ def _corrections(comps: np.ndarray) -> tuple[np.ndarray, tuple[bool, ...]]:
             faults[2] = f"correction not unitary: deviation {d:.3e}"
     if faults:
         raise CorrectionError(faults[min(faults)])
-    return np.array(flat, dtype=complex).reshape(-1, 3, 3), tuple(zero)
+    return flat, tuple(zero)
 
 
 def _require_capable(ch: SchmidtChannel) -> None:
@@ -280,10 +286,10 @@ def _split_deviation(x: float, y: float) -> float:
     return max(abs(na - sp), abs(nb - sp)) / sp
 
 
-def _project(a: complex, b: complex, coeffs, basis: MeasurementBasis) -> tuple[list, list]:
+def _project(a: complex, b: complex, coeffs, rows: list) -> tuple[list, list]:
     """Alice's projection of the input a|0> + b|1> onto one basis: per
     branch, the unnormalized collapsed state a*va + b*vb and its probability
-    <collapsed|collapsed>, with (va, vb) the components branch_corrections
+    <collapsed|collapsed>, with (va, vb) the component rows branch_corrections
     kept in the basis's memo for coeffs (run_with_basis builds them first).
     A joint norm (|a|^2 + |b|^2)(c0^2 + c1^2 + c2^2) more than TOL.entry
     from 1, or probabilities not summing to 1, raise ValueError (a NaN fails
@@ -294,7 +300,7 @@ def _project(a: complex, b: complex, coeffs, basis: MeasurementBasis) -> tuple[l
     if not (abs(n2 - 1.0) <= TOL.entry):
         raise ValueError(f"joint state not normalized: |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
     collapsed = [(a * u0 + b * v0, a * u1 + b * v1, a * u2 + b * v2)
-                 for (u0, u1, u2), (v0, v1, v2) in basis._memo[1].tolist()]
+                 for (u0, u1, u2), (v0, v1, v2) in rows]
     probs = [x0.real * x0.real + x0.imag * x0.imag + x1.real * x1.real + x1.imag * x1.imag
              + x2.real * x2.real + x2.imag * x2.imag for x0, x1, x2 in collapsed]
     if not (abs(math.fsum(probs) - 1.0) <= TOL.entry):
@@ -312,13 +318,13 @@ def run_with_basis(inp: InputQubit, coeffs, basis: MeasurementBasis) -> Teleport
     coefficients of the wrong shape or not finite raise ValueError before
     any arithmetic on them; then _project's norm and sum-to-1 checks run.
     """
-    corrections = branch_corrections(coeffs, basis)
+    branch_corrections(coeffs, basis)
+    *_, zero, rows, bob = basis._memo
     a, b = complex(inp.alpha), complex(inp.beta)
-    probs, collapsed = _project(a, b, coeffs, basis)
+    probs, collapsed = _project(a, b, coeffs, rows)
     ac, bc = a.conjugate(), b.conjugate()
     fidelities, mean = [], 0.0
-    for p, z, (x0, x1, x2), ((w00, w01, w02), (w10, w11, w12)) in zip(
-            probs, basis._memo[3], collapsed, corrections[:, :2].tolist()):
+    for p, z, (x0, x1, x2), (w00, w01, w02, w10, w11, w12) in zip(probs, zero, collapsed, bob):
         # fidelity |<input|W collapsed>|^2 / P, the input padded with a zero to
         # Bob's qutrit (so only his first two components count); a branch the
         # kernel flagged zero (_zero_branch) counts as 1

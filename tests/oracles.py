@@ -4,7 +4,7 @@ Each one recomputes something the library does in closed form (branch
 tangles, collapsed states, the channel ket, the resource report) straight
 from its definition or its first plain recipe, so a test can compare the
 two (the joint-state projection, total_state and measure_branches, is
-run_with_basis's); gour_basis builds the comparison protocol's measurement, and
+run_with_basis's, and run_from_arrays is its array-reading form); gour_basis builds the comparison protocol's measurement, and
 tuple_bisect keeps the bisection's first loop; certify_stack is the
 kernel-built reference for teleport.certify_scheme, on the (k, 6, 6) basis
 stacks of measurement_bases (checked by check_unitary_stack, the stack form
@@ -152,6 +152,34 @@ def measure_branches(total: np.ndarray, basis: MeasurementBasis) -> tuple[np.nda
     return probs, collapsed
 
 
+def run_from_arrays(inp: InputQubit, coeffs, basis: MeasurementBasis):
+    """run_with_basis as it first read the basis's memo: the components and
+    Bob's first two rows taken from the kept arrays through .tolist() on every
+    call, not from the memo's Python rows. Returns (probabilities,
+    fidelities, mean fidelity), the report's three number fields."""
+    corrections = teleport.branch_corrections(coeffs, basis)
+    _, comps, _, zero, _, _ = basis._memo
+    a, b = complex(inp.alpha), complex(inp.beta)
+    c0, c1, c2 = map(float, coeffs)
+    n2 = (a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag) * (
+        c0 * c0 + c1 * c1 + c2 * c2)
+    if not (abs(n2 - 1.0) <= qlinalg.TOL.entry):
+        raise ValueError("joint state not normalized")
+    collapsed = [(a * u0 + b * v0, a * u1 + b * v1, a * u2 + b * v2)
+                 for (u0, u1, u2), (v0, v1, v2) in comps.tolist()]
+    probs = [x0.real * x0.real + x0.imag * x0.imag + x1.real * x1.real + x1.imag * x1.imag
+             + x2.real * x2.real + x2.imag * x2.imag for x0, x1, x2 in collapsed]
+    ac, bc = a.conjugate(), b.conjugate()
+    fidelities, mean = [], 0.0
+    for p, z, (x0, x1, x2), ((w00, w01, w02), (w10, w11, w12)) in zip(
+            probs, zero, collapsed, corrections[:, :2].tolist()):
+        o = ac * (w00 * x0 + w01 * x1 + w02 * x2) + bc * (w10 * x0 + w11 * x1 + w12 * x2)
+        f = 1.0 if z else (o.real * o.real + o.imag * o.imag) / p
+        fidelities.append(f)
+        mean += p * f
+    return probs, fidelities, mean
+
+
 def check_unitary_stack(mat) -> None:
     """qlinalg.check_unitary over each matrix of a (..., n, n) stack, in one
     pass; the error is the first bad matrix's own. An empty stack passes."""
@@ -177,6 +205,15 @@ def measurement_bases(schemes) -> np.ndarray:
     return vectors
 
 
+def correction_kernel(comps) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """The library's correction kernel (teleport._corrections) on an (n, 2, 3)
+    array of components: the (n, 3, 3) corrections as the array
+    branch_corrections builds from the kernel's flat entries, and the
+    kernel's zero flags."""
+    flat, zero = teleport._corrections(np.asarray(comps).tolist())
+    return np.array(flat, dtype=complex).reshape(-1, 3, 3), zero
+
+
 def certify_stack(channels, vectors) -> np.ndarray:
     """The input-free certificate of k records, record i being the basis
     vectors[i] of a (k, 6, 6) array (measurement_bases of k schemes, or
@@ -197,7 +234,7 @@ def certify_stack(channels, vectors) -> np.ndarray:
         raise ValueError(f"{k} channels for a basis stack of shape {vectors.shape}")
     coeffs = np.array([ch.a for ch in channels], dtype=float).reshape(k, 3)
     comps = coeffs[:, None, None, :] * vectors.conj().reshape(k, 6, 2, 3)
-    w, zero = teleport._corrections(comps.reshape(-1, 2, 3))
+    w, zero = correction_kernel(comps.reshape(-1, 2, 3))
     w, zero = w.reshape(k, 6, 3, 3), np.reshape(zero, (k, 6))
     # a branch's six squares, summed in the order numpy sums its (2, 3) block
     p = 0.5 * np.add.reduce((comps.real ** 2 + comps.imag ** 2).reshape(k, 6, 6), axis=-1)

@@ -14,6 +14,7 @@ from teleportsim.channel import (
     make_channel,
 )
 from teleportsim.qlinalg import LOG2_3
+from teleportsim.scheme import admissible_u_window
 
 
 def _squares(seed):
@@ -95,6 +96,22 @@ class TestMakeChannel:
     def test_none_rejected(self):
         with pytest.raises(TypeError):
             make_channel(None, 1.0, 0.0)
+
+
+class TestSchmidtChannel:
+    @pytest.mark.parametrize("a", [(0.5,) * 4, (0.6, 0.8), (1.0,), ()])
+    def test_other_counts_refused(self, a):
+        with pytest.raises(ValueError, match=f"3 Schmidt coefficients, got {len(a)}$"):
+            SchmidtChannel(a=a)
+
+    def test_sequence_kept_as_tuple(self):
+        # a list builds a hashable channel, equal to its tuple twin, which
+        # the memoized window takes
+        ch = make_channel(math.sqrt(0.3), math.sqrt(0.45), 0.5)
+        listed = SchmidtChannel(a=list(ch.a))
+        assert type(listed.a) is tuple and listed == ch and hash(listed) == hash(ch)
+        assert listed.squares == ch.squares
+        assert admissible_u_window(listed) == admissible_u_window(ch)
 
 
 class TestEntropy:

@@ -356,6 +356,21 @@ class TestSolveConstraints:
                 admissible_u_window(bad)
 
 
+    def test_theta2_window_memo_is_per_channel_value(self):
+        # free_theta2_window is memoized as admissible_u_window is: an equal
+        # channel at the same u shares the window, and a refusal is refused again
+        ch = make_channel(*DEGENERATE)
+        want = free_theta2_window(ch, 0.5)  # a0 = 0 is on the ridge at u = 1/2
+        hits = free_theta2_window.cache_info().hits
+        again = SchmidtChannel(a=ch.a)
+        assert again is not ch and free_theta2_window(again, 0.5) == want
+        assert free_theta2_window.cache_info().hits == hits + 1
+        bad = SchmidtChannel(a=(R2, R2, 0.0))  # no window at u = -1
+        for _ in range(2):
+            with pytest.raises(InfeasibleError):
+                free_theta2_window(bad, -1.0)
+
+
 class TestAssemble:
     def test_identity_like_rows_are_products(self):
         params = SchemeParams(theta=(0.0, 0.0, 0.0), delta=(0.0, 0.0))

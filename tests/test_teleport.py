@@ -17,9 +17,11 @@ from oracles import (
     certify_stack,
     channel_ket,
     collapsed_closed_form,
+    correction_kernel,
     input_vector,
     measure_branches,
     measurement_bases,
+    run_from_arrays,
     special_case_basis,
     total_state,
     two_qubit_certificate,
@@ -59,7 +61,7 @@ R2 = 1.0 / math.sqrt(2.0)
 
 def _kernel_row(va, vb):
     """The correction kernel on one pair of components (an N=1 stack)."""
-    return _corrections(np.array([[va, vb]]))[0][0]
+    return correction_kernel(np.array([[va, vb]]))[0][0]
 
 
 def _solved(ch, rng=None, frac=0.5):
@@ -273,10 +275,10 @@ class TestStackedCorrections:
         na = np.linalg.norm(comps[row, 0])
         with pytest.raises(CorrectionError, match=re.escape(f"unequal component weights: "
                                                             f"|phi_alpha| = {na:.6g}")):
-            _corrections(short)
+            correction_kernel(short)
         comps[row, 1] = (comps[row, 0] + comps[row, 1]) / math.sqrt(2.0)
         with pytest.raises(CorrectionError, match="orthogonal"):
-            _corrections(comps)
+            correction_kernel(comps)
 
     def test_error_precedence_across_branches(self):
         # every branch is judged before the kernel raises: a weight fault in
@@ -292,18 +294,18 @@ class TestStackedCorrections:
         with pytest.raises(CorrectionError, match=re.escape(
                 f"unequal component weights: |phi_alpha| = {na:.6g}, "
                 f"|phi_beta| = {nb:.6g}")):
-            _corrections(mixed)
+            correction_kernel(mixed)
         mixed = comps.copy()
         # row 1: equal weights 1e-12, overlap 7e-25, but the unit components
         # are 45 degrees apart, so only the unitarity check can refuse it
         mixed[1, 0], mixed[1, 1] = [1e-12, 0, 0], [R2 * 1e-12, R2 * 1e-12, 0]
         with pytest.raises(CorrectionError, match="correction not unitary"):
-            _corrections(mixed)
+            correction_kernel(mixed)
         mixed[3, 1] = (mixed[3, 0] + mixed[3, 1]) / math.sqrt(2.0)
         overlap = abs(np.vdot(mixed[3, 0], mixed[3, 1]))
         with pytest.raises(CorrectionError, match=re.escape(
                 f"components not orthogonal: |overlap| = {overlap:.3e}")):
-            _corrections(mixed)
+            correction_kernel(mixed)
 
     def test_matches_frozen_per_row_corrections(self):
         ch = make_channel(math.sqrt(0.2), math.sqrt(0.45), math.sqrt(0.35))
@@ -321,7 +323,7 @@ class TestStackedCorrections:
         schemes.append(solve_constraints(channels[4], math.pi / 4, theta2_hint=0.0, theta1_hint=0.0))
         comps = np.concatenate([branch_components(ch.a, params.basis)
                                 for ch, params in zip(channels, schemes)])
-        ws = _corrections(comps)[0].reshape(5, 6, 3, 3)
+        ws = correction_kernel(comps)[0].reshape(5, 6, 3, 3)
         for ch, params, w in zip(channels, schemes, ws):
             assert w.tobytes() == branch_corrections(ch.a, MeasurementBasis(params.basis.vectors)).tobytes()
 
@@ -687,10 +689,10 @@ class TestOneInputPath:
         # the corrections are built and kept first, so a NaN put into the
         # kept components afterwards reaches only the projection's sum check
         branch_corrections(DEGENERATE, basis)
-        key, comps, ws, zero = basis._memo
+        key, comps, ws, zero, _, bob = basis._memo
         comps = comps.copy()
         comps[0, 0, 1] = math.nan
-        object.__setattr__(basis, "_memo", (key, comps, ws, zero))
+        object.__setattr__(basis, "_memo", (key, comps, ws, zero, comps.tolist(), bob))
         with pytest.raises(ValueError, match="sum to 1"):
             run_with_basis(InputQubit(alpha=1.0, beta=0.0), DEGENERATE, basis)
 
@@ -748,7 +750,7 @@ class TestCorrectionMemo:
         ch = random_capable_channel(rng)
         basis = assemble_D12(_solved(ch))[1]
         ws = branch_corrections(ch.a, basis)
-        key, comps, kept, _ = basis._memo
+        key, comps, kept = basis._memo[:3]
         assert kept is ws and not comps.flags.writeable
         split = _spy(monkeypatch, teleport, "branch_components")
         q = random_input(rng)
@@ -760,6 +762,30 @@ class TestCorrectionMemo:
         fresh = branch_components(ch.a, basis)
         assert fresh is not comps and fresh.flags.writeable
         assert fresh.tobytes() == comps.tobytes()
+
+    def test_kept_rows_are_the_kept_arrays(self):
+        # the memo's Python rows are its arrays' values, and a run that reads
+        # them gives the bits of one that reads the arrays; the a0 = 0 scheme
+        # at theta1 = 0 has zero branches (rows 1+ and 2+)
+        rng = np.random.default_rng(3203)
+        cases = [(ch.a, _solved(ch, frac=rng.uniform()))
+                 for ch in (random_capable_channel(rng) for _ in range(20))]
+        cases.append((DEGENERATE, solve_constraints(make_channel(*DEGENERATE), math.pi / 4,
+                                                    theta2_hint=0.0, theta1_hint=0.0)))
+        for coeffs, params in cases:
+            basis = MeasurementBasis(params.basis.vectors)
+            ws = branch_corrections(coeffs, basis)
+            _, comps, _, zero, rows, bob = basis._memo
+            assert rows == comps.tolist()
+            assert [[row[:3], row[3:]] for row in bob] == ws[:, :2].tolist()
+            for _ in range(5):
+                q = random_input(rng)
+                rep = run_with_basis(q, coeffs, basis)
+                probs, fids, mean = run_from_arrays(q, coeffs, basis)
+                assert [p.hex() for p in rep.probabilities] == [p.hex() for p in probs]
+                assert [f.hex() for f in rep.fidelities] == [f.hex() for f in fids]
+                assert rep.mean_fidelity.hex() == mean.hex()
+        assert sum(zero) == 2
 
     def test_one_build_for_many_runs(self, monkeypatch, rng):
         ch = random_capable_channel(rng)
@@ -791,7 +817,7 @@ class TestCorrectionMemo:
         with pytest.raises(CorrectionError):
             branch_corrections(make_channel(*SYMMETRIC).a, basis)
         assert len(kernel) == 1
-        fresh, _ = _corrections(branch_components(ch.a, basis))
+        fresh, _ = correction_kernel(branch_components(ch.a, basis))
         assert branch_corrections(ch.a, basis).tobytes() == fresh.tobytes()
 
     def test_key_is_the_exact_bits(self, monkeypatch):
@@ -1078,12 +1104,14 @@ def _faulty_kernel(monkeypatch, rows, fault):
     calls = []
 
     def faulty(comps):
-        w, zero = _corrections(comps)
+        flat, zero = _corrections(comps)
         if not calls:
+            w = np.array(flat, dtype=complex).reshape(-1, 3, 3)
             for row in rows:
-                fault(w[row], comps[row, 0])
+                fault(w[row], np.array(comps[row][0]))
+            flat = w.ravel().tolist()
         calls.append(len(comps))
-        return w, zero
+        return flat, zero
 
     monkeypatch.setattr(teleport, "_corrections", faulty)
     return calls
@@ -1329,7 +1357,7 @@ class TestFailClosed:
         # reaches the unitarity check without a warning, and the NaN is
         # reported wherever its branch sits among valid ones
         with pytest.raises(CorrectionError, match="not unitary: deviation nan"):
-            _corrections(comps)
+            correction_kernel(comps)
 
     def test_null_component_of_live_branch_fails_unitarity(self):
         # |va| = 0 < |vb| <= TOL.correction passes the weight gate: the
@@ -1339,7 +1367,7 @@ class TestFailClosed:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CorrectionError, match="not unitary: deviation nan"):
-                _corrections(comps)
+                correction_kernel(comps)
 
     def test_nan_probability_is_not_a_zero_branch(self, monkeypatch, rng):
         # the upstream checks stop every NaN; fake one past them on a live branch
