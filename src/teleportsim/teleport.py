@@ -132,13 +132,13 @@ def _corrections(rows: list) -> tuple[list, tuple[bool, ...]]:
     complex components nested as (n, 2, 3) lists: the n corrections' entries,
     row by row in one flat list, and each branch's _zero_branch flag. A zero
     branch gets the identity; any other needs equal weights and orthogonal
-    components, and its rows are the conjugated unit
-    components and their conjugated cross product times the phase that makes
-    the first entry of row 0 above TOL.entry real positive, with W^dag W - I
-    within TOL.unitary entrywise (a null or NaN component gives NaN, which
-    fails). No bit depends on numpy's SIMD dispatch. Errors go by kind over
-    all branches (unequal weights, orthogonality, unitarity), each naming its
-    first offending branch.
+    components, and its rows are the conjugated unit components and their
+    conjugated cross product times the phase that makes the first entry of
+    row 0 above TOL.entry real positive, with W^dag W - I within TOL.unitary
+    entrywise (a null or NaN component gives NaN, which fails). No bit
+    depends on numpy's SIMD dispatch. Errors go by kind over all branches
+    (unequal weights, orthogonality, unitarity), each naming its first
+    offending branch.
     """
     flat, zero, faults = [], [], {}  # faults: precedence -> message of its first branch
     for (a0, a1, a2), (b0, b1, b2) in rows:

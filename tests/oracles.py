@@ -4,7 +4,8 @@ Each one recomputes something the library does in closed form (branch
 tangles, collapsed states, the channel ket, the resource report) straight
 from its definition or its first plain recipe, so a test can compare the
 two (the joint-state projection, total_state and measure_branches, is
-run_with_basis's, and run_from_arrays is its array-reading form); gour_basis builds the comparison protocol's measurement, and
+run_with_basis's, and run_from_arrays is its array-reading form);
+gour_basis builds the comparison protocol's measurement, and
 tuple_bisect keeps the bisection's first loop; certify_stack is the
 kernel-built reference for teleport.certify_scheme, on the (k, 6, 6) basis
 stacks of measurement_bases (checked by check_unitary_stack, the stack form

@@ -355,7 +355,6 @@ class TestSolveConstraints:
             with pytest.raises(InfeasibleError):
                 admissible_u_window(bad)
 
-
     def test_theta2_window_memo_is_per_channel_value(self):
         # free_theta2_window is memoized as admissible_u_window is: an equal
         # channel at the same u shares the window, and a refusal is refused again
