@@ -2,6 +2,7 @@
 partially entangled two-qutrit channels."""
 
 from .channel import (
+    CapabilityError,
     SchmidtChannel,
     canonicalize,
     channel_entropy,
@@ -27,7 +28,6 @@ from .scheme import (
     solve_constraints,
 )
 from .teleport import (
-    CapabilityError,
     CorrectionError,
     InputQubit,
     TeleportReport,

@@ -72,11 +72,20 @@ def channel_entropy(ch: SchmidtChannel) -> float:
     return min(max(float(e), 0.0), LOG2_3)
 
 
+class CapabilityError(Exception):
+    """The channel cannot support perfect qubit teleportation."""
+
+
 def is_teleport_capable(ch: SchmidtChannel) -> bool:
     """Perfect qubit teleportation is possible iff max a_j^2 <= 1/2 (within
     TOL.window): the library's one capability test, through which the theta3
-    window, run_teleport, certify_scheme and gour_e12 all refuse."""
+    window (so the solver), certify_scheme, run_teleport and gour_e12 refuse."""
     return max(ch.squares) <= 0.5 + TOL.window
+
+
+def _require_capable(ch: SchmidtChannel) -> None:
+    if not is_teleport_capable(ch):
+        raise CapabilityError(f"channel {ch.a} is not teleport-capable (max a_j^2 > 1/2)")
 
 
 def canonicalize(ch: SchmidtChannel) -> tuple[SchmidtChannel, tuple[int, int, int]]:

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .channel import canonicalize, make_channel
+from .channel import CapabilityError, canonicalize, make_channel
 from .explorer import (
     SweepRecord,
     SweepResult,
@@ -30,7 +30,7 @@ from .explorer import (
 )
 from .resources import resource_report
 from .scheme import InfeasibleError, find_scheme
-from .teleport import CapabilityError, CorrectionError, random_input, run_teleport
+from .teleport import CorrectionError, random_input, run_teleport
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -10,14 +10,12 @@ Three sweeps cover the documented channel families:
 Each sweep takes a density and rejects one below 2; it draws no random
 numbers, so its output depends on the density alone. A family only lists its
 channels and each channel's solve_constraints points; one driver, _sweep,
-does the rest for all three. It solves the points in channel order and
-certifies each solved scheme with the input-free certify_scheme, which
-covers every input qubit at once from closed forms; once every point is
-solved and certified, each record that passed the gate is accounted with one
+does the rest for all three. It solves the points in channel order; once
+every point is solved, each solved scheme is accounted with one
 resource_report call and emitted as a SweepRecord, a tuple of its fields in
-CSV column order. Every emitted record teleports every input with fidelity
-at least 1 - TOL.unitary; infeasible points are counted and reported, never
-fatal.
+CSV column order. solve_constraints returns only certified schemes, so every
+emitted record teleports every input with fidelity at least 1 - TOL.unitary;
+infeasible points are counted and reported, never fatal.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .channel import channel_entropy, make_channel
 from .qlinalg import LOG2_3, TOL, bisect
 from .resources import lower_bound_sum, resource_report, upper_bound_sum
 from .scheme import InfeasibleError, admissible_u_window, free_theta2_window, solve_constraints
-from .teleport import DEVIATION_BOUND, certify_scheme
 
 # number of scheme-angle samples per swept channel
 _INNER_GRID = 5
@@ -99,20 +96,18 @@ def _sweep(channels) -> SweepResult:
     point a (theta3, hints) pair for solve_constraints(ch, theta3, **hints);
     a channel with no points (an empty window) counts as one skipped point.
 
-    Two passes. The first solves the points in channel order and certifies
-    each solved scheme: a point is skipped when it is infeasible or its
-    certify_scheme deviation is not at most DEVIATION_BOUND (a NaN fails).
-    The second accounts each kept scheme, in order, with one resource_report
-    call and emits its record.
+    Two passes. The first solves the points in channel order, skipping a
+    point that solve_constraints refuses (InfeasibleError: outside the
+    window, or not certified). The second accounts each solved scheme, in
+    order, with one resource_report call and emits its record.
 
     Accounting stays a pass of its own, one call per record to the
     module-level resource_report (looked up at call time), because that call
-    is the record boundary: perfbench's family-sweeps workload wraps
-    explorer.resource_report and times each record between two of its
-    returns, and test_accounting_follows_every_certificate pins the order,
-    every certificate first, then one report per record.
+    is the record boundary: perfbench's family-sweeps workload times each
+    record between two of its returns, and
+    test_accounting_follows_every_certificate pins the order.
     """
-    kept: list[tuple] = []  # (ch, params, bound_lower, bound_upper)
+    solved: list[tuple] = []  # (ch, params, bound_lower, bound_upper)
     skipped = 0
     for ch, bound_upper, points in channels:
         if not points:
@@ -125,12 +120,9 @@ def _sweep(channels) -> SweepResult:
             except InfeasibleError:
                 skipped += 1
                 continue
-            if certify_scheme(ch, params) <= DEVIATION_BOUND:  # fail closed: NaN does not pass
-                kept.append((ch, params, bound_lower, bound_upper))
-            else:
-                skipped += 1
+            solved.append((ch, params, bound_lower, bound_upper))
     records: list[SweepRecord] = []
-    for ch, params, bound_lower, bound_upper in kept:
+    for ch, params, bound_lower, bound_upper in solved:
         e_channel, e12, h12, _, _, total = resource_report(ch, params)
         records.append(_tuple_new(SweepRecord, (*ch.a, *params.theta, e_channel, e12, h12,
                                                 total, bound_lower, bound_upper)))

@@ -19,7 +19,7 @@ class Tolerances:
     entry: float = 1e-12       # entrywise comparisons, norms
     unitary: float = 1e-10     # ||M^dag M - I||_max for unitarity checks
     correction: float = 1e-9   # perfect-correctability conditions
-    zero_branch: float = 1e-14  # component norm taken as exactly 0 (teleport._zero_branch)
+    zero_branch: float = 1e-14  # component norm taken as exactly 0 (scheme._zero_branch)
     degenerate: float = 1e-13  # constraint coefficient below this is cancellation noise
     window: float = 1e-14      # capability slack over max a_j^2 = 1/2; u-window emptiness
     weight: float = 1e-15      # phasor / slice weight taken as exactly 0

@@ -12,6 +12,9 @@ channel the perfect-teleportation constraints reduce to closed form:
 
 The phases come from a law-of-cosines closure of the three-phasor sum over
 the third row.
+
+solve_constraints, the one place that accepts a scheme, returns only schemes
+that certify_scheme certifies: fidelity 1 on every branch for every input.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import SchmidtChannel, is_teleport_capable
+from .channel import SchmidtChannel, _require_capable, is_teleport_capable
 from .qlinalg import TOL, check_unitary
 
 BRANCH_LABELS = ("1+", "2+", "3+", "1-", "2-", "3-")
@@ -246,8 +249,9 @@ def solve_constraints(
     (degenerate channels); otherwise both angles are pinned in closed form.
     theta3 is gated on u = sin^2(theta3) against admissible_u_window, within
     TOL.entry. Raises InfeasibleError (with the admissible theta3 interval
-    attached) when theta3 lies outside that window or the residuals exceed
-    TOL.unitary, ValueError when it is not finite.
+    attached) when theta3 lies outside that window or the scheme's
+    certify_scheme deviation is not at most DEVIATION_BOUND (the message names
+    the worst branch pair), ValueError when theta3 is not finite.
     """
     if not math.isfinite(theta3):
         raise ValueError(f"theta3 must be finite, got {theta3}")
@@ -286,10 +290,13 @@ def solve_constraints(
     c3 = math.cos(theta3)
     d1, d2 = phases_from_weights(A * (-s2) ** 2, B * (c2 * s3) ** 2, C * (c2 * c3) ** 2)
     params = SchemeParams(theta=(theta1, theta2, theta3), delta=(d1, d2))
-    res = constraint_residuals(ch, params)
-    if max(res) > TOL.unitary:
+    if not certify_scheme(ch, params) <= DEVIATION_BOUND:  # fail closed: NaN does not pass
+        devs = _pair_deviations(ch, params)
+        j = max(range(3), key=lambda i: math.inf if math.isnan(devs[i]) else devs[i])
         raise InfeasibleError(
-            f"constraint residuals {res} exceed tolerance at theta3 = {theta3:.6g}",
+            f"scheme at theta3 = {theta3:.6g} not certified: branches "
+            f"{('1+/2+', '1-/2-', '3+/3-')[j]} deviate by {devs[j]:.3g} of their weight "
+            f"(bound {DEVIATION_BOUND:.3g})",
             interval=admissible_theta3(ch),
         )
     return params
@@ -308,6 +315,96 @@ def constraint_residuals(ch: SchmidtChannel, params: SchemeParams) -> tuple[floa
         + C * u[2][2] ** 2 * cmath.exp(-1j * d2)
     )
     return abs(r1), abs(r2), r3
+
+
+# the solver's one acceptance rule: a scheme whose certify_scheme deviation is
+# at most this teleports every input with fidelity at least 1 - TOL.unitary
+DEVIATION_BOUND = TOL.unitary / (4.0 * math.sqrt(6.0))
+
+
+def certify_scheme(ch: SchmidtChannel, params: SchemeParams) -> float:
+    """The input-free certificate of one solved scheme on the channel ch:
+    its worst deviation from perfect teleportation over the six branches,
+    in plain floats from closed forms.
+
+    Branch j collapses the input q = (alpha, beta) to alpha*va + beta*vb
+    (branch_components), so Bob's output is W.[va vb].q. With the branch
+    probability p = (|va|^2 + |vb|^2) / 2, take the 3x2 matrix M =
+    W.[va vb] / sqrt(p). A branch's deviation is the largest entry of
+    |M - c'.[I; 0]|, with c' = M[0, 0] / |M[0, 0]|. The correction kernel's
+    W has rows conj(va)/|va| and conj(vb)/|vb| times one phase c, and a
+    third row, their cross product, orthogonal to both va and vb. So
+    M = (c / sqrt p).[[|va|, <va, vb>/|va|], [<vb, va>/|vb|, |vb|], [0, 0]],
+    c' = c, and the deviation is
+
+        max(||va| - sqrt p|, ||vb| - sqrt p|, |<va, vb>| / min(|va|, |vb|)) / sqrt p.
+
+    In the _d12_entries layout each term is a closed form in the rotation u,
+    the phases and the channel squares (A, B, C):
+    * 1+ and 2+ (1- and 2-: row 1 of u) have disjoint supports, so
+      <va, vb> = 0, and the weights |va|^2, |vb|^2 are A u00^2 + C u02^2
+      and B u01^2 (swapped on 2+); 1+ and 2+ deviate alike;
+    * 3+ and 3- have |va|^2 = |vb|^2 = p = (A u20^2 + B u21^2 + C u22^2) / 2
+      (zeta = pi/4) and |<va, vb>| = r3 / 2, with r3 the phasor residual of
+      constraint_residuals, so their deviation is r3 / (2p).
+    A zero branch (_zero_branch on |va| and |vb|) counts as 0, as
+    run_with_basis counts its fidelity as 1. A NaN anywhere gives NaN,
+    which fails the gate `deviation <= DEVIATION_BOUND`.
+
+    Why DEVIATION_BOUND suffices: write M = c'.[I; 0] + E with every
+    |E_ik| <= eps. For a unit input q with target t = (q, 0), Mq = c't + Eq
+    and |Eq| <= ||E||_F <= sqrt(6) eps = x, so |<t, Mq>| >= 1 - x and
+    |Mq| <= 1 + x. The output's fidelity |<t, Mq>|^2 / |Mq|^2 is then at
+    least (1 - x)^2 / (1 + x)^2 >= 1 - 4x, and eps <= TOL.unitary / (4 sqrt 6)
+    gives 1 - TOL.unitary, for every input at once.
+
+    Rounding: the closed forms are exact identities of the layout; in
+    floats each term carries a few ulps of error relative to its branch's
+    weight, so the value is within 1e-15 of the exact deviation of the
+    scheme's float angles (and within 2e-15 of the kernel-built stack
+    certificate, tests/oracles.certify_stack). The gate thus admits an exact
+    deviation up to DEVIATION_BOUND + 1e-15: a fidelity of at least
+    1 - TOL.unitary - 4 sqrt(6) x 1e-15, under 1e-14 below 1 - TOL.unitary.
+
+    It is the NaN-aware max of _pair_deviations, which keeps the checks of
+    run_teleport that do not depend on the input: the channel's capability
+    (CapabilityError) and the branch probabilities summing to 1 within
+    TOL.entry (ValueError). It raises no CorrectionError: a branch the kernel
+    would refuse (||va| - |vb|| or |<va, vb>| above TOL.correction) deviates
+    by more than DEVIATION_BOUND, so it fails the gate instead.
+    """
+    d0, d1, d2 = _pair_deviations(ch, params)
+    # a bare max would drop a NaN that does not come first
+    return math.nan if math.isnan(d0 + d1 + d2) else max(d0, d1, d2)
+
+
+def _pair_deviations(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, float, float]:
+    """certify_scheme's deviations of the branch pairs 1+/2+, 1-/2-, 3+/3-."""
+    _require_capable(ch)
+    A, B, C = ch.squares
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = params.rotation
+    x0, y0 = A * u00 * u00 + C * u02 * u02, B * u01 * u01
+    x1, y1 = A * u10 * u10 + C * u12 * u12, B * u11 * u11
+    p3 = 0.5 * (A * u20 * u20 + B * u21 * u21 + C * u22 * u22)
+    if abs(x0 + y0 + x1 + y1 + 2.0 * p3 - 1.0) > TOL.entry:  # a NaN goes on to the deviation
+        raise ValueError("branch probabilities do not sum to 1")
+    r3 = constraint_residuals(ch, params)[2]
+    return (_split_deviation(x0, y0), _split_deviation(x1, y1),
+            0.0 if _zero_branch(math.sqrt(p3), math.sqrt(p3)) else 0.5 * r3 / p3)
+
+
+def _split_deviation(x: float, y: float) -> float:
+    """The deviation of a branch whose components have disjoint supports and squared norms x, y."""
+    na, nb = math.sqrt(x), math.sqrt(y)
+    if _zero_branch(na, nb):
+        return 0.0
+    sp = math.sqrt(0.5 * (x + y))
+    return max(abs(na - sp), abs(nb - sp)) / sp
+
+
+def _zero_branch(na: float, nb: float) -> bool:
+    """The one zero-branch rule: both component norms |va|, |vb| <= TOL.zero_branch."""
+    return na <= TOL.zero_branch and nb <= TOL.zero_branch
 
 
 def assemble_D12(params: SchemeParams) -> tuple[np.ndarray, MeasurementBasis]:

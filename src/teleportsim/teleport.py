@@ -1,14 +1,13 @@
 """Exact protocol execution: Alice's projection, Bob's corrections and the
-fidelity certificates.
+per-input fidelity certificate.
 
 Branch j collapses the input alpha|0> + beta|1> to alpha*va + beta*vb
 (branch_components): by linearity, the projection of the joint state input
 (x) channel onto that branch's ket, which is never built. run_with_basis
 certifies one input on one basis from those components and Bob's
-corrections; certify_scheme certifies a solved scheme for every input at
-once from the closed forms of the same components, with no basis built.
-Fidelities come out as floating-point 1 (to 1e-10), never as sampled
-statistics.
+corrections; scheme decides which schemes count, and the kernel's checks
+(CorrectionError) guard a hand-built one. Fidelities come out as
+floating-point 1 (to 1e-10), never as sampled statistics.
 """
 
 from __future__ import annotations
@@ -18,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SchmidtChannel, is_teleport_capable
+from .channel import SchmidtChannel, _require_capable
 from .qlinalg import TOL
-from .scheme import (BRANCH_LABELS, MeasurementBasis, SchemeParams, assemble_D12,
-                     constraint_residuals)
-
-
-class CapabilityError(Exception):
-    """The channel cannot support perfect qubit teleportation."""
+from .scheme import BRANCH_LABELS, MeasurementBasis, SchemeParams, _zero_branch, assemble_D12
 
 
 class CorrectionError(Exception):
@@ -122,11 +116,6 @@ def branch_corrections(coeffs, basis: MeasurementBasis) -> np.ndarray:
     return w
 
 
-def _zero_branch(na: float, nb: float) -> bool:
-    """The one zero-branch rule: both component norms |va|, |vb| <= TOL.zero_branch."""
-    return na <= TOL.zero_branch and nb <= TOL.zero_branch
-
-
 def _corrections(rows: list) -> tuple[list, tuple[bool, ...]]:
     """The correction kernel, one plain-Python pass over pairs (va, vb) of
     complex components nested as (n, 2, 3) lists: the n corrections' entries,
@@ -186,13 +175,6 @@ def _corrections(rows: list) -> tuple[list, tuple[bool, ...]]:
     return flat, tuple(zero)
 
 
-def _require_capable(ch: SchmidtChannel) -> None:
-    if not is_teleport_capable(ch):
-        raise CapabilityError(
-            f"channel {ch.a} is not teleport-capable (max a_j^2 > 1/2)"
-        )
-
-
 def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> TeleportReport:
     """Execute the protocol exactly and certify unit fidelity on every branch.
 
@@ -203,87 +185,6 @@ def run_teleport(inp: InputQubit, ch: SchmidtChannel, params: SchemeParams) -> T
     _require_capable(ch)
     _, basis = assemble_D12(params)
     return run_with_basis(inp, ch.a, basis)
-
-
-# certify_scheme's gate: a scheme whose worst deviation is at most this
-# teleports every input with fidelity at least 1 - TOL.unitary (see certify_scheme)
-DEVIATION_BOUND = TOL.unitary / (4.0 * math.sqrt(6.0))
-
-
-def certify_scheme(ch: SchmidtChannel, params: SchemeParams) -> float:
-    """The input-free certificate of one solved scheme on the channel ch:
-    its worst deviation from perfect teleportation over the six branches,
-    in plain floats from closed forms.
-
-    Branch j collapses the input q = (alpha, beta) to alpha*va + beta*vb
-    (branch_components), so Bob's output is W.[va vb].q. With the branch
-    probability p = (|va|^2 + |vb|^2) / 2, take the 3x2 matrix M =
-    W.[va vb] / sqrt(p). A branch's deviation is the largest entry of
-    |M - c'.[I; 0]|, with c' = M[0, 0] / |M[0, 0]|. The correction kernel's
-    W has rows conj(va)/|va| and conj(vb)/|vb| times one phase c, and a
-    third row, their cross product, orthogonal to both va and vb. So
-    M = (c / sqrt p).[[|va|, <va, vb>/|va|], [<vb, va>/|vb|, |vb|], [0, 0]],
-    c' = c, and the deviation is
-
-        max(||va| - sqrt p|, ||vb| - sqrt p|, |<va, vb>| / min(|va|, |vb|)) / sqrt p.
-
-    In the _d12_entries layout each term is a closed form in the rotation u,
-    the phases and the channel squares (A, B, C):
-    * 1+ and 2+ (1- and 2-: row 1 of u) have disjoint supports, so
-      <va, vb> = 0, and the weights |va|^2, |vb|^2 are A u00^2 + C u02^2
-      and B u01^2 (swapped on 2+); 1+ and 2+ deviate alike;
-    * 3+ and 3- have |va|^2 = |vb|^2 = p = (A u20^2 + B u21^2 + C u22^2) / 2
-      (zeta = pi/4) and |<va, vb>| = r3 / 2, with r3 the phasor residual of
-      constraint_residuals, so their deviation is r3 / (2p).
-    A zero branch (_zero_branch on |va| and |vb|) counts as 0, as
-    run_with_basis counts its fidelity as 1. A NaN anywhere gives NaN,
-    which fails the gate `deviation <= DEVIATION_BOUND`.
-
-    Why DEVIATION_BOUND suffices: write M = c'.[I; 0] + E with every
-    |E_ik| <= eps. For a unit input q with target t = (q, 0), Mq = c't + Eq
-    and |Eq| <= ||E||_F <= sqrt(6) eps = x, so |<t, Mq>| >= 1 - x and
-    |Mq| <= 1 + x. The output's fidelity |<t, Mq>|^2 / |Mq|^2 is then at
-    least (1 - x)^2 / (1 + x)^2 >= 1 - 4x, and eps <= TOL.unitary / (4 sqrt 6)
-    gives 1 - TOL.unitary, for every input at once.
-
-    Rounding: the closed forms are exact identities of the layout; in
-    floats each term carries a few ulps of error relative to its branch's
-    weight, so the value is within 1e-15 of the exact deviation of the
-    scheme's float angles (and within 2e-15 of the kernel-built stack
-    certificate, tests/oracles.certify_stack). The gate thus admits an exact
-    deviation up to DEVIATION_BOUND + 1e-15: a fidelity of at least
-    1 - TOL.unitary - 4 sqrt(6) x 1e-15, under 1e-14 below 1 - TOL.unitary.
-
-    Keeps the checks of run_teleport that do not depend on the input: the
-    channel's capability (CapabilityError) and the branch probabilities
-    summing to 1 within TOL.entry (ValueError). It raises no
-    CorrectionError: a branch the kernel would refuse (||va| - |vb|| or
-    |<va, vb>| above TOL.correction) deviates by more than DEVIATION_BOUND,
-    so it fails the gate instead.
-    """
-    _require_capable(ch)
-    A, B, C = ch.squares
-    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = params.rotation
-    x0, y0 = A * u00 * u00 + C * u02 * u02, B * u01 * u01
-    x1, y1 = A * u10 * u10 + C * u12 * u12, B * u11 * u11
-    p3 = 0.5 * (A * u20 * u20 + B * u21 * u21 + C * u22 * u22)
-    if abs(x0 + y0 + x1 + y1 + 2.0 * p3 - 1.0) > TOL.entry:  # a NaN goes on to the deviation
-        raise ValueError("branch probabilities do not sum to 1")
-    r3 = constraint_residuals(ch, params)[2]
-    d0, d1, d2 = (_split_deviation(x0, y0), _split_deviation(x1, y1),
-                  0.0 if _zero_branch(math.sqrt(p3), math.sqrt(p3)) else 0.5 * r3 / p3)
-    # a bare max would drop a NaN that does not come first
-    return math.nan if math.isnan(d0 + d1 + d2) else max(d0, d1, d2)
-
-
-def _split_deviation(x: float, y: float) -> float:
-    """The deviation of a branch whose components have disjoint supports and
-    squared norms x and y (certify_scheme)."""
-    na, nb = math.sqrt(x), math.sqrt(y)
-    if _zero_branch(na, nb):
-        return 0.0
-    sp = math.sqrt(0.5 * (x + y))
-    return max(abs(na - sp), abs(nb - sp)) / sp
 
 
 def _project(a: complex, b: complex, coeffs, rows: list) -> tuple[list, list]:

@@ -7,7 +7,7 @@ two (the joint-state projection, total_state and measure_branches, is
 run_with_basis's, and run_from_arrays is its array-reading form);
 gour_basis builds the comparison protocol's measurement, and
 tuple_bisect keeps the bisection's first loop; certify_stack is the
-kernel-built reference for teleport.certify_scheme, on the (k, 6, 6) basis
+kernel-built reference for scheme.certify_scheme, on the (k, 6, 6) basis
 stacks of measurement_bases (checked by check_unitary_stack, the stack form
 of qlinalg.check_unitary). The bases the
 library does not build also live here: the closed-form a0 = 0 families
@@ -219,14 +219,14 @@ def certify_stack(channels, vectors) -> np.ndarray:
     """The input-free certificate of k records, record i being the basis
     vectors[i] of a (k, 6, 6) array (measurement_bases of k schemes, or
     Gour's kets) on the channel channels[i]: each record's worst deviation,
-    (k,), the quantity teleport.certify_scheme gives in closed form.
+    (k,), the quantity scheme.certify_scheme gives in closed form.
 
     The reference recipe, with Bob's corrections built by the library's
     correction kernel (teleport._corrections) on the whole stack: branch j
     collapses the input q to alpha*va + beta*vb, M = W.[va vb] / sqrt(p)
     with p = (|va|^2 + |vb|^2) / 2, and a branch's deviation is the largest
     entry of |M - c'.[I; 0]|, c' = M[0, 0] / |M[0, 0]| (1 if that is 0);
-    zero branches (the kernel's flags, teleport._zero_branch) count as 0
+    zero branches (the kernel's flags, scheme._zero_branch) count as 0
     and a NaN gives NaN.
     The kernel raises CorrectionError on a branch it cannot correct.
     """

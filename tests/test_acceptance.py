@@ -46,19 +46,19 @@ from teleportsim.resources import (
     upper_bound_sum,
 )
 from teleportsim.scheme import (
+    DEVIATION_BOUND,
     InfeasibleError,
     admissible_theta3,
     admissible_u_window,
     assemble_D12,
+    certify_scheme,
     free_theta2_window,
     solve_constraints,
 )
 from teleportsim.teleport import (
-    DEVIATION_BOUND,
     CorrectionError,
     branch_components,
     branch_corrections,
-    certify_scheme,
     random_input,
     run_teleport,
 )
@@ -183,7 +183,11 @@ def test_4_published_scheme_numbers(capsys):
 
 def test_5_degenerate_limit_comparison(capsys):
     """Near the degenerate channel (a0 = 1e-4), the minimum achievable E12
-    is about 0.906, strictly below the comparison value H(2/3) = 0.918."""
+    is about 0.906, strictly below the comparison value H(2/3) = 0.918.
+
+    The solver refuses exactly one of the 101 theta2 hints, the top of
+    free_theta2_window: branches 3+/3- deviate there by 5.4e-10 of their
+    weight, past DEVIATION_BOUND."""
     a0 = 1e-4
     a1 = math.sqrt(0.5 * (1.0 - a0 * a0))
     ch = make_channel(a0, a1, a1)
@@ -191,13 +195,19 @@ def test_5_degenerate_limit_comparison(capsys):
     ustar = 0.5 * (ulo + uhi)
     theta3 = math.asin(math.sqrt(ustar))
     wlo, whi = free_theta2_window(ch, ustar)
-    e12_min, best = np.inf, None
+    e12_min, best, refused = np.inf, None, []
     for w in np.linspace(wlo, whi, 101):
-        params = solve_constraints(ch, theta3, theta2_hint=math.asin(math.sqrt(w)))
+        try:
+            params = solve_constraints(ch, theta3, theta2_hint=math.asin(math.sqrt(w)))
+        except InfeasibleError as exc:
+            refused.append((w, str(exc)))
+            continue
         e12 = resource_report(ch, params).e12
         if e12 < e12_min:
             e12_min, best = e12, params
     comparison = gour_e12(ch)
+    assert len(refused) == 1 and refused[0][0] == whi
+    assert "branches 3+/3- deviate by 5.38e-10 of their weight" in refused[0][1]
     with _criterion(capsys, 5,
                     f"min E12 {e12_min:.6f} < comparison value {comparison:.6f}"):
         # the scheme that reaches the minimum teleports perfectly

@@ -1,7 +1,8 @@
 """The package's public names, pinned: an export is added or removed only on
-purpose. Also the names the benchmark's tracer looks up, and the return
-types its certify unit relies on."""
+purpose. Also the names the benchmark's tracer looks up, the return types
+its certify unit relies on, and the module graph around the acceptance rule."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -51,6 +52,29 @@ def test_all_is_pinned():
 def test_every_name_resolves():
     for name in PUBLIC:
         assert getattr(teleportsim, name).__module__.startswith("teleportsim."), name
+
+
+def _imported_modules(path: pathlib.Path) -> set[str]:
+    """The modules a source file imports, relative ones with their dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+            if node.level and not node.module:  # from . import teleport
+                names.update("." + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_acceptance_rule_has_one_home():
+    # scheme decides which schemes count (certify_scheme gates
+    # solve_constraints) and explorer takes what the solver returns: neither
+    # imports teleport, so the rule cannot drift back into two modules
+    for name in ("scheme.py", "explorer.py"):
+        imported = _imported_modules(ROOT / "src" / "teleportsim" / name)
+        assert ".scheme" in imported or ".channel" in imported, name
+        assert not {".teleport", "teleportsim.teleport"} & imported, name
 
 
 def _perfbench_checks():

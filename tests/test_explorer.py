@@ -89,9 +89,10 @@ def _sweeps(density=6, n_degenerate=9):
 
 
 def _spy_certified(monkeypatch, log=None):
-    """Record each certify_scheme call as its record's (channel, scheme
-    angles); with `log`, append ("certify", angles) to it too."""
-    certified, certify = [], explorer.certify_scheme
+    """Record each call of the solver's gate, scheme.certify_scheme, as its
+    record's (channel, scheme angles); with `log`, append ("certify",
+    angles) to it too."""
+    certified, certify = [], scheme.certify_scheme
 
     def spy(ch, params):
         certified.append((ch.a, params.theta))
@@ -99,7 +100,7 @@ def _spy_certified(monkeypatch, log=None):
             log.append(("certify", params.theta))
         return certify(ch, params)
 
-    monkeypatch.setattr(explorer, "certify_scheme", spy)
+    monkeypatch.setattr(scheme, "certify_scheme", spy)
     return certified
 
 
@@ -109,9 +110,9 @@ def _emitted(records):
 
 
 class TestSweepDriver:
-    """Each sweep solves and certifies every point first, in channel order,
-    each solved scheme with one certify_scheme call and no basis or
-    correction kernel; then it accounts each kept record with one
+    """Each sweep solves every point first, in channel order, and the solver
+    certifies each solved scheme with one certify_scheme call and no basis
+    or correction kernel; then the sweep accounts each kept record with one
     resource_report call. The gate applies record by record, and no random
     numbers are drawn."""
 
@@ -208,15 +209,15 @@ class TestSweepDriver:
     def test_gate_skips_only_the_failing_record(self, name, monkeypatch):
         run = dict(_sweeps())[name]
         want = run()
-        certify = explorer.certify_scheme
+        certify = scheme.certify_scheme
         calls, reported = [], []
         # the first channel boundary b >= 2 (2 on the one-channel sweep): the
         # record before b - 1 exactly on the bound, the last record of one
         # channel just past it, the first of the next NaN
         channels = [(r.a0, r.a1, r.a2) for r in want.records]
         b = next((i for i in range(2, len(channels)) if channels[i] != channels[i - 1]), 2)
-        forced = {b - 2: explorer.DEVIATION_BOUND,
-                  b - 1: np.nextafter(explorer.DEVIATION_BOUND, np.inf),
+        forced = {b - 2: scheme.DEVIATION_BOUND,
+                  b - 1: np.nextafter(scheme.DEVIATION_BOUND, np.inf),
                   b: math.nan}
 
         def past_gate(ch, params):
@@ -230,7 +231,7 @@ class TestSweepDriver:
             reported.append(params.theta)
             return report(ch, params)
 
-        monkeypatch.setattr(explorer, "certify_scheme", past_gate)
+        monkeypatch.setattr(scheme, "certify_scheme", past_gate)
         monkeypatch.setattr(explorer, "resource_report", spy)
         got = run()
         assert want.skipped == 0
@@ -420,6 +421,17 @@ class TestCli:
     def test_verify_incapable_exits_2(self, capsys):
         assert main(["verify", "--channel", "0.447,0.775,0.447"]) == 2
         assert "infeasible" in capsys.readouterr().err
+
+    def test_verify_face_corner_refused(self, capsys):
+        # a1 = math.sqrt(0.5), one ulp above 1/sqrt(2): the solver refuses
+        # the corner a0^2 = 5e-13 and the CLI says why, with no traceback
+        triple = ",".join(map(repr, (math.sqrt(5e-13), math.sqrt(0.5), math.sqrt(0.5 - 5e-13))))
+        assert main(["verify", "--channel", triple]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible: scheme at theta3 = ")
+        assert "not certified: branches 3+/3- deviate by 0.000127 of their weight" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_verify_bad_triple_exits_1(self, capsys):
         assert main(["verify", "--channel", "0.9,0.9,0.9"]) == 1

@@ -35,6 +35,7 @@ from teleportsim.resources import (
 )
 from teleportsim.scheme import (
     BRANCH_LABELS,
+    DEVIATION_BOUND,
     SchemeParams,
     admissible_theta3,
     assemble_D12,
@@ -43,7 +44,6 @@ from teleportsim.scheme import (
     solve_constraints,
 )
 from teleportsim.teleport import (
-    DEVIATION_BOUND,
     InputQubit,
     random_input,
     run_teleport,

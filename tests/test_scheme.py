@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 import re
 
 import numpy as np
@@ -17,11 +18,12 @@ from oracles import (
     special_case_basis,
     two_qubit_D12,
 )
-from teleportsim.channel import SchmidtChannel, canonicalize, make_channel
+from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
 from teleportsim.qlinalg import TOL
 from teleportsim.resources import resource_report, upper_bound_sum
 from teleportsim.scheme import (
     BRANCH_LABELS,
+    DEVIATION_BOUND,
     InfeasibleError,
     MeasurementBasis,
     SchemeParams,
@@ -29,13 +31,14 @@ from teleportsim.scheme import (
     admissible_theta3,
     admissible_u_window,
     assemble_D12,
+    certify_scheme,
     constraint_residuals,
     free_theta2_window,
     phases_from_weights,
     rotation_rows,
     solve_constraints,
 )
-from teleportsim.teleport import InputQubit, run_teleport
+from teleportsim.teleport import InputQubit, random_input, run_teleport
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -314,7 +317,8 @@ class TestSolveConstraints:
         rest = 1.0 - top
         ch, _ = canonicalize(make_channel(math.sqrt(rest * share), math.sqrt(top),
                                           math.sqrt(rest * (1.0 - share))))
-        with pytest.raises(InfeasibleError, match="constraint residuals") as exc:
+        with pytest.raises(InfeasibleError,
+                           match=r"not certified: branches 3\+/3- deviate by 7\.4e-09") as exc:
             solve_constraints(ch, admissible_theta3(ch)[1])
         assert exc.value.interval == admissible_theta3(ch)
 
@@ -368,6 +372,58 @@ class TestSolveConstraints:
         for _ in range(2):
             with pytest.raises(InfeasibleError):
                 free_theta2_window(bad, -1.0)
+
+
+def _scan_channels(seed: int, n: int) -> list[SchmidtChannel]:
+    """The capable channels, canonicalized, among n seeded draws spread as
+    ROADMAP item 1's scan: every other draw Dirichlet(1, 1, 1) weights over
+    the whole simplex (a quarter of them capable), the rest near the face,
+    max a_j^2 = 1/2 - 10^U(-14, -2), the other two weights splitting the
+    rest at a share log-uniform from 1e-12 to 1/2, taken from either end."""
+    rnd, out = random.Random(seed), []
+    for i in range(n):
+        if i % 2:
+            w = [rnd.expovariate(1.0) for _ in range(3)]
+            w = [x / sum(w) for x in w]
+        else:
+            top = 0.5 - 10.0 ** rnd.uniform(-14.0, -2.0)
+            share = 10.0 ** rnd.uniform(-12.0, math.log10(0.5))
+            if rnd.random() < 0.5:
+                share = 1.0 - share
+            w = [(1.0 - top) * share, top, (1.0 - top) * (1.0 - share)]
+        ch = make_channel(*map(math.sqrt, w))
+        if is_teleport_capable(ch):
+            out.append(canonicalize(ch)[0])
+    return out
+
+
+class TestAcceptanceRule:
+    """solve_constraints returns a scheme only when certify_scheme passes it,
+    the one acceptance rule; every scheme it returns runs through Bob's
+    correction kernel."""
+
+    def test_solved_schemes_certify_and_run(self):
+        # theta3 at both window ends and the midpoint of each channel; the
+        # old gate (every residual at most TOL.unitary) returned schemes here
+        # on which run_teleport raises CorrectionError
+        rng = np.random.default_rng(33)
+        solved = refused = 0
+        for ch in _scan_channels(7, 1000):
+            lo, hi = admissible_theta3(ch)
+            for theta3 in (lo, 0.5 * (lo + hi), hi):
+                try:
+                    params = solve_constraints(ch, theta3)
+                except InfeasibleError as exc:
+                    assert "not certified" in str(exc)
+                    refused += 1
+                    continue
+                solved += 1
+                assert certify_scheme(ch, params) <= DEVIATION_BOUND
+                # the certificate bounds every residual: the new gate only
+                # tightens the old one
+                assert max(constraint_residuals(ch, params)) <= 2.0 * DEVIATION_BOUND
+                run_teleport(random_input(rng), ch, params)  # no CorrectionError
+        assert solved > 1200 and refused > 50  # the sample reaches the near-face refusals
 
 
 class TestAssemble:

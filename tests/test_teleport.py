@@ -28,29 +28,34 @@ from oracles import (
     two_qubit_D12,
 )
 from teleportsim import explorer, scheme, teleport
-from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
+from teleportsim.channel import (
+    CapabilityError,
+    SchmidtChannel,
+    canonicalize,
+    is_teleport_capable,
+    make_channel,
+)
 from teleportsim.qlinalg import TOL
 from teleportsim.resources import gour_e12, resource_report
 from teleportsim.scheme import (
+    DEVIATION_BOUND,
     InfeasibleError,
     MeasurementBasis,
     SchemeParams,
     admissible_theta3,
     assemble_D12,
+    certify_scheme,
     constraint_residuals,
     find_scheme,
     rotation_rows,
     solve_constraints,
 )
 from teleportsim.teleport import (
-    DEVIATION_BOUND,
-    CapabilityError,
     CorrectionError,
     InputQubit,
     _corrections,
     branch_components,
     branch_corrections,
-    certify_scheme,
     random_input,
     run_teleport,
     run_with_basis,
@@ -533,23 +538,26 @@ class TestEdgeChannels:
                 assert 0.0 <= lo <= hi <= 1.0
         assert admitted > n // 2
 
+    @pytest.mark.parametrize("a1", [R2, math.sqrt(0.5)], ids=["a1=1/sqrt2", "a1=sqrt0.5"])
     @pytest.mark.parametrize("a0sq", [5e-15, 5e-14, 5e-13, 5e-12, 5e-11,
                                       5e-10, 5e-9, 5e-8, 5e-7, 5e-6])
-    def test_face_corner_fails_closed(self, a0sq):
-        # a1^2 = 1/2, a2^2 = 1/2 - a0^2: find_scheme solves, but up to a0^2 =
-        # 5e-7 Bob's corrections are refused (CHANGES.md); none may certify a
-        # lower fidelity, and the input-free certificate passes the scheme
-        # exactly when run_teleport does (one zero-branch rule)
-        ch, _ = canonicalize(make_channel(math.sqrt(a0sq), R2, math.sqrt(0.5 - a0sq)))
+    def test_face_corner_fails_closed(self, a0sq, a1):
+        # a1^2 = 1/2, a2^2 = 1/2 - a0^2, with a1 rounded either way:
+        # math.sqrt(0.5) is one ulp above 1/sqrt(2) and squares to one ulp
+        # above 1/2, outside the capable set but within TOL.window. There the
+        # solver refuses every corner up to a0^2 = 5e-7; at 1/sqrt(2) it
+        # refuses 5e-14 and 5e-12 (CHANGES.md), each naming branches 3+/3-.
+        # Every scheme it returns runs at fidelity 1, with no CorrectionError
+        ch, _ = canonicalize(make_channel(math.sqrt(a0sq), a1, math.sqrt(0.5 - a0sq)))
+        refused = a0sq <= 5e-7 if a1 == math.sqrt(0.5) else a0sq in (5e-14, 5e-12)
+        if refused:
+            with pytest.raises(InfeasibleError, match="not certified: branches 3\\+/3- deviate"):
+                find_scheme(ch)
+            return
         params = find_scheme(ch)
-        certified = certify_scheme(ch, params) <= DEVIATION_BOUND
         for seed in range(3):
-            try:
-                rep = run_teleport(random_input(np.random.default_rng(seed)), ch, params)
-            except CorrectionError as exc:
-                assert "correction not unitary" in str(exc) and not certified
-                continue
-            assert certified and min(rep.fidelities) >= 1.0 - 1e-10
+            rep = run_teleport(random_input(np.random.default_rng(seed)), ch, params)
+            assert min(rep.fidelities) >= 1.0 - 1e-10
 
 
 class TestRunTeleport:
@@ -893,14 +901,14 @@ class TestSchemeCertificate:
                                               (explorer.sweep_case2, 125),
                                               (explorer.sweep_degenerate, 25)])
     def test_every_sweep_record_matches_oracle(self, sweep, count, monkeypatch):
-        # every scheme a density-25 sweep certifies
-        records, certify = [], explorer.certify_scheme
+        # every scheme the solver certifies on a density-25 sweep
+        records, certify = [], scheme.certify_scheme
 
         def spy(ch, params):
             records.append((ch, params))
             return certify(ch, params)
 
-        monkeypatch.setattr(explorer, "certify_scheme", spy)
+        monkeypatch.setattr(scheme, "certify_scheme", spy)
         assert sweep(25).skipped == 0
         assert len(records) == count
         assert _assert_matches_oracle(records).max() <= DEVIATION_BOUND
@@ -919,6 +927,37 @@ class TestSchemeCertificate:
             got = [certify_scheme(ch, params) for params in schemes]
             np.testing.assert_allclose(got, _stack_deviations_loop(ch, schemes),
                                        rtol=0.0, atol=ORACLE_TOL)
+
+    def test_pair_deviations_are_the_branch_pairs(self, rng):
+        # off a solution by about 1e-11 in each angle, the pairs deviate
+        # apart: each of _pair_deviations is the deviation of both branches
+        # of its pair (1+/2+, 1-/2-, 3+/3-) in the branch-by-branch
+        # reference, and certify_scheme is their max, bit for bit
+        for _ in range(20):
+            ch = random_capable_channel(rng)
+            base = _solved(ch, frac=rng.uniform())
+            jitter = rng.normal(scale=1e-11, size=5).tolist()
+            params = SchemeParams(theta=tuple(t + e for t, e in zip(base.theta, jitter)),
+                                  delta=tuple(d + e for d, e in zip(base.delta, jitter[3:])))
+            d0, d1, d2 = scheme._pair_deviations(ch, params)
+            assert certify_scheme(ch, params) == max(d0, d1, d2)
+            assert min(abs(d0 - d1), abs(d1 - d2), abs(d0 - d2)) > 100 * ORACLE_TOL
+            np.testing.assert_allclose(_branch_deviations(ch, params),
+                                       [d0, d0, d2, d1, d1, d2], rtol=0.0, atol=ORACLE_TOL)
+
+    def test_refusal_names_the_worst_pair(self, rng):
+        # the solver's refusal names the pair with the largest deviation, a
+        # NaN counting as the largest
+        ch = random_capable_channel(rng)
+        lo, hi = admissible_theta3(ch)
+        for devs, named in (((1e-9, 3e-9, 2e-9), "branches 1-/2- deviate by 3e-09"),
+                            ((2e-9, 1e-9, math.nan), "branches 3+/3- deviate by nan"),
+                            ((math.nan, 5.0, 0.0), "branches 1+/2+ deviate by nan")):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scheme, "_pair_deviations", lambda ch, params, devs=devs: devs)
+                with pytest.raises(InfeasibleError, match=re.escape(named)) as exc:
+                    solve_constraints(ch, 0.5 * (lo + hi))
+            assert exc.value.interval == (lo, hi)
 
     def test_zero_branches_count_as_zero(self, rng):
         ch = make_channel(*DEGENERATE)
@@ -1079,22 +1118,26 @@ class TestSchemeCertificateRounding:
         assert min(certify_scheme(ch, params) for ch, params in records[-20:]) > 1e-3
 
 
+def _branch_deviations(ch, params):
+    """Each branch's deviation, in BRANCH_LABELS order, one branch at a time
+    from the kernel's corrections; 0 for a zero branch."""
+    _, basis = assemble_D12(params)
+    comps, ws = branch_components(ch.a, basis), branch_corrections(ch.a, basis)
+    out = []
+    for (va, vb), w in zip(comps, ws):
+        p = 0.5 * (np.vdot(va, va).real + np.vdot(vb, vb).real)
+        if p <= TOL.zero_branch:
+            out.append(0.0)
+            continue
+        m = w @ np.array([va, vb]).T / math.sqrt(p)
+        c = m[0, 0] / abs(m[0, 0]) if m[0, 0] != 0 else 1.0
+        out.append(float(np.abs(m - c * np.eye(3, 2)).max()))
+    return out
+
+
 def _stack_deviations_loop(ch, schemes):
     """certify_stack's deviations, one branch at a time: the reference."""
-    out = []
-    for params in schemes:
-        _, basis = assemble_D12(params)
-        comps, ws = branch_components(ch.a, basis), branch_corrections(ch.a, basis)
-        worst = 0.0
-        for (va, vb), w in zip(comps, ws):
-            p = 0.5 * (np.vdot(va, va).real + np.vdot(vb, vb).real)
-            if p <= TOL.zero_branch:
-                continue
-            m = w @ np.array([va, vb]).T / math.sqrt(p)
-            c = m[0, 0] / abs(m[0, 0]) if m[0, 0] != 0 else 1.0
-            worst = max(worst, float(np.abs(m - c * np.eye(3, 2)).max()))
-        out.append(worst)
-    return out
+    return [max(0.0, *_branch_deviations(ch, params)) for params in schemes]
 
 
 def _faulty_kernel(monkeypatch, rows, fault):
