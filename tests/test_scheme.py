@@ -375,11 +375,11 @@ class TestSolveConstraints:
 
 
 def _scan_channels(seed: int, n: int) -> list[SchmidtChannel]:
-    """The capable channels, canonicalized, among n seeded draws spread as
-    ROADMAP item 1's scan: every other draw Dirichlet(1, 1, 1) weights over
-    the whole simplex (a quarter of them capable), the rest near the face,
-    max a_j^2 = 1/2 - 10^U(-14, -2), the other two weights splitting the
-    rest at a share log-uniform from 1e-12 to 1/2, taken from either end."""
+    """The capable channels, canonicalized, among n seeded draws: every
+    other draw Dirichlet(1, 1, 1) weights over the whole simplex (a quarter
+    of them capable), the rest near the face, max a_j^2 = 1/2 -
+    10^U(-14, -2), the other two weights splitting the rest at a share
+    log-uniform from 1e-12 to 1/2, taken from either end."""
     rnd, out = random.Random(seed), []
     for i in range(n):
         if i % 2:
@@ -424,6 +424,13 @@ class TestAcceptanceRule:
                 assert max(constraint_residuals(ch, params)) <= 2.0 * DEVIATION_BOUND
                 run_teleport(random_input(rng), ch, params)  # no CorrectionError
         assert solved > 1200 and refused > 50  # the sample reaches the near-face refusals
+
+    def test_off_sphere_channel_refused(self):
+        # a hand-built channel skips make_channel's normalization: the
+        # certificate's probability check refuses its scheme in the solver
+        ch = SchmidtChannel(a=tuple(1.04 * x for x in SYMMETRIC))
+        with pytest.raises(ValueError, match="sum to 1"):
+            solve_constraints(ch, 0.0)
 
 
 class TestAssemble:
