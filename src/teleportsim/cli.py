@@ -132,16 +132,23 @@ def sweep_csv_lines(result: SweepResult):
     """A sweep as CSV lines, each ending in a newline: header, one line per
     record, then a `# skipped=N` footer.
 
-    A record's line is one %.17g template over the record (a tuple of its
-    fields), the same text as joining format(x, ".17g") of each: every field
-    but the last is a float; the last, bound_upper, is empty when None.
+    Every field is written as format(x, ".17g") would write it, the last,
+    bound_upper, empty when None. The channel columns (a0, a1, a2) and the
+    bound columns (bound_lower, bound_upper) are formatted once per run of
+    consecutive records that hold the very same objects there (compared with
+    `is`, so 0.0 and -0.0 never share text); the sweep driver builds a
+    channel's records from one ch.a and one pair of bounds. The other seven
+    fields go through one %.17g template per record.
     """
-    names = SweepRecord._fields
-    head = "%.17g," * (len(names) - 1)
-    full, open_upper = head + "%.17g\n", head + "\n"
-    yield ",".join(names) + "\n"
-    for r in result.records:
-        yield open_upper % r[:-1] if r[-1] is None else full % r
+    line = "%s" + "%.17g," * 7 + "%s"
+    yield ",".join(SweepRecord._fields) + "\n"
+    k0 = k1 = k2 = klo = kup = object()  # matches no field, so the first record formats all
+    for a0, a1, a2, t1, t2, t3, e_channel, e12, h12, total, lo, up in result.records:
+        if a0 is not k0 or a1 is not k1 or a2 is not k2 or lo is not klo or up is not kup:
+            k0, k1, k2, klo, kup = a0, a1, a2, lo, up
+            channel = "%.17g,%.17g,%.17g," % (a0, a1, a2)
+            bounds = "%.17g,\n" % lo if up is None else "%.17g,%.17g\n" % (lo, up)
+        yield line % (channel, t1, t2, t3, e_channel, e12, h12, total, bounds)
     yield f"# skipped={result.skipped}\n"
 
 

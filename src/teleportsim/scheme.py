@@ -135,12 +135,13 @@ def phases_from_weights(p: float, q: float, r: float) -> tuple[float, float]:
     scalars give the same bits: the complex quotient is taken as numpy takes
     it. Weights that break the triangle inequality raise InfeasibleError.
     """
-    total = p + q + r
-    for name, val in (("p", p), ("q", q), ("r", r)):
-        others = total - val
-        if val > others + TOL.entry:
-            raise InfeasibleError(f"phasor closure infeasible: weight {name}={val:.6g} exceeds "
-                                  f"the sum of the other two ({others:.6g})")
+    total, slack = p + q + r, TOL.entry
+    # a NaN weight passes (every comparison with it is False); the message is built on failure only
+    if p > total - p + slack or q > total - q + slack or r > total - r + slack:
+        name, val = next((name, val) for name, val in (("p", p), ("q", q), ("r", r))
+                         if val > total - val + slack)
+        raise InfeasibleError(f"phasor closure infeasible: weight {name}={val:.6g} exceeds "
+                              f"the sum of the other two ({total - val:.6g})")
     if q <= TOL.weight and r <= TOL.weight:
         return 0.0, 0.0
     if p <= TOL.weight or q <= TOL.weight:
@@ -306,15 +307,18 @@ def constraint_residuals(ch: SchmidtChannel, params: SchemeParams) -> tuple[floa
     """Absolute residuals of the two weight-balance equations and the phasor sum."""
     A, B, C = ch.squares
     u = params.rotation
-    d1, d2 = params.delta
     r1 = A * u[0][0] ** 2 + C * u[0][2] ** 2 - B * u[0][1] ** 2
     r2 = A * u[1][0] ** 2 + C * u[1][2] ** 2 - B * u[1][1] ** 2
-    r3 = abs(
-        A * u[2][0] ** 2
-        + B * u[2][1] ** 2 * cmath.exp(1j * d1)
-        + C * u[2][2] ** 2 * cmath.exp(-1j * d2)
-    )
-    return abs(r1), abs(r2), r3
+    return abs(r1), abs(r2), _phasor_residual(A, B, C, u[2], params.delta)
+
+
+def _phasor_residual(A: float, B: float, C: float, row, delta) -> float:
+    """|A u20^2 + B u21^2 e^{i d1} + C u22^2 e^{-i d2}|: the phasor residual r3
+    of one scheme's third rotation row and phases, for constraint_residuals
+    and the certificate alike."""
+    (u20, u21, u22), (d1, d2) = row, delta
+    return abs(A * u20 ** 2 + B * u21 ** 2 * cmath.exp(1j * d1)
+               + C * u22 ** 2 * cmath.exp(-1j * d2))
 
 
 # the solver's one acceptance rule: a scheme whose certify_scheme deviation is
@@ -345,8 +349,9 @@ def certify_scheme(ch: SchmidtChannel, params: SchemeParams) -> float:
       <va, vb> = 0, and the weights |va|^2, |vb|^2 are A u00^2 + C u02^2
       and B u01^2 (swapped on 2+); 1+ and 2+ deviate alike;
     * 3+ and 3- have |va|^2 = |vb|^2 = p = (A u20^2 + B u21^2 + C u22^2) / 2
-      (zeta = pi/4) and |<va, vb>| = r3 / 2, with r3 the phasor residual of
-      constraint_residuals, so their deviation is r3 / (2p).
+      (zeta = pi/4) and |<va, vb>| = r3 / 2, with r3 the phasor residual
+      (_phasor_residual, the r3 of constraint_residuals), so their
+      deviation is r3 / (2p).
     A zero branch (_zero_branch on |va| and |vb|) counts as 0, as
     run_with_basis counts its fidelity as 1. A NaN anywhere gives NaN,
     which fails the gate `deviation <= DEVIATION_BOUND`.
@@ -379,27 +384,34 @@ def certify_scheme(ch: SchmidtChannel, params: SchemeParams) -> float:
 
 
 def _pair_deviations(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, float, float]:
-    """certify_scheme's deviations of the branch pairs 1+/2+, 1-/2-, 3+/3-."""
+    """certify_scheme's deviations of the branch pairs 1+/2+, 1-/2-, 3+/3-.
+
+    A 1+/2+ or 1-/2- pair's components have disjoint supports with squared
+    norms x and y; the 3+/3- pair's is r3 / (2 p3), r3 from _phasor_residual.
+    """
     _require_capable(ch)
     A, B, C = ch.squares
-    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = params.rotation
+    (u00, u01, u02), (u10, u11, u12), row = params.rotation
+    u20, u21, u22 = row
     x0, y0 = A * u00 * u00 + C * u02 * u02, B * u01 * u01
     x1, y1 = A * u10 * u10 + C * u12 * u12, B * u11 * u11
     p3 = 0.5 * (A * u20 * u20 + B * u21 * u21 + C * u22 * u22)
     if abs(x0 + y0 + x1 + y1 + 2.0 * p3 - 1.0) > TOL.entry:  # a NaN goes on to the deviation
         raise ValueError("branch probabilities do not sum to 1")
-    r3 = constraint_residuals(ch, params)[2]
-    return (_split_deviation(x0, y0), _split_deviation(x1, y1),
-            0.0 if _zero_branch(math.sqrt(p3), math.sqrt(p3)) else 0.5 * r3 / p3)
-
-
-def _split_deviation(x: float, y: float) -> float:
-    """The deviation of a branch whose components have disjoint supports and squared norms x, y."""
-    na, nb = math.sqrt(x), math.sqrt(y)
-    if _zero_branch(na, nb):
-        return 0.0
-    sp = math.sqrt(0.5 * (x + y))
-    return max(abs(na - sp), abs(nb - sp)) / sp
+    devs = []
+    for x, y in ((x0, y0), (x1, y1)):
+        na, nb = math.sqrt(x), math.sqrt(y)
+        if _zero_branch(na, nb):
+            devs.append(0.0)
+        else:
+            sp = math.sqrt(0.5 * (x + y))
+            devs.append(max(abs(na - sp), abs(nb - sp)) / sp)
+    n3 = math.sqrt(p3)
+    if _zero_branch(n3, n3):
+        devs.append(0.0)
+    else:
+        devs.append(0.5 * _phasor_residual(A, B, C, row, params.delta) / p3)
+    return tuple(devs)
 
 
 def _zero_branch(na: float, nb: float) -> bool:
@@ -435,10 +447,28 @@ def _d12_entries(params: SchemeParams) -> list:
     ]
 
 
+# find_scheme's fallback points lo + k (hi - lo) / 20, nearest the midpoint first
+_FALLBACK_STEPS = tuple(k for d in range(1, 10) for k in (10 - d, 10 + d))
+
+
 def find_scheme(ch: SchmidtChannel, *, theta3: float | None = None) -> SchemeParams:
-    """Convenience solver: pick a feasible theta3 (window midpoint) if not given.
-    An incapable channel has no window, so admissible_u_window refuses it."""
-    if theta3 is None:
-        lo, hi = admissible_theta3(ch)
-        theta3 = 0.5 * (lo + hi)
-    return solve_constraints(ch, theta3)
+    """Convenience solver: solve_constraints at theta3 when it is given.
+
+    Otherwise pick theta3 in the admissible window: its midpoint first, then
+    lo + k (hi - lo) / 20 for k = 9, 11, 8, 12, ..., 1, 19, returning the
+    first scheme that certifies. When none does, the midpoint's
+    InfeasibleError is raised. An incapable channel has no window, so
+    admissible_u_window refuses it.
+    """
+    if theta3 is not None:
+        return solve_constraints(ch, theta3)
+    lo, hi = admissible_theta3(ch)
+    try:
+        return solve_constraints(ch, 0.5 * (lo + hi))
+    except InfeasibleError:
+        for k in _FALLBACK_STEPS:
+            try:
+                return solve_constraints(ch, lo + k * (hi - lo) / 20)
+            except InfeasibleError:
+                pass
+        raise  # the midpoint's refusal, message and interval

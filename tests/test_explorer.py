@@ -543,6 +543,26 @@ class TestCli:
         records = [SweepRecord(*values, bound_upper=upper)
                    for upper in (None, 3.5, -0.0, 5e-324, 1e300)]
         records += sweep_case1(density=4).records + sweep_case2(density=4).records
+        # runs of records whose channel or bound fields are equal in value but
+        # distinct objects, or the very same objects: the per-run text of
+        # sweep_csv_lines must follow every one of them
+        fresh = float  # float(text) builds a new object on every call
+        rest = tuple(values[3:10])
+        chan_a = (fresh("0.25"), fresh("0.5"), fresh("0.75"))
+        chan_b = (chan_a[0], fresh("0.75"), fresh("0.5"))  # shares A's a0 object
+        upper = fresh("3.5")
+        edge = [
+            SweepRecord(fresh("0.0"), 0.5, 0.5, *rest, fresh("0.0"), fresh("0.0")),
+            SweepRecord(fresh("-0.0"), 0.5, 0.5, *rest, fresh("-0.0"), fresh("-0.0")),
+            SweepRecord(*chan_a, *rest, fresh("3.5"), upper),
+            SweepRecord(*chan_a, *rest, fresh("3.5"), fresh("3.5")),
+            SweepRecord(*chan_a, *rest, 1.0, upper),
+            SweepRecord(*chan_a, *rest, 1.0, None),
+            SweepRecord(*chan_b, *rest, 1.0, None),
+            SweepRecord(*chan_a, *rest, 1.0, None),
+        ]
+        assert edge[2].bound_lower is not edge[3].bound_lower and upper is not edge[3].bound_upper
+        records += edge
         lines = list(sweep_csv_lines(SweepResult(records=tuple(records), skipped=0)))
         assert lines[1:-1] == [
             ",".join("" if (x := getattr(r, name)) is None else format(x, ".17g")

@@ -18,6 +18,7 @@ from oracles import (
     special_case_basis,
     two_qubit_D12,
 )
+from teleportsim import scheme
 from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
 from teleportsim.qlinalg import TOL
 from teleportsim.resources import resource_report, upper_bound_sum
@@ -27,12 +28,14 @@ from teleportsim.scheme import (
     InfeasibleError,
     MeasurementBasis,
     SchemeParams,
+    _pair_deviations,
     _window_from_halflines,
     admissible_theta3,
     admissible_u_window,
     assemble_D12,
     certify_scheme,
     constraint_residuals,
+    find_scheme,
     free_theta2_window,
     phases_from_weights,
     rotation_rows,
@@ -397,6 +400,36 @@ def _scan_channels(seed: int, n: int) -> list[SchmidtChannel]:
     return out
 
 
+def _bits(values) -> list[str]:
+    """Each float's exact bits as text: float.hex, which keeps the sign of a
+    zero and writes every NaN as 'nan'."""
+    return [float(x).hex() for x in values]
+
+
+def _reference_pair_deviations(ch: SchmidtChannel, params: SchemeParams) -> tuple:
+    """The certificate's pair deviations as first written: the 1+/2+ and
+    1-/2- pairs from their split norms, the 3+/3- pair from the r3 of
+    constraint_residuals."""
+    A, B, C = ch.squares
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = params.rotation
+
+    def zero(na, nb):
+        return na <= TOL.zero_branch and nb <= TOL.zero_branch
+
+    def split(x, y):
+        na, nb = math.sqrt(x), math.sqrt(y)
+        if zero(na, nb):
+            return 0.0
+        sp = math.sqrt(0.5 * (x + y))
+        return max(abs(na - sp), abs(nb - sp)) / sp
+
+    p3 = 0.5 * (A * u20 * u20 + B * u21 * u21 + C * u22 * u22)
+    r3 = constraint_residuals(ch, params)[2]
+    return (split(A * u00 * u00 + C * u02 * u02, B * u01 * u01),
+            split(A * u10 * u10 + C * u12 * u12, B * u11 * u11),
+            0.0 if zero(math.sqrt(p3), math.sqrt(p3)) else 0.5 * r3 / p3)
+
+
 class TestAcceptanceRule:
     """solve_constraints returns a scheme only when certify_scheme passes it,
     the one acceptance rule; every scheme it returns runs through Bob's
@@ -419,11 +452,46 @@ class TestAcceptanceRule:
                     continue
                 solved += 1
                 assert certify_scheme(ch, params) <= DEVIATION_BOUND
+                # bit for bit the certificate as first written
+                devs = _reference_pair_deviations(ch, params)
+                assert _bits(_pair_deviations(ch, params)) == _bits(devs)
+                worst = math.nan if any(map(math.isnan, devs)) else max(devs)
+                assert _bits([certify_scheme(ch, params)]) == _bits([worst])
                 # the certificate bounds every residual: the new gate only
                 # tightens the old one
                 assert max(constraint_residuals(ch, params)) <= 2.0 * DEVIATION_BOUND
                 run_teleport(random_input(rng), ch, params)  # no CorrectionError
         assert solved > 1200 and refused > 50  # the sample reaches the near-face refusals
+
+    def test_find_scheme_tries_interior_points(self):
+        # where the window midpoint is refused, find_scheme tries
+        # lo + k (hi - lo) / 20 for k = 9, 11, 8, 12, ..., 1, 19; a midpoint
+        # that certifies keeps its scheme, and a channel refused at every
+        # point gets the midpoint's refusal
+        assert scheme._FALLBACK_STEPS == (9, 11, 8, 12, 7, 13, 6, 14, 5, 15,
+                                          4, 16, 3, 17, 2, 18, 1, 19)
+        refused = rescued = 0
+        for ch in _scan_channels(7, 10000):
+            lo, hi = admissible_theta3(ch)
+            try:
+                want = solve_constraints(ch, 0.5 * (lo + hi))
+            except InfeasibleError as exc:
+                midpoint = exc
+            else:
+                got = find_scheme(ch)
+                assert _bits(got.theta + got.delta) == _bits(want.theta + want.delta)
+                continue
+            try:
+                got = find_scheme(ch)
+            except InfeasibleError as exc:
+                assert str(exc) == str(midpoint) and exc.interval == midpoint.interval == (lo, hi)
+                refused += 1
+                continue
+            rescued += 1
+            assert got.theta[2] in [lo + k * (hi - lo) / 20 for k in range(1, 20)]
+            assert certify_scheme(ch, got) <= DEVIATION_BOUND
+        # 327 of the 4,352 capable channels are refused at the midpoint
+        assert refused <= 75 and rescued >= 250
 
     def test_off_sphere_channel_refused(self):
         # a hand-built channel skips make_channel's normalization: the

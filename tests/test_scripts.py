@@ -1,7 +1,10 @@
-"""Smoke tests: both experiment scripts run end to end on a small grid."""
+"""Smoke tests: both experiment scripts run end to end on a small grid; the
+bench pair runner's schedule and summary on synthetic runs."""
 
+import importlib.util
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -85,3 +88,70 @@ def test_no_seed_flag(script, tmp_path):
     proc = _run(script, "--seed", "0", cwd=tmp_path, returncode=2)
     assert "unrecognized arguments: --seed 0" in proc.stderr
     assert not (tmp_path / "data").exists()
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_schedule_alternates_across_workloads():
+    plan = _bench_pairs().schedule(["w1", "w2"], 3, 100)
+    assert [(r["workload"], r["pair"], r["seed"], r["side"], r["ran_first_in_pair"]) for r in plan] == [
+        ("w1", 0, 100, "parent", True), ("w1", 0, 100, "change", False),
+        ("w1", 1, 101, "change", True), ("w1", 1, 101, "parent", False),
+        ("w1", 2, 102, "parent", True), ("w1", 2, 102, "change", False),
+        ("w2", 0, 103, "change", True), ("w2", 0, 103, "parent", False),
+        ("w2", 1, 104, "parent", True), ("w2", 1, 104, "change", False),
+        ("w2", 2, 105, "change", True), ("w2", 2, 105, "parent", False)]
+
+
+def test_bench_pairs_summary():
+    # five pairs of synthetic records: wall_s (lower is better) and
+    # units_per_s (higher is better); the change is faster in four pairs
+    # and its median is 10% off the parent's, at a bound of 0.1 on wall_s
+    # and 0.05 on units_per_s
+    parent_wall = [1.0, 1.2, 0.9, 1.1, 1.0]
+    change_wall = [0.9, 1.0, 1.0, 0.9, 0.8]
+    runs = []
+    for pair, (pw, cw) in enumerate(zip(parent_wall, change_wall)):
+        for side, wall in (("parent", pw), ("change", cw)):
+            metrics = {"wall_s": {"value": wall, "unit": "s"},
+                       "units_per_s": {"value": 100.0 / wall, "unit": "1/s"}}
+            result = {"correct": True, "attempted": 10 * (pair + 1), "failed": 0, "metrics": metrics}
+            runs.append({"side": side, "workload": "w", "trace": 0, "pair": pair,
+                         "record": {"result": result}})
+    # an unfinished pair (one side wrote no record) is left out
+    runs.append({"side": "parent", "workload": "w", "trace": 0, "pair": 5,
+                 "record": {"result": {"metrics": {}}}})
+    runs.append({"side": "change", "workload": "w", "trace": 0, "pair": 5, "record": None})
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.1},
+                  {"name": "units_per_s", "better": "higher", "bound": 0.05}]
+    summary = _bench_pairs().summarize(runs, end_to_end)["w"]
+    wall = summary["wall_s"]
+    q1, median, q3 = statistics.quantiles(parent_wall, n=4, method="inclusive")
+    assert wall["parent"] == {"median": median, "q1": q1, "q3": q3, "n": 5}
+    assert (q1, median, q3) == (1.0, 1.0, 1.1)
+    assert wall["change"]["median"] == 0.9 and wall["change"]["n"] == 5
+    assert wall["pairs"] == [list(p) for p in zip(parent_wall, change_wall)]
+    assert wall["change_better_in"] == "4 of 5"
+    assert wall["median_change_pct"] == -10.0
+    assert wall["parent_iqr_pct_of_median"] == 10.0
+    assert wall["within_bound"] is True
+    rate = summary["units_per_s"]
+    assert rate["change_better_in"] == "4 of 5"
+    assert rate["median_change_pct"] == round((100.0 / 0.9 / 100.0 - 1.0) * 100.0, 2)
+    assert rate["within_bound"] is True
+    # a change slower than the bound allows is out of bound, on either side of "better"
+    slow = [{**r, "record": {"result": {**r["record"]["result"], "metrics": {
+        k: {"value": v["value"] * (2.0 if k == "wall_s" else 0.5), "unit": v["unit"]}
+        for k, v in r["record"]["result"]["metrics"].items()}}}}
+        if r["side"] == "change" and r["record"] else r for r in runs]
+    slow_summary = _bench_pairs().summarize(slow, end_to_end)["w"]
+    assert slow_summary["wall_s"]["within_bound"] is False
+    assert slow_summary["units_per_s"]["within_bound"] is False
+    assert slow_summary["wall_s"]["change_better_in"] == "0 of 5"
+    assert summary["attempted_units"] == {"parent": 30, "change": 30}
+    assert summary["failed_units"] == {"parent": 0, "change": 0}

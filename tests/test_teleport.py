@@ -545,16 +545,26 @@ class TestEdgeChannels:
         # a1^2 = 1/2, a2^2 = 1/2 - a0^2, with a1 rounded either way:
         # math.sqrt(0.5) is one ulp above 1/sqrt(2) and squares to one ulp
         # above 1/2, outside the capable set but within TOL.window. There the
-        # solver refuses every corner up to a0^2 = 5e-7; at 1/sqrt(2) it
-        # refuses 5e-14 and 5e-12 (CHANGES.md), each naming branches 3+/3-.
-        # Every scheme it returns runs at fidelity 1, with no CorrectionError
+        # solver refuses every window midpoint up to a0^2 = 5e-7; at 1/sqrt(2)
+        # it refuses the midpoints of 5e-14 and 5e-12 (CHANGES.md), each
+        # naming branches 3+/3-. find_scheme then tries further points of the
+        # window: it finds a scheme for the two 1/sqrt(2) corners, and for the
+        # others raises the midpoint's refusal. Every scheme it returns runs
+        # at fidelity 1, with no CorrectionError
         ch, _ = canonicalize(make_channel(math.sqrt(a0sq), a1, math.sqrt(0.5 - a0sq)))
+        lo, hi = admissible_theta3(ch)
         refused = a0sq <= 5e-7 if a1 == math.sqrt(0.5) else a0sq in (5e-14, 5e-12)
+        named = "not certified: branches 3\\+/3- deviate"
         if refused:
-            with pytest.raises(InfeasibleError, match="not certified: branches 3\\+/3- deviate"):
+            with pytest.raises(InfeasibleError, match=named) as midpoint:
+                solve_constraints(ch, 0.5 * (lo + hi))
+        if refused and a1 == math.sqrt(0.5):
+            with pytest.raises(InfeasibleError, match=named) as exc:
                 find_scheme(ch)
+            assert str(exc.value) == str(midpoint.value) and exc.value.interval == (lo, hi)
             return
         params = find_scheme(ch)
+        assert (params.theta[2] == 0.5 * (lo + hi)) is not refused
         for seed in range(3):
             rep = run_teleport(random_input(np.random.default_rng(seed)), ch, params)
             assert min(rep.fidelities) >= 1.0 - 1e-10
