@@ -17,8 +17,11 @@ The summary (`summary_trace0`) gives, per workload and end-to-end metric of
 BENCHMARK.json, each side's median, q1 and q3 over its runs
 (statistics.quantiles(n=4, method="inclusive")), the pairs, in how many
 pairs the change was better, the change of the median in percent, the
-parent's q3 - q1 in percent of its median, and whether the change's median
-is within the metric's bound of the parent's.
+parent's q3 - q1 in percent of its median, whether the change's median is
+within the metric's bound of the parent's, and whether a gain is shown
+(`gain_shown`): the change is better in at least 9 of 10 pairs and its
+median beats the parent's by more than the parent's q3 - q1. When the last
+run ends, one line per workload and metric goes to stdout.
 """
 
 from __future__ import annotations
@@ -86,12 +89,14 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             pm, cm = parent["median"], change["median"]
             better = sum((c < p) if lower else (c > p) for p, c in values)
             limit = pm * (1.0 + spec["bound"]) if lower else pm * (1.0 - spec["bound"])
+            gap = pm - cm if lower else cm - pm
             out[name] = {
                 "parent": parent,
                 "change": change,
                 "change_better_in": f"{better} of {len(values)}",
                 "median_change_pct": round((cm / pm - 1.0) * 100.0, 2),
                 "within_bound": cm <= limit if lower else cm >= limit,
+                "gain_shown": 10 * better >= 9 * len(values) and gap > parent["q3"] - parent["q1"],
                 "parent_iqr_pct_of_median": round((parent["q3"] - parent["q1"]) / pm * 100.0, 2),
                 "pairs": values,
             }
@@ -100,6 +105,23 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         out["failed_units"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
         summary[workload] = out
     return summary
+
+
+def summary_lines(summary: dict) -> list[str]:
+    """One line per workload and end-to-end metric of a summary_trace0."""
+    lines = []
+    for workload, metrics in summary.items():
+        for name, m in metrics.items():
+            if "pairs" not in m:  # attempted_units, failed_units
+                continue
+            lines.append(
+                f"{workload} {name}: parent {m['parent']['median']:.6g}, "
+                f"change {m['change']['median']:.6g} ({m['median_change_pct']:+.2f}%), "
+                f"better in {m['change_better_in']}, parent IQR "
+                f"{m['parent_iqr_pct_of_median']:.2f}%, "
+                f"{'within' if m['within_bound'] else 'OUT OF'} bound, "
+                f"gain {'shown' if m['gain_shown'] else 'not shown'}")
+    return lines
 
 
 def _export(rev: str, dest: pathlib.Path) -> str:
@@ -185,6 +207,7 @@ def main(argv=None) -> int:
                 "runs": done,
             }
             args.out.write_text(json.dumps(payload, indent=1) + "\n")
+    print("\n".join(summary_lines(summarize(done, end_to_end))), flush=True)
     return 0
 
 

@@ -11,6 +11,7 @@ subcommand).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -133,22 +134,31 @@ def sweep_csv_lines(result: SweepResult):
     record, then a `# skipped=N` footer.
 
     Every field is written as format(x, ".17g") would write it, the last,
-    bound_upper, empty when None. The channel columns (a0, a1, a2) and the
-    bound columns (bound_lower, bound_upper) are formatted once per run of
-    consecutive records that hold the very same objects there (compared with
-    `is`, so 0.0 and -0.0 never share text); the sweep driver builds a
-    channel's records from one ch.a and one pair of bounds. The other seven
-    fields go through one %.17g template per record.
+    bound_upper, empty when None. The channel columns (a0, a1, a2), theta3,
+    e_channel and the bound columns (bound_lower, bound_upper) are formatted
+    once per run of consecutive records that hold the very same objects
+    there (compared with `is`, so 0.0 and -0.0 never share text); the sweep
+    driver builds a channel's records from one ch.a, one ch.entropy and one
+    pair of bounds, and case 1 and the degenerate sweep pass one theta3
+    object to all of a channel's points. The other five fields go through
+    one %.17g template per record.
     """
-    line = "%s" + "%.17g," * 7 + "%s"
+    line = "%s%.17g,%.17g,%s%s%.17g,%.17g,%.17g,%s"
     yield ",".join(SweepRecord._fields) + "\n"
-    k0 = k1 = k2 = klo = kup = object()  # matches no field, so the first record formats all
+    # matches no field, so the first record formats all
+    k0 = k1 = k2 = k3 = ke = klo = kup = object()
     for a0, a1, a2, t1, t2, t3, e_channel, e12, h12, total, lo, up in result.records:
         if a0 is not k0 or a1 is not k1 or a2 is not k2 or lo is not klo or up is not kup:
             k0, k1, k2, klo, kup = a0, a1, a2, lo, up
             channel = "%.17g,%.17g,%.17g," % (a0, a1, a2)
             bounds = "%.17g,\n" % lo if up is None else "%.17g,%.17g\n" % (lo, up)
-        yield line % (channel, t1, t2, t3, e_channel, e12, h12, total, bounds)
+        if t3 is not k3:
+            k3 = t3
+            theta3 = "%.17g," % t3
+        if e_channel is not ke:
+            ke = e_channel
+            entropy = "%.17g," % e_channel
+        yield line % (channel, t1, t2, theta3, entropy, e12, h12, total, bounds)
     yield f"# skipped={result.skipped}\n"
 
 
@@ -230,9 +240,16 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser's parser, built on the first main call and kept for the
+    process: parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = _glue_negative_values(sys.argv[1:] if argv is None else list(argv))
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

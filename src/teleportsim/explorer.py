@@ -177,7 +177,8 @@ def sweep_degenerate(density: int) -> SweepResult:
     """The a0 = 0 channel swept over the free angle theta1 in [0, pi/2]."""
     grid = _grid(0.0, math.pi / 2, density).tolist()
     ch = make_channel(0.0, math.sqrt(0.5), math.sqrt(0.5))
-    points = [(math.pi / 4, {"theta2_hint": 0.0, "theta1_hint": t1}) for t1 in grid]
+    theta3 = math.pi / 4  # one object for every point, so the CSV formats it once
+    points = [(theta3, {"theta2_hint": 0.0, "theta1_hint": t1}) for t1 in grid]
     return _sweep([(ch, None, points)])
 
 

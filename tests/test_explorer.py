@@ -1,8 +1,12 @@
 import itertools
 import json
 import math
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +74,33 @@ class TestSweeps:
         assert result.records[20].e12 == pytest.approx(E12_BALANCED, abs=1e-9)
         # symmetric in theta1 about pi/4
         assert np.allclose(sums, sums[::-1], atol=1e-9)
+
+    def test_records_share_run_constant_objects(self, monkeypatch):
+        # sweep_csv_lines formats a column once per run of records holding
+        # the very same object there: every record of a channel holds that
+        # channel's ch.entropy object, and every record of one case-1
+        # channel, and of the degenerate sweep, one theta3 object
+        accounted, report = [], explorer.resource_report
+
+        def spy(ch, params):
+            accounted.append(ch)
+            return report(ch, params)
+
+        monkeypatch.setattr(explorer, "resource_report", spy)
+        for name, run in _sweeps(8, 9):
+            accounted.clear()
+            records = run().records
+            assert len(records) == len(accounted) > 1
+            assert all(r.e_channel is ch.entropy for r, ch in zip(records, accounted))
+            if name == "case2":  # theta3 is what case 2 sweeps
+                continue
+            runs: dict = {}
+            for r, ch in zip(records, accounted):
+                runs.setdefault(id(ch), []).append(r.theta3)
+            assert max(map(len, runs.values())) > 1
+            assert all(t is thetas[0] for thetas in runs.values() for t in thetas)
+            if name == "degenerate":
+                assert len(runs) == 1
 
     def test_density_validated(self):
         with pytest.raises(ValueError):
@@ -527,6 +558,54 @@ class TestCli:
         assert len(first) == len(SweepRecord._fields)
         float(first[0])  # parseable payload
 
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        # every main call in a process parses with one parser, built on the
+        # first call; a mixed run of commands, usage and validation errors
+        # among them, gives the bytes a fresh build_parser() per call gives
+        import teleportsim.cli as cli
+        from helpers import GOLDEN_DIR
+
+        argvs = [["sweep-case1", "--bogus"],
+                 ["report", "--channel", "0.577,0.577,0.577", "--seed", "x"],
+                 ["sweep-case1", "--density", "8"],
+                 ["bounds", "--density", "5"],
+                 ["report", "--channel", "0.577,0.577,0.577", "--seed", "9"],
+                 ["verify", "--channel", "0.577,0.577,0.577", "--seed", "9"],
+                 ["sweep-case1", "--bogus"]]
+
+        def run():
+            outputs = []
+            for argv in argvs:
+                code = main(argv)
+                captured = capsys.readouterr()
+                outputs.append((code, captured.out, captured.err))
+            return outputs
+
+        parser = cli._parser()
+        before = cli._parser.cache_info()
+        shared = run()
+        after = cli._parser.cache_info()
+        assert cli._parser() is parser
+        assert (after.misses, after.hits) == (before.misses, before.hits + len(argvs))
+        assert [code for code, _, _ in shared] == [64, 1, 0, 0, 0, 0, 64]
+        assert shared[0] == shared[-1] and shared[0][2].startswith("usage error: ")
+        assert "\nusage: teleportsim " in shared[0][2]
+        assert shared[1][2] == "error: --seed must be a non-negative integer, got 'x'\n"
+        for (_, out, _), name in zip(shared[4:6], ("report.json", "verify.json")):
+            assert out == (GOLDEN_DIR / name).read_text()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run() == shared
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_parser_built_on_first_main_call(self):
+        # importing the package or the CLI module builds no parser
+        code = ("import teleportsim, teleportsim.cli as cli; "
+                "print(cli._parser.cache_info().currsize)")
+        src = pathlib.Path(explorer.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert proc.stdout == "0\n"
+
     def test_sweep_csv_streamed_line_by_line(self, tmp_path, capsys):
         result = sweep_case2(density=6)
         lines = list(sweep_csv_lines(result))
@@ -562,6 +641,19 @@ class TestCli:
             SweepRecord(*chan_a, *rest, 1.0, None),
         ]
         assert edge[2].bound_lower is not edge[3].bound_lower and upper is not edge[3].bound_upper
+        # the same for theta3 and e_channel, within one channel's run: one
+        # shared object, equal values in distinct objects, 0.0 then -0.0,
+        # each column changing alone and both together
+        t1, t2, _, _, e12, h12, total = rest
+        theta3, entropy = fresh("0.5"), fresh("1.25")
+        mid = [(theta3, entropy), (theta3, entropy), (fresh("0.5"), entropy),
+               (fresh("0.5"), fresh("1.25")), (theta3, fresh("1.25")), (theta3, entropy),
+               (fresh("0.0"), entropy), (fresh("-0.0"), entropy), (theta3, fresh("0.0")),
+               (theta3, fresh("-0.0")), (fresh("0.0"), fresh("0.0")),
+               (fresh("-0.0"), fresh("-0.0"))]
+        edge += [SweepRecord(*chan_a, t1, t2, t3, e, e12, h12, total, 1.0, upper)
+                 for t3, e in mid]
+        assert mid[2][0] is not theta3 and mid[3][1] is not entropy
         records += edge
         lines = list(sweep_csv_lines(SweepResult(records=tuple(records), skipped=0)))
         assert lines[1:-1] == [
@@ -569,6 +661,10 @@ class TestCli:
                      for name in SweepRecord._fields) + "\n"
             for r in records]
         assert lines[1].endswith(",\n") and lines[3].endswith(",-0\n")
+        # the last six lines alternate 0 and -0 in theta3 (field 6) or e_channel (field 7)
+        tail = [line.split(",")[5:7] for line in lines[-7:-1]]
+        assert tail == [["0", "1.25"], ["-0", "1.25"], ["0.5", "0"], ["0.5", "-0"],
+                        ["0", "0"], ["-0", "-0"]]
         # bounds_csv takes the same template
         rows = [tuple(values[i:i + 3]) for i in range(0, len(values) - 2)]
         assert bounds_csv(rows).split("\n") == (

@@ -155,3 +155,51 @@ def test_bench_pairs_summary():
     assert slow_summary["wall_s"]["change_better_in"] == "0 of 5"
     assert summary["attempted_units"] == {"parent": 30, "change": 30}
     assert summary["failed_units"] == {"parent": 0, "change": 0}
+    # 4 of 5 pairs is under 9 of 10: no gain is shown, however large the gap
+    assert wall["gain_shown"] is False and rate["gain_shown"] is False
+    assert slow_summary["wall_s"]["gain_shown"] is False
+
+
+def _wall_runs(parent_wall, change_wall):
+    return [{"side": side, "workload": "w", "trace": 0, "pair": pair, "record": {"result": {
+                "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                            "units_per_s": {"value": 1.0 / wall, "unit": "1/s"}}}}}
+            for pair, pc in enumerate(zip(parent_wall, change_wall))
+            for side, wall in zip(("parent", "change"), pc)]
+
+
+def test_bench_pairs_gain_shown():
+    bench = _bench_pairs()
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.1},
+                  {"name": "units_per_s", "better": "higher", "bound": 0.1}]
+    # parent q1, q3 = 1.0, 1.1 (IQR 0.1); the change is faster in 9 of 10
+    # pairs, and its median, 0.85, is 0.2 below the parent's 1.05
+    parent_wall = [1.0, 1.1, 0.9, 1.05, 1.0, 1.1, 1.05, 1.0, 1.1, 1.2]
+    change_wall = [0.85] * 9 + [1.3]
+    summary = bench.summarize(_wall_runs(parent_wall, change_wall), end_to_end)
+    wall = summary["w"]["wall_s"]
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == (1.0, 1.1)
+    assert wall["change_better_in"] == "9 of 10" and wall["gain_shown"] is True
+    assert summary["w"]["units_per_s"]["gain_shown"] is True
+    # 8 of 10 faster pairs show no gain
+    summary = bench.summarize(_wall_runs(parent_wall, [0.85] * 8 + [1.3, 1.3]), end_to_end)
+    assert summary["w"]["wall_s"]["change_better_in"] == "8 of 10"
+    assert summary["w"]["wall_s"]["gain_shown"] is False
+    # 10 of 10, but the medians differ by less than the parent's IQR
+    summary = bench.summarize(_wall_runs(parent_wall, [p - 0.05 for p in parent_wall]),
+                              end_to_end)
+    assert summary["w"]["wall_s"]["change_better_in"] == "10 of 10"
+    assert summary["w"]["wall_s"]["gain_shown"] is False
+    assert summary["w"]["units_per_s"]["gain_shown"] is False
+    # a slower change shows no gain, on either side of "better"
+    summary = bench.summarize(_wall_runs(parent_wall, [2.0 * p for p in parent_wall]),
+                              end_to_end)
+    assert summary["w"]["wall_s"]["gain_shown"] is False
+    assert summary["w"]["units_per_s"]["gain_shown"] is False
+    # one printed line per workload and metric, the unit counts left out
+    lines = bench.summary_lines(summary)
+    assert len(lines) == 2
+    assert lines[0] == ("w wall_s: parent 1.05, change 2.1 (+100.00%), better in 0 of 10, "
+                        "parent IQR 9.52%, OUT OF bound, gain not shown")
+    assert lines[1].startswith("w units_per_s: parent 0.952381, change 0.47619 (-50.00%), ")

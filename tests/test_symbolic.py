@@ -1,6 +1,7 @@
-"""Symbolic proofs of the closed forms behind the measurement basis and its
-input-free certificate, on the library's own _d12_entries layout and
-constraint_residuals, evaluated with sympy symbols in place of floats."""
+"""Symbolic proofs of the closed forms behind the measurement basis, its
+input-free certificate and the admissible theta3 window, on the library's
+own _d12_entries layout, constraint_residuals and admissible_u_window,
+evaluated with sympy symbols in place of floats."""
 
 from types import SimpleNamespace
 
@@ -92,3 +93,34 @@ def test_balanced_branch_weight_and_overlap(label, branches):
     assert sp.expand(_dot(va, va) - half) == 0 and sp.expand(_dot(vb, vb) - half) == 0
     overlap = _dot(va, vb)
     assert sp.expand(4 * overlap * sp.conjugate(overlap) - r3 ** 2) == 0
+
+
+def test_u_window_half_lines_are_the_phasor_triangle(monkeypatch):
+    # with sin^2(theta2) = N/(N + d), N = (B + C)u - (B - A) and d = B - C,
+    # the third-row phasor weights p = A s2^2, q = B c2^2 u, r = C c2^2 (1 - u)
+    # satisfy (N + d)(q + r - p) = beta - alpha u for admissible_u_window's
+    # half-line alpha u <= beta labelled p <= q + r, and likewise for the
+    # other two triangle sides: on N + d > 0 its triangle half-lines are
+    # exactly the phasor triangle inequalities
+    A, B, C, u = sp.symbols("A B C u", positive=True)
+    half_lines = []
+
+    def capture(lo, hi, cons):
+        half_lines.extend(cons)
+        return lo, hi
+
+    # the canonical-order and capability checks compare numbers; let symbols through
+    monkeypatch.setattr(scheme, "max", lambda *args: 0, raising=False)
+    monkeypatch.setattr(scheme, "is_teleport_capable", lambda ch: True)
+    monkeypatch.setattr(scheme, "_window_from_halflines", capture)
+    scheme.admissible_u_window.__wrapped__(SimpleNamespace(squares=(A, B, C)))
+    assert len(half_lines) == 4
+    d, n = B - C, (B + C) * u - (B - A)
+    s2sq, c2sq = n / (n + d), d / (n + d)
+    p, q, r = A * s2sq, B * c2sq * u, C * c2sq * (1 - u)
+    nonnegative, *triangle = half_lines
+    sides = (q + r - p, p + r - q, p + q - r)  # p <= q + r, q <= p + r, r <= p + q
+    for (alpha, beta), side in zip(triangle, sides):
+        assert sp.expand(sp.cancel((n + d) * side) - (beta - alpha * u)) == 0, side
+    alpha, beta = nonnegative  # N >= 0
+    assert sp.expand(n - (beta - alpha * u)) == 0
