@@ -10,9 +10,10 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import GOLDEN_DIR
 from oracles import a1_from_entropy_exact
 
-from teleportsim import explorer, resources, scheme, teleport
+from teleportsim import cli, explorer, resources, scheme, teleport
 from teleportsim.channel import make_channel
 from teleportsim.cli import bounds_csv, main, sweep_csv_lines
 from teleportsim.explorer import (
@@ -562,9 +563,6 @@ class TestCli:
         # every main call in a process parses with one parser, built on the
         # first call; a mixed run of commands, usage and validation errors
         # among them, gives the bytes a fresh build_parser() per call gives
-        import teleportsim.cli as cli
-        from helpers import GOLDEN_DIR
-
         argvs = [["sweep-case1", "--bogus"],
                  ["report", "--channel", "0.577,0.577,0.577", "--seed", "x"],
                  ["sweep-case1", "--density", "8"],
