@@ -47,35 +47,25 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems with exit code 64."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
 # a value argparse would read as a flag of its own: a minus sign, then a
 # digit, a point and a digit, or inf / nan in any case
 _NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-def _glue_negative_values(argv: list[str]) -> list[str]:
-    """argv with `--flag -X` written `--flag=-X` when -X looks like a negative
-    number, or a triple that starts with one.
+class _Parser(argparse.ArgumentParser):
+    """argparse variant that reports usage problems with exit code 64.
 
-    argparse reads only -N and -N.N as negative numbers, so `--theta3 -1e-3`
-    or `--channel -0.1,0.7,0.7` would be a flag missing its value. Every long
-    option but --help takes one value; an abbreviated flag is glued too.
+    It reads every _NEGATIVE_VALUE word as a value, not a flag: argparse's
+    own matcher takes only -N and -N.N, so `--theta3 -1e-3` or
+    `--channel -0.1,0.7,0.7` would be a flag missing its value.
     """
-    out: list[str] = []
-    for arg in argv:
-        prev = out[-1] if out else ""
-        if (prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
-                and _NEGATIVE_VALUE.match(arg)):
-            out[-1] = f"{prev}={arg}"
-        else:
-            out.append(arg)
-    return out
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE  # private in argparse
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _parse_channel(text: str):
@@ -248,7 +238,6 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = _glue_negative_values(sys.argv[1:] if argv is None else list(argv))
     parser = _parser()
     try:
         args = parser.parse_args(argv)

@@ -447,17 +447,17 @@ def _d12_entries(params: SchemeParams) -> list:
     ]
 
 
-# find_scheme's fallback points lo + k (hi - lo) / 20, nearest the midpoint first
-_FALLBACK_STEPS = tuple(k for d in range(1, 10) for k in (10 - d, 10 + d))
-
-
 def find_scheme(ch: SchmidtChannel, *, theta3: float | None = None) -> SchemeParams:
     """Convenience solver: solve_constraints at theta3 when it is given.
 
-    Otherwise pick theta3 in the admissible window: its midpoint first, then
-    lo + k (hi - lo) / 20 for k = 9, 11, 8, 12, ..., 1, 19, returning the
-    first scheme that certifies. When none does, the midpoint's
-    InfeasibleError is raised. An incapable channel has no window, so
+    Otherwise solve at the midpoint of the admissible theta3 window and, if
+    that scheme is refused, once at the window's bottom lo; if both are
+    refused, the midpoint's InfeasibleError is raised. The bottom is the one
+    retry because its phasor triangle is flat (the largest weight is the sum
+    of the other two, cos d1 = +1): there |p + q e^{i d1}| is stationary in
+    d1, so acos's sqrt(ulp) error in d1 reaches the phasor residual only at
+    second order. At the window's top the triangle is a needle (r -> 0) and
+    that error is first order. An incapable channel has no window, so
     admissible_u_window refuses it.
     """
     if theta3 is not None:
@@ -466,9 +466,8 @@ def find_scheme(ch: SchmidtChannel, *, theta3: float | None = None) -> SchemePar
     try:
         return solve_constraints(ch, 0.5 * (lo + hi))
     except InfeasibleError:
-        for k in _FALLBACK_STEPS:
-            try:
-                return solve_constraints(ch, lo + k * (hi - lo) / 20)
-            except InfeasibleError:
-                pass
+        try:
+            return solve_constraints(ch, lo)
+        except InfeasibleError:
+            pass
         raise  # the midpoint's refusal, message and interval

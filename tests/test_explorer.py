@@ -456,14 +456,25 @@ class TestCli:
 
     def test_verify_face_corner_refused(self, capsys):
         # a1 = math.sqrt(0.5), one ulp above 1/sqrt(2): the solver refuses
-        # the corner a0^2 = 5e-13 and the CLI says why, with no traceback
-        triple = ",".join(map(repr, (math.sqrt(5e-13), math.sqrt(0.5), math.sqrt(0.5 - 5e-13))))
+        # the corner a0^2 = 5e-9 at the window's midpoint and at its bottom,
+        # and the CLI says why (the midpoint's refusal), with no traceback
+        triple = ",".join(map(repr, (math.sqrt(5e-9), math.sqrt(0.5), math.sqrt(0.5 - 5e-9))))
         assert main(["verify", "--channel", triple]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("infeasible: scheme at theta3 = ")
-        assert "not certified: branches 3+/3- deviate by 0.000127 of their weight" in captured.err
+        assert "not certified: branches 3+/3- deviate by 1.25e-08 of their weight" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_verify_face_corner_rescued(self, capsys):
+        # the corner a0^2 = 5e-13 is refused at the window's midpoint but
+        # certifies at its bottom, so verify reports that scheme
+        triple = ",".join(map(repr, (math.sqrt(5e-13), math.sqrt(0.5), math.sqrt(0.5 - 5e-13))))
+        assert main(["verify", "--channel", triple]) == 0
+        out = json.loads(capsys.readouterr().out)
+        ch = make_channel(*out["canonical_channel"]["a"])
+        assert out["scheme"]["theta"][2] == scheme.admissible_theta3(ch)[0]
+        assert out["report"]["mean_fidelity"] >= 1.0 - 1e-10
 
     def test_verify_bad_triple_exits_1(self, capsys):
         assert main(["verify", "--channel", "0.9,0.9,0.9"]) == 1

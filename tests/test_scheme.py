@@ -18,7 +18,6 @@ from oracles import (
     special_case_basis,
     two_qubit_D12,
 )
-from teleportsim import scheme
 from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
 from teleportsim.qlinalg import TOL
 from teleportsim.resources import resource_report, upper_bound_sum
@@ -463,35 +462,29 @@ class TestAcceptanceRule:
                 run_teleport(random_input(rng), ch, params)  # no CorrectionError
         assert solved > 1200 and refused > 50  # the sample reaches the near-face refusals
 
-    def test_find_scheme_tries_interior_points(self):
-        # where the window midpoint is refused, find_scheme tries
-        # lo + k (hi - lo) / 20 for k = 9, 11, 8, 12, ..., 1, 19; a midpoint
-        # that certifies keeps its scheme, and a channel refused at every
-        # point gets the midpoint's refusal
-        assert scheme._FALLBACK_STEPS == (9, 11, 8, 12, 7, 13, 6, 14, 5, 15,
-                                          4, 16, 3, 17, 2, 18, 1, 19)
-        refused = rescued = 0
+    def test_find_scheme_retries_at_window_bottom(self):
+        # where the window midpoint is refused, find_scheme solves once more,
+        # at the window's bottom lo; a midpoint that certifies keeps its
+        # scheme. At lo the phasor triangle is flat (the largest weight is
+        # the sum of the other two), where acos's error in d1 reaches the
+        # phasor residual only at second order, so no scan channel is refused
+        retried = 0
         for ch in _scan_channels(7, 10000):
             lo, hi = admissible_theta3(ch)
             try:
                 want = solve_constraints(ch, 0.5 * (lo + hi))
-            except InfeasibleError as exc:
-                midpoint = exc
-            else:
-                got = find_scheme(ch)
-                assert _bits(got.theta + got.delta) == _bits(want.theta + want.delta)
-                continue
-            try:
-                got = find_scheme(ch)
-            except InfeasibleError as exc:
-                assert str(exc) == str(midpoint) and exc.interval == midpoint.interval == (lo, hi)
-                refused += 1
-                continue
-            rescued += 1
-            assert got.theta[2] in [lo + k * (hi - lo) / 20 for k in range(1, 20)]
-            assert certify_scheme(ch, got) <= DEVIATION_BOUND
+            except InfeasibleError:
+                want = solve_constraints(ch, lo)
+                retried += 1
+                A, B, C = ch.squares
+                u20, u21, u22 = want.rotation[2]
+                w = sorted((A * u20 * u20, B * u21 * u21, C * u22 * u22))
+                assert w[2] == pytest.approx(w[0] + w[1], rel=1e-9, abs=0.0)
+                assert certify_scheme(ch, want) <= 1e-15
+            got = find_scheme(ch)
+            assert _bits(got.theta + got.delta) == _bits(want.theta + want.delta)
         # 327 of the 4,352 capable channels are refused at the midpoint
-        assert refused <= 75 and rescued >= 250
+        assert retried == 327
 
     def test_off_sphere_channel_refused(self):
         # a hand-built channel skips make_channel's normalization: the
