@@ -9,6 +9,7 @@ endpoints up to its maximum at theta1 = pi/4.
 
 import argparse
 import math
+import sys
 
 from teleportsim.explorer import sweep_degenerate
 
@@ -20,7 +21,10 @@ def main():
     if args.points < 2:
         ap.error("--points must be at least 2")
 
-    result = sweep_degenerate(args.points)
+    try:
+        result = sweep_degenerate(args.points)
+    except MemoryError as exc:  # a grid too large to allocate: the CLI's exit 1 and line
+        sys.exit(f"error: out of memory: {exc or 'allocation failed'}")
     print(f"{'theta1':>10} {'E12':>12} {'H12':>12} {'sum':>12}")
     for r in result.records:
         print(f"{r.theta1:10.6f} {r.e12:12.8f} {r.h12:12.8f} {r.sum:12.8f}")

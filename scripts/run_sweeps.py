@@ -9,6 +9,7 @@ sweeps draw no random numbers.
 
 import argparse
 import pathlib
+import sys
 
 from teleportsim.cli import bounds_csv, sweep_csv_lines
 from teleportsim.explorer import (
@@ -33,19 +34,21 @@ def main():
     args = ap.parse_args()
     if args.density < 2:
         ap.error("--density must be at least 2")
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        results = (("case1", sweep_case1(args.density)),
+                   ("case2", sweep_case2(args.density)),
+                   ("degenerate", sweep_degenerate(args.density)))
+        rows = bounds_table(bounds_grid(args.density))
+    except MemoryError as exc:  # a grid too large to allocate: the CLI's exit 1 and line
+        sys.exit(f"error: out of memory: {exc or 'allocation failed'}")
 
-    for name, result in (
-        ("case1", sweep_case1(args.density)),
-        ("case2", sweep_case2(args.density)),
-        ("degenerate", sweep_degenerate(args.density)),
-    ):
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    for name, result in results:
         # streamed line by line, as the CLI writes a sweep
         with open(args.outdir / f"sweep_{name}.csv", "w", encoding="utf-8") as fh:
             fh.writelines(sweep_csv_lines(result))
         _summary(f"sweep_{name}", result)
 
-    rows = bounds_table(bounds_grid(args.density))
     (args.outdir / "bounds.csv").write_text(bounds_csv(rows))
     print(f"bounds: {len(rows)} rows, curves meet at "
           f"E = {rows[-1][0]:.6f} (lower {rows[-1][1]:.6f}, upper {rows[-1][2]:.6f})")

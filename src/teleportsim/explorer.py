@@ -10,12 +10,13 @@ Three sweeps cover the documented channel families:
 Each sweep takes a density and rejects one below 2; it draws no random
 numbers, so its output depends on the density alone. A family only lists its
 channels and each channel's solve_constraints points; one driver, _sweep,
-does the rest for all three. It solves the points in channel order; once
-every point is solved, each solved scheme is accounted with one
-resource_report call and emitted as a SweepRecord, a tuple of its fields in
-CSV column order. solve_constraints returns only certified schemes, so every
-emitted record teleports every input with fidelity at least 1 - TOL.unitary;
-infeasible points are counted and reported, never fatal.
+does the rest for all three. It solves all of a sweep's points with one
+solve_points call, in channel order; then each solved scheme is accounted
+with one resource_report call and emitted as a SweepRecord, a tuple of its
+fields in CSV column order. solve_points returns only the schemes
+solve_constraints would, certified ones, so every emitted record teleports
+every input with fidelity at least 1 - TOL.unitary; infeasible points are
+counted and reported, never fatal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .channel import channel_entropy, make_channel
 from .qlinalg import LOG2_3, TOL, bisect
 from .resources import lower_bound_sum, resource_report, upper_bound_sum
-from .scheme import InfeasibleError, admissible_u_window, free_theta2_window, solve_constraints
+from .scheme import InfeasibleError, admissible_u_window, free_theta2_window, solve_points
 
 # number of scheme-angle samples per swept channel
 _INNER_GRID = 5
@@ -68,9 +69,18 @@ def _bound_lower(e: float) -> float:
 
 
 def _grid(lo: float, hi: float, density: int) -> np.ndarray:
+    """np.linspace(lo, hi, density). A density below 2 raises ValueError.
+
+    A density whose grid numpy cannot allocate raises MemoryError, also
+    where numpy refuses the size before any allocation: np.linspace raises
+    ValueError there (from about 2^60 points), or IndexError on an empty
+    array (from 2^63 - 1)."""
     if density < 2:
         raise ValueError("density must be at least 2")
-    return np.linspace(lo, hi, density)
+    try:
+        return np.linspace(lo, hi, density)
+    except (ValueError, IndexError):
+        raise MemoryError(f"a grid of {density} points is larger than numpy can allocate") from None
 
 
 def _inner_grid(lo: float, hi: float) -> list[float]:
@@ -96,10 +106,13 @@ def _sweep(channels) -> SweepResult:
     point a (theta3, hints) pair for solve_constraints(ch, theta3, **hints);
     a channel with no points (an empty window) counts as one skipped point.
 
-    Two passes. The first solves the points in channel order, skipping a
-    point that solve_constraints refuses (InfeasibleError: outside the
-    window, or not certified). The second accounts each solved scheme, in
-    order, with one resource_report call and emits its record.
+    Two passes. The first solves every point of the sweep with one
+    solve_points call, which skips a point that solve_constraints refuses
+    (InfeasibleError: outside the window, or not certified). It reads the
+    channels as they are yielded, so each channel's u-window, which its
+    family has just derived, is a memo hit there. The second accounts each
+    solved scheme, in order, with one resource_report call and emits its
+    record.
 
     Accounting stays a pass of its own, one call per record to the
     module-level resource_report (looked up at call time), because that call
@@ -107,20 +120,25 @@ def _sweep(channels) -> SweepResult:
     record between two of its returns, and
     test_accounting_follows_every_certificate pins the order.
     """
-    solved: list[tuple] = []  # (ch, params, bound_lower, bound_upper)
+    points: list[tuple] = []  # (ch, bound_lower, bound_upper) of each point
     skipped = 0
-    for ch, bound_upper, points in channels:
-        if not points:
-            skipped += 1
-            continue
-        bound_lower = _bound_lower(ch.entropy)
-        for theta3, hints in points:
-            try:
-                params = solve_constraints(ch, theta3, **hints)
-            except InfeasibleError:
+
+    def each_point():
+        nonlocal skipped
+        for ch, bound_upper, pts in channels:
+            if not pts:
                 skipped += 1
                 continue
-            solved.append((ch, params, bound_lower, bound_upper))
+            point = (ch, _bound_lower(ch.entropy), bound_upper)
+            for theta3, hints in pts:
+                points.append(point)
+                yield ch, theta3, hints
+
+    schemes = solve_points(each_point())
+    solved = [(ch, params, bound_lower, bound_upper)
+              for (ch, bound_lower, bound_upper), params in zip(points, schemes)
+              if params is not None]
+    skipped += len(points) - len(solved)
     records: list[SweepRecord] = []
     for ch, params, bound_lower, bound_upper in solved:
         e_channel, e12, h12, _, _, total = resource_report(ch, params)

@@ -13,8 +13,11 @@ channel the perfect-teleportation constraints reduce to closed form:
 The phases come from a law-of-cosines closure of the three-phasor sum over
 the third row.
 
-solve_constraints, the one place that accepts a scheme, returns only schemes
-that certify_scheme certifies: fidelity 1 on every branch for every input.
+One acceptance rule, certify_scheme's deviation at most DEVIATION_BOUND
+(fidelity 1 on every branch for every input), has two appliers that agree
+bit for bit: solve_constraints, the scalar path, and solve_points, which
+solves and certifies all of a sweep's points in one array pass. Neither
+returns a scheme the rule refuses.
 """
 
 from __future__ import annotations
@@ -62,6 +65,16 @@ class SchemeParams:
         if not (isfinite(t1) and isfinite(t2) and isfinite(t3) and isfinite(d1) and isfinite(d2)):
             raise ValueError(f"scheme angles must be finite: {self.theta}, {self.delta}")
         object.__setattr__(self, "rotation", rotation_rows(t1, t2, t3))
+
+    @classmethod
+    def _from_rotation(cls, theta, delta, rotation) -> SchemeParams:
+        """The scheme with these finite angles and rotation, which the caller
+        has computed as rotation_rows(*theta) computes it, bit for bit
+        (solve_points' array pass): __post_init__'s checks and rotation_rows
+        are skipped, not changed."""
+        params = object.__new__(cls)
+        params.__dict__.update(theta=theta, delta=delta, rotation=rotation)
+        return params
 
     @cached_property
     def basis(self) -> MeasurementBasis:
@@ -178,8 +191,8 @@ def _window_from_halflines(lo: float, hi: float, cons) -> tuple[float, float] | 
     return lo, hi
 
 
-# every solve re-derives its channel's window, and a sweep solves several
-# points of one channel in a row
+# every scalar solve re-derives its channel's window, and solve_points takes
+# the window of a channel whose family has just derived it
 @lru_cache(maxsize=16)
 def admissible_u_window(ch: SchmidtChannel) -> tuple[float, float]:
     """Admissible interval of u = sin^2(theta3) for a canonical channel.
@@ -215,7 +228,6 @@ def admissible_theta3(ch: SchmidtChannel) -> tuple[float, float]:
     return math.asin(math.sqrt(lo)), math.asin(math.sqrt(hi))
 
 
-@lru_cache(maxsize=16)
 def free_theta2_window(ch: SchmidtChannel, u: float) -> tuple[float, float]:
     """Phasor-feasible interval of sin^2(theta2) when theta2 is unconstrained.
 
@@ -301,6 +313,203 @@ def solve_constraints(
             interval=admissible_theta3(ch),
         )
     return params
+
+
+_HINT_NAMES = frozenset({"theta2_hint", "theta1_hint"})
+_NO_WINDOW = (2.0, -1.0)  # an empty window: it refuses every point
+# cos and sin of the phase pi that phases_from_weights returns without acos
+_COS_PI, _SIN_PI = math.cos(math.pi), math.sin(math.pi)
+
+
+def _map(fn, *values) -> np.ndarray:
+    """fn on each value (each tuple of values) of Python lists, through
+    Python: no bit depends on the SIMD code numpy dispatches to."""
+    return np.fromiter(map(fn, *values), float)
+
+
+def _squares(values) -> np.ndarray:
+    """x ** 2 of each value of a Python list, as Python takes it (libm pow,
+    which is not always x * x)."""
+    return np.fromiter((x ** 2 for x in values), float)
+
+
+def _clip(x, lo, hi) -> np.ndarray:
+    """min(max(x, lo), hi) with Python's min and max: the first argument wins
+    a tie or a NaN, so signed zeros and NaNs come out as they do there."""
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def solve_points(points) -> list[SchemeParams | None]:
+    """solve_constraints over many points in one array pass.
+
+    points is an iterable of (ch, theta3, hints), hints a dict of
+    solve_constraints' keyword hints, read once, in order. For each point
+    the result is the scheme solve_constraints(ch, theta3, **hints) returns,
+    equal to it bit for bit in theta, delta and rotation and holding the
+    point's own theta3 object, or None where solve_constraints raises
+    InfeasibleError. Any other exception is raised as solve_constraints
+    raises it, at the first point that raises one.
+
+    solve_constraints stays the scalar path and the reference: one point
+    costs it a few microseconds, where the arrays here cost a few hundred.
+    The two apply the one acceptance rule bit for bit. numpy does the
+    + - * /, sqrt, real abs, comparisons and clips; every sin, cos, asin,
+    acos, atan2, ** 2 and complex abs is taken through Python (_map,
+    _squares), as the scalar path takes it. The gate reads the pair
+    deviations from _point_deviations, its one seam.
+
+    Each channel's u-window is taken once per run of points on it, through
+    admissible_u_window when its first point is read, so a caller that
+    yields a channel's points right after deriving its window (the sweeps)
+    hits that memo; each ridge theta2-window is taken once per run of
+    (channel, u). A point the arrays cannot take (a non-finite theta3, hint
+    or channel square, an unknown hint, a channel not canonicalized, a zero
+    division, probabilities that do not sum to 1) is solved by
+    solve_constraints itself, in order, so every exception keeps its type,
+    message and place.
+    """
+    pts, run_sq, run_win, run_len, run_odd = [], [], [], [], []
+    prev = None
+    for point in points:
+        pts.append(point)
+        ch = point[0]
+        if ch is prev:
+            run_len[-1] += 1
+            continue
+        prev, win, bad = ch, _NO_WINDOW, False
+        try:
+            win = admissible_u_window(ch)
+        except InfeasibleError:
+            pass
+        except ValueError:  # not canonicalized: solve_constraints raises it
+            bad = True
+        run_sq.append(ch.squares if win is not _NO_WINDOW else (0.0, 0.0, 0.0))
+        run_win.append(win)
+        run_len.append(1)
+        run_odd.append(bad)
+    out: list[SchemeParams | None] = [None] * len(pts)
+    if not pts:
+        return out
+    chs, t3_objs, hints = zip(*pts)
+    h1_objs = [h.get("theta1_hint", 0.0) for h in hints]
+    A, B, C = np.repeat(np.array(run_sq, dtype=float), run_len, axis=0).T
+    ulo, uhi = np.repeat(np.array(run_win), run_len, axis=0).T
+    t3 = np.array(t3_objs, dtype=float)
+    h2 = np.array([h.get("theta2_hint", math.pi / 4) for h in hints], dtype=float)
+    h1 = np.array(h1_objs, dtype=float)
+    odd = np.repeat(np.array(run_odd), run_len)
+    odd |= np.array([not h.keys() <= _HINT_NAMES for h in hints])
+    odd |= ~(np.isfinite(t3) & np.isfinite(h2) & np.isfinite(h1))
+    odd |= ~(np.isfinite(A) & np.isfinite(B) & np.isfinite(C))
+    if odd.any():  # the arrays carry an odd point as zeros, which raise nothing
+        t3, h2, h1, A, B, C = (np.where(odd, 0.0, v) for v in (t3, h2, h1, A, B, C))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t3l = t3.tolist()
+        s3l = list(map(math.sin, t3l))
+        s3, c3, u = np.array(s3l), _map(math.cos, t3l), _squares(s3l)
+        ok = (ulo - TOL.entry <= u) & (u <= uhi + TOL.entry) & ~odd
+        d = B - C
+        n = (B + C) * u - (B - A)
+        ridge = (np.abs(n) < TOL.degenerate) & (np.abs(n + d) < TOL.degenerate)
+        odd |= ok & ~ridge & (n + d == 0.0)  # solve_constraints' ZeroDivisionError
+        x = _clip(n / (n + d), 0.0, 1.0)
+        at = np.flatnonzero(ridge & ok & ~odd)
+        if at.size:
+            # on the ridge sin^2(theta2) is the hint's, clipped to the
+            # theta2-window of each run of (channel, u)
+            run_id = np.repeat(np.arange(len(run_len)), run_len)[at].tolist()
+            wins, key, win = [], None, None
+            for i, r_id, ui in zip(at.tolist(), run_id, u[at].tolist()):
+                if key != (r_id, ui):
+                    key = (r_id, ui)
+                    try:
+                        win = free_theta2_window(chs[i], ui)
+                    except InfeasibleError:
+                        win = _NO_WINDOW
+                wins.append(win)
+            wlo, whi = np.array(wins).T
+            refused = wlo > whi
+            ok[at] &= ~refused
+            w = _clip(_squares(map(math.sin, h2[at].tolist())), wlo, whi)
+            x[at] = np.where(refused, 0.0, w)
+        t2l = list(map(math.asin, np.sqrt(x).tolist()))
+        c2, s2 = _map(math.cos, t2l), _map(math.sin, t2l)
+        c3sq, s3sq = 1.0 - u, u
+        k = A * c2 * c2 + C * s2 * s2 * c3sq - B * s2 * s2 * s3sq
+        ell = C * s3sq - B * c3sq
+        m = s2 * np.sqrt(s3sq * c3sq) * (B + C)
+        hinted = (np.abs(ell - k) < TOL.degenerate) & (np.abs(m) < TOL.degenerate)
+        t1 = np.where(hinted, h1, 0.5 * _map(math.atan2, (ell - k).tolist(), (2.0 * m).tolist()))
+        # phases_from_weights on the weights of the third row (-s2, c2 s3, c2 c3)
+        u20, u21, u22 = -s2, c2 * s3, c2 * c3
+        p, q, r = (A * _squares(u20.tolist()), B * _squares(u21.tolist()),
+                   C * _squares(u22.tolist()))
+        total, slack, tiny = p + q + r, TOL.entry, TOL.weight
+        ok &= ~((p > total - p + slack) | (q > total - q + slack) | (r > total - r + slack))
+        d1l = list(map(math.acos, _clip((r * r - p * p - q * q) / (2.0 * p * q), -1.0, 1.0).tolist()))
+        cd1, sd1 = _map(math.cos, d1l), _map(math.sin, d1l)
+        xx, yy = -(p + q * cd1), -(q * sd1)
+        inv = 1.0 / r
+        d2 = -_map(math.atan2, ((yy - xx * 0.0) * inv).tolist(), (xx * inv).tolist())
+        cases = [(q <= tiny) & (r <= tiny), (p <= tiny) | (q <= tiny), r <= tiny]
+        d1 = np.select(cases, [0.0, 0.0, math.pi], np.array(d1l))
+        d2 = np.select(cases, [0.0, math.pi, 0.0], d2)
+        cd1 = np.select(cases, [1.0, 1.0, _COS_PI], cd1)
+        sd1 = np.select(cases, [0.0, 0.0, _SIN_PI], sd1)
+        # the certificate, on rotation_rows(t1, t2, theta3) in its arithmetic
+        t1l = t1.tolist()
+        c1, s1 = _map(math.cos, t1l), _map(math.sin, t1l)
+        u00, u01, u02 = c1 * c2, c1 * s2 * s3 - s1 * c3, c1 * s2 * c3 + s1 * s3
+        u10, u11, u12 = s1 * c2, s1 * s2 * s3 + c1 * c3, s1 * s2 * c3 - c1 * s3
+        x0, y0 = A * u00 * u00 + C * u02 * u02, B * u01 * u01
+        x1, y1 = A * u10 * u10 + C * u12 * u12, B * u11 * u11
+        p3 = 0.5 * (A * u20 * u20 + B * u21 * u21 + C * u22 * u22)
+        odd |= ok & (np.abs(x0 + y0 + x1 + y1 + 2.0 * p3 - 1.0) > TOL.entry)
+        # the certificate's points, each as the scalar path reaches it
+        at = np.flatnonzero(ok & ~odd)
+        # _phasor_residual's |p + q e^{i d1} + r e^{-i d2}|, each exponential
+        # exactly (cos, sin) of its angle; the signs of zero its complex
+        # products add do not reach the modulus
+        nd2 = (-d2[at]).tolist()
+        cd2, sd2 = _map(math.cos, nd2), _map(math.sin, nd2)
+        p, q, r = p[at], q[at], r[at]
+        r3 = _map(lambda re, im: abs(complex(re, im)),
+                  (p + q * cd1[at] + r * cd2).tolist(), (q * sd1[at] + r * sd2).tolist())
+        devs = _point_deviations(x0[at], y0[at], x1[at], y1[at], p3[at], r3)
+    # certify_scheme's NaN-aware max is at most the bound iff each deviation is
+    passed = np.ones(at.size, dtype=bool)
+    for dev in devs:
+        passed &= dev <= DEVIATION_BOUND
+    at = at[passed]
+    rows = np.stack([u00, u01, u02, u10, u11, u12, u20, u21, u22], axis=1)[at]
+    hinted = hinted.tolist()
+    for i, t1i, t2i, d1i, d2i, rot in zip(at.tolist(), t1[at].tolist(), np.array(t2l)[at].tolist(),
+                                           d1[at].tolist(), d2[at].tolist(),
+                                           rows.reshape(-1, 3, 3).tolist()):
+        theta = (h1_objs[i] if hinted[i] else t1i, t2i, t3_objs[i])
+        out[i] = SchemeParams._from_rotation(theta, (d1i, d2i), rot)
+    for i in np.flatnonzero(odd).tolist():
+        try:
+            out[i] = solve_constraints(chs[i], t3_objs[i], **hints[i])
+        except InfeasibleError:
+            pass
+    return out
+
+
+def _point_deviations(x0, y0, x1, y1, p3, r3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_pair_deviations over arrays, from each scheme's branch weights (x, y
+    of the 1+/2+ and 1-/2- pairs, p3 of 3+/3-) and phasor residual r3: the
+    deviations of the pairs 1+/2+, 1-/2- and 3+/3-, in its arithmetic."""
+    zero = TOL.zero_branch
+    devs = []
+    for x, y in ((x0, y0), (x1, y1)):
+        na, nb = np.sqrt(x), np.sqrt(y)
+        sp = np.sqrt(0.5 * (x + y))
+        a, b = np.abs(na - sp), np.abs(nb - sp)
+        devs.append(np.where((na <= zero) & (nb <= zero), 0.0, np.where(b > a, b, a) / sp))
+    devs.append(np.where(np.sqrt(p3) <= zero, 0.0, 0.5 * r3 / p3))
+    return tuple(devs)
 
 
 def constraint_residuals(ch: SchmidtChannel, params: SchemeParams) -> tuple[float, float, float]:

@@ -14,7 +14,7 @@ from helpers import GOLDEN_DIR
 from oracles import a1_from_entropy_exact
 
 from teleportsim import cli, explorer, resources, scheme, teleport
-from teleportsim.channel import make_channel
+from teleportsim.channel import SchmidtChannel, make_channel
 from teleportsim.cli import bounds_csv, main, sweep_csv_lines
 from teleportsim.explorer import (
     SweepRecord,
@@ -120,20 +120,33 @@ def _sweeps(density=6, n_degenerate=9):
             ("degenerate", lambda: sweep_degenerate(n_degenerate))]
 
 
-def _spy_certified(monkeypatch, log=None):
-    """Record each call of the solver's gate, scheme.certify_scheme, as its
-    record's (channel, scheme angles); with `log`, append ("certify",
-    angles) to it too."""
-    certified, certify = [], scheme.certify_scheme
+def _spy_kernel(monkeypatch, log=None):
+    """Record each solve_points call of a sweep, as its (ch, theta3, hints)
+    points and their schemes, and each call of the kernel's certificate
+    seam, scheme._point_deviations, as the number of points it certifies;
+    with `log`, append ("certify", that number) to it too. A scalar
+    certify_scheme call fails the test: the sweeps certify in the kernel."""
+    solves, certified = [], []
+    solve, deviations = explorer.solve_points, scheme._point_deviations
 
-    def spy(ch, params):
-        certified.append((ch.a, params.theta))
+    def spy_solve(points):
+        points = list(points)
+        solves.append((points, solve(points)))
+        return solves[-1][1]
+
+    def spy_deviations(*weights):
+        certified.append(len(weights[0]))
         if log is not None:
-            log.append(("certify", params.theta))
-        return certify(ch, params)
+            log.append(("certify", len(weights[0])))
+        return deviations(*weights)
 
-    monkeypatch.setattr(scheme, "certify_scheme", spy)
-    return certified
+    def no_scalar_certificate(ch, params):
+        raise AssertionError("a sweep called certify_scheme")
+
+    monkeypatch.setattr(explorer, "solve_points", spy_solve)
+    monkeypatch.setattr(scheme, "_point_deviations", spy_deviations)
+    monkeypatch.setattr(scheme, "certify_scheme", no_scalar_certificate)
+    return solves, certified
 
 
 def _emitted(records):
@@ -141,19 +154,48 @@ def _emitted(records):
     return [((r.a0, r.a1, r.a2), (r.theta1, r.theta2, r.theta3)) for r in records]
 
 
+def _outside(a) -> float | None:
+    """A theta3 whose u = sin^2(theta3) lies outside the window of the
+    channel with coefficients a by 1e-6, a point every solve refuses before
+    its certificate; None when the window leaves no such room."""
+    ulo, uhi = scheme.admissible_u_window(SchmidtChannel(a))
+    u = uhi + 1e-6 if uhi + 1e-6 <= 1.0 else ulo - 1e-6
+    return math.asin(math.sqrt(u)) if u >= 0.0 else None
+
+
+def _refusing(monkeypatch, a, which):
+    """Have every sweep's channel list give channel `a` a theta3 outside its
+    window at the point indices `which` (all of its points when None)."""
+    sweep = explorer._sweep
+
+    def channels_with_refusals(channels):
+        for ch, bound_upper, points in channels:
+            if ch.a == a:
+                refused = range(len(points)) if which is None else which
+                points = [(_outside(a), hints) if k in refused else (theta3, hints)
+                          for k, (theta3, hints) in enumerate(points)]
+            yield ch, bound_upper, points
+
+    monkeypatch.setattr(explorer, "_sweep", lambda channels: sweep(channels_with_refusals(channels)))
+
+
 class TestSweepDriver:
-    """Each sweep solves every point first, in channel order, and the solver
-    certifies each solved scheme with one certify_scheme call and no basis
+    """Each sweep solves all of its points in channel order with one
+    solve_points call, which certifies every solved scheme in one pass of
+    its certificate seam, with no scalar certify_scheme call and no basis
     or correction kernel; then the sweep accounts each kept record with one
     resource_report call. The gate applies record by record, and no random
     numbers are drawn."""
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
     def test_each_scheme_certified_once_in_emission_order(self, name, monkeypatch):
-        certified = _spy_certified(monkeypatch)
+        solves, certified = _spy_kernel(monkeypatch)
         result = dict(_sweeps())[name]()
         assert result.skipped == 0
-        assert certified == _emitted(result.records)
+        [(points, schemes)] = solves
+        assert certified == [len(points)]
+        assert [(ch.a, params.theta) for (ch, _, _), params in zip(points, schemes)] == \
+            _emitted(result.records)
 
     def test_no_basis_and_no_kernel(self, monkeypatch):
         # the sweeps certify from closed forms: no basis is built (each
@@ -177,50 +219,41 @@ class TestSweepDriver:
     def test_infeasible_point_is_skipped_uncertified(self, name, monkeypatch):
         run = dict(_sweeps())[name]
         want = run()
-        # the first channel with two points or more loses its second one
+        # the first channel with two points or more and room outside its
+        # window has its second point moved there
         a = next(a for a, group in itertools.groupby(_emitted(want.records), key=lambda x: x[0])
-                 if len(list(group)) > 1)
+                 if len(list(group)) > 1 and _outside(a) is not None)
         i = [(r.a0, r.a1, r.a2) for r in want.records].index(a) + 1
-        solve, tried = explorer.solve_constraints, []
-
-        def refuse_second(ch, theta3, **hints):
-            if ch.a == a:
-                tried.append(theta3)
-                if len(tried) == 2:
-                    raise InfeasibleError("forced")
-            return solve(ch, theta3, **hints)
-
-        monkeypatch.setattr(explorer, "solve_constraints", refuse_second)
-        certified = _spy_certified(monkeypatch)
+        _refusing(monkeypatch, a, {1})
+        solves, certified = _spy_kernel(monkeypatch)
         got = run()
         assert want.skipped == 0 and got.skipped == 1
         assert got.records == want.records[:i] + want.records[i + 1:]
-        assert certified == _emitted(got.records)
+        [(points, schemes)] = solves
+        assert len(points) == len(want.records) and schemes[i] is None
+        assert certified == [len(points) - 1]
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
     def test_all_infeasible_channel_counts_every_skip(self, name, monkeypatch):
         run = dict(_sweeps())[name]
         want = run()
-        first = _emitted(want.records)[0][0]
-        n = sum(1 for a, _ in _emitted(want.records) if a == first)
-        solve = explorer.solve_constraints
-
-        def refuse_first_channel(ch, theta3, **hints):
-            if ch.a == first:
-                raise InfeasibleError("forced")
-            return solve(ch, theta3, **hints)
-
-        monkeypatch.setattr(explorer, "solve_constraints", refuse_first_channel)
-        certified = _spy_certified(monkeypatch)
+        # the first channel with two points or more and room outside its
+        # window loses every point
+        channels = [a for a, _ in _emitted(want.records)]
+        first = next(a for a in channels if channels.count(a) > 1 and _outside(a) is not None)
+        i, n = channels.index(first), channels.count(first)
+        _refusing(monkeypatch, first, None)
+        solves, certified = _spy_kernel(monkeypatch)
         got = run()
-        assert want.skipped == 0 and got.skipped == n
-        assert got.records == want.records[n:]
-        assert certified == _emitted(got.records)
+        assert want.skipped == 0 and got.skipped == n > 1
+        assert got.records == want.records[:i] + want.records[i + n:]
+        [(points, schemes)] = solves
+        assert schemes[i:i + n] == [None] * n and certified == [len(points) - n]
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
     def test_accounting_follows_every_certificate(self, name, monkeypatch):
         # one resource_report call per record, looked up through the module,
-        # and all of them after the sweep's last certificate
+        # and all of them after the sweep's one certificate pass
         run = dict(_sweeps())[name]
         want = run()
         log = []
@@ -231,31 +264,33 @@ class TestSweepDriver:
             return report(ch, params)
 
         monkeypatch.setattr(explorer, "resource_report", spy)
-        _spy_certified(monkeypatch, log)
+        _spy_kernel(monkeypatch, log)
         got = run()
         assert got == want
         angles = [(r.theta1, r.theta2, r.theta3) for r in got.records]
-        assert log == [("certify", t) for t in angles] + [("report", t) for t in angles]
+        assert log == [("certify", len(angles))] + [("report", t) for t in angles]
 
     @pytest.mark.parametrize("name", ["case1", "case2", "degenerate"])
     def test_gate_skips_only_the_failing_record(self, name, monkeypatch):
         run = dict(_sweeps())[name]
         want = run()
-        certify = scheme.certify_scheme
-        calls, reported = [], []
+        deviations, reported = scheme._point_deviations, []
         # the first channel boundary b >= 2 (2 on the one-channel sweep): the
-        # record before b - 1 exactly on the bound, the last record of one
-        # channel just past it, the first of the next NaN
+        # record before b - 1 exactly on the bound (its 1+/2+ pair), the last
+        # record of one channel just past it (1-/2-), the first of the next
+        # NaN (3+/3-, a NaN the certificate's max must not drop)
         channels = [(r.a0, r.a1, r.a2) for r in want.records]
         b = next((i for i in range(2, len(channels)) if channels[i] != channels[i - 1]), 2)
-        forced = {b - 2: scheme.DEVIATION_BOUND,
-                  b - 1: np.nextafter(scheme.DEVIATION_BOUND, np.inf),
-                  b: math.nan}
+        forced = {b - 2: (0, scheme.DEVIATION_BOUND),
+                  b - 1: (1, np.nextafter(scheme.DEVIATION_BOUND, np.inf)),
+                  b: (2, math.nan)}
 
-        def past_gate(ch, params):
-            dev = certify(ch, params)
-            calls.append(params.theta)
-            return forced.get(len(calls) - 1, dev)
+        def past_gate(*weights):
+            devs = [dev.copy() for dev in deviations(*weights)]
+            assert len(devs[0]) == len(channels)  # every point reaches the certificate
+            for k, (pair, dev) in forced.items():
+                devs[pair][k] = dev
+            return tuple(devs)
 
         report = explorer.resource_report
 
@@ -263,7 +298,7 @@ class TestSweepDriver:
             reported.append(params.theta)
             return report(ch, params)
 
-        monkeypatch.setattr(scheme, "certify_scheme", past_gate)
+        monkeypatch.setattr(scheme, "_point_deviations", past_gate)
         monkeypatch.setattr(explorer, "resource_report", spy)
         got = run()
         assert want.skipped == 0
@@ -306,30 +341,32 @@ class TestSweepDriver:
 
 class TestOneRotationPerScheme:
     def test_sweep_case1(self, monkeypatch):
-        # every per-scheme formula reads SchemeParams.rotation, so a sweep
-        # builds one rotation per solved scheme (no longer one per layer) and
-        # takes its phases from cmath.exp
-        rotations, solved = [], []
-        rows, solve = scheme.rotation_rows, explorer.solve_constraints
+        # every per-scheme formula reads SchemeParams.rotation, and a sweep
+        # builds one rotation per solved scheme, in the kernel's array pass,
+        # with rotation_rows' bits: no layer rebuilds it, and the phases come
+        # from cmath.exp
+        rotations, rows = [], scheme.rotation_rows
 
         def spy_rows(*theta):
             rotations.append(theta)
             return rows(*theta)
-
-        def spy_solve(*args, **kwargs):
-            solved.append(solve(*args, **kwargs))
-            return solved[-1]
 
         def no_exp(*args, **kwargs):
             raise AssertionError("np.exp called")
 
         for module in (scheme, teleport, resources):
             monkeypatch.setattr(module, "rotation_rows", spy_rows, raising=False)
-        monkeypatch.setattr(explorer, "solve_constraints", spy_solve)
+        solves, _ = _spy_kernel(monkeypatch)
         monkeypatch.setattr(np, "exp", no_exp)
         result = sweep_case1(20)
+        [(_, schemes)] = solves
+        solved = [params for params in schemes if params is not None]
         assert len(result.records) == len(solved) > 20
-        assert rotations == [params.theta for params in solved]
+        assert rotations == []
+        for params in solved:
+            want = rows(*params.theta)
+            assert [[x.hex() for x in row] for row in params.rotation] == \
+                [[x.hex() for x in row] for row in want]
 
 
 class TestInnerGrid:
@@ -728,6 +765,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == ("error: out of memory: Unable to allocate an array "
                                 "with shape (100000000000,)\n")
+
+    @pytest.mark.parametrize("command",
+                             ["sweep-case1", "sweep-case2", "sweep-degenerate", "bounds"])
+    @pytest.mark.parametrize("density", [2**62, 2**63 - 1, 2**63, 2**64 - 1])
+    def test_density_numpy_refuses_exits_1(self, command, density, capsys):
+        # real numpy refuses these grids by their size before allocating
+        # anything: a ValueError, or from 2^63 - 1 an IndexError inside
+        # np.linspace; both are the out-of-memory exit, not a traceback
+        assert main([command, "--density", str(density)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: out of memory: a grid of {density} points "
+                                "is larger than numpy can allocate\n")
 
     def test_bounds_csv(self, capsys):
         assert main(["bounds", "--density", "10"]) == 0

@@ -18,6 +18,7 @@ from oracles import (
     special_case_basis,
     two_qubit_D12,
 )
+from teleportsim import explorer, scheme
 from teleportsim.channel import SchmidtChannel, canonicalize, is_teleport_capable, make_channel
 from teleportsim.qlinalg import TOL
 from teleportsim.resources import resource_report, upper_bound_sum
@@ -39,6 +40,7 @@ from teleportsim.scheme import (
     phases_from_weights,
     rotation_rows,
     solve_constraints,
+    solve_points,
 )
 from teleportsim.teleport import InputQubit, random_input, run_teleport
 
@@ -361,20 +363,6 @@ class TestSolveConstraints:
             with pytest.raises(InfeasibleError):
                 admissible_u_window(bad)
 
-    def test_theta2_window_memo_is_per_channel_value(self):
-        # free_theta2_window is memoized as admissible_u_window is: an equal
-        # channel at the same u shares the window, and a refusal is refused again
-        ch = make_channel(*DEGENERATE)
-        want = free_theta2_window(ch, 0.5)  # a0 = 0 is on the ridge at u = 1/2
-        hits = free_theta2_window.cache_info().hits
-        again = SchmidtChannel(a=ch.a)
-        assert again is not ch and free_theta2_window(again, 0.5) == want
-        assert free_theta2_window.cache_info().hits == hits + 1
-        bad = SchmidtChannel(a=(R2, R2, 0.0))  # no window at u = -1
-        for _ in range(2):
-            with pytest.raises(InfeasibleError):
-                free_theta2_window(bad, -1.0)
-
 
 def _scan_channels(seed: int, n: int) -> list[SchmidtChannel]:
     """The capable channels, canonicalized, among n seeded draws: every
@@ -492,6 +480,198 @@ class TestAcceptanceRule:
         ch = SchmidtChannel(a=tuple(1.04 * x for x in SYMMETRIC))
         with pytest.raises(ValueError, match="sum to 1"):
             solve_constraints(ch, 0.0)
+
+
+def _sweep_points(density: int) -> list[tuple]:
+    """The (ch, theta3, hints) points of the three sweeps at a density, in
+    the order the sweep driver passes them to solve_points."""
+    channels = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(explorer, "_sweep", channels.extend)
+        for sweep in (explorer.sweep_case1, explorer.sweep_case2, explorer.sweep_degenerate):
+            sweep(density)
+    return [(ch, theta3, hints) for ch, _, pts in channels for theta3, hints in pts]
+
+
+def _solve_each(points) -> list:
+    """solve_constraints on each point, in order: its scheme, or the
+    message of the InfeasibleError it raises."""
+    out = []
+    for ch, theta3, hints in points:
+        try:
+            out.append(solve_constraints(ch, theta3, **hints))
+        except InfeasibleError as exc:
+            out.append(str(exc))
+    return out
+
+
+_REFUSALS = {"outside the admissible": "window", "no feasible theta2": "theta2",
+             "phasor closure": "phasor", "not certified": "certificate"}
+
+
+def _scheme_floats(params: SchemeParams) -> list[float]:
+    return [*params.theta, *params.delta, *params.rotation[0], *params.rotation[1],
+            *params.rotation[2]]
+
+
+def _assert_kernel_is_scalar(points, monkeypatch) -> dict:
+    """solve_points against solve_constraints on each point: the same
+    refusals, each scheme equal bit for bit in theta, delta and rotation and
+    holding the point's own theta3 object, and the kernel's one call of its
+    certificate seam (_point_deviations) giving _pair_deviations' bits at
+    every scheme the scalar path certifies, in order. Returns the count of
+    solved points and of each kind of refusal."""
+    seam, kernel_devs = scheme._point_deviations, []
+
+    def spy_seam(*weights):
+        kernel_devs.append(seam(*weights))
+        return kernel_devs[-1]
+
+    certify, scalar_devs = scheme.certify_scheme, []
+
+    def spy_certify(ch, params):
+        scalar_devs.append(_pair_deviations(ch, params))
+        return certify(ch, params)
+
+    with monkeypatch.context() as m:
+        m.setattr(scheme, "_point_deviations", spy_seam)
+        got = solve_points(iter(points))
+        m.setattr(scheme, "certify_scheme", spy_certify)
+        want = _solve_each(points)
+    counts = dict.fromkeys(["solved", *_REFUSALS.values()], 0)
+    got_floats, want_floats = [], []
+    for (_, theta3, _), g, w in zip(points, got, want, strict=True):
+        if isinstance(w, str):
+            assert g is None, w
+            counts[next(kind for text, kind in _REFUSALS.items() if text in w)] += 1
+        else:
+            assert g.theta[2] is theta3 and g == w
+            got_floats += _scheme_floats(g)
+            want_floats += _scheme_floats(w)
+            counts["solved"] += 1
+    # bit for bit, a -0.0 and a NaN included
+    assert np.array(got_floats).tobytes() == np.array(want_floats).tobytes()
+    [devs] = kernel_devs
+    assert np.array(devs).T.tobytes() == np.array(scalar_devs, dtype=float).reshape(-1, 3).tobytes()
+    return counts
+
+
+class TestSolvePoints:
+    """solve_points is solve_constraints over a sweep's points in one array
+    pass: the same schemes bit for bit, the same refusals and the same
+    exceptions, with the same certificate deviations."""
+
+    @pytest.mark.parametrize("density", [2, 3, 7, 25])
+    def test_sweep_points(self, density, monkeypatch):
+        points = _sweep_points(density)
+        counts = _assert_kernel_is_scalar(points, monkeypatch)
+        assert counts["solved"] == len(points)
+
+    def test_scan_points(self, monkeypatch):
+        # six theta3 per seed-7 scan channel: both window ends, the
+        # midpoint, a quarter, and 1e-9 outside each end
+        points = []
+        for ch in _scan_channels(7, 10000):
+            lo, hi = admissible_theta3(ch)
+            for theta3 in (lo, 0.5 * (lo + hi), hi, lo + 0.25 * (hi - lo), lo - 1e-9, hi + 1e-9):
+                points.append((ch, theta3, {}))
+        counts = _assert_kernel_is_scalar(points, monkeypatch)
+        assert len(points) == 26_112
+        assert counts == {"solved": 16_853, "window": 7_540, "theta2": 0, "phasor": 0,
+                          "certificate": 1_719}
+
+    def test_theta3_squared_as_python_squares(self, monkeypatch):
+        # sin(theta3) ** 2 (libm pow) is not sin(theta3) * sin(theta3) here,
+        # and the scheme differs by it: a kernel that squares in numpy fails
+        ch = SchmidtChannel(a=(0.31823363870651594, 0.6803858461365124, 0.6601533545871843))
+        theta3 = 0.7048842094365152
+        s3 = math.sin(theta3)
+        assert s3 ** 2 != s3 * s3
+        counts = _assert_kernel_is_scalar([(ch, theta3, {})], monkeypatch)
+        assert counts["solved"] == 1
+
+    def test_phasor_triangle_refusal(self, monkeypatch):
+        # 9e-13 outside the u-window passes the window gate (TOL.entry) but
+        # breaks the phasor triangle by more than its slack, at either end
+        ch, _ = canonicalize(make_channel(0.6, 0.6, math.sqrt(0.28)))
+        ulo, uhi = admissible_u_window(ch)
+        lo, hi = admissible_theta3(ch)
+        points = [(ch, theta3, {}) for theta3 in
+                  (lo, math.asin(math.sqrt(uhi + 9e-13)), hi, math.asin(math.sqrt(ulo - 9e-13)))]
+        counts = _assert_kernel_is_scalar(points, monkeypatch)
+        assert counts == {"solved": 2, "window": 0, "theta2": 0, "phasor": 2, "certificate": 0}
+
+    def test_theta2_window_refusal(self, monkeypatch):
+        # no channel of nonnegative squares has an empty theta2-window on the
+        # ridge (each lower end e/(A+e) has e <= q + r), so one is refused
+        # here by hand, for both paths; the kernel takes the window once per
+        # run of (channel, u) and refuses exactly that run's points
+        ridge = make_channel(*DEGENERATE)
+        slice_ch = explorer._case1_channels(4)
+        ch1, _, pts1 = next(slice_ch)
+        ch2, _, pts2 = next(slice_ch)
+        points = ([(ridge, math.pi / 4, {"theta2_hint": h}) for h in (0.0, 0.3)]
+                  + [(ch2, theta3, hints) for theta3, hints in pts2]
+                  + [(ridge, math.pi / 4, {"theta2_hint": 0.7})])
+        window, asked = scheme.free_theta2_window, []
+
+        def refuse_case1(ch, u):
+            asked.append(ch)
+            if ch is ch2:
+                raise InfeasibleError("no feasible theta2 at this theta3")
+            return window(ch, u)
+
+        monkeypatch.setattr(scheme, "free_theta2_window", refuse_case1)
+        got = solve_points(points)
+        assert asked == [ridge, ch2, ridge]
+        counts = _assert_kernel_is_scalar(points, monkeypatch)
+        assert counts == {"solved": 3, "window": 0, "theta2": len(pts2), "phasor": 0,
+                          "certificate": 0}
+        assert [params is None for params in got] == [False, False] + [True] * len(pts2) + [False]
+
+    def test_u_window_once_per_channel_run(self, monkeypatch):
+        points = _sweep_points(5)
+        window, asked = scheme.admissible_u_window, []
+
+        def spy(ch):
+            asked.append(ch)
+            return window(ch)
+
+        monkeypatch.setattr(scheme, "admissible_u_window", spy)
+        solve_points(points)
+        runs = [ch for k, (ch, _, _) in enumerate(points) if k == 0 or ch is not points[k - 1][0]]
+        assert asked == runs and len(runs) < len(points)
+
+    def test_first_exception_escapes(self):
+        # an exception solve_constraints raises escapes solve_points with its
+        # type and message, from the first point that raises one
+        ch, _ = canonicalize(make_channel(0.6, 0.6, math.sqrt(0.28)))
+        off_sphere = SchmidtChannel(a=tuple(1.04 * x for x in SYMMETRIC))
+        ok, nan = (ch, 0.3, {}), (ch, math.nan, {})
+        cases = [([ok, (off_sphere, 0.0, {}), nan], ValueError, "probabilities do not sum to 1"),
+                 ([ok, nan, (off_sphere, 0.0, {})], ValueError, "theta3 must be finite"),
+                 ([(ch, 9.0, {}), (ch, math.inf, {})], ValueError, "theta3 must be finite"),
+                 ([ok, (ch, 0.3, {"theta4_hint": 0.0})], TypeError, "theta4_hint"),
+                 ([ok, (make_channel(R2, 0.5, 0.5), 0.3, {})], ValueError, "canonicalized"),
+                 ([(make_channel(*DEGENERATE), math.pi / 4,
+                    {"theta2_hint": 0.0, "theta1_hint": math.nan})],
+                  ValueError, "angles must be finite"),
+                 ([(make_channel(*DEGENERATE), math.pi / 4, {"theta2_hint": math.inf})],
+                  ValueError, "math domain error")]
+        for points, kind, text in cases:
+            with pytest.raises(kind, match=text) as scalar:
+                _solve_each(points)
+            with pytest.raises(kind, match=text) as kernel:
+                solve_points(points)
+            assert str(kernel.value) == str(scalar.value)
+
+    def test_unused_non_finite_hints_are_ignored(self):
+        # a hint the constraints pin is never read, on either path
+        ch, _ = canonicalize(make_channel(0.6, 0.6, math.sqrt(0.28)))
+        points = [(ch, 0.3, {"theta1_hint": math.nan, "theta2_hint": math.inf}), (ch, 9.0, {})]
+        got, want = solve_points(points), _solve_each(points)
+        assert got[0] == want[0] and got[1] is None and isinstance(want[1], str)
+        assert solve_points([]) == []
 
 
 class TestAssemble:

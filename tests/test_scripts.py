@@ -82,6 +82,18 @@ def test_grid_below_2_is_a_usage_error(script, flag, value, tmp_path):
     assert not (tmp_path / "data").exists()  # run_sweeps' default --outdir
 
 
+@pytest.mark.parametrize("script, flag", [("run_sweeps.py", "--density"),
+                                          ("degenerate_profile.py", "--points")])
+def test_grid_numpy_refuses_exits_1(script, flag, tmp_path):
+    # 2^63 - 1 points: numpy refuses the grid by its size, before allocating;
+    # each script gives the CLI's out-of-memory line and exit 1, no traceback
+    proc = _run(script, flag, str(2**63 - 1), cwd=tmp_path, returncode=1)
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: out of memory: a grid of {2**63 - 1} points "
+                           "is larger than numpy can allocate\n")
+    assert not (tmp_path / "data").exists()  # run_sweeps' default --outdir
+
+
 @pytest.mark.parametrize("script", ["run_sweeps.py", "degenerate_profile.py"])
 def test_no_seed_flag(script, tmp_path):
     # the sweeps draw no random numbers, so neither script takes a seed

@@ -911,14 +911,17 @@ class TestSchemeCertificate:
                                               (explorer.sweep_case2, 125),
                                               (explorer.sweep_degenerate, 25)])
     def test_every_sweep_record_matches_oracle(self, sweep, count, monkeypatch):
-        # every scheme the solver certifies on a density-25 sweep
-        records, certify = [], scheme.certify_scheme
+        # every scheme the sweep's solve_points call certifies at density 25
+        records, solve = [], explorer.solve_points
 
-        def spy(ch, params):
-            records.append((ch, params))
-            return certify(ch, params)
+        def spy(points):
+            points = list(points)
+            schemes = solve(points)
+            records.extend((ch, params) for (ch, _, _), params in zip(points, schemes)
+                           if params is not None)
+            return schemes
 
-        monkeypatch.setattr(scheme, "certify_scheme", spy)
+        monkeypatch.setattr(explorer, "solve_points", spy)
         assert sweep(25).skipped == 0
         assert len(records) == count
         assert _assert_matches_oracle(records).max() <= DEVIATION_BOUND
