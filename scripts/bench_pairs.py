@@ -20,8 +20,15 @@ pairs the change was better, the change of the median in percent, the
 parent's q3 - q1 in percent of its median, whether the change's median is
 within the metric's bound of the parent's, and whether a gain is shown
 (`gain_shown`): the change is better in at least 9 of 10 pairs and its
-median beats the parent's by more than the parent's q3 - q1. When the last
-run ends, one line per workload and metric goes to stdout.
+median beats the parent's by more than the parent's q3 - q1. Per workload
+it also gives `peak_rss_per_unit`: the least-squares slope of peak_rss_mb on
+attempted units over both sides' runs, one intercept per side (the pooled
+within-side slope), in bytes per unit, and the change's peak_rss_mb move,
+median against median, left after subtracting that slope times the move of
+the median attempted units. perfbench keeps every unit's latency, so a
+side that runs more units peaks higher; the move left is the part the
+unit count does not explain. When the last run ends, one line per workload
+and metric goes to stdout.
 """
 
 from __future__ import annotations
@@ -65,11 +72,40 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def rss_per_unit(pairs: list[dict]) -> dict | None:
+    """peak_rss_mb against attempted units over the runs of both sides of
+    `pairs`: the pooled within-side least-squares slope, in bytes per unit
+    (perfbench's MB is 1e6 B), and the change's median peak_rss_mb move net
+    of the slope times the move of the median attempted units, in MB and
+    in percent of the parent's median. None when a run lacks peak_rss_mb or
+    no side's unit count varies."""
+    if any("peak_rss_mb" not in p[side]["metrics"] for p in pairs for side in SIDES):
+        return None
+    sxy = sxx = 0.0
+    medians = {}
+    for side in SIDES:
+        units = [p[side]["attempted"] for p in pairs]
+        rss = [p[side]["metrics"]["peak_rss_mb"]["value"] for p in pairs]
+        mu, mr = statistics.fmean(units), statistics.fmean(rss)
+        sxy += sum((u - mu) * (r - mr) for u, r in zip(units, rss))
+        sxx += sum((u - mu) ** 2 for u in units)
+        medians[side] = (statistics.median(units), statistics.median(rss))
+    if sxx == 0.0:
+        return None
+    slope = sxy / sxx
+    (pu, pr), (cu, cr) = medians["parent"], medians["change"]
+    net = cr - pr - slope * (cu - pu)
+    return {"bytes_per_unit": round(slope * 1e6, 1),
+            "net_move_mb": round(net, 4),
+            "net_move_pct": round(net / pr * 100.0, 2)}
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """summary_trace0 of finished runs: per workload, per end-to-end metric
     (BENCHMARK.json's `end_to_end` entries: name, better, bound), the pairs
     in which both sides finished with a record, compared side by side; and
-    per workload the attempted units, a median per side."""
+    per workload the attempted units, a median per side, and
+    peak_rss_per_unit (rss_per_unit) where the runs report peak_rss_mb."""
     summary: dict = {}
     workloads = list(dict.fromkeys(r["workload"] for r in runs))
     for workload in workloads:
@@ -103,15 +139,24 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         out["attempted_units"] = {
             side: statistics.median(p[side]["attempted"] for p in pairs) for side in SIDES}
         out["failed_units"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+        rss = rss_per_unit(pairs)
+        if rss is not None:
+            out["peak_rss_per_unit"] = rss
         summary[workload] = out
     return summary
 
 
 def summary_lines(summary: dict) -> list[str]:
-    """One line per workload and end-to-end metric of a summary_trace0."""
+    """One line per workload and end-to-end metric of a summary_trace0, and
+    one per workload with a peak_rss_per_unit."""
     lines = []
     for workload, metrics in summary.items():
         for name, m in metrics.items():
+            if name == "peak_rss_per_unit":
+                lines.append(f"{workload} peak_rss_mb per unit: {m['bytes_per_unit']:.1f} B, "
+                             f"move net of units {m['net_move_mb']:+.4f} MB "
+                             f"({m['net_move_pct']:+.2f}%)")
+                continue
             if "pairs" not in m:  # attempted_units, failed_units
                 continue
             lines.append(

@@ -42,14 +42,19 @@ def main():
     except MemoryError as exc:  # a grid too large to allocate: the CLI's exit 1 and line
         sys.exit(f"error: out of memory: {exc or 'allocation failed'}")
 
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    for name, result in results:
-        # streamed line by line, as the CLI writes a sweep
-        with open(args.outdir / f"sweep_{name}.csv", "w", encoding="utf-8") as fh:
-            fh.writelines(sweep_csv_lines(result))
-        _summary(f"sweep_{name}", result)
+    try:
+        # an --outdir under a regular file, or a regular file itself, fails
+        # here, before any file is written
+        args.outdir.mkdir(parents=True, exist_ok=True)
+        for name, result in results:
+            # streamed line by line, as the CLI writes a sweep
+            with open(args.outdir / f"sweep_{name}.csv", "w", encoding="utf-8") as fh:
+                fh.writelines(sweep_csv_lines(result))
+            _summary(f"sweep_{name}", result)
 
-    (args.outdir / "bounds.csv").write_text(bounds_csv(rows))
+        (args.outdir / "bounds.csv").write_text(bounds_csv(rows))
+    except OSError as exc:  # an unusable --outdir: the CLI's exit 1 and line
+        sys.exit(f"error: {exc}")
     print(f"bounds: {len(rows)} rows, curves meet at "
           f"E = {rows[-1][0]:.6f} (lower {rows[-1][1]:.6f}, upper {rows[-1][2]:.6f})")
 

@@ -90,15 +90,30 @@ def _inner_grid(lo: float, hi: float) -> list[float]:
     return [i * step + lo for i in range(_INNER_GRID - 1)] + [hi]
 
 
-def _distinct(values):
-    """The values in order, each dropped when one before it rounds to the
-    same number at 15 decimals."""
-    seen = set()
-    for v in values:
-        key = round(v, 15)
-        if key not in seen:
-            seen.add(key)
-            yield v
+def _distinct(values: list[float]) -> list[float]:
+    """The values in order, each dropped when one kept before it rounds to
+    the same number at 15 decimals.
+
+    Two values whose round(v, 15) keys are equal lie within 1e-15 plus one
+    ulp of the key of each other. So when no two neighbours of the sorted
+    values are a near tie, 0 < gap <= 2e-15 + 5e-16 * max(|a|, |b|), or a
+    NaN gap (from NaN or +-inf), equal keys mean equal values, and the
+    exact repeats are dropped with no round call (-0.0 equals 0.0). Any
+    near tie sends the whole list through the keys.
+    """
+    s = sorted(values)
+    for a, b in zip(s, s[1:]):
+        # max(b, -a) is max(|a|, |b|) for a <= b; a NaN gap fails both tests
+        if not (b == a or b - a > 2e-15 + 5e-16 * max(b, -a)):
+            seen = set()
+            kept = []
+            for v in values:
+                key = round(v, 15)
+                if key not in seen:
+                    seen.add(key)
+                    kept.append(v)
+            return kept
+    return list(dict.fromkeys(values))
 
 
 def _sweep(channels) -> SweepResult:
@@ -157,7 +172,7 @@ def sweep_case1(density: int) -> SweepResult:
 
 
 def _case1_channels(density: int):
-    for a1sq in _grid(1.0 / 3.0, 0.5, density):
+    for a1sq in _grid(1.0 / 3.0, 0.5, density).tolist():
         a0sq = max(1.0 - 2.0 * a1sq, 0.0)
         ch = make_channel(math.sqrt(a0sq), math.sqrt(a1sq), math.sqrt(a1sq))
         try:
@@ -179,7 +194,7 @@ def sweep_case2(density: int) -> SweepResult:
 
 
 def _case2_channels(density: int):
-    for a2sq in _grid(0.0, 0.5, density):
+    for a2sq in _grid(0.0, 0.5, density).tolist():
         a0sq = max(0.5 - a2sq, 0.0)
         ch = make_channel(math.sqrt(a0sq), math.sqrt(0.5), math.sqrt(a2sq))
         try:

@@ -28,8 +28,8 @@ import math
 from typing import NamedTuple
 
 from .channel import SchmidtChannel, is_teleport_capable
-from .qlinalg import (LOG2_3, TOL, _binary_entropy, _entanglement_from_tangle, binary_entropy,
-                      bisect, entanglement_from_tangle)
+from .qlinalg import (LOG2_3, TOL, _entanglement_from_tangle, binary_entropy,
+                      entanglement_from_tangle)
 from .scheme import SchemeParams, phases_from_weights
 
 # affine piece of the lower bound: f2(E) = K_SLOPE * E + B_INTERCEPT,
@@ -160,10 +160,29 @@ def _g_of_q(q: float) -> float:
 
 
 def _q_from_entropy(e: float) -> float:
-    """Solve H(q) = 2(E - 1) for q in [0, 1/2] by bisection."""
+    """Solve H(q) = 2(E - 1) for q in [0, 1/2] by bisection.
+
+    qlinalg.bisect on the predicate H(q) < 2(E - 1), in one loop: each
+    midpoint's entropy is _binary_entropy's expression written in place
+    (every midpoint lies in [0, 1/2], so only q = 0 takes H = 0), and the
+    loop ends, as bisect's does, on the first midpoint equal to the end it
+    would replace.
+    """
     target = 2.0 * (e - 1.0)
-    # every midpoint lies in [0, 1/2], so each step takes the unchecked core
-    return bisect(lambda q: _binary_entropy(q) < target, 0.0, 0.5)
+    log2 = math.log2
+    lo, hi = 0.0, 0.5
+    while True:
+        q = 0.5 * (lo + hi)
+        p = 1.0 - q
+        h = -q * log2(q) - p * log2(p) if q != 0.0 else 0.0
+        if h < target:
+            if q == lo:
+                return q
+            lo = q
+        else:
+            if q == hi:
+                return q
+            hi = q
 
 
 def lower_bound_sum(e: float) -> float:

@@ -5,8 +5,9 @@ tangles, collapsed states, the channel ket, the resource report) straight
 from its definition or its first plain recipe, so a test can compare the
 two (the joint-state projection, total_state and measure_branches, is
 run_with_basis's, and run_from_arrays is its array-reading form);
-gour_basis builds the comparison protocol's measurement, and
-tuple_bisect keeps the bisection's first loop; certify_stack is the
+gour_basis builds the comparison protocol's measurement,
+tuple_bisect keeps the bisection's first loop, and distinct_by_round the
+sweeps' first de-duplication, one round() key per value; certify_stack is the
 kernel-built reference for scheme.certify_scheme, on the (k, 6, 6) basis
 stacks of measurement_bases (checked by check_unitary_stack, the stack form
 of qlinalg.check_unitary). The bases the
@@ -327,6 +328,18 @@ def tuple_bisect(below, lo: float, hi: float) -> float:
         if step == (lo, hi):
             return mid
         lo, hi = step
+
+
+def distinct_by_round(values):
+    """explorer._distinct as first written, frozen: the values in order,
+    each dropped when one before it rounds to the same number at 15
+    decimals."""
+    seen = set()
+    for v in values:
+        key = round(v, 15)
+        if key not in seen:
+            seen.add(key)
+            yield v
 
 
 def a1_from_entropy_exact(e: float) -> float:

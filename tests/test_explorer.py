@@ -11,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 from helpers import GOLDEN_DIR
-from oracles import a1_from_entropy_exact
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import a1_from_entropy_exact, distinct_by_round
 
 from teleportsim import cli, explorer, resources, scheme, teleport
 from teleportsim.channel import SchmidtChannel, make_channel
@@ -378,6 +380,92 @@ class TestInnerGrid:
         for lo, hi in ends:
             want = np.linspace(lo, hi, explorer._INNER_GRID)
             assert np.array(explorer._inner_grid(lo, hi)).tobytes() == want.tobytes()
+
+
+def _candidate_lists(monkeypatch, density):
+    """Every list the case-1 and case-2 sweeps at `density` de-duplicate."""
+    lists = []
+    distinct = explorer._distinct
+
+    def recorded(values):
+        lists.append(list(values))
+        return distinct(values)
+
+    monkeypatch.setattr(explorer, "_distinct", recorded)
+    sweep_case1(density)
+    sweep_case2(density)
+    monkeypatch.setattr(explorer, "_distinct", distinct)
+    return lists
+
+
+def _tie_neighbours(k: int, ulps: int) -> float:
+    """The float `ulps` steps from the double nearest (k + 1/2) * 1e-15, a
+    tie of rounding at 15 decimals."""
+    x = float(f"{k}5e-16")
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# groups of floats: one plain value, the floats 1-4 ulp either side of a
+# rounding tie at 15 decimals, or a large value (one ulp above 1e-15) with
+# its negation and its next float up
+_EDGE_GROUPS = st.one_of(
+    st.floats(0.0, 1.0).map(lambda x: [x]),
+    st.floats(-1.0, 1.0, width=16).map(lambda x: [x]),  # few values: repeats, near ties
+    st.sampled_from([0.0, -0.0, 0.5, math.nan, math.inf, -math.inf, 5e-324]).map(lambda x: [x]),
+    st.tuples(st.integers(0, 10**15), st.lists(st.integers(-4, 4), min_size=1, max_size=3)).map(
+        lambda kj: [_tie_neighbours(kj[0], j) for j in kj[1]]),
+    st.floats(1e3, 1e300).map(lambda x: [x, -x, math.nextafter(x, math.inf)]),
+)
+# lists drawn from a small pool, each value a fresh float object, so exact
+# repeats are distinct objects and the test sees which one is kept
+_EDGE_LISTS = st.lists(_EDGE_GROUPS, min_size=1, max_size=3).flatmap(
+    lambda groups: st.lists(st.sampled_from(sum(groups, [])), min_size=1, max_size=8)
+).map(lambda xs: [x * 1.0 for x in xs])
+
+
+class TestDistinct:
+    """_distinct keeps what the round(v, 15) key loop keeps, object for object."""
+
+    @staticmethod
+    def _same_as_round(values):
+        got, want = explorer._distinct(values), list(distinct_by_round(values))
+        assert got == want and [id(v) for v in got] == [id(v) for v in want], values
+
+    @pytest.mark.parametrize("density", [2, 3, 7, 25, 200])
+    def test_sweep_candidate_lists(self, density, monkeypatch):
+        lists = _candidate_lists(monkeypatch, density)
+        assert len(lists) == 2 * density
+        for values in lists:
+            self._same_as_round(values)
+
+    @given(_EDGE_LISTS)
+    @settings(max_examples=400, deadline=None)
+    @example([])
+    @example([0.25])
+    @example([-0.0, 0.0 * 1.0])
+    @example([0.0, -0.0, 0.0 * 1.0])
+    @example([math.nan, math.nan * 1.0, 1.0])
+    @example([math.inf, -math.inf, math.inf * 1.0, 0.0])
+    @example([_tie_neighbours(3, -1), _tie_neighbours(3, 1), _tie_neighbours(3, 2)])
+    @example([1e300, math.nextafter(1e300, 0.0), 1e300 * 1.0])
+    def test_edge_lists(self, values):
+        self._same_as_round(values)
+
+    def test_round_calls_at_density_200(self, monkeypatch):
+        # only lists holding a near tie take round(): 348 calls at density
+        # 200, against one per candidate (2,200) for the key loop alone
+        calls = []
+
+        def counted(x, ndigits):
+            calls.append(x)
+            return round(x, ndigits)
+
+        monkeypatch.setattr(explorer, "round", counted, raising=False)
+        sweep_case1(200)
+        sweep_case2(200)
+        assert 0 < len(calls) <= 400
 
 
 class TestBoundsTable:

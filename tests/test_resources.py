@@ -434,18 +434,35 @@ class TestLowerBound:
         for e in (1.0 + 1e-6, 1.2, 1.5 - 1e-12, 1.5, 1.55, LOG2_3):
             assert type(lower_bound_sum(e)) is float
 
-    def test_bisection_takes_the_binary_entropy_steps(self, rng):
+    def test_bisection_takes_the_binary_entropy_steps(self, rng, monkeypatch):
         # q is bit for bit the frozen tuple bisection on the checked
         # binary_entropy, down to E = 1
+        def same_as_bisect(es):
+            for e in es:
+                target = 2.0 * (e - 1.0)
+                want = tuple_bisect(lambda q: binary_entropy(q) < target, 0.0, 0.5)
+                assert _q_from_entropy(e) == want, e
+
         es = [1.0 - 1e-13, 1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.5 - 1e-12]
         # entropies at which an entropy off by one ulp near the crossing ends
         # the bisection on another q
         es += [1.0356168503062684, 1.4553265057264508, 1.2384246619250296,
                1.3944560280983205, 1.2062600409704516]
         es += np.linspace(1.0 + 1e-6, 1.5 - 1e-6, 100).tolist() + rng.uniform(1.0, 1.5, 100).tolist()
-        for e in es:
-            target = 2.0 * (e - 1.0)
-            assert _q_from_entropy(e) == tuple_bisect(lambda q: binary_entropy(q) < target, 0.0, 0.5)
+        same_as_bisect(es)
+        # every E the density-200 sweeps invert for their lower bounds
+        swept = []
+        q_from_entropy = resources._q_from_entropy
+        monkeypatch.setattr(resources, "_q_from_entropy",
+                            lambda e: swept.append(e) or q_from_entropy(e))
+        for sweep in (explorer.sweep_case1, explorer.sweep_case2, explorer.sweep_degenerate):
+            sweep(200)
+        monkeypatch.undo()
+        assert len(swept) == 305
+        same_as_bisect(swept)
+        # the E < 3/2 rows of `teleportsim bounds --density 200`
+        same_as_bisect([e for e in explorer.bounds_grid(200).tolist() if e < 1.5])
+        same_as_bisect(rng.uniform(1.0, 1.5, 2000).tolist())
 
     def test_domain(self):
         with pytest.raises(ValueError):

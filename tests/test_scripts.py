@@ -1,6 +1,7 @@
 """Smoke tests: both experiment scripts run end to end on a small grid; the
 bench pair runner's schedule and summary on synthetic runs."""
 
+import errno
 import importlib.util
 import os
 import pathlib
@@ -92,6 +93,19 @@ def test_grid_numpy_refuses_exits_1(script, flag, tmp_path):
     assert proc.stderr == (f"error: out of memory: a grid of {2**63 - 1} points "
                            "is larger than numpy can allocate\n")
     assert not (tmp_path / "data").exists()  # run_sweeps' default --outdir
+
+
+@pytest.mark.parametrize("outdir, code", [("file/data", errno.ENOTDIR), ("file", errno.EEXIST)])
+def test_run_sweeps_unusable_outdir_exits_1(outdir, code, tmp_path):
+    # a path under a regular file, or the file itself: the CLI's error line
+    # and exit 1, no traceback, and nothing written
+    (tmp_path / "file").write_text("kept\n")
+    proc = _run("run_sweeps.py", "--density", str(POINTS), "--outdir", outdir,
+                cwd=tmp_path, returncode=1)
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: [Errno {code}] {os.strerror(code)}: '{outdir}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("script", ["run_sweeps.py", "degenerate_profile.py"])
@@ -215,3 +229,32 @@ def test_bench_pairs_gain_shown():
     assert lines[0] == ("w wall_s: parent 1.05, change 2.1 (+100.00%), better in 0 of 10, "
                         "parent IQR 9.52%, OUT OF bound, gain not shown")
     assert lines[1].startswith("w units_per_s: parent 0.952381, change 0.47619 (-50.00%), ")
+
+
+def test_bench_pairs_rss_per_unit():
+    # peak_rss_mb = side's base + 100 B per unit; the change runs more
+    # units and sits 0.5 MB higher at equal units. The slope takes one
+    # intercept per side: one line through both sides' runs would read the
+    # 0.5 MB step as a steeper slope
+    bench = _bench_pairs()
+    units = {"parent": [1000, 3000, 2000, 4000, 5000], "change": [6000, 4000, 8000, 5000, 7000]}
+    base = {"parent": 50.0, "change": 50.5}
+    runs = [{"side": side, "workload": "w", "trace": 0, "pair": pair, "record": {"result": {
+                "correct": True, "attempted": n, "failed": 0,
+                "metrics": {"peak_rss_mb": {"value": base[side] + 100e-6 * n, "unit": "MB"}}}}}
+            for side in ("parent", "change") for pair, n in enumerate(units[side])]
+    end_to_end = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    summary = bench.summarize(runs, end_to_end)["w"]
+    assert summary["attempted_units"] == {"parent": 3000, "change": 6000}
+    # the raw move, 50.5 + 0.6 against 50.0 + 0.3 MB, is 0.8 MB; the units
+    # explain 0.3 MB of it
+    assert summary["peak_rss_mb"]["median_change_pct"] == round((51.1 / 50.3 - 1.0) * 100.0, 2)
+    assert summary["peak_rss_per_unit"] == {
+        "bytes_per_unit": 100.0, "net_move_mb": 0.5, "net_move_pct": round(0.5 / 50.3 * 100.0, 2)}
+    assert bench.summary_lines({"w": summary})[-1] == (
+        "w peak_rss_mb per unit: 100.0 B, move net of units +0.5000 MB (+0.99%)")
+    # no slope where no side's unit count varies, or a run lacks the metric
+    flat = [{**r, "record": {"result": {**r["record"]["result"], "attempted": 10}}} for r in runs]
+    assert "peak_rss_per_unit" not in bench.summarize(flat, end_to_end)["w"]
+    assert "peak_rss_per_unit" not in bench.summarize(_wall_runs([1.0], [0.9]), [
+        {"name": "wall_s", "better": "lower", "bound": 0.1}])["w"]
