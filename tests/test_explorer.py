@@ -408,7 +408,7 @@ def _tie_neighbours(k: int, ulps: int) -> float:
 
 
 # groups of floats: one plain value, the floats 1-4 ulp either side of a
-# rounding tie at 15 decimals, or a large value (one ulp above 1e-15) with
+# rounding tie at 15 decimals, or a large value (its ulp above 1e-15) with
 # its negation and its next float up
 _EDGE_GROUPS = st.one_of(
     st.floats(0.0, 1.0).map(lambda x: [x]),
